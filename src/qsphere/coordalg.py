@@ -19,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .comb import SparseComb, TensorComb, merge_into
 from .errors import NotInHopfDomain
-from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, qhalfpow, render
+from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, qhalfpow
 
 # A monomial is (aexp, bexp, cexp, dexp) with aexp, dexp >= 0, aexp*dexp = 0.
 MONO_ONE = (0, 0, 0, 0)
@@ -96,156 +97,67 @@ def mono_mul(m1, m2):
     return out
 
 
-class CoordElement:
+class CoordElement(SparseComb):
     """Element of the coordinate algebra (optionally of its localization)."""
 
-    __slots__ = ("terms", "localized")
+    __slots__ = ("localized",)
+
+    ONE_KEY = MONO_ONE
+    LETTERS = (("a", None), ("b", None), ("c", None), ("d", None))
+    # mono_mul weighs each product monomial by a Laurent polynomial
+    _scale_by_weight = staticmethod(RationalQ.mul_poly)
 
     def __init__(self, terms=None, localized=False):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, RationalQ):
-                    coeff = RationalQ(coeff)
-                if coeff.is_zero():
-                    continue
-                _check_mono(mono, localized)
-                clean[mono] = coeff
-        self.terms = clean
         self.localized = localized
+        super().__init__(terms)
 
-    @staticmethod
-    def _raw(terms, localized=False):
-        out = CoordElement.__new__(CoordElement)
+    def _check_key(self, mono):
+        a, b, c, d = mono
+        if a < 0 or d < 0:
+            raise ValueError(f"negative a or d exponent in {mono}")
+        if a and d:
+            raise ValueError(f"monomial {mono} mixes a and d")
+        if not self.localized and (b < 0 or c < 0):
+            raise ValueError(f"negative b or c exponent outside the localization: {mono}")
+
+    @classmethod
+    def _raw(cls, terms, localized=False):
+        out = cls.__new__(cls)
         out.terms = terms
         out.localized = localized
         return out
 
+    def _like(self, terms, other=None):
+        loc = self.localized or (other is not None and other.localized)
+        return CoordElement._raw(terms, loc)
+
     # -- constructors ---------------------------------------------------
 
-    @staticmethod
-    def zero(localized=False):
-        return CoordElement._raw({}, localized)
+    @classmethod
+    def zero(cls, localized=False):
+        return cls._raw({}, localized)
 
-    @staticmethod
-    def one(localized=False):
-        return CoordElement._raw({MONO_ONE: Q_ONE}, localized)
+    @classmethod
+    def one(cls, localized=False):
+        return cls._raw({MONO_ONE: Q_ONE}, localized)
 
-    @staticmethod
-    def monomial(mono, coeff=Q_ONE, localized=False):
-        _check_mono(mono, localized)
-        if not isinstance(coeff, RationalQ):
-            coeff = RationalQ(coeff)
-        if coeff.is_zero():
-            return CoordElement.zero(localized)
-        return CoordElement._raw({tuple(mono): coeff}, localized)
+    @classmethod
+    def monomial(cls, mono, coeff=Q_ONE, localized=False):
+        return cls({tuple(mono): coeff}, localized)
 
     # -- structure ------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CoordElement.one() * other if other else CoordElement.zero()
-        if not isinstance(other, CoordElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def degree(self):
-        return max((sum(abs(e) for e in m) for m in self.terms), default=0)
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), Q_ZERO)
 
-    # -- linear structure -------------------------------------------------
+    @staticmethod
+    def _mono_mul(m1, m2):
+        # looked up in the module at call time, so a wrapper installed on
+        # coordalg.mono_mul sees every product
+        return mono_mul(m1, m2)
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = scalar_coord(other)
-        if not isinstance(other, CoordElement):
-            return NotImplemented
-        loc = self.localized or other.localized
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            v = d.get(m)
-            if v is None:
-                d[m] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del d[m]
-                else:
-                    d[m] = v
-        return CoordElement._raw(d, loc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CoordElement._raw({m: -c for m, c in self.terms.items()}, self.localized)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = scalar_coord(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, coeff):
-        if not isinstance(coeff, RationalQ):
-            coeff = RationalQ(coeff)
-        if coeff.is_zero():
-            return CoordElement.zero(self.localized)
-        return CoordElement._raw(
-            {m: c * coeff for m, c in self.terms.items()}, self.localized
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalQ)):
-            return self.scale(other)
-        if not isinstance(other, CoordElement):
-            return NotImplemented
-        loc = self.localized or other.localized
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, poly in mono_mul(m1, m2):
-                    v = c.mul_poly(poly)
-                    old = out.get(mono)
-                    if old is None:
-                        out[mono] = v
-                    else:
-                        old = old + v
-                        if old.is_zero():
-                            del out[mono]
-                        else:
-                            out[mono] = old
-        return CoordElement._raw(out, loc)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalQ)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined on elements")
-        result = CoordElement.one(self.localized)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    # bench/tracer.py times products through CoordElement.__dict__["__mul__"]
+    __mul__ = SparseComb.__mul__
 
     # -- Hopf structure ---------------------------------------------------
 
@@ -256,13 +168,13 @@ class CoordElement:
     def star(self):
         """The *-involution: a* = d, b* = -q c, c* = -q^-1 b, d* = a."""
         self._require_hopf("star")
-        out = {}
-        for (a, b, c, d), coeff in self.terms.items():
-            mono = (d, c, b, a)
-            v = coeff * qhalfpow(2 * (b - c), (-1) ** (b + c))
-            old = out.get(mono)
-            out[mono] = v if old is None else old + v
-        return CoordElement._raw({m: c for m, c in out.items() if not c.is_zero()})
+        # (a^i b^j c^k d^l)* is a multiple of a^l b^k c^j d^i: no two terms meet
+        return CoordElement._raw(
+            {
+                (d, c, b, a): coeff * qhalfpow(2 * (b - c), (-1) ** (b + c))
+                for (a, b, c, d), coeff in self.terms.items()
+            }
+        )
 
     def counit(self):
         self._require_hopf("counit")
@@ -280,63 +192,47 @@ class CoordElement:
         unitary corepresentation matrix).
         """
         self._require_hopf("antipode")
-        out = {}
-        for (a, b, c, d), coeff in self.terms.items():
-            mono = (d, b, c, a)
-            v = coeff * qhalfpow(2 * (c - b), (-1) ** (b + c))
-            old = out.get(mono)
-            out[mono] = v if old is None else old + v
-        return CoordElement._raw({m: c for m, c in out.items() if not c.is_zero()})
+        # S(a^i b^j c^k d^l) is a multiple of a^l b^j c^k d^i: no two terms meet
+        return CoordElement._raw(
+            {
+                (d, b, c, a): coeff * qhalfpow(2 * (c - b), (-1) ** (b + c))
+                for (a, b, c, d), coeff in self.terms.items()
+            }
+        )
 
     def coproduct(self, n=2):
         self._require_hopf("coproduct")
         if n < 2:
             raise ValueError("coproduct arity must be at least 2")
-        out = TensorElement.zero(n)
+        acc = {}
         for mono, coeff in self.terms.items():
-            out = out + _mono_coproduct(mono, n).scale(coeff)
-        return out
+            merge_into(acc, _mono_coproduct(mono, n).terms, coeff)
+        return TensorElement._raw(acc, n)
 
     # -- weights ------------------------------------------------------------
 
     def left_weight(self):
         """2w such that K acts on the left by q^w, or None if mixed."""
-        ws = {(-a + b - c + d) for (a, b, c, d) in self.terms}
+        from .uq import left_weight
+
+        ws = {left_weight(m) for m in self.terms}
         return ws.pop() if len(ws) == 1 else None
 
     def right_weight(self):
         """2w such that K acts on the right by q^w, or None if mixed."""
-        ws = {(-a - b + c + d) for (a, b, c, d) in self.terms}
+        from .uq import right_weight
+
+        ws = {right_weight(m) for m in self.terms}
         return ws.pop() if len(ws) == 1 else None
 
     def localize(self):
         """The same element viewed in the localization (b, c inverted)."""
         return CoordElement._raw(dict(self.terms), True)
 
-    def __repr__(self):
-        return f"CoordElement({render_coord(self)!r})"
-
-    def __str__(self):
-        return render_coord(self)
-
-
-def _check_mono(mono, localized):
-    a, b, c, d = mono
-    if a < 0 or d < 0:
-        raise ValueError(f"negative a or d exponent in {mono}")
-    if a and d:
-        raise ValueError(f"monomial {mono} mixes a and d")
-    if not localized and (b < 0 or c < 0):
-        raise ValueError(f"negative b or c exponent outside the localization: {mono}")
-
 
 def scalar_coord(coeff, localized=False):
     """coeff * 1 as a CoordElement."""
-    if not isinstance(coeff, RationalQ):
-        coeff = RationalQ(coeff)
-    if coeff.is_zero():
-        return CoordElement.zero(localized)
-    return CoordElement._raw({MONO_ONE: coeff}, localized)
+    return CoordElement.one(localized).scale(coeff)
 
 
 # generator elements
@@ -348,143 +244,13 @@ gen_binv = CoordElement._raw({(0, -1, 0, 0): Q_ONE}, True)
 gen_cinv = CoordElement._raw({(0, 0, -1, 0): Q_ONE}, True)
 
 
-def coord_multiply(x: CoordElement, y: CoordElement) -> CoordElement:
-    return x * y
-
-
-def coord_star(x: CoordElement) -> CoordElement:
-    return x.star()
-
-
-def coord_counit(x: CoordElement) -> RationalQ:
-    return x.counit()
-
-
-def coord_antipode(x: CoordElement) -> CoordElement:
-    return x.antipode()
-
-
-def coord_coproduct(x: CoordElement, n: int = 2) -> "TensorElement":
-    return x.coproduct(n)
-
-
-def localize(x: CoordElement) -> CoordElement:
-    return x.localize()
-
-
-class TensorElement:
+class TensorElement(TensorComb):
     """Element of the n-fold tensor power of the coordinate algebra."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ()
 
-    def __init__(self, arity, terms=None):
-        self.arity = arity
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(coeff, RationalQ):
-                    coeff = RationalQ(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(key) != arity:
-                    raise ValueError("tensor key arity mismatch")
-                clean[key] = coeff
-        self.terms = clean
-
-    @staticmethod
-    def _raw(arity, terms):
-        out = TensorElement.__new__(TensorElement)
-        out.arity = arity
-        out.terms = terms
-        return out
-
-    @staticmethod
-    def zero(arity):
-        return TensorElement._raw(arity, {})
-
-    @staticmethod
-    def of(*factors: CoordElement):
-        """Tensor product of coordinate-algebra elements."""
-        arity = len(factors)
-        terms = {(): Q_ONE}
-        for f in factors:
-            new = {}
-            for key, coeff in terms.items():
-                for mono, c in f.terms.items():
-                    new[key + (mono,)] = coeff * c
-            terms = new
-        return TensorElement(arity, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = d.get(k)
-            if v is None:
-                d[k] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del d[k]
-                else:
-                    d[k] = v
-        return TensorElement._raw(self.arity, d)
-
-    def __neg__(self):
-        return TensorElement._raw(self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, RationalQ):
-            coeff = RationalQ(coeff)
-        if coeff.is_zero():
-            return TensorElement.zero(self.arity)
-        return TensorElement._raw(self.arity, {k: c * coeff for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        """Componentwise product of equal-arity tensors."""
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        out = TensorElement.zero(self.arity)
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                # expand slotwise products
-                parts = [mono_mul(m1, m2) for m1, m2 in zip(k1, k2)]
-                keys = [((), _ONE_POLY)]
-                for slot in parts:
-                    keys = [
-                        (key + (mono,), poly if kp is _ONE_POLY else kp * poly)
-                        for key, kp in keys
-                        for mono, poly in slot
-                    ]
-                for key, poly in keys:
-                    v = c.mul_poly(poly)
-                    old = acc.get(key)
-                    if old is None:
-                        acc[key] = v
-                    else:
-                        old = old + v
-                        if old.is_zero():
-                            del acc[key]
-                        else:
-                            acc[key] = old
-        out.terms = acc
-        return out
+    FACTOR = CoordElement
+    _scale_by_weight = staticmethod(RationalQ.mul_poly)
 
     def slot_counit(self, slot):
         """Apply the counit in one slot, lowering the arity."""
@@ -493,14 +259,8 @@ class TensorElement:
             a, b, c, d = key[slot]
             if b == 0 and c == 0:
                 k = key[:slot] + key[slot + 1 :]
-                v = out.get(k)
-                out[k] = coeff if v is None else v + coeff
-        return TensorElement._raw(
-            self.arity - 1, {k: v for k, v in out.items() if not v.is_zero()}
-        )
-
-    def __repr__(self):
-        return f"TensorElement(arity={self.arity}, {len(self.terms)} terms)"
+                out[k] = out.get(k, Q_ZERO) + coeff
+        return TensorElement(self.arity - 1, out)
 
 
 # coproducts of the generators: Delta(u_ij) = sum_k u_ik (x) u_kj for the
@@ -518,13 +278,13 @@ def _letter_coproduct(letter, n):
         ks = [i] + [(path >> t) & 1 for t in range(n - 1)] + [j]
         key = tuple(_U[(ks[t], ks[t + 1])] for t in range(n))
         terms[key] = Q_ONE
-    return TensorElement._raw(n, terms)
+    return TensorElement._raw(terms, n)
 
 
 @lru_cache(maxsize=None)
 def _mono_coproduct(mono, n):
     a, b, c, d = mono
-    out = TensorElement._raw(n, {(MONO_ONE,) * n: Q_ONE})
+    out = TensorElement._raw({(MONO_ONE,) * n: Q_ONE}, n)
     for letter, exp in (
         ((1, 0, 0, 0), a),
         ((0, 1, 0, 0), b),
@@ -535,38 +295,6 @@ def _mono_coproduct(mono, n):
             base = _letter_coproduct(letter, n)
             for _ in range(exp):
                 out = out * base
-    return out
-
-
-def render_coord(x: CoordElement) -> str:
-    if not x.terms:
-        return "0"
-    names = ("a", "b", "c", "d")
-    parts = []
-    for mono in sorted(x.terms, key=lambda m: (sum(abs(e) for e in m), m)):
-        coeff = x.terms[mono]
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors) if factors else "1"
-        cs = render(coeff)
-        if cs == "1":
-            s = body
-        elif cs == "-1":
-            s = f"-{body}"
-        elif (" " in cs or "/" in cs) and body != "1":
-            s = f"({cs})*{body}"
-        elif body == "1":
-            s = cs
-        else:
-            s = f"{cs}*{body}"
-        parts.append(s)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
 
 

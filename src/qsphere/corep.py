@@ -17,8 +17,8 @@ from .coordalg import CoordElement
 from .errors import CutoffExceeded
 from .haar import haar_product, inner
 from .podles import PodlesElement, embed
-from .scalar import Q_ONE, Q_ZERO, RationalQ, qint
-from .uq import act_left, gen_E, gen_F, r_action
+from .scalar import Q_ZERO, RationalQ, qint
+from .uq import act_left, gen_E, gen_F, left_weight, r_action, right_weight
 
 MAX_TWOL = 64
 
@@ -163,35 +163,22 @@ class ExactMatrix:
     def entry(self, row_key, col_key) -> RationalQ:
         return self.entries.get((row_key, col_key), Q_ZERO)
 
-    def to_rows(self):
-        return [
-            [self.entry(r, c) for c in self.col_keys] for r in self.row_keys
-        ]
-
     def to_json(self):
         import json
 
         from .scalar import render
 
+        rpos = {k: i for i, k in enumerate(self.row_keys)}
+        cpos = {k: i for i, k in enumerate(self.col_keys)}
         return json.dumps(
             {
                 "rows": [list(k) for k in self.row_keys],
                 "cols": [list(k) for k in self.col_keys],
                 "entries": {
-                    f"{ri},{ci}": render(v)
-                    for (rk, ck), v in sorted(
-                        self.entries.items(),
-                        key=lambda kv: (
-                            self.row_keys.index(kv[0][0]),
-                            self.col_keys.index(kv[0][1]),
-                        ),
-                    )
-                    for ri in [self.row_keys.index(rk)]
-                    for ci in [self.col_keys.index(ck)]
+                    f"{rpos[rk]},{cpos[ck]}": render(v)
+                    for (rk, ck), v in self.entries.items()
                 },
-                "untrusted_cols": sorted(
-                    self.col_keys.index(k) for k in self.untrusted_cols
-                ),
+                "untrusted_cols": sorted(cpos[k] for k in self.untrusted_cols),
             },
             sort_keys=True,
         )
@@ -223,7 +210,7 @@ def mult_matrix(x, source, target, l_max=None) -> ExactMatrix:
     y = _coord_operand(x)
     if y.localized:
         raise ValueError("multiplication operators need unlocalized symbols")
-    deg = max((sum(abs(e) for e in m) for m in y.terms), default=0)
+    deg = y.degree()
     if l_max is not None:
         tmax = _twol(l_max)
         source = [v for v in source if v.twol <= tmax]
@@ -236,8 +223,8 @@ def mult_matrix(x, source, target, l_max=None) -> ExactMatrix:
     by_weights = {}
     for v in target:
         by_weights.setdefault((v.twoj, v.twok), []).append(v)
-    y_lweights = {(-a + b - c + d) for (a, b, c, d) in y.terms}
-    y_rweights = {(-a - b + c + d) for (a, b, c, d) in y.terms}
+    y_lweights = {left_weight(m) for m in y.terms}
+    y_rweights = {right_weight(m) for m in y.terms}
     for beta in source:
         if beta.twol + deg > tmax_target:
             untrusted.add(beta.key())

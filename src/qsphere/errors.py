@@ -25,8 +25,8 @@ class CutoffExceeded(QsphereError):
     """Requested data lies beyond the configured truncation cutoff."""
 
 
-class ArityError(QsphereError):
-    """Mismatched tensor arity in a chain/cochain operation."""
+class ArityError(QsphereError, ValueError):
+    """Mismatched tensor arity in a tensor, chain or cochain operation."""
 
 
 class TokenContextError(QsphereError):

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coordalg import CoordElement, gen_a, gen_b, gen_binv, gen_c, gen_cinv, gen_d
+from .comb import TensorComb
+from .coordalg import CoordElement, gen_a, gen_binv, gen_cinv, gen_d
 from .errors import ArityError, NotInSubalgebra
 from .haar import haar, haar_podles
 from .podles import (
@@ -32,7 +33,7 @@ from .podles import (
     recognize,
     sigma,
 )
-from .scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
+from .scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
 from .uq import UqElement, gen_E, gen_F, r_action, uq_coproduct
 
 
@@ -156,74 +157,12 @@ class Cochain:
         return self.evaluator(*args)
 
 
-class Chain:
+class Chain(TensorComb):
     """Element of the (n+1)-fold tensor power of the sphere algebra."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ()
 
-    def __init__(self, arity, terms=None):
-        self.arity = arity
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(coeff, RationalQ):
-                    coeff = RationalQ(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(key) != arity:
-                    raise ArityError("chain key arity mismatch")
-                clean[key] = coeff
-        self.terms = clean
-
-    @staticmethod
-    def of(*factors: PodlesElement):
-        arity = len(factors)
-        terms = {(): Q_ONE}
-        for f in factors:
-            terms = {
-                key + (m,): c0 * c
-                for key, c0 in terms.items()
-                for m, c in f.terms.items()
-            }
-        return Chain(arity, terms)
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ArityError("chain arity mismatch")
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = d.get(k)
-            if v is None:
-                d[k] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del d[k]
-                else:
-                    d[k] = v
-        out = Chain(self.arity)
-        out.terms = d
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(RationalQ.from_int(-1))
-
-    def scale(self, coeff):
-        out = Chain(self.arity)
-        out.terms = {}
-        for k, c in self.terms.items():
-            v = c * coeff
-            if not v.is_zero():
-                out.terms[k] = v
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
+    FACTOR = PodlesElement
 
     def slots(self):
         """Iterate (coeff, tuple of basis PodlesElements)."""
@@ -266,7 +205,7 @@ def lambda_sigma(phi: Cochain) -> Cochain:
 
 def b_sigma_chain(eta: Chain) -> Chain:
     n = eta.arity - 1
-    out = Chain(n)
+    out = Chain.zero(n)
     for coeff, xs in eta.slots():
         for j in range(n):
             prod = xs[j] * xs[j + 1]
@@ -282,7 +221,7 @@ def b_sigma_chain(eta: Chain) -> Chain:
 
 def lambda_sigma_chain(eta: Chain) -> Chain:
     n = eta.arity - 1
-    out = Chain(eta.arity)
+    out = Chain.zero(eta.arity)
     for coeff, xs in eta.slots():
         out = out + Chain.of(sigma(xs[-1]), *xs[:-1]).scale(
             coeff if n % 2 == 0 else -coeff
@@ -303,17 +242,12 @@ def act_on_chain(f: UqElement, eta: Chain) -> Chain:
     """Diagonal left action through the iterated coproduct."""
     from .uq import act_left
 
-    out = Chain(eta.arity)
+    out = Chain.zero(eta.arity)
     for key, coeff in uq_coproduct(f, eta.arity).terms.items():
         legs = [UqElement.monomial(m) for m in key]
         for ccoeff, xs in eta.slots():
-            factors = []
-            ok = True
-            for leg, x in zip(legs, xs):
-                y = act_left(leg, embed(x))
-                factors.append(recognize(y))
-            term = Chain.of(*factors).scale(coeff * ccoeff)
-            out = out + term
+            factors = [recognize(act_left(leg, embed(x))) for leg, x in zip(legs, xs)]
+            out = out + Chain.of(*factors).scale(coeff * ccoeff)
     return out
 
 

@@ -21,7 +21,8 @@ from functools import lru_cache
 from .coordalg import CoordElement, _dgamma, _gamma
 from .errors import NotInHopfDomain
 from .podles import PodlesElement, embed
-from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, qpow
+from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ
+from .uq import left_weight, right_weight
 
 
 @lru_cache(maxsize=None)
@@ -102,14 +103,11 @@ def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
     # bucket x's monomials by the (left, right) weights the partner must cancel
     buckets = {}
     for mono, coeff in x.terms.items():
-        a, b, c, d = mono
-        key = (-a + b - c + d, -a - b + c + d)
+        key = (left_weight(mono), right_weight(mono))
         buckets.setdefault(key, []).append((mono, coeff))
     total = Q_ZERO
     for m2, c2 in y.terms.items():
-        a, b, c, d = m2
-        key = (a - b + c - d, a + b - c - d)
-        for m1, c1 in buckets.get(key, ()):
+        for m1, c1 in buckets.get((-left_weight(m2), -right_weight(m2)), ()):
             h = haar_mono_product(m1, m2)
             if not h.is_zero():
                 total = total + h * c1 * c2

@@ -15,158 +15,53 @@ sigma(A) = A, sigma(B) = q^2 B, sigma(B*) = q^-2 B*.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
+from .comb import SparseComb, merge_into
 from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from .errors import NotInSubalgebra
-from .scalar import Q_ONE, Q_ZERO, RationalQ, qpow
+from .scalar import Q_ONE, RationalQ, qpow
 from .uq import act_left, act_right, gen_K, gen_Kinv
 
-MONO_ONE = (0, 0)
 
-
-class PodlesElement:
+class PodlesElement(SparseComb):
     """Element of the quantum-sphere coordinate algebra in normal form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, RationalQ):
-                    coeff = RationalQ(coeff)
-                if coeff.is_zero():
-                    continue
-                i, j = mono
-                if i < 0:
-                    raise ValueError(f"negative A exponent in {mono}")
-                clean[(i, j)] = coeff
-        self.terms = clean
+    ONE_KEY = (0, 0)
+    LETTERS = (("A", None), ("B", "Bs"))
+
+    def _check_key(self, mono):
+        if mono[0] < 0:
+            raise ValueError(f"negative A exponent in {mono}")
 
     @staticmethod
-    def _raw(terms):
-        out = PodlesElement.__new__(PodlesElement)
-        out.terms = terms
-        return out
-
-    @staticmethod
-    def zero():
-        return PodlesElement._raw({})
-
-    @staticmethod
-    def one():
-        return PodlesElement._raw({MONO_ONE: Q_ONE})
-
-    @staticmethod
-    def monomial(mono, coeff=Q_ONE):
-        return PodlesElement({tuple(mono): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = PodlesElement.one().scale(other) if other else PodlesElement.zero()
-        if not isinstance(other, PodlesElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def degree(self):
-        return max((i + abs(j) for i, j in self.terms), default=0)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = PodlesElement.one().scale(other)
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            v = d.get(m)
-            if v is None:
-                d[m] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del d[m]
-                else:
-                    d[m] = v
-        return PodlesElement._raw(d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PodlesElement._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = PodlesElement.one().scale(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, coeff):
-        if not isinstance(coeff, RationalQ):
-            coeff = RationalQ(coeff)
-        if coeff.is_zero():
-            return PodlesElement.zero()
-        return PodlesElement._raw({m: c * coeff for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalQ)):
-            return self.scale(other)
-        if not isinstance(other, PodlesElement):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, cc in _mono_mul(m1, m2):
-                    v = cc * c
-                    old = out.get(mono)
-                    if old is None:
-                        out[mono] = v
-                    else:
-                        old = old + v
-                        if old.is_zero():
-                            del out[mono]
-                        else:
-                            out[mono] = old
-        return PodlesElement._raw(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalQ)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        result = PodlesElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _mono_mul(m1, m2):
+        """Product of basis monomials as (mono, RationalQ) pairs."""
+        i1, j1 = m1
+        i2, j2 = m2
+        # move the B-part of m1 past A^i2:
+        # B^m A^i = q^(2 m i) A^i B^m and B*^m A^i = q^(-2 m i) A^i B*^m,
+        # uniformly q^(2 j1 i2) with the signed exponent j1
+        scal = qpow(2 * j1 * i2)
+        i = i1 + i2
+        if j1 == 0 or j2 == 0 or (j1 > 0) == (j2 > 0):
+            return (((i, j1 + j2), scal),)
+        if j1 > 0:
+            crossed = _bb_cross(j1, -j2)
+        else:
+            crossed = _bsb_cross(-j1, j2)
+        # prepending A^i to a normal element costs nothing
+        return tuple(
+            ((ci + i, cj), scal * cc) for (ci, cj), cc in crossed.terms.items()
+        )
 
     def star(self):
         """A* = A, (B)* = B*; (A^i B^j)* = q^(-2ij) A^i B^-j on basis keys."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out[(i, -j)] = c * qpow(-2 * i * j)
-        return PodlesElement._raw(out)
-
-    def __repr__(self):
-        return f"PodlesElement({render_podles(self)!r})"
-
-    def __str__(self):
-        return render_podles(self)
+        return PodlesElement._raw(
+            {(i, -j): c * qpow(-2 * i * j) for (i, j), c in self.terms.items()}
+        )
 
 
 gen_A = PodlesElement._raw({(1, 0): Q_ONE})
@@ -191,31 +86,6 @@ def _bsb_cross(k, m):
     left = PodlesElement._raw({(0, -(k - 1)): Q_ONE}) if k > 1 else PodlesElement.one()
     right = PodlesElement._raw({(0, m - 1): Q_ONE})
     return left * mid * right
-
-
-def _mono_mul(m1, m2):
-    """Product of basis monomials as (mono, RationalQ) pairs."""
-    i1, j1 = m1
-    i2, j2 = m2
-    # move the B-part of m1 past A^i2:
-    # B^m A^i = q^(2 m i) A^i B^m and B*^m A^i = q^(-2 m i) A^i B*^m,
-    # uniformly q^(2 j1 i2) with the signed exponent j1
-    scal = qpow(2 * j1 * i2)
-    i = i1 + i2
-    if j1 == 0 or j2 == 0 or (j1 > 0) == (j2 > 0):
-        return (((i, j1 + j2), scal),)
-    if j1 > 0:
-        crossed = _bb_cross(j1, -j2)
-    else:
-        crossed = _bsb_cross(-j1, j2)
-    # prepending A^i to a normal element costs nothing
-    return tuple(
-        ((ci + i, cj), scal * cc) for (ci, cj), cc in crossed.terms.items()
-    )
-
-
-def pod_multiply(x: PodlesElement, y: PodlesElement) -> PodlesElement:
-    return x * y
 
 
 def sigma(x: PodlesElement) -> PodlesElement:
@@ -250,10 +120,10 @@ def _embed_mono(mono) -> CoordElement:
 
 def embed(x: PodlesElement) -> CoordElement:
     """Algebra embedding into the coordinate algebra."""
-    out = CoordElement.zero()
+    acc = {}
     for mono, c in x.terms.items():
-        out = out + _embed_mono(mono).scale(c)
-    return out
+        merge_into(acc, _embed_mono(mono).terms, c)
+    return CoordElement._raw(acc)
 
 
 def recognize(x: CoordElement) -> PodlesElement:
@@ -284,52 +154,7 @@ def recognize(x: CoordElement) -> PodlesElement:
     return result
 
 
-def k_invariant(x: CoordElement) -> bool:
-    """Whether x <| K = x, the membership criterion for the sphere."""
-    return act_right(x, gen_K) == x
-
-
 def sigma_via_action(x: PodlesElement) -> PodlesElement:
     """sigma computed through the module structure as K^-2 |> x."""
     y = act_left(gen_Kinv, act_left(gen_Kinv, embed(x)))
     return recognize(y)
-
-
-def render_podles(x: PodlesElement) -> str:
-    if not x.terms:
-        return "0"
-    from .scalar import render
-
-    parts = []
-    for (i, j) in sorted(x.terms, key=lambda m: (m[0] + abs(m[1]), m[0], m[1])):
-        coeff = x.terms[(i, j)]
-        factors = []
-        if i == 1:
-            factors.append("A")
-        elif i:
-            factors.append(f"A^{i}")
-        if j == 1:
-            factors.append("B")
-        elif j > 0:
-            factors.append(f"B^{j}")
-        elif j == -1:
-            factors.append("Bs")
-        elif j < 0:
-            factors.append(f"Bs^{-j}")
-        body = "*".join(factors) if factors else "1"
-        cs = render(coeff)
-        if cs == "1":
-            s = body
-        elif cs == "-1":
-            s = f"-{body}"
-        elif (" " in cs or "/" in cs) and body != "1":
-            s = f"({cs})*{body}"
-        elif body == "1":
-            s = cs
-        else:
-            s = f"{cs}*{body}"
-        parts.append(s)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out

@@ -21,8 +21,12 @@ def record(
     """Build one report entry comparing lhs against rhs.
 
     Passing requires abs_err <= tol_abs or rel_err <= tol_rel when given;
-    exact checks pass tol_abs = 0.
+    exact checks pass tol_abs = 0.  rel_err = |lhs - rhs| / max(|lhs|, |rhs|)
+    is at most 2, and at most 1 when lhs and rhs share a sign, so a tol_rel
+    of 1 or more could not fail and raises ValueError.
     """
+    if tol_rel is not None and tol_rel >= 1:
+        raise ValueError(f"tol_rel = {tol_rel} >= 1 passes any pair of the same sign")
     try:
         abs_err = abs(lhs - rhs)
     except TypeError:

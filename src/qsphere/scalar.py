@@ -510,12 +510,6 @@ def qlambda() -> RationalQ:
     return RationalQ._raw(LaurentPoly({2: _ONE, -2: -_ONE}))
 
 
-def normalize(x: RationalQ) -> RationalQ:
-    """Re-normalize an element (idempotent; provided for external callers)."""
-    num, den = _reduce(x.num, x.den)
-    return RationalQ._raw(num, den)
-
-
 def evaluate(x: RationalQ, q0, precision: int = 53):
     """Value of x at 0 < q0 < 1 as an mpmath float.
 

@@ -14,144 +14,50 @@ PBW basis: F^f K^k E^e with f, e >= 0 and k any integer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .coordalg import CoordElement, scalar_coord
+from .comb import SparseComb, TensorComb, merge_into
+from .coordalg import CoordElement
 from .errors import NotInHopfDomain
 from .scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
 
 MONO_ONE = (0, 0, 0)
 
 
-class UqElement:
+class UqElement(SparseComb):
     """Element of U_q(su_2) in PBW normal form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, RationalQ):
-                    coeff = RationalQ(coeff)
-                if coeff.is_zero():
-                    continue
-                f, k, e = mono
-                if f < 0 or e < 0:
-                    raise ValueError(f"negative E or F exponent in {mono}")
-                clean[mono] = coeff
-        self.terms = clean
+    ONE_KEY = MONO_ONE
+    LETTERS = (("F", None), ("K", "Kinv"), ("E", None))
+
+    def _check_key(self, mono):
+        f, k, e = mono
+        if f < 0 or e < 0:
+            raise ValueError(f"negative E or F exponent in {mono}")
 
     @staticmethod
-    def _raw(terms):
-        out = UqElement.__new__(UqElement)
-        out.terms = terms
-        return out
-
-    @staticmethod
-    def zero():
-        return UqElement._raw({})
-
-    @staticmethod
-    def one():
-        return UqElement._raw({MONO_ONE: Q_ONE})
-
-    @staticmethod
-    def monomial(mono, coeff=Q_ONE):
-        return UqElement({tuple(mono): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = UqElement.one().scale(other) if other else UqElement.zero()
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            v = d.get(m)
-            if v is None:
-                d[m] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del d[m]
-                else:
-                    d[m] = v
-        return UqElement._raw(d)
-
-    def __neg__(self):
-        return UqElement._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, RationalQ):
-            coeff = RationalQ(coeff)
-        if coeff.is_zero():
-            return UqElement.zero()
-        return UqElement._raw({m: c * coeff for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalQ)):
-            return self.scale(other)
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, cc in _mono_mul(m1, m2).terms.items():
-                    v = cc * c
-                    old = out.get(mono)
-                    if old is None:
-                        out[mono] = v
-                    else:
-                        old = old + v
-                        if old.is_zero():
-                            del out[mono]
-                        else:
-                            out[mono] = old
-        return UqElement._raw(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalQ)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        result = UqElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __repr__(self):
-        return f"UqElement({render_uq(self)!r})"
-
-    def __str__(self):
-        return render_uq(self)
+    def _mono_mul(m1, m2):
+        f1, k1, e1 = m1
+        f2, k2, e2 = m2
+        if e1 == 0 and k1 == 0:
+            return (((f1 + f2, k2, e2), Q_ONE),)
+        if f2 == 0 and k2 == 0:
+            return (((f1, k1, e1 + e2), Q_ONE),)
+        # assemble F^f1 K^k1 (F^xf K^xk E^xe) K^k2 E^e2; distinct (xf, xk, xe)
+        # give distinct monomials
+        return [
+            ((f1 + xf, k1 + xk + k2, xe + e2), c * qpow(-k1 * xf - xe * k2))
+            for (xf, xk, xe), c in _ef_cross(e1, f2).terms.items()
+        ]
 
 
 gen_E = UqElement._raw({(0, 0, 1): Q_ONE})
 gen_F = UqElement._raw({(1, 0, 0): Q_ONE})
 gen_K = UqElement._raw({(0, 1, 0): Q_ONE})
 gen_Kinv = UqElement._raw({(0, -1, 0): Q_ONE})
+_GENS = {"E": gen_E, "F": gen_F, "K": gen_K, "Kinv": gen_Kinv}
 
 
 @lru_cache(maxsize=None)
@@ -163,38 +69,16 @@ def _ef_cross(e, f):
         # E F^f = F (E F^(f-1)) + lambda^-1 (q^(-2(f-1)) F^(f-1) K^2
         #                                    - q^(2(f-1)) F^(f-1) K^-2)
         lam_inv = qlambda().inverse()
-        prev = _ef_cross(1, f - 1)
-        acc = {}
-        for (pf, pk, pe), c in prev.terms.items():
-            acc[(pf + 1, pk, pe)] = c
-        for sign, kk in ((1, 2), (-1, -2)):
-            mono = (f - 1, kk, 0)
-            v = lam_inv * qpow(-kk * (f - 1)) * sign
-            old = acc.get(mono)
-            acc[mono] = v if old is None else old + v
-        return UqElement._raw({m: c for m, c in acc.items() if not c.is_zero()})
+        acc = {(pf + 1, pk, pe): c for (pf, pk, pe), c in _ef_cross(1, f - 1).terms.items()}
+        merge_into(
+            acc,
+            {
+                (f - 1, 2, 0): lam_inv * qpow(-2 * (f - 1)),
+                (f - 1, -2, 0): -lam_inv * qpow(2 * (f - 1)),
+            },
+        )
+        return UqElement._raw(acc)
     return UqElement._raw({(0, 0, e - 1): Q_ONE}) * _ef_cross(1, f)
-
-
-def _mono_mul(m1, m2) -> UqElement:
-    f1, k1, e1 = m1
-    f2, k2, e2 = m2
-    if e1 == 0 and k1 == 0:
-        return UqElement._raw({(f1 + f2, k2, e2): Q_ONE})
-    if f2 == 0 and k2 == 0:
-        return UqElement._raw({(f1, k1, e1 + e2): Q_ONE})
-    out = {}
-    for (xf, xk, xe), c in _ef_cross(e1, f2).terms.items():
-        # assemble F^f1 K^k1 (F^xf K^xk E^xe) K^k2 E^e2
-        coeff = c * qpow(-k1 * xf - xe * k2)
-        mono = (f1 + xf, k1 + xk + k2, xe + e2)
-        old = out.get(mono)
-        out[mono] = coeff if old is None else old + coeff
-    return UqElement._raw({m: c for m, c in out.items() if not c.is_zero()})
-
-
-def uq_multiply(f: UqElement, g: UqElement) -> UqElement:
-    return f * g
 
 
 def uq_counit(f: UqElement) -> RationalQ:
@@ -207,13 +91,8 @@ def uq_counit(f: UqElement) -> RationalQ:
 
 def uq_star(f: UqElement) -> UqElement:
     """The involution E* = F, F* = E, K* = K (antilinear antihomomorphism)."""
-    out = {}
-    for (ff, kk, ee), c in f.terms.items():
-        # (F^f K^k E^e)* = F^e K^k E^f
-        mono = (ee, kk, ff)
-        old = out.get(mono)
-        out[mono] = c if old is None else old + c
-    return UqElement._raw({m: c for m, c in out.items() if not c.is_zero()})
+    # (F^f K^k E^e)* = F^e K^k E^f
+    return UqElement._raw({(ee, kk, ff): c for (ff, kk, ee), c in f.terms.items()})
 
 
 # The antipode maps each generator line to a multiple of itself (or of its
@@ -261,101 +140,18 @@ def _antipode_mono(mono, gen_map) -> UqElement:
 
 def uq_antipode(f: UqElement, inverse: bool = False) -> UqElement:
     gen_map = _SINV_GEN if inverse else _S_GEN
-    gm = {
-        g: ((gen_map[g][0]), gen_map[g][1]) for g in gen_map
-    }
-    out = UqElement.zero()
+    acc = {}
     for mono, c in f.terms.items():
-        out = out + _antipode_mono(mono, gm).scale(c)
-    return out
+        merge_into(acc, _antipode_mono(mono, gen_map).terms, c)
+    return UqElement._raw(acc)
 
 
-class UqTensor:
+class UqTensor(TensorComb):
     """Element of the n-fold tensor power of U_q(su_2)."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ()
 
-    def __init__(self, arity, terms=None):
-        self.arity = arity
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(coeff, RationalQ):
-                    coeff = RationalQ(coeff)
-                if coeff.is_zero():
-                    continue
-                clean[key] = coeff
-        self.terms = clean
-
-    @staticmethod
-    def of(*factors: UqElement):
-        arity = len(factors)
-        terms = {(): Q_ONE}
-        for f in factors:
-            terms = {
-                key + (m,): c0 * c
-                for key, c0 in terms.items()
-                for m, c in f.terms.items()
-            }
-        return UqTensor(arity, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, UqTensor):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __add__(self, other):
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = d.get(k)
-            if v is None:
-                d[k] = c
-            else:
-                v = v + c
-                if v.is_zero():
-                    del d[k]
-                else:
-                    d[k] = v
-        out = UqTensor(self.arity)
-        out.terms = d
-        return out
-
-    def __mul__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("tensor arity mismatch")
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                keys = [((), Q_ONE)]
-                for m1, m2 in zip(k1, k2):
-                    prod = _mono_mul(m1, m2)
-                    keys = [
-                        (key + (m,), kc * cc)
-                        for key, kc in keys
-                        for m, cc in prod.terms.items()
-                    ]
-                for key, kc in keys:
-                    v = kc * c
-                    old = acc.get(key)
-                    if old is None:
-                        acc[key] = v
-                    else:
-                        old = old + v
-                        if old.is_zero():
-                            del acc[key]
-                        else:
-                            acc[key] = old
-        out = UqTensor(self.arity)
-        out.terms = acc
-        return out
-
-    def scale(self, coeff):
-        out = UqTensor(self.arity)
-        out.terms = {
-            k: c * coeff for k, c in self.terms.items() if not (c * coeff).is_zero()
-        }
-        return out
+    FACTOR = UqElement
 
 
 @lru_cache(maxsize=None)
@@ -376,17 +172,17 @@ def _gen_coproduct(name, n):
 
 
 def uq_coproduct(f: UqElement, n: int = 2) -> UqTensor:
-    out = UqTensor(n)
+    acc = {}
     for (ff, kk, ee), c in f.terms.items():
-        acc = UqTensor(n, {(MONO_ONE,) * n: Q_ONE})
+        t = UqTensor._raw({(MONO_ONE,) * n: Q_ONE}, n)
         if ff:
-            acc = acc * _power_coproduct("F", ff, n)
+            t = t * _power_coproduct("F", ff, n)
         if kk:
-            acc = acc * _power_coproduct("K" if kk > 0 else "Kinv", abs(kk), n)
+            t = t * _power_coproduct("K" if kk > 0 else "Kinv", abs(kk), n)
         if ee:
-            acc = acc * _power_coproduct("E", ee, n)
-        out = out + acc.scale(c)
-    return out
+            t = t * _power_coproduct("E", ee, n)
+        merge_into(acc, t.terms, c)
+    return UqTensor._raw(acc, n)
 
 
 @lru_cache(maxsize=None)
@@ -400,273 +196,108 @@ def _power_coproduct(name, exp, n):
 
 # -- actions on the coordinate algebra ---------------------------------------
 
-# single-letter action tables; letters indexed 0..3 for a, b, c, d
-_LEFT_E = {0: (0, 1, 0, 0), 2: (0, 0, 0, 1)}  # E|>a = b, E|>c = d
-_LEFT_F = {1: (1, 0, 0, 0), 3: (0, 0, 1, 0)}  # F|>b = a, F|>d = c
-_RIGHT_E = {2: (1, 0, 0, 0), 3: (0, 1, 0, 0)}  # c<|E = a, d<|E = b
-_RIGHT_F = {0: (0, 0, 1, 0), 1: (0, 0, 0, 1)}  # a<|F = c, b<|F = d
+# The single-letter actions of E and F, the only table of them in the
+# package; letters are indexed 0..3 for a, b, c, d.  Side "L" is the left
+# action g |> x, side "R" the right action x <| g; letters not listed vanish.
+LETTER_ACTION = {
+    ("L", "E"): {0: (0, 1, 0, 0), 2: (0, 0, 0, 1)},  # E|>a = b, E|>c = d
+    ("L", "F"): {1: (1, 0, 0, 0), 3: (0, 0, 1, 0)},  # F|>b = a, F|>d = c
+    ("R", "E"): {2: (1, 0, 0, 0), 3: (0, 1, 0, 0)},  # c<|E = a, d<|E = b
+    ("R", "F"): {0: (0, 0, 1, 0), 1: (0, 0, 0, 1)},  # a<|F = c, b<|F = d
+}
+_LETTER_MONOS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def _left_weight(mono):
+def left_weight(mono):
+    """2w such that K |> mono = q^w mono."""
     a, b, c, d = mono
     return -a + b - c + d
 
 
-def _right_weight(mono):
+def right_weight(mono):
+    """2w such that mono <| K = q^w mono."""
     a, b, c, d = mono
     return -a - b + c + d
 
 
-def _first_letter(mono):
-    for i in range(4):
-        if mono[i] > 0:
-            return i
-    return None
-
-
-def _peel(mono, letter):
-    lst = list(mono)
-    lst[letter] -= 1
-    return tuple(lst)
-
-
-def _prepend_letter(letter, elem: CoordElement) -> CoordElement:
-    g = _GEN_ELEMS[letter]
-    return g * elem
-
-
-def _replace_first(mono, letter, image_mono) -> CoordElement:
-    rest = _peel(mono, letter)
-    return CoordElement.monomial(image_mono) * CoordElement.monomial(rest)
+WEIGHT = {"L": left_weight, "R": right_weight}
 
 
 @lru_cache(maxsize=None)
-def _act_E_left(mono) -> CoordElement:
-    """E |> mono via Delta(E) = E (x) K + K^-1 (x) E."""
-    letter = _first_letter(mono)
+def _act_mono(side, gen, mono) -> CoordElement:
+    """E or F acting on one normal monomial: gen |> mono on side "L",
+    mono <| gen on side "R".
+
+    Peels the first letter x off mono = x y.  Both actions expand through
+    Delta(g) = g (x) K + K^-1 (x) g as g.(x y) = (g.x)(K.y) + (K^-1.x)(g.y).
+    """
+    letter = next((i for i in range(4) if mono[i] > 0), None)
     if letter is None:
         return CoordElement.zero()
-    rest = _peel(mono, letter)
+    x = _LETTER_MONOS[letter]
+    rest = tuple(e - u for e, u in zip(mono, x))
+    weight = WEIGHT[side]
     out = CoordElement.zero()
-    img = _LEFT_E.get(letter)
+    img = LETTER_ACTION[side, gen].get(letter)
     if img is not None:
-        # (E |> letter) (K |> rest)
-        out = out + _replace_first(mono, letter, img).scale(
-            qhalfpow(_left_weight(rest))
+        out = (CoordElement._raw({img: Q_ONE}) * CoordElement._raw({rest: Q_ONE})).scale(
+            qhalfpow(weight(rest))
         )
-    # (K^-1 |> letter) (E |> rest)
-    tail = _act_E_left(rest)
+    tail = _act_mono(side, gen, rest)
     if tail:
-        out = out + _prepend_letter(letter, tail).scale(
-            qhalfpow(_left_weight((0,) * letter + (1,) + (0,) * (3 - letter)) * -1)
-        )
+        out = out + (CoordElement._raw({x: Q_ONE}) * tail).scale(qhalfpow(-weight(x)))
     return out
 
 
-@lru_cache(maxsize=None)
-def _act_F_left(mono) -> CoordElement:
-    letter = _first_letter(mono)
-    if letter is None:
-        return CoordElement.zero()
-    rest = _peel(mono, letter)
-    out = CoordElement.zero()
-    img = _LEFT_F.get(letter)
-    if img is not None:
-        out = out + _replace_first(mono, letter, img).scale(
-            qhalfpow(_left_weight(rest))
+def _act_gen(side, gen, x: CoordElement) -> CoordElement:
+    """One generator E, F, K or Kinv acting on x from the given side."""
+    if gen in ("K", "Kinv"):
+        sign = 1 if gen == "K" else -1
+        weight = WEIGHT[side]
+        return CoordElement._raw(
+            {m: c * qhalfpow(sign * weight(m)) for m, c in x.terms.items()}
         )
-    tail = _act_F_left(rest)
-    if tail:
-        out = out + _prepend_letter(letter, tail).scale(
-            qhalfpow(-_left_weight((0,) * letter + (1,) + (0,) * (3 - letter)))
-        )
-    return out
+    acc = {}
+    for mono, c in x.terms.items():
+        merge_into(acc, _act_mono(side, gen, mono).terms, c)
+    return CoordElement._raw(acc)
 
 
-@lru_cache(maxsize=None)
-def _act_E_right(mono) -> CoordElement:
-    """mono <| E via (xy) <| E = (x <| E)(y <| K) + (x <| K^-1)(y <| E)."""
-    letter = _first_letter(mono)
-    if letter is None:
-        return CoordElement.zero()
-    rest = _peel(mono, letter)
-    out = CoordElement.zero()
-    img = _RIGHT_E.get(letter)
-    if img is not None:
-        out = out + _replace_first(mono, letter, img).scale(
-            qhalfpow(_right_weight(rest))
-        )
-    tail = _act_E_right(rest)
-    if tail:
-        out = out + _prepend_letter(letter, tail).scale(
-            qhalfpow(-_right_weight((0,) * letter + (1,) + (0,) * (3 - letter)))
-        )
-    return out
-
-
-@lru_cache(maxsize=None)
-def _act_F_right(mono) -> CoordElement:
-    letter = _first_letter(mono)
-    if letter is None:
-        return CoordElement.zero()
-    rest = _peel(mono, letter)
-    out = CoordElement.zero()
-    img = _RIGHT_F.get(letter)
-    if img is not None:
-        out = out + _replace_first(mono, letter, img).scale(
-            qhalfpow(_right_weight(rest))
-        )
-    tail = _act_F_right(rest)
-    if tail:
-        out = out + _prepend_letter(letter, tail).scale(
-            qhalfpow(-_right_weight((0,) * letter + (1,) + (0,) * (3 - letter)))
-        )
-    return out
-
-
-_GEN_ELEMS = {
-    0: CoordElement.monomial((1, 0, 0, 0)),
-    1: CoordElement.monomial((0, 1, 0, 0)),
-    2: CoordElement.monomial((0, 0, 1, 0)),
-    3: CoordElement.monomial((0, 0, 0, 1)),
-}
-
-
-def _gen_act_left(name, x: CoordElement) -> CoordElement:
-    out = CoordElement.zero()
-    if name == "E":
-        for mono, c in x.terms.items():
-            out = out + _act_E_left(mono).scale(c)
-    elif name == "F":
-        for mono, c in x.terms.items():
-            out = out + _act_F_left(mono).scale(c)
-    elif name in ("K", "Kinv"):
-        sign = 1 if name == "K" else -1
-        out = CoordElement._raw(
-            {
-                mono: c * qhalfpow(sign * _left_weight(mono))
-                for mono, c in x.terms.items()
-            }
-        )
-    else:
-        raise ValueError(name)
-    return out
-
-
-def _gen_act_right(x: CoordElement, name) -> CoordElement:
-    out = CoordElement.zero()
-    if name == "E":
-        for mono, c in x.terms.items():
-            out = out + _act_E_right(mono).scale(c)
-    elif name == "F":
-        for mono, c in x.terms.items():
-            out = out + _act_F_right(mono).scale(c)
-    elif name in ("K", "Kinv"):
-        sign = 1 if name == "K" else -1
-        out = CoordElement._raw(
-            {
-                mono: c * qhalfpow(sign * _right_weight(mono))
-                for mono, c in x.terms.items()
-            }
-        )
-    else:
-        raise ValueError(name)
-    return out
+def _act(side, f, x: CoordElement) -> CoordElement:
+    if isinstance(f, str):
+        f = _GENS[f]
+    if x.localized:
+        raise NotInHopfDomain("actions are not defined on localized elements")
+    acc = {}
+    for (ff, kk, ee), c in f.terms.items():
+        # F^f K^k E^e |> x applies E first, x <| F^f K^k E^e applies F first
+        word = ["E"] * ee + ["K" if kk > 0 else "Kinv"] * abs(kk) + ["F"] * ff
+        if side == "R":
+            word.reverse()
+        y = x
+        for gen in word:
+            y = _act_gen(side, gen, y)
+        merge_into(acc, y.terms, c)
+    return CoordElement._raw(acc)
 
 
 def act_left(f: UqElement, x: CoordElement) -> CoordElement:
     """The left module-algebra action f |> x."""
-    if isinstance(f, str):
-        f = {"E": gen_E, "F": gen_F, "K": gen_K, "Kinv": gen_Kinv}[f]
-    if x.localized:
-        raise NotInHopfDomain("actions are not defined on localized elements")
-    out = CoordElement.zero()
-    for (ff, kk, ee), c in f.terms.items():
-        y = x
-        for _ in range(ee):
-            y = _gen_act_left("E", y)
-        if kk:
-            name = "K" if kk > 0 else "Kinv"
-            for _ in range(abs(kk)):
-                y = _gen_act_left(name, y)
-        for _ in range(ff):
-            y = _gen_act_left("F", y)
-        out = out + y.scale(c)
-    return out
+    return _act("L", f, x)
 
 
 def act_right(x: CoordElement, f: UqElement) -> CoordElement:
     """The right module-algebra action x <| f."""
-    if isinstance(f, str):
-        f = {"E": gen_E, "F": gen_F, "K": gen_K, "Kinv": gen_Kinv}[f]
-    if x.localized:
-        raise NotInHopfDomain("actions are not defined on localized elements")
-    out = CoordElement.zero()
-    for (ff, kk, ee), c in f.terms.items():
-        y = x
-        for _ in range(ff):
-            y = _gen_act_right(y, "F")
-        if kk:
-            name = "K" if kk > 0 else "Kinv"
-            for _ in range(abs(kk)):
-                y = _gen_act_right(y, name)
-        for _ in range(ee):
-            y = _gen_act_right(y, "E")
-        out = out + y.scale(c)
-    return out
+    return _act("R", f, x)
 
 
 def r_action(f: UqElement, x: CoordElement) -> CoordElement:
     """R_f(x) = x <| S^-1(f), the *-representation used by the Dirac layer."""
     if isinstance(f, str):
-        f = {"E": gen_E, "F": gen_F, "K": gen_K, "Kinv": gen_Kinv}[f]
+        f = _GENS[f]
     return act_right(x, uq_antipode(f, inverse=True))
 
 
 def pair(f: UqElement, x: CoordElement) -> RationalQ:
     """The dual pairing <f, x> = eps(f |> x)."""
     return act_left(f, x).counit()
-
-
-def render_uq(f: UqElement) -> str:
-    if not f.terms:
-        return "0"
-    from .scalar import render
-
-    parts = []
-    for (ff, kk, ee) in sorted(f.terms, key=lambda m: (m[0] + abs(m[1]) + m[2], m)):
-        coeff = f.terms[(ff, kk, ee)]
-        factors = []
-        if ff == 1:
-            factors.append("F")
-        elif ff:
-            factors.append(f"F^{ff}")
-        if kk == 1:
-            factors.append("K")
-        elif kk == -1:
-            factors.append("Kinv")
-        elif kk > 0:
-            factors.append(f"K^{kk}")
-        elif kk < 0:
-            factors.append(f"Kinv^{-kk}")
-        if ee == 1:
-            factors.append("E")
-        elif ee:
-            factors.append(f"E^{ee}")
-        body = "*".join(factors) if factors else "1"
-        cs = render(coeff)
-        if cs == "1":
-            s = body
-        elif cs == "-1":
-            s = f"-{body}"
-        elif (" " in cs or "/" in cs) and body != "1":
-            s = f"({cs})*{body}"
-        elif body == "1":
-            s = cs
-        else:
-            s = f"{cs}*{body}"
-        parts.append(s)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out

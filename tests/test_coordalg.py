@@ -8,19 +8,12 @@ import pytest
 from qsphere.coordalg import (
     CoordElement,
     TensorElement,
-    coord_antipode,
-    coord_coproduct,
-    coord_counit,
-    coord_multiply,
-    coord_star,
     gen_a,
     gen_b,
     gen_binv,
     gen_c,
     gen_cinv,
     gen_d,
-    localize,
-    render_coord,
     scalar_coord,
 )
 from qsphere.errors import NotInHopfDomain
@@ -191,8 +184,8 @@ def test_localized_embedding_is_algebra_map_randomized():
     rng = random.Random(3)
     for _ in range(30):
         x, y = rand_element(rng), rand_element(rng)
-        assert localize(x * y) == localize(x) * localize(y)
-        assert localize(x + y) == localize(x) + localize(y)
+        assert (x * y).localize() == x.localize() * y.localize()
+        assert (x + y).localize() == x.localize() + y.localize()
 
 
 def test_localized_elements_refuse_hopf_ops():
@@ -206,7 +199,7 @@ def test_localized_elements_refuse_hopf_ops():
     with pytest.raises(NotInHopfDomain):
         x.coproduct()
     with pytest.raises(NotInHopfDomain):
-        localize(gen_a).star()
+        gen_a.localize().star()
 
 
 def test_weights():
@@ -220,7 +213,7 @@ def test_weights():
 
 
 def test_render_basic():
-    assert render_coord(gen_a * gen_b) == "a*b"
-    assert render_coord(CoordElement.zero()) == "0"
+    assert str(gen_a * gen_b) == "a*b"
+    assert str(CoordElement.zero()) == "0"
     x = gen_d * gen_a
-    assert render_coord(x) == "1 + q^-1*b*c"
+    assert str(x) == "1 + q^-1*b*c"

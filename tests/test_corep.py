@@ -1,5 +1,6 @@
 """Tests for the ladder construction and exact matrices."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from qsphere.corep import (
 from qsphere.errors import CutoffExceeded
 from qsphere.haar import haar_product, inner
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
-from qsphere.scalar import Q_ONE, Q_ZERO, qhalfpow, qint
+from qsphere.scalar import Q_ONE, Q_ZERO, parse, qhalfpow, qint
 from qsphere.uq import act_left, act_right, gen_E, gen_F, gen_K, r_action
 
 
@@ -160,9 +161,19 @@ def test_cutoff_guard():
 
 
 def test_exact_matrix_export_roundtrip():
-    vplus, _ = vplus_vminus_basis(1)
+    vplus, _ = vplus_vminus_basis(2)
     m = mult_matrix(gen_A, vplus, vplus)
     js = m.to_json()
     assert '"entries"' in js
     csv = m.to_csv()
     assert csv.count("\n") == len(m.row_keys)
+    data = json.loads(js)
+    rows = [tuple(k) for k in data["rows"]]
+    cols = [tuple(k) for k in data["cols"]]
+    assert rows == m.row_keys and cols == m.col_keys
+    assert len(data["entries"]) == len(m.entries)
+    for pos, text in data["entries"].items():
+        ri, ci = map(int, pos.split(","))
+        assert parse(text) == m.entry(rows[ri], cols[ci])
+    assert 0 < len(m.untrusted_cols) < len(cols)
+    assert data["untrusted_cols"] == sorted(cols.index(k) for k in m.untrusted_cols)

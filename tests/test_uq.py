@@ -22,7 +22,6 @@ from qsphere.uq import (
     uq_antipode,
     uq_coproduct,
     uq_counit,
-    uq_multiply,
     uq_star,
 )
 
