@@ -8,6 +8,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -191,14 +192,25 @@ class LaurentPoly:
         rational q0, returning (P_even(q0), P_odd(q0)) with
         value = P_even + sqrt(q0) * P_odd."""
         q0 = Fraction(q0)
-        even = _ZERO
-        odd = _ZERO
-        for e, c in self.coeffs.items():
-            if e % 2 == 0:
-                even += c * q0 ** (e // 2)
-            else:
-                odd += c * q0 ** ((e - 1) // 2)
-        return even, odd
+        p, r = q0.numerator, q0.denominator
+        scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        out = []
+        for parity in (0, 1):
+            ints = {
+                (e - parity) // 2: c.numerator * scale // c.denominator
+                for e, c in self.coeffs.items()
+                if e % 2 == parity
+            }
+            lo, hi = min(ints, default=0), max(ints, default=0)
+            # Horner in integers: acc = sum_k ints[k] p^(k-lo) r^(hi-k)
+            acc, rpow = 0, 1
+            for k in range(hi, lo - 1, -1):
+                acc = acc * p + ints.get(k, 0) * rpow
+                rpow *= r
+            # value = acc p^lo r^-hi / scale
+            num = acc * p ** max(lo, 0) * r ** max(-hi, 0)
+            out.append(Fraction(num, scale * p ** max(-lo, 0) * r ** max(hi, 0)))
+        return tuple(out)
 
     def eval_mpf(self, q0):
         """Value at q0 using the current mpmath precision."""
@@ -207,12 +219,6 @@ class LaurentPoly:
         return mpmath.mpf(even.numerator) / even.denominator + s * (
             mpmath.mpf(odd.numerator) / odd.denominator
         )
-
-    def eval_float(self, q0):
-        """Fast float64 value at q0 (numeric layer only)."""
-        q0 = float(q0)
-        s = q0 ** 0.5
-        return sum(c.numerator / c.denominator * s ** e for e, c in self.coeffs.items())
 
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)!r})"
@@ -444,14 +450,6 @@ class RationalQ:
             base = base * base
             n >>= 1
         return result
-
-    # -- numerics ---------------------------------------------------------
-
-    def eval_float(self, q0):
-        den = self.den.eval_float(q0)
-        if den == 0.0:
-            raise EvaluationPole(f"pole at q0 = {q0}")
-        return self.num.eval_float(q0) / den
 
     def __repr__(self):
         return f"RationalQ({render(self)!r})"

@@ -1,9 +1,9 @@
 """Numeric realization of the Dirac operator on a truncated Hilbert space.
 
 The truncated space at level cutoff L carries the orthonormal weight basis
-phi^(s)_{n,k} (s = +-1, n = 1..L, k in half-integers |k| <= n - 1/2), built by
-a float version of the exact ladder at a fixed 0 < q0 < 1 and normalized so
-that the twisted right actions act exactly as
+phi^(s)_{n,k} (s = +-1, n = 1..L, k in half-integers |k| <= n - 1/2) at a
+fixed rational 0 < q0 < 1, normalized so that the twisted right actions act
+exactly as
 
     R_E phi^+_{n,k} = -[n] phi^-_{n,k},   R_F phi^-_{n,k} = -[n] phi^+_{n,k}.
 
@@ -11,12 +11,18 @@ Spaces are built with padding levels beyond L; operator products keep a
 conservative level-shift tally, and traces sum only diagonal entries whose
 columns are fully trusted, reporting the discarded boundary count.
 
-Trust limit: the float ladder loses orthonormality fast, because its
-coefficients grow like q^(-n^2).  At q0 = 1/2 the largest |<phi, phi> - 1|
-over the vectors of level n measures 8.5e-13 at n = 3, 1.1e-8 at n = 4,
-1.1e-3 at n = 5 and 2.0e2 at n = 6; at q0 = 1/4 it is 4.9e-9 at n = 3,
-5.1e-2 at n = 4 and 1.8e8 at n = 5.  Results that read levels past that
-point, padding included, are not trustworthy.
+Exact construction: `_Engine` specialises the exact layer at q0.  Its
+values lie in Q(sqrt(q0)), held as Fraction pairs (even, odd) with value
+even + odd sqrt(q0), the split of `LaurentPoly.eval_pair`.  It evaluates
+at q0 what the exact kernels return (`coordalg.mono_mul`, the `uq`
+actions, `haar.haar` and `corep.alpha_squared`) and derives none of it
+anew.  The ladder vectors w stay unnormalised, with exact squared norms N.
+A column of an operator is the image of w_beta expanded in the ladder by a
+triangular solve on top-degree monomials, whose remainder must vanish
+exactly.  Rounding enters M(x) and J0 in one place: the orthonormal entry
+c sqrt(N_alpha / N_beta) is the correctly rounded square root of an exact
+rational, with its sign.  Levels and orthonormal columns do not depend on
+L; each is built once per q0 and shared by every space at that q0.
 
 Complex scalars exist only in this module; everything upstream is exact.
 """
@@ -24,18 +30,21 @@ Complex scalars exist only in this module; everything upstream is exact.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
-from .coordalg import CoordElement, _dgamma, _gamma
+from .coordalg import CoordElement, mono_mul
+from .corep import alpha_squared
 from .errors import CutoffExceeded
-from .haar import haar_podles
+from .haar import haar, haar_podles
 from .podles import PodlesElement, embed
 from .report import record
-from .scalar import evaluate
-from .uq import LETTER_ACTION, WEIGHT, left_weight, right_weight
+from .scalar import Q_ONE, evaluate
+from .uq import act_left, act_right, gen_E, gen_F, gen_K, left_weight, r_action, right_weight
 
 
 def qnum(n: int, q0: float) -> float:
@@ -43,195 +52,230 @@ def qnum(n: int, q0: float) -> float:
     return (q0**n - q0**-n) / (q0 - 1.0 / q0)
 
 
-class _Numerics:
-    """Float-coefficient mirror of the exact monomial algebra at fixed q0.
+# the exact linear maps the engine applies monomial by monomial: the ladder
+# steps phi_{k+1} = E |> phi_k / alpha and phi_{j+1} = -R_F phi_j / alpha,
+# unnormalised, and the image K |> x* <| K of J0 up to the factor i
+_e_step = functools.partial(act_left, gen_E)
+_f_step = functools.partial(r_action, -gen_F)
 
-    Coefficient tables are evaluated from the exact ones, so both layers
-    share a single source of truth for the rewriting combinatorics.
-    """
 
-    def __init__(self, q0: float):
-        self.q = float(q0)
-        self.s = math.sqrt(self.q)
-        self._gam = {}
-        self._dgam = {}
-        self._act = {}
-        self._hword = {}
+def _j0_image(x):
+    return act_left(gen_K, act_right(x.star(), gen_K))
 
-    # -- tables ---------------------------------------------------------
 
-    def gamma(self, t):
-        v = self._gam.get(t)
-        if v is None:
-            v = [p.eval_float(self.q) for p in _gamma(t)]
-            self._gam[t] = v
-        return v
+_ZERO = (Fraction(0), Fraction(0))
+_ONE = (Fraction(1), Fraction(0))
 
-    def dgamma(self, s, t):
-        v = self._dgam.get((s, t))
-        if v is None:
-            v = [p.eval_float(self.q) for p in _dgamma(s, t)]
-            self._dgam[(s, t)] = v
-        return v
+# an unnormalised ladder vector at q0: terms {mono: pair}, exact squared norm
+_Vector = namedtuple("_Vector", "terms norm2")
 
-    # -- monomial algebra -------------------------------------------------
 
-    def mono_mul(self, m1, m2):
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = m2
-        s, t = d1, a2
-        m = min(s, t)
-        x = t - m
-        y = s - m
-        scal = self.q ** (-x * (b1 + c1) - y * (b2 + c2))
-        out = []
-        for i, g in enumerate(self.dgamma(s, t)):
-            A = a1 + x
-            B = b1 + i + b2
-            C = c1 + i + c2
-            D = y + d2
-            if A == 0 or D == 0:
-                out.append(((A, B, C, D), g * scal))
-            else:
-                tt = min(A, D)
-                base = g * scal * self.q ** (tt * (B + C))
-                for j, gg in enumerate(self.gamma(tt)):
-                    out.append(((A - tt, B + j, C + j, D - tt), base * gg))
-        return out
+class _Engine:
+    """The exact layer at one rational q0, with values in Q(sqrt(q0)) as
+    (even, odd) pairs; every table is filled on first use."""
+
+    def __init__(self, q0: Fraction):
+        self.q0 = q0
+        self._products = {}  # (m1, m2) -> mono_mul at q0
+        self._images = {}  # (map, mono) -> the exact map's image at q0
+        self._states = {}  # mono -> h(mono)
+        self._pairings = {}  # (m2, m1) -> h(m2* m1)
+        self._levels = {}  # n -> {(s, twok): _Vector}
+        self._columns = {}  # (operator, key) -> {row key: float}
+
+    # -- arithmetic in Q(sqrt(q0)) ------------------------------------------
+
+    def times(self, x, y):
+        a, b = x
+        c, d = y
+        # most values have a zero part; skip its products
+        if b and d:
+            return (a * c + self.q0 * b * d, a * d + b * c)
+        return (a * c, b * c if b else a * d)
+
+    def divide(self, x, y):
+        norm = y[0] * y[0] - self.q0 * y[1] * y[1]
+        return self.times(x, (y[0] / norm, -y[1] / norm))
+
+    def value(self, x):
+        """A RationalQ at q0."""
+        num = x.num.eval_pair(self.q0)
+        return num if x.den.is_one() else self.divide(num, x.den.eval_pair(self.q0))
+
+    def rational(self, x) -> Fraction:
+        even, odd = x
+        if odd:
+            raise ArithmeticError(f"{x} is not rational")
+        return even
+
+    def to_float(self, x) -> float:
+        return float(x[0]) + float(x[1]) * math.sqrt(self.q0)
+
+    @staticmethod
+    def _add(acc, mono, c):
+        """acc[mono] += c, dropping a sum that cancels."""
+        old = acc.get(mono)
+        if old is not None:
+            c = (old[0] + c[0] if c[0] else old[0], old[1] + c[1] if c[1] else old[1])
+        if c[0] or c[1]:
+            acc[mono] = c
+        elif old is not None:
+            del acc[mono]
+
+    # -- the exact layer at q0 ----------------------------------------------
+
+    def terms(self, x: CoordElement) -> dict:
+        return {m: self.value(c) for m, c in x.terms.items()}
 
     def mul(self, xs: dict, ys: dict) -> dict:
         out = {}
         for m1, c1 in xs.items():
             for m2, c2 in ys.items():
-                c = c1 * c2
-                for mono, w in self.mono_mul(m1, m2):
-                    out[mono] = out.get(mono, 0.0) + c * w
-        return {m: c for m, c in out.items() if c != 0.0}
-
-    def star(self, xs: dict) -> dict:
-        out = {}
-        for (a, b, c, d), coeff in xs.items():
-            out[(d, c, b, a)] = coeff * (-1.0) ** (b + c) * self.q ** (b - c)
+                c = self.times(c1, c2)
+                prod = self._products.get((m1, m2))
+                if prod is None:
+                    prod = {}
+                    for mono, w in mono_mul(m1, m2):
+                        self._add(prod, mono, w.eval_pair(self.q0))
+                    self._products[m1, m2] = prod
+                for mono, w in prod.items():
+                    self._add(out, mono, self.times(c, w))
         return out
 
-    # -- generator actions ------------------------------------------------
-
-    def _act_mono(self, kind, name, mono):
-        key = (kind, name, mono)
-        cached = self._act.get(key)
-        if cached is not None:
-            return cached
-        letter = next((i for i in range(4) if mono[i] > 0), None)
-        if letter is None:
-            self._act[key] = {}
-            return {}
-        rest = list(mono)
-        rest[letter] -= 1
-        rest = tuple(rest)
-        weight = WEIGHT[kind]
-        out = {}
-        img = LETTER_ACTION[kind, name].get(letter)
-        if img is not None:
-            # (f act letter)(K act rest) resp. the right-handed version
-            w = self.s ** weight(rest)
-            for mono2, c in self.mono_mul(img, rest):
-                out[mono2] = out.get(mono2, 0.0) + c * w
-        tail = self._act_mono(kind, name, rest)
-        if tail:
-            single = tuple(1 if i == letter else 0 for i in range(4))
-            w = self.s ** (-weight(single))
-            for m2, c2 in tail.items():
-                for mono2, c in self.mono_mul(single, m2):
-                    out[mono2] = out.get(mono2, 0.0) + c * c2 * w
-        out = {m: c for m, c in out.items() if c != 0.0}
-        self._act[key] = out
-        return out
-
-    def act(self, side, name, xs: dict) -> dict:
-        """name |> xs on side "L", xs <| name on side "R"."""
-        if name in ("K", "Kinv"):
-            sgn = 1 if name == "K" else -1
-            weight = WEIGHT[side]
-            return {m: c * self.s ** (sgn * weight(m)) for m, c in xs.items()}
+    def apply(self, fn, xs: dict) -> dict:
+        """The exact linear map fn (CoordElement -> CoordElement) on xs."""
         out = {}
         for mono, c in xs.items():
-            for m2, c2 in self._act_mono(side, name, mono).items():
-                out[m2] = out.get(m2, 0.0) + c * c2
-        return {m: c for m, c in out.items() if c != 0.0}
+            img = self._images.get((fn, mono))
+            if img is None:
+                img = self.terms(fn(CoordElement._raw({mono: Q_ONE})))
+                self._images[fn, mono] = img
+            for m, w in img.items():
+                self._add(out, m, self.times(c, w))
+        return out
 
-    def r_action(self, name, xs: dict) -> dict:
-        # R_E = -q^-1 (. <| E), R_F = -q (. <| F) via the inverse antipode
-        if name == "E":
-            return {m: -c / self.q for m, c in self.act("R", "E", xs).items()}
-        if name == "F":
-            return {m: -c * self.q for m, c in self.act("R", "F", xs).items()}
-        raise ValueError(name)
-
-    # -- invariant state ----------------------------------------------------
-
-    def h_bc(self, n):
-        return (-self.q) ** n * (1 - self.q**2) / (1 - self.q ** (2 * n + 2))
-
-    def _h_word_tail(self, t, n0):
-        key = (t, n0)
-        v = self._hword.get(key)
-        if v is None:
-            v = sum(g * self.h_bc(n0 + j) for j, g in enumerate(self.gamma(t)))
-            self._hword[key] = v
-        return v
-
-    def haar_mono_product(self, m1, m2):
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = m2
-        if a1 + a2 != d1 + d2 or b1 + b2 != c1 + c2:
-            return 0.0
-        if d1 > 0 and a2 > 0:
-            # reorder through the modular property h(xy) = h(twist(y) x);
-            # the a..d ordered word reduces with bounded q-power tables,
-            # avoiding the catastrophic cancellation of the d..a crossing
-            tw = self.q ** (-(left_weight(m2) + right_weight(m2)))
-            return tw * self.haar_mono_product(m2, m1)
-        # now the concatenated word is a^A b^B c^C d^D up to commutations
-        scal = self.q ** (-a2 * (b1 + c1) - d1 * (b2 + c2))
-        A = a1 + a2
-        B = b1 + b2
-        total = scal * self.q ** (A * 2 * B) * self._h_word_tail(A, B)
-        return total
-
-    def haar_product(self, xs: dict, ys: dict) -> float:
-        buckets = {}
-        for mono, coeff in xs.items():
-            key = (left_weight(mono), right_weight(mono))
-            buckets.setdefault(key, []).append((mono, coeff))
-        total = 0.0
+    def inner(self, xs: dict, ys: dict):
+        """The invariant inner product h(ys* xs)."""
+        total = _ZERO
         for m2, c2 in ys.items():
-            key = (-left_weight(m2), -right_weight(m2))
-            for m1, c1 in buckets.get(key, ()):
-                total += self.haar_mono_product(m1, m2) * c1 * c2
+            part = _ZERO
+            for m1, c1 in xs.items():
+                h = self._pairings.get((m2, m1))
+                if h is None:
+                    h = self._pairings[m2, m1] = self._pairing(m2, m1)
+                if h[0] or h[1]:
+                    h = self.times(c1, h)
+                    part = (part[0] + h[0], part[1] + h[1])
+            part = self.times(c2, part)
+            total = (total[0] + part[0], total[1] + part[1])
         return total
 
-    def coord_to_num(self, x: CoordElement) -> dict:
-        return {m: c.eval_float(self.q) for m, c in x.terms.items()}
+    def _pairing(self, m2, m1):
+        """h(m2* m1), evaluating only the products the state does not kill."""
+        total = _ZERO
+        ((ms, cs),) = self.apply(CoordElement.star, {m2: _ONE}).items()
+        for mono, w in mono_mul(ms, m1):
+            h = self._states.get(mono)
+            if h is None:
+                h = self._states[mono] = self.value(haar(CoordElement._raw({mono: Q_ONE})))
+            if h[0] or h[1]:
+                h = self.times(w.eval_pair(self.q0), h)
+                total = (total[0] + h[0], total[1] + h[1])
+        return self.times(cs, total)
+
+    # -- ladder ---------------------------------------------------------------
+
+    def level(self, n: int) -> dict:
+        """The j = +-1/2 vectors of spin n - 1/2, keyed (2j, 2k)."""
+        vecs = self._levels.get(n)
+        if vecs is not None:
+            return vecs
+        twol = 2 * n - 1
+        # step[t] is alpha^2 for the step from 2j (or 2k) = t to t + 2
+        step = {
+            t: self.rational(self.value(alpha_squared(twol, t))) for t in range(-twol, twol, 2)
+        }
+        w = {(twol, 0, 0, 0): _ONE}
+        norm2 = self.rational(self.inner(w, w))
+        vecs = {}
+        for twoj in range(-twol, 2, 2):
+            if twoj > -twol:
+                w = self.apply(_f_step, w)
+                norm2 *= step[twoj - 2]
+            if abs(twoj) != 1:
+                continue
+            v, nv = w, norm2
+            for twok in range(-twol, twol + 1, 2):
+                if twok > -twol:
+                    v = self.apply(_e_step, v)
+                    nv *= step[twok - 2]
+                vecs[twoj, twok] = _Vector(v, nv)
+        self._levels[n] = vecs
+        return vecs
+
+    def vector(self, key) -> _Vector:
+        s, n, twok = key
+        return self.level(n)[s, twok]
+
+    def expand(self, u: dict) -> dict:
+        """Coefficients {(s, n, twok): pair} of u in the unnormalised ladder.
+
+        Within one family and left weight, a spin-l vector has degree
+        exactly 2l, so a top-degree monomial of level n (its pivot) occurs
+        in no lower level and the solve runs from the top level down; the
+        remainder must vanish, which makes the expansion the unique one.
+        The part of u of right weight other than +-1 is orthogonal to both
+        families and dropped.
+        """
+        groups = {}
+        for m, c in u.items():
+            if abs(right_weight(m)) == 1:
+                groups.setdefault((right_weight(m), left_weight(m)), {})[m] = c
+        out = {}
+        for (s, twok), rest in groups.items():
+            n = (max(map(sum, rest)) + 1) // 2
+            while rest and 2 * n - 1 >= abs(twok):
+                vec = self.level(n)[s, twok]
+                pivot = max(vec.terms, key=sum)
+                c = rest.get(pivot)
+                if c is not None:
+                    c = out[s, n, twok] = self.divide(c, vec.terms[pivot])
+                    minus_c = (-c[0], -c[1])
+                    for m, w in vec.terms.items():
+                        self._add(rest, m, self.times(minus_c, w))
+                n -= 1
+            if rest:
+                raise ArithmeticError(f"remainder {rest} outside the ladder")
+        return out
+
+    def column(self, operator, key, image) -> dict:
+        """Column `key` of an operator in the orthonormal basis, {row key:
+        entry}; image(w) applies the operator to the exact vector w of
+        `key`.  Cached per (operator, key): a column does not depend on L."""
+        col = self._columns.get((operator, key))
+        if col is None:
+            beta = self.vector(key)
+            col = {}
+            for alpha, (even, odd) in self.expand(image(beta.terms)).items():
+                ratio = self.vector(alpha).norm2 / beta.norm2
+                col[alpha] = math.copysign(math.sqrt(even * even * ratio), even) + math.copysign(
+                    math.sqrt(odd * odd * self.q0 * ratio), odd
+                )
+            self._columns[operator, key] = col
+        return col
 
 
-_NUMERICS_CACHE: dict[float, _Numerics] = {}
-
-
-def numerics_for(q0: float) -> _Numerics:
-    q0 = float(q0)
-    eng = _NUMERICS_CACHE.get(q0)
-    if eng is None:
-        eng = _Numerics(q0)
-        _NUMERICS_CACHE[q0] = eng
-    return eng
+# one engine per q0, shared by every space at that q0
+_engine_for = functools.cache(_Engine)
 
 
 class TruncatedSpace:
     """Orthonormal truncated basis phi^(s)_{n,k} with padding levels.
 
-    Levels run n = 1..L for reporting; internally the ladder is built to
+    Levels run n = 1..L for reporting; internally the basis is built to
     npad = L + pad so that operator products of bounded level shift stay
-    exact on the reported window.
+    exact on the reported window.  `vec` maps a key (s, n, 2k) to its
+    unnormalised ladder vector.
     """
 
     def __init__(self, q0, L: int, pad: int = 3):
@@ -246,8 +290,7 @@ class TruncatedSpace:
         self.L = L
         self.pad = pad
         self.npad = L + pad
-        self.num = numerics_for(self.q0)
-        self._build_ladder()
+        self.engine = _engine_for(self.q0_exact)
         self.index = []
         for s in (1, -1):
             for n in range(1, self.npad + 1):
@@ -255,80 +298,16 @@ class TruncatedSpace:
                     self.index.append((s, n, twok))
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
-
-    # -- ladder ---------------------------------------------------------
-
-    def _build_ladder(self):
-        num = self.num
-        q0 = self.q0
-        self.vec = {}
-        for n in range(1, self.npad + 1):
-            twol = 2 * n - 1
-            nrm = math.sqrt(
-                num.haar_mono_product((0, 0, 0, twol), (twol, 0, 0, 0))
-            )
-            v = {(twol, 0, 0, 0): 1.0 / nrm}
-            twoj = -twol
-            if twoj == -1:
-                self._k_run(n, -1, v)
-            while twoj < 1:
-                alpha = math.sqrt(
-                    qnum((twol - twoj) // 2, q0) * qnum((twol + twoj + 2) // 2, q0)
-                )
-                v = {m: -c / alpha for m, c in num.r_action("F", v).items()}
-                twoj += 2
-                if twoj == -1:
-                    self._k_run(n, -1, v)
-            self._k_run(n, 1, v)
-
-    def _k_run(self, n, twoj, bottom):
-        num = self.num
-        q0 = self.q0
-        twol = 2 * n - 1
-        s = twoj  # +-1 labels the family
-        self.vec[(s, n, -twol)] = bottom
-        v = bottom
-        for twok in range(-twol + 2, twol + 1, 2):
-            alpha = math.sqrt(
-                qnum((twol - (twok - 2)) // 2, q0) * qnum((twol + twok) // 2, q0)
-            )
-            v = {m: c / alpha for m, c in num.act("L", "E", v).items()}
-            self.vec[(s, n, twok)] = v
-
-    def basis_vector(self, key) -> dict:
-        return self.vec[key]
+        self.vec = {key: self.engine.vector(key) for key in self.index}
 
     def level(self, i: int) -> int:
         return self.index[i][1]
 
-    # -- projections ------------------------------------------------------
-
-    def project(self, u: dict, s_target: int, band_center=None, band=None):
-        """Coefficients of u against the orthonormal basis of one family,
-        as {(s, n, twok): coeff}; candidates filtered by the left weights
-        present in u and an optional level band."""
-        num = self.num
-        if not u:
-            return {}
-        lws = {left_weight(m) for m in u}
-        out = {}
-        for twok in lws:
-            for n in range(1, self.npad + 1):
-                if 2 * n - 1 < abs(twok):
-                    continue
-                if band is not None and abs(n - band_center) > band:
-                    continue
-                key = (s_target, n, twok)
-                phi = self.vec.get(key)
-                if phi is None:
-                    continue
-                val = num.haar_product(num.star(phi), u)
-                if val != 0.0:
-                    out[key] = val
-        return out
-
-    def norm2_num(self, u: dict) -> float:
-        return self.num.haar_product(self.num.star(u), u)
+    def norm2_num(self, v: _Vector) -> float:
+        """Squared norm of the orthonormal vector of v: the exact Haar
+        pairing h(w* w) at q0 over the tracked norm2."""
+        even, odd = self.engine.inner(v.terms, v.terms)
+        return self.engine.to_float((even / v.norm2, odd / v.norm2))
 
 
 class TruncOperator:
@@ -343,9 +322,6 @@ class TruncOperator:
         self.antilinear = antilinear
         self.level_shift = level_shift
         self.name = name
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ (np.conj(v) if self.antilinear else v)
 
     def __matmul__(self, other: "TruncOperator") -> "TruncOperator":
         if self.space is not other.space:
@@ -374,11 +350,8 @@ class TruncOperator:
         )
 
     def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return TruncOperator(
-            self.space, self.mat * c, self.antilinear, self.level_shift, self.name
+        return self + TruncOperator(
+            other.space, -other.mat, other.antilinear, other.level_shift, other.name
         )
 
     def adjoint(self) -> "TruncOperator":
@@ -402,23 +375,13 @@ class TruncOperator:
     def commutator(self, other: "TruncOperator") -> "TruncOperator":
         return self @ other - other @ self
 
-    def trusted_levels(self) -> int:
-        return self.space.npad - self.level_shift
-
     def max_abs_on_trusted(self) -> float:
         """Largest entry magnitude over the trusted column/row window."""
         space = self.space
-        nmax = self.trusted_levels()
+        nmax = space.npad - self.level_shift
         sel = np.array([space.level(i) <= nmax for i in range(space.dim)])
         sub = self.mat[np.ix_(sel, sel)]
         return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
-def _diag_operator(space, values, name, antilinear=False):
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, key in enumerate(space.index):
-        mat[i, i] = values(key)
-    return TruncOperator(space, mat, antilinear=antilinear, level_shift=0, name=name)
 
 
 def build_dirac(space: TruncatedSpace) -> TruncOperator:
@@ -432,60 +395,44 @@ def build_dirac(space: TruncatedSpace) -> TruncOperator:
 
 
 def build_gamma(space: TruncatedSpace) -> TruncOperator:
-    return _diag_operator(space, lambda key: 1.0 if key[0] > 0 else -1.0, "gamma")
+    signs = [1.0 if s > 0 else -1.0 for s, n, twok in space.index]
+    return TruncOperator(space, np.diag(signs).astype(complex), name="gamma")
+
+
+def _matrix(space, operator, image, factor=1.0):
+    """Dense matrix from the engine's orthonormal columns; rows past the
+    padded space are cut off."""
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for key, i in space.pos.items():
+        for row, c in space.engine.column(operator, key, image).items():
+            j = space.pos.get(row)
+            if j is not None:
+                mat[j, i] = factor * c
+    return mat
 
 
 def build_J0(space: TruncatedSpace) -> TruncOperator:
     """The antilinear operator v -> i (K |> v* <| K), built by expanding the
     image of every basis vector in the ladder (no closed formula assumed)."""
-    num = space.num
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for (s, n, twok), i in space.pos.items():
-        v = space.vec[(s, n, twok)]
-        u = num.act("L", "K", num.act("R", "K", num.star(v)))
-        coeffs = space.project(u, -s, band_center=n, band=0)
-        for key, c in coeffs.items():
-            mat[space.pos[key], i] += 1j * c
+    eng = space.engine
+    mat = _matrix(space, "J0", lambda w: eng.apply(_j0_image, w), 1j)
     return TruncOperator(space, mat, antilinear=True, name="J0")
 
 
 def build_J(space: TruncatedSpace) -> TruncOperator:
-    g = build_gamma(space)
-    j0 = build_J0(space)
-    out = TruncOperator(
-        space, g.mat @ j0.mat, antilinear=True, level_shift=0, name="J"
-    )
-    return out
-
-
-def _operand_to_num(space, x):
-    if isinstance(x, PodlesElement):
-        x = embed(x)
-    return space.num.coord_to_num(x)
+    mat = build_gamma(space).mat @ build_J0(space).mat
+    return TruncOperator(space, mat, antilinear=True, name="J")
 
 
 def build_mult(x, space: TruncatedSpace, name="") -> TruncOperator:
-    """Left multiplication by a sphere element (or a right-weight-homogeneous
-    coordinate element) in the orthonormal basis."""
-    num = space.num
-    xs = _operand_to_num(space, x)
-    if not xs:
-        return TruncOperator(space, np.zeros((space.dim, space.dim), dtype=complex), name=name)
-    rws = {right_weight(m) for m in xs}
-    if len(rws) > 1:
-        raise ValueError("operand mixes right weights; it does not preserve the basis grading")
-    rw = rws.pop()
-    deg = max(sum(abs(e) for e in m) for m in xs)
-    shift = (deg + 1) // 2
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for (s, n, twok), i in space.pos.items():
-        s_target = s + rw
-        if s_target not in (-1, 1):
-            continue
-        u = num.mul(xs, space.vec[(s, n, twok)])
-        for key, c in space.project(u, s_target, band_center=n, band=shift).items():
-            mat[space.pos[key], i] = c
-    return TruncOperator(space, mat, level_shift=shift, name=name or "M")
+    """Left multiplication by a sphere element (or a coordinate element) in
+    the orthonormal basis; the part of the image outside the two families
+    is projected away."""
+    y = embed(x) if isinstance(x, PodlesElement) else x
+    eng = space.engine
+    xs = eng.terms(y)
+    mat = _matrix(space, ("M", y), lambda w: eng.mul(xs, w))
+    return TruncOperator(space, mat, level_shift=(y.degree() + 1) // 2, name=name or "M")
 
 
 # -- zeta function ------------------------------------------------------------
@@ -547,89 +494,83 @@ def residue_check(q0: float, eps: float = 1e-4, k_max: int = 80):
 # -- trace checks -------------------------------------------------------------
 
 
-def _trace_weighted(space, ops_diag_weight, P: TruncOperator, nmax: int):
-    """Sum of weighted diagonal entries over levels n <= nmax; returns the
-    trace and the discarded boundary count."""
-    total = 0.0 + 0.0j
-    discarded = 0
-    for i, key in enumerate(space.index):
-        n = key[1]
-        if n <= nmax:
-            total += ops_diag_weight(key) * P.mat[i, i]
-        else:
-            discarded += 1
-    return total, discarded
+def _trace_record(check, inputs, P, weight, nmax, exact, z, space, tol_rel, shift):
+    """zeta(z)^-1 sum_i weight(key_i) P_ii over the levels n <= nmax against
+    the exact value, reporting the discarded boundary count.
 
-
-def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace, tol_rel=None):
-    """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
+    Without tol_rel the tail bound 10 q0^((z-2)(L-shift)) of a trace cut at
+    level L, for an operator that moves levels by up to `shift`, floored at
+    the round-off scale dim * 2.2e-16 of the dense sums, is the tolerance:
+    relative, or absolute when the exact value is 0.  A bound of 1 or more
+    cannot tell a converged trace from a wrong one, so the record then
+    fails with "L insufficient".
+    """
     q0 = space.q0
-    M = build_mult(x, space, name="M(x)")
-    nmax = space.npad  # diagonal entries are exact at every built level
-
-    def weight(key):
-        s, n, twok = key
-        if s != 1:
-            return 0.0
-        return q0**twok * complex(qnum(n, q0)) ** (-z)
-
-    tr, discarded = _trace_weighted(space, weight, M, nmax)
-    zeta = zeta_merom(z, 80, q0)
-    rhs = float(evaluate(haar_podles(x), space.q0_exact))
-    lhs = (tr / zeta).real
-    deg = x.degree()
-    tol = tol_rel if tol_rel is not None else 10.0 * q0 ** ((z - 2) * (space.L - deg))
-    # the default tail bound reaches 1 at small L, where a relative tolerance
-    # can no longer tell a converged trace from a wrong one
+    keep = [i for i, key in enumerate(space.index) if key[1] <= nmax]
+    tr = sum(weight(space.index[i]) * P.mat[i, i] for i in keep)
+    lhs = (tr / zeta_merom(z, 80, q0)).real
+    tail = 10.0 * q0 ** ((complex(z).real - 2) * (space.L - shift))
+    tol = max(tail, space.dim * 2.2e-16) if tol_rel is None else tol_rel
     insufficient = tol_rel is None and tol >= 1
-    total_plus = sum(1 for s, n, k in space.index if s == 1)
+    if insufficient:
+        tols = {"tol_rel": 0.0}
+    elif exact.is_zero():
+        tols = {"tol_abs": tol}
+    else:
+        tols = {"tol_rel": tol}
+    discarded = space.dim - len(keep)
     rec = record(
-        "haar_trace",
-        {"x": str(x), "z": z},
+        check,
+        inputs,
         lhs,
-        rhs,
-        tol_rel=0.0 if insufficient else tol,
+        float(evaluate(exact, space.q0_exact)),
         L=space.L,
         q0=q0,
-        trusted_fraction=1.0 - discarded / max(total_plus, 1),
-        extra={"discarded_boundary": discarded},
+        trusted_fraction=1.0 - discarded / space.dim,
+        extra={"discarded_boundary": discarded, "level_shift": P.level_shift},
+        **tols,
     )
     if insufficient:
         rec.update(passed=False, reason="L insufficient", tail_bound=tol)
     return rec
 
 
-def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace, tol_rel=1e-3):
+def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace, tol_rel=None):
+    """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
+    q0 = space.q0
+
+    def weight(key):
+        s, n, twok = key
+        return q0**twok * complex(qnum(n, q0)) ** (-z) if s == 1 else 0.0
+
+    # diagonal entries are exact at every built level
+    M = build_mult(x, space, name="M(x)")
+    return _trace_record(
+        "haar_trace", {"x": str(x), "z": z}, M, weight, space.npad, haar_podles(x), z, space,
+        tol_rel, x.degree(),
+    )
+
+
+def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace, tol_rel=None):
     """Tr gamma_q K^2 |D|^-z x0 [D,x1] [D,x2] against zeta(z) tau(x0,x1,x2)."""
     from .fodc import tau
 
     q0 = space.q0
-    D = build_dirac(space)
-    M0 = build_mult(x0, space, "M0")
-    M1 = build_mult(x1, space, "M1")
-    M2 = build_mult(x2, space, "M2")
-    P = M0 @ D.commutator(M1) @ D.commutator(M2)
-    nmax = space.npad - P.level_shift
 
     def weight(key):
         s, n, twok = key
         gq = 1.0 if s == 1 else -q0**2
         return gq * q0**twok * complex(qnum(n, q0)) ** (-z)
 
-    tr, discarded = _trace_weighted(space, weight, P, nmax)
-    zeta = zeta_merom(z, 80, q0)
-    tau_val = float(evaluate(tau(x0, x1, x2), space.q0_exact))
-    lhs = (tr / zeta).real
-    return record(
-        "tau_trace",
-        {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z},
-        lhs,
-        tau_val,
-        tol_rel=tol_rel,
-        L=space.L,
-        q0=q0,
-        trusted_fraction=1.0 - discarded / space.dim,
-        extra={"discarded_boundary": discarded, "level_shift": P.level_shift},
+    D = build_dirac(space)
+    M0 = build_mult(x0, space, "M0")
+    M1 = build_mult(x1, space, "M1")
+    M2 = build_mult(x2, space, "M2")
+    P = M0 @ D.commutator(M1) @ D.commutator(M2)
+    nmax = space.npad - P.level_shift
+    inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
+    return _trace_record(
+        "tau_trace", inputs, P, weight, nmax, tau(x0, x1, x2), z, space, tol_rel, P.level_shift
     )
 
 
@@ -638,28 +579,14 @@ def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace, 
     trusted window."""
     D = build_dirac(space)
     J = build_J(space)
-    Jinv = J.inverse()
     Mx = build_mult(x, space, "M(x)")
-    My = build_mult(y, space, "M(y)")
-    conj_y = J @ My.adjoint() @ Jinv
-    c1 = Mx.commutator(conj_y)
-    c2 = D.commutator(Mx).commutator(conj_y)
-    r1 = record(
-        "commutant",
-        {"x": str(x), "y": str(y)},
-        c1.max_abs_on_trusted(),
-        0.0,
-        tol_abs=tol,
-        L=space.L,
-        q0=space.q0,
+    conj_y = J @ build_mult(y, space, "M(y)").adjoint() @ J.inverse()
+    commutators = (
+        ("commutant", Mx.commutator(conj_y)),
+        ("order_one", D.commutator(Mx).commutator(conj_y)),
     )
-    r2 = record(
-        "order_one",
-        {"x": str(x), "y": str(y)},
-        c2.max_abs_on_trusted(),
-        0.0,
-        tol_abs=tol,
-        L=space.L,
-        q0=space.q0,
-    )
-    return [r1, r2]
+    inputs = {"x": str(x), "y": str(y)}
+    return [
+        record(name, inputs, c.max_abs_on_trusted(), 0.0, tol_abs=tol, L=space.L, q0=space.q0)
+        for name, c in commutators
+    ]

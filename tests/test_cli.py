@@ -1,0 +1,37 @@
+"""Tests for the command line `qsphere verify`."""
+
+import json
+
+import pytest
+
+from qsphere.cli import main
+
+
+def _run(capsys, *argv):
+    status = main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    return status, [json.loads(line) for line in lines]
+
+
+def test_verify_prints_one_record_per_check_per_level(capsys):
+    status, recs = _run(capsys, "--q0", "1/4", "--L", "6:7", "--z", "3")
+    assert status == 0
+    per_level = ["haar_trace", "tau_trace", "tau_trace", "commutant", "order_one"]
+    assert [r["check"] for r in recs] == per_level * 2 + ["zeta_residue"]
+    assert [r["L"] for r in recs[:-1]] == [6] * 5 + [7] * 5
+    assert all(r["passed"] and r["wall_ms"] >= 0 and r["q0"] == 0.25 for r in recs)
+
+
+def test_verify_fails_when_a_check_fails(capsys):
+    # at L = 2 the tail bound of the tau-trace exceeds 1
+    status, recs = _run(capsys, "--L", "2")
+    assert status == 1
+    assert {r["L"] for r in recs[:-1]} == {2}
+    assert any(r.get("reason") == "L insufficient" for r in recs)
+
+
+def test_verify_refuses_a_q0_outside_the_unit_interval(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q0", "3/2", "--L", "2"])
+    assert exc.value.code == 2
+    assert "0 < q0 < 1" in capsys.readouterr().err

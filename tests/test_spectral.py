@@ -1,35 +1,63 @@
 """Tests for the numeric layer: truncated space, operators, zeta function."""
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qsphere.coordalg import CoordElement
+from qsphere.corep import mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
-from qsphere.podles import gen_A
+from qsphere.haar import haar_mono_product
+from qsphere.podles import PodlesElement, gen_A, gen_B, gen_Bs
 from qsphere.report import record
+from qsphere.scalar import evaluate
 from qsphere.spectral import (
     TruncatedSpace,
     build_dirac,
     build_J,
     build_mult,
+    commutant_checks,
     haar_trace_check,
     qnum,
     residue_check,
+    tau_trace_check,
     zeta_merom,
     zeta_series,
 )
+from qsphere.uq import gen_E, gen_F, r_action
+
+
+@functools.cache
+def _state_of_product(m1, m2):
+    """h(m1* m2) for normal monomials, exact, by the closed form of haar."""
+    ((ms, c),) = CoordElement.monomial(m1).star().terms.items()
+    return c * haar_mono_product(ms, m2)
 
 
 def gram_defect(space, nmax):
-    """Largest |<phi_a, phi_b> - delta_ab| over basis vectors of level <= nmax."""
-    num = space.num
-    vecs = [v for key, v in space.vec.items() if key[1] <= nmax]
+    """Largest |<phi_a, phi_b> - delta_ab| over basis vectors of level <= nmax.
+
+    The exact vectors are paired at q0 monomial by monomial through the
+    closed form haar.haar_mono_product, not through the engine's pairing
+    that the ladder's norm2 comes from; only the normalisation reads norm2.
+    """
+    eng = space.engine
+    vecs = [v for (s, n, twok), v in space.vec.items() if n <= nmax]
     worst = 0.0
-    for i, a in enumerate(vecs):
-        a_star = num.star(a)
-        for j, b in enumerate(vecs):
-            worst = max(worst, abs(num.haar_product(a_star, b) - (i == j)))
+    for a in vecs:
+        for b in vecs:
+            g = (Fraction(0), Fraction(0))
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    h = _state_of_product(m1, m2)
+                    if h:
+                        t = eng.times(eng.times(c1, c2), eng.value(h))
+                        g = (g[0] + t[0], g[1] + t[1])
+            g = eng.to_float((g[0] / a.norm2, g[1] / a.norm2))
+            worst = max(worst, abs(g * math.sqrt(a.norm2 / b.norm2) - (a is b)))
     return worst
 
 
@@ -87,18 +115,84 @@ def test_gram_defect_low_levels():
     assert gram_defect(space, 3) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the float ladder loses orthonormality past level ~4",
-)
 def test_gram_identity_quarter():
     space = TruncatedSpace(Fraction(1, 4), 6)
     assert gram_defect(space, space.L) <= 1e-12
 
 
+@pytest.mark.parametrize("q0", [Fraction(9, 16), Fraction(81, 100)])
+def test_gram_identity(q0):
+    space = TruncatedSpace(q0, 6)
+    assert gram_defect(space, space.L) <= 1e-12
+
+
+def test_norm2_num_through_level_15():
+    space = TruncatedSpace(Fraction(1, 4), 12)
+    assert space.npad == 15
+    for v in space.vec.values():
+        assert abs(space.norm2_num(v) - 1) <= 1e-12
+
+
+def test_real_structure_at_L10():
+    for rec in commutant_checks(gen_A, gen_B, TruncatedSpace(Fraction(1, 4), 10), tol=1e-10):
+        assert rec["passed"] and rec["lhs"] <= 1e-10
+
+
+def test_mult_matches_exact_matrices():
+    # the numeric basis is w/|w| with the sign (-1)^n relative to corep's
+    # ladder w per level n, so an exact entry c becomes
+    # c sqrt(N_alpha/N_beta) (-1)^(n_alpha - n_beta); rows run to l = 5/2,
+    # and the columns to l = 3/2, the ones trusted at that cutoff
+    q0 = Fraction(1, 4)
+    space = TruncatedSpace(q0, 3)
+    families = vplus_vminus_basis(Fraction(5, 2))
+
+    def key(v):
+        return (v.twoj, (v.twol + 1) // 2, v.twok)
+
+    for family in families:
+        norm2 = {key(v): float(evaluate(v.norm2, q0)) for v in family}
+        source = [v for v in family if v.twol <= 3]
+        for x in (gen_A, gen_B, gen_Bs):
+            M = build_mult(x, space)
+            exact = mult_matrix(x, source, family)
+            assert not exact.untrusted_cols
+            for beta in source:
+                b = key(beta)
+                for alpha in family:
+                    a = key(alpha)
+                    c = exact.entry(alpha.key(), beta.key())
+                    c = float(evaluate(c, q0)) if c else 0.0
+                    expected = c * math.sqrt(norm2[a] / norm2[b]) * (-1) ** (a[1] - b[1])
+                    assert abs(M.mat[space.pos[a], space.pos[b]] - expected) <= 1e-14
+
+
+def _r_e(x):
+    return r_action(gen_E, x)
+
+
+def _r_f(x):
+    return r_action(gen_F, x)
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(1, 2)])
+def test_dirac_equals_twisted_actions(q0):
+    # R_E on phi^+ and R_F on phi^-, expanded in the basis by the same solve
+    # as every operator, against the closed form +-[n] of build_dirac
+    space = TruncatedSpace(q0, 4)
+    eng = space.engine
+    R = np.zeros((space.dim, space.dim))
+    for col_key, i in space.pos.items():
+        act = _r_e if col_key[0] == 1 else _r_f
+        for row, c in eng.column(act, col_key, lambda w: eng.apply(act, w)).items():
+            R[space.pos[row], i] = c
+    tol = 1e-12 * qnum(space.npad, space.q0)
+    assert np.max(np.abs(R - build_dirac(space).mat)) <= tol
+
+
 def test_haar_trace_reports_insufficient_L():
-    # the default bound 10 q0^((z-2)(L-deg)) is 1.25 here; the trace reads
-    # about -809 against h(A) = 0.8 and must not pass
+    # the default bound 10 q0^((z-2)(L-deg)) is 1.25 here, too loose to
+    # tell a converged trace from a wrong one, so the check must not pass
     space = TruncatedSpace(Fraction(1, 2), 4)
     rec = haar_trace_check(gen_A, 3, space)
     assert rec["passed"] is False
@@ -111,3 +205,26 @@ def test_record_rejects_vacuous_tolerance():
     with pytest.raises(ValueError):
         record("vacuous", {}, -809.0, 0.8, tol_rel=1)
     assert not record("tight", {}, -809.0, 0.8, tol_rel=0.5)["passed"]
+
+
+def test_tau_trace_with_zero_value_passes_on_the_tail_bound():
+    rec = tau_trace_check(PodlesElement.one(), gen_B, gen_Bs, 3, TruncatedSpace(Fraction(1, 4), 8))
+    assert rec["rhs"] == 0.0
+    assert rec["passed"] and abs(rec["lhs"]) <= 1e-15
+
+
+def test_tau_trace_reports_insufficient_L():
+    rec = tau_trace_check(gen_A, gen_B, gen_Bs, 3, TruncatedSpace(Fraction(1, 4), 2))
+    assert rec["passed"] is False
+    assert rec["reason"] == "L insufficient"
+    assert rec["tail_bound"] >= 1
+
+
+def test_traces_meet_the_tail_bound():
+    space = TruncatedSpace(Fraction(1, 4), 6)
+    for rec in (
+        haar_trace_check(gen_A, 3, space),
+        tau_trace_check(gen_A, gen_B, gen_Bs, 3, space),
+        tau_trace_check(gen_Bs, gen_A, gen_B, 4, space),
+    ):
+        assert rec["passed"], rec
