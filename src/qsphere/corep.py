@@ -244,8 +244,3 @@ def mult_matrix(x, source, target, l_max=None) -> ExactMatrix:
     return ExactMatrix(
         [v.key() for v in target], [v.key() for v in source], entries, untrusted
     )
-
-
-def clear_caches():
-    _CACHE.clear()
-    _JROW_CACHE.clear()

@@ -29,10 +29,6 @@ class ArityError(QsphereError, ValueError):
     """Mismatched tensor arity in a tensor, chain or cochain operation."""
 
 
-class TokenContextError(QsphereError):
-    """Expression token used outside its algebra context."""
-
-
 class ParseError(QsphereError):
     """Syntax error in an expression string."""
 

@@ -278,6 +278,6 @@ def eta() -> Chain:
         + Chain.of(A, B, Bs).scale(q2)
         + Chain.of(Bs, B, A).scale(-qm2)
         + Chain.of(A, Bs, B).scale(-qm2)
-        + Chain.of(B, A, Bs).scale(RationalQ.from_int(-1))
+        + Chain.of(B, A, Bs).scale(RationalQ(-1))
         + Chain.of(A, A, A).scale(qpow(6) - qm2)
     )

@@ -15,28 +15,27 @@ def record(
     L=None,
     q0=None,
     trusted_fraction=None,
-    seed=None,
     extra=None,
 ):
     """Build one report entry comparing lhs against rhs.
 
-    Passing requires abs_err <= tol_abs or rel_err <= tol_rel when given;
+    Passing requires abs_err <= tol_abs and rel_err <= tol_rel when given;
     exact checks pass tol_abs = 0.  rel_err = |lhs - rhs| / max(|lhs|, |rhs|)
     is at most 2, and at most 1 when lhs and rhs share a sign, so a tol_rel
-    of 1 or more could not fail and raises ValueError.
+    of 1 or more could not fail and raises ValueError.  Against rhs = 0 the
+    relative error says nothing: it is reported as None, and a tol_rel
+    without a tol_abs raises ValueError.
     """
     if tol_rel is not None and tol_rel >= 1:
         raise ValueError(f"tol_rel = {tol_rel} >= 1 passes any pair of the same sign")
-    try:
-        abs_err = abs(lhs - rhs)
-    except TypeError:
-        abs_err = 0.0 if lhs == rhs else float("inf")
-    scale = max(abs(rhs), abs(lhs), 1e-300) if isinstance(rhs, (int, float, complex)) else 1
-    rel_err = float(abs_err) / float(abs(scale)) if scale else float("inf")
+    if rhs == 0 and tol_rel is not None and tol_abs is None:
+        raise ValueError("a relative tolerance cannot judge an exact value of 0; give tol_abs")
+    abs_err = abs(lhs - rhs)
+    rel_err = None if rhs == 0 else float(abs_err) / max(abs(lhs), abs(rhs))
     passed = True
     if tol_abs is not None:
         passed = passed and abs_err <= tol_abs
-    if tol_rel is not None:
+    if tol_rel is not None and rel_err is not None:
         passed = passed and rel_err <= tol_rel
     if tol_abs is None and tol_rel is None:
         passed = abs_err == 0
@@ -46,11 +45,10 @@ def record(
         "lhs": _plain(lhs),
         "rhs": _plain(rhs),
         "abs_err": float(abs_err),
-        "rel_err": float(rel_err),
+        "rel_err": rel_err,
         "L": L,
         "q0": _plain(q0),
         "trusted_fraction": trusted_fraction,
-        "seed": seed,
         "passed": bool(passed),
     }
     if extra:

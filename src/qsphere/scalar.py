@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DivisionByZero, EvaluationPole, ParseError
 
 _ZERO = Fraction(0)
@@ -190,7 +188,9 @@ class LaurentPoly:
     def eval_pair(self, q0):
         """Split into even/odd half powers and evaluate both at the exact
         rational q0, returning (P_even(q0), P_odd(q0)) with
-        value = P_even + sqrt(q0) * P_odd."""
+        value = P_even + sqrt(q0) * P_odd.  The pair is canonical: when
+        sqrt(q0) is rational the odd part is folded into the even one, so
+        the value is 0 exactly when both parts are."""
         q0 = Fraction(q0)
         p, r = q0.numerator, q0.denominator
         scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
@@ -210,15 +210,10 @@ class LaurentPoly:
             # value = acc p^lo r^-hi / scale
             num = acc * p ** max(lo, 0) * r ** max(-hi, 0)
             out.append(Fraction(num, scale * p ** max(-lo, 0) * r ** max(hi, 0)))
-        return tuple(out)
-
-    def eval_mpf(self, q0):
-        """Value at q0 using the current mpmath precision."""
-        even, odd = self.eval_pair(Fraction(q0))
-        s = mpmath.sqrt(mpmath.mpf(Fraction(q0).numerator) / Fraction(q0).denominator)
-        return mpmath.mpf(even.numerator) / even.denominator + s * (
-            mpmath.mpf(odd.numerator) / odd.denominator
-        )
+        even, odd = out
+        if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
+            return even + odd * Fraction(math.isqrt(p), math.isqrt(r)), _ZERO
+        return even, odd
 
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)!r})"
@@ -337,18 +332,9 @@ class RationalQ:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_int(n):
-        return RationalQ._raw(LaurentPoly.const(n))
-
-    @staticmethod
     def q_power(k, coeff=1):
         """coeff * q^k, k integer."""
         return RationalQ._raw(LaurentPoly.q_power(k, coeff))
-
-    @staticmethod
-    def half_power(n, coeff=1):
-        """coeff * q^(n/2), n integer counting half units."""
-        return RationalQ._raw(LaurentPoly.half_power(n, coeff))
 
     # -- structure ------------------------------------------------------
 
@@ -481,7 +467,6 @@ Q_ZERO = RationalQ._raw(_LP_ZERO)
 Q_ONE = RationalQ._raw(_LP_ONE)
 Q = RationalQ._raw(LaurentPoly.q_power(1))
 QINV = RationalQ._raw(LaurentPoly.q_power(-1))
-QHALF = RationalQ._raw(LaurentPoly.half_power(1))
 
 
 def qpow(k):
@@ -508,25 +493,30 @@ def qlambda() -> RationalQ:
     return RationalQ._raw(LaurentPoly({2: _ONE, -2: -_ONE}))
 
 
-def evaluate(x: RationalQ, q0, precision: int = 53):
-    """Value of x at 0 < q0 < 1 as an mpmath float.
+def pair_float(even: Fraction, odd: Fraction, q0: Fraction) -> float:
+    """even + odd sqrt(q0) as a float.  Parts of opposite signs would cancel,
+    so their sum is rounded as (even^2 - q0 odd^2) / (even - odd sqrt(q0)),
+    whose numerator is exact and whose denominator adds like signs."""
+    root = math.sqrt(q0)
+    if even and odd and (even < 0) != (odd < 0):
+        return float(even * even - q0 * odd * odd) / (float(even) - float(odd) * root)
+    return float(even) + float(odd) * root
 
-    The relative error is below 2^-precision.  Raises EvaluationPole when
-    the denominator vanishes at q0 (decided exactly).
+
+def evaluate(x: RationalQ, q0) -> float:
+    """Value of x at 0 < q0 < 1: the exact quotient in Q(sqrt(q0)), rounded
+    once by `pair_float`.  Raises EvaluationPole when the denominator
+    vanishes at q0, which the canonical pair of `eval_pair` decides exactly.
     """
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must satisfy 0 < q0 < 1")
-    de, do = x.den.eval_pair(q0)
-    # den(q0) = de + sqrt(q0)*do; vanishes iff both parts are zero or
-    # sqrt(q0) = -de/do exactly.
-    if (de == 0 and do == 0) or (
-        do != 0 and de * de == q0 * do * do and (de > 0) != (do > 0)
-    ):
+    a, b = x.num.eval_pair(q0)
+    c, d = x.den.eval_pair(q0)
+    if not (c or d):
         raise EvaluationPole(f"pole at q0 = {q0}")
-    with mpmath.workprec(precision + 20):
-        val = x.num.eval_mpf(q0) / x.den.eval_mpf(q0)
-        return +val
+    norm = c * c - q0 * d * d
+    return pair_float((a * c - q0 * b * d) / norm, (b * c - a * d) / norm, q0)
 
 
 # -- rendering and parsing --------------------------------------------------

@@ -7,19 +7,23 @@ exactly as
 
     R_E phi^+_{n,k} = -[n] phi^-_{n,k},   R_F phi^-_{n,k} = -[n] phi^+_{n,k}.
 
-Spaces are built with padding levels beyond L; operator products keep a
-conservative level-shift tally, and traces sum only diagonal entries whose
-columns are fully trusted, reporting the discarded boundary count.
+Operators are plain complex numpy arrays.  The one antilinear operator,
+the real structure J, is held as the unitary U of J v = U conj(v).  Spaces
+are built with padding levels beyond L.  M(x) moves levels by at most
+`_shift(x)`, so a product is exact on the levels up to npad less the sum
+of its operands' shifts; traces sum only diagonal entries there, and report
+the discarded boundary count.
 
 Exact construction: `_Engine` specialises the exact layer at q0.  Its
 values lie in Q(sqrt(q0)), held as Fraction pairs (even, odd) with value
-even + odd sqrt(q0), the split of `LaurentPoly.eval_pair`.  It evaluates
+even + odd sqrt(q0), the canonical split of `LaurentPoly.eval_pair`;
+`to_float` rounds one through `scalar.pair_float`.  It evaluates
 at q0 what the exact kernels return (`coordalg.mono_mul`, the `uq`
 actions, `haar.haar` and `corep.alpha_squared`) and derives none of it
 anew.  The ladder vectors w stay unnormalised, with exact squared norms N.
 A column of an operator is the image of w_beta expanded in the ladder by a
 triangular solve on top-degree monomials, whose remainder must vanish
-exactly.  Rounding enters M(x) and J0 in one place: the orthonormal entry
+exactly.  Rounding enters M(x) and J in one place: the orthonormal entry
 c sqrt(N_alpha / N_beta) is the correctly rounded square root of an exact
 rational, with its sign.  Levels and orthonormal columns do not depend on
 L; each is built once per q0 and shared by every space at that q0.
@@ -43,7 +47,7 @@ from .errors import CutoffExceeded
 from .haar import haar, haar_podles
 from .podles import PodlesElement, embed
 from .report import record
-from .scalar import Q_ONE, evaluate
+from .scalar import Q_ONE, evaluate, pair_float
 from .uq import act_left, act_right, gen_E, gen_F, gen_K, left_weight, r_action, right_weight
 
 
@@ -54,7 +58,7 @@ def qnum(n: int, q0: float) -> float:
 
 # the exact linear maps the engine applies monomial by monomial: the ladder
 # steps phi_{k+1} = E |> phi_k / alpha and phi_{j+1} = -R_F phi_j / alpha,
-# unnormalised, and the image K |> x* <| K of J0 up to the factor i
+# unnormalised, and the image K |> x* <| K of gamma J up to the factor i
 _e_step = functools.partial(act_left, gen_E)
 _f_step = functools.partial(r_action, -gen_F)
 
@@ -109,7 +113,7 @@ class _Engine:
         return even
 
     def to_float(self, x) -> float:
-        return float(x[0]) + float(x[1]) * math.sqrt(self.q0)
+        return pair_float(*x, self.q0)
 
     @staticmethod
     def _add(acc, mono, c):
@@ -300,9 +304,6 @@ class TruncatedSpace:
         self.dim = len(self.index)
         self.vec = {key: self.engine.vector(key) for key in self.index}
 
-    def level(self, i: int) -> int:
-        return self.index[i][1]
-
     def norm2_num(self, v: _Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
         pairing h(w* w) at q0 over the tracked norm2."""
@@ -310,93 +311,19 @@ class TruncatedSpace:
         return self.engine.to_float((even / v.norm2, odd / v.norm2))
 
 
-class TruncOperator:
-    """Dense operator on a truncated space, with an antilinear flag and a
-    conservative level-shift tally for truncation trust."""
-
-    __slots__ = ("space", "mat", "antilinear", "level_shift", "name")
-
-    def __init__(self, space, mat, antilinear=False, level_shift=0, name=""):
-        self.space = space
-        self.mat = mat
-        self.antilinear = antilinear
-        self.level_shift = level_shift
-        self.name = name
-
-    def __matmul__(self, other: "TruncOperator") -> "TruncOperator":
-        if self.space is not other.space:
-            raise ValueError("operators live on different spaces")
-        if self.antilinear:
-            mat = self.mat @ np.conj(other.mat)
-        else:
-            mat = self.mat @ other.mat
-        return TruncOperator(
-            self.space,
-            mat,
-            antilinear=self.antilinear != other.antilinear,
-            level_shift=self.level_shift + other.level_shift,
-            name=f"{self.name}*{other.name}",
-        )
-
-    def __add__(self, other):
-        if self.antilinear != other.antilinear:
-            raise ValueError("cannot add linear and antilinear operators")
-        return TruncOperator(
-            self.space,
-            self.mat + other.mat,
-            self.antilinear,
-            max(self.level_shift, other.level_shift),
-            name=f"{self.name}+{other.name}",
-        )
-
-    def __sub__(self, other):
-        return self + TruncOperator(
-            other.space, -other.mat, other.antilinear, other.level_shift, other.name
-        )
-
-    def adjoint(self) -> "TruncOperator":
-        if self.antilinear:
-            raise ValueError("adjoint implemented for linear operators only")
-        return TruncOperator(
-            self.space,
-            np.conj(self.mat.T),
-            level_shift=self.level_shift,
-            name=f"{self.name}*",
-        )
-
-    def inverse(self) -> "TruncOperator":
-        mat = np.linalg.inv(self.mat)
-        if self.antilinear:
-            mat = np.conj(mat)
-        return TruncOperator(
-            self.space, mat, self.antilinear, self.level_shift, name=f"{self.name}^-1"
-        )
-
-    def commutator(self, other: "TruncOperator") -> "TruncOperator":
-        return self @ other - other @ self
-
-    def max_abs_on_trusted(self) -> float:
-        """Largest entry magnitude over the trusted column/row window."""
-        space = self.space
-        nmax = space.npad - self.level_shift
-        sel = np.array([space.level(i) <= nmax for i in range(space.dim)])
-        sub = self.mat[np.ix_(sel, sel)]
-        return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
-def build_dirac(space: TruncatedSpace) -> TruncOperator:
+def build_dirac(space: TruncatedSpace) -> np.ndarray:
     """D phi^+_{n,k} = -[n] phi^-_{n,k} and symmetrically; hermitian with
     eigenvalues +-[n] of multiplicity 2n."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for (s, n, twok), i in space.pos.items():
         j = space.pos[(-s, n, twok)]
         mat[j, i] = -qnum(n, space.q0)
-    return TruncOperator(space, mat, name="D")
+    return mat
 
 
-def build_gamma(space: TruncatedSpace) -> TruncOperator:
+def build_gamma(space: TruncatedSpace) -> np.ndarray:
     signs = [1.0 if s > 0 else -1.0 for s, n, twok in space.index]
-    return TruncOperator(space, np.diag(signs).astype(complex), name="gamma")
+    return np.diag(signs).astype(complex)
 
 
 def _matrix(space, operator, image, factor=1.0):
@@ -411,28 +338,31 @@ def _matrix(space, operator, image, factor=1.0):
     return mat
 
 
-def build_J0(space: TruncatedSpace) -> TruncOperator:
-    """The antilinear operator v -> i (K |> v* <| K), built by expanding the
-    image of every basis vector in the ladder (no closed formula assumed)."""
+def build_J(space: TruncatedSpace) -> np.ndarray:
+    """The unitary U of the real structure J v = U conj(v), where J = gamma J0
+    and J0 is v -> i (K |> v* <| K), built by expanding the image of every
+    basis vector in the ladder (no closed formula assumed)."""
     eng = space.engine
-    mat = _matrix(space, "J0", lambda w: eng.apply(_j0_image, w), 1j)
-    return TruncOperator(space, mat, antilinear=True, name="J0")
+    return build_gamma(space) @ _matrix(space, "J0", lambda w: eng.apply(_j0_image, w), 1j)
 
 
-def build_J(space: TruncatedSpace) -> TruncOperator:
-    mat = build_gamma(space).mat @ build_J0(space).mat
-    return TruncOperator(space, mat, antilinear=True, name="J")
+def _shift(x: PodlesElement) -> int:
+    """The most levels M(x) moves a basis vector by."""
+    return (embed(x).degree() + 1) // 2
 
 
-def build_mult(x, space: TruncatedSpace, name="") -> TruncOperator:
-    """Left multiplication by a sphere element (or a coordinate element) in
-    the orthonormal basis; the part of the image outside the two families
-    is projected away."""
-    y = embed(x) if isinstance(x, PodlesElement) else x
+def build_mult(x: PodlesElement, space: TruncatedSpace) -> np.ndarray:
+    """Left multiplication by a sphere element in the orthonormal basis; the
+    part of the image outside the two families is projected away."""
+    y = embed(x)
     eng = space.engine
     xs = eng.terms(y)
-    mat = _matrix(space, ("M", y), lambda w: eng.mul(xs, w))
-    return TruncOperator(space, mat, level_shift=(y.degree() + 1) // 2, name=name or "M")
+    return _matrix(space, ("M", y), lambda w: eng.mul(xs, w))
+
+
+def _window(space: TruncatedSpace, nmax: int) -> list:
+    """Positions of the basis vectors of level n <= nmax."""
+    return [i for i, (s, n, twok) in enumerate(space.index) if n <= nmax]
 
 
 # -- zeta function ------------------------------------------------------------
@@ -506,14 +436,14 @@ def _trace_record(check, inputs, P, weight, nmax, exact, z, space, tol_rel, shif
     fails with "L insufficient".
     """
     q0 = space.q0
-    keep = [i for i, key in enumerate(space.index) if key[1] <= nmax]
-    tr = sum(weight(space.index[i]) * P.mat[i, i] for i in keep)
+    keep = _window(space, nmax)
+    tr = sum(weight(space.index[i]) * P[i, i] for i in keep)
     lhs = (tr / zeta_merom(z, 80, q0)).real
     tail = 10.0 * q0 ** ((complex(z).real - 2) * (space.L - shift))
     tol = max(tail, space.dim * 2.2e-16) if tol_rel is None else tol_rel
     insufficient = tol_rel is None and tol >= 1
     if insufficient:
-        tols = {"tol_rel": 0.0}
+        tols = {"tol_abs": 0.0}
     elif exact.is_zero():
         tols = {"tol_abs": tol}
     else:
@@ -527,7 +457,7 @@ def _trace_record(check, inputs, P, weight, nmax, exact, z, space, tol_rel, shif
         L=space.L,
         q0=q0,
         trusted_fraction=1.0 - discarded / space.dim,
-        extra={"discarded_boundary": discarded, "level_shift": P.level_shift},
+        extra={"discarded_boundary": discarded, "level_shift": shift},
         **tols,
     )
     if insufficient:
@@ -544,10 +474,9 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace, tol_rel=None):
         return q0**twok * complex(qnum(n, q0)) ** (-z) if s == 1 else 0.0
 
     # diagonal entries are exact at every built level
-    M = build_mult(x, space, name="M(x)")
     return _trace_record(
-        "haar_trace", {"x": str(x), "z": z}, M, weight, space.npad, haar_podles(x), z, space,
-        tol_rel, x.degree(),
+        "haar_trace", {"x": str(x), "z": z}, build_mult(x, space), weight, space.npad,
+        haar_podles(x), z, space, tol_rel, _shift(x),
     )
 
 
@@ -563,14 +492,15 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace, tol_rel=None):
         return gq * q0**twok * complex(qnum(n, q0)) ** (-z)
 
     D = build_dirac(space)
-    M0 = build_mult(x0, space, "M0")
-    M1 = build_mult(x1, space, "M1")
-    M2 = build_mult(x2, space, "M2")
-    P = M0 @ D.commutator(M1) @ D.commutator(M2)
-    nmax = space.npad - P.level_shift
+    M0 = build_mult(x0, space)
+    M1 = build_mult(x1, space)
+    M2 = build_mult(x2, space)
+    P = M0 @ (D @ M1 - M1 @ D) @ (D @ M2 - M2 @ D)
+    shift = _shift(x0) + _shift(x1) + _shift(x2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
     return _trace_record(
-        "tau_trace", inputs, P, weight, nmax, tau(x0, x1, x2), z, space, tol_rel, P.level_shift
+        "tau_trace", inputs, P, weight, space.npad - shift, tau(x0, x1, x2), z, space, tol_rel,
+        shift,
     )
 
 
@@ -578,15 +508,17 @@ def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace, 
     """[M(x), J M(y)* J^-1] = 0 and [[D, M(x)], J M(y)* J^-1] = 0 on the
     trusted window."""
     D = build_dirac(space)
-    J = build_J(space)
-    Mx = build_mult(x, space, "M(x)")
-    conj_y = J @ build_mult(y, space, "M(y)").adjoint() @ J.inverse()
-    commutators = (
-        ("commutant", Mx.commutator(conj_y)),
-        ("order_one", D.commutator(Mx).commutator(conj_y)),
-    )
+    U = build_J(space)
+    Mx = build_mult(x, space)
+    # J M(y)* J^-1 v = U conj(M(y)* conj(U^H v)) = U M(y)^T U^H v
+    conj_y = U @ build_mult(y, space).T @ U.conj().T
+    DMx = D @ Mx - Mx @ D
+    keep = np.ix_(*[_window(space, space.npad - _shift(x) - _shift(y))] * 2)
     inputs = {"x": str(x), "y": str(y)}
     return [
-        record(name, inputs, c.max_abs_on_trusted(), 0.0, tol_abs=tol, L=space.L, q0=space.q0)
-        for name, c in commutators
+        record(name, inputs, float(abs(c[keep]).max()), 0.0, tol_abs=tol, L=space.L, q0=space.q0)
+        for name, c in (
+            ("commutant", Mx @ conj_y - conj_y @ Mx),
+            ("order_one", DMx @ conj_y - conj_y @ DMx),
+        )
     ]

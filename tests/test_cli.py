@@ -20,6 +20,9 @@ def test_verify_prints_one_record_per_check_per_level(capsys):
     assert [r["check"] for r in recs] == per_level * 2 + ["zeta_residue"]
     assert [r["L"] for r in recs[:-1]] == [6] * 5 + [7] * 5
     assert all(r["passed"] and r["wall_ms"] >= 0 and r["q0"] == 0.25 for r in recs)
+    # the exact value of the commutant is 0, where a relative error says nothing
+    commutant = next(r for r in recs if r["check"] == "commutant")
+    assert commutant["rhs"] == 0.0 and commutant["rel_err"] is None
 
 
 def test_verify_fails_when_a_check_fails(capsys):

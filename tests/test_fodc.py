@@ -222,7 +222,7 @@ def test_tau_degenerate_inputs():
 
 
 def test_tau_eta_is_minus_one():
-    assert pair_chain(TAU, eta()) == RationalQ.from_int(-1)
+    assert pair_chain(TAU, eta()) == RationalQ(-1)
 
 
 def test_tau_eta_via_cyclicity_shortcut():
@@ -230,7 +230,7 @@ def test_tau_eta_via_cyclicity_shortcut():
     t2 = tau(gen_Bs, gen_B, gen_A)
     t3 = tau(gen_A, gen_A, gen_A)
     value = t1 * 3 - t2 * qpow(-2) * 3 + t3 * (qpow(6) - qpow(-2))
-    assert value == RationalQ.from_int(-1)
+    assert value == RationalQ(-1)
 
 
 def _oracle_b_sigma_eta(qfrac):

@@ -1,5 +1,6 @@
 """Tests for the exact scalar field Q(q^(1/2))."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -114,11 +115,11 @@ def test_eval_matches_normalized_randomized():
         x = rand_rq(rng)
         for q0 in (Fraction(1, 2), Fraction(3, 10)):
             try:
-                a = evaluate(x, q0, precision=80)
+                a = evaluate(x, q0)
             except EvaluationPole:
                 continue
-            b = evaluate(RationalQ(x.num, x.den), q0, precision=80)
-            assert abs(a - b) <= 1e-18 * (1 + abs(a))
+            b = evaluate(RationalQ(x.num, x.den), q0)
+            assert a == b
 
 
 def test_eval_pole_detection():
@@ -131,11 +132,20 @@ def test_eval_pole_detection():
         evaluate(y, Fraction(1, 4))
 
 
-def test_eval_precision():
-    x = qint(7)
-    v = evaluate(x, Fraction(1, 3), precision=200)
-    w = evaluate(x, Fraction(1, 3), precision=53)
-    assert abs(v - w) < 1e-14 * abs(v)
+def test_eval_divides_in_the_canonical_pair():
+    # 1 + 2 q^(1/2) is 2 at q0 = 1/4 and its conjugate 1 - 2 q^(1/2) is 0
+    # there, so dividing by the pair (1, 2) would divide by 0
+    x = RationalQ(LaurentPoly.one(), (Q_ONE + qhalfpow(1) * 2).num)
+    assert (Q_ONE + qhalfpow(1) * 2).num.eval_pair(Fraction(1, 4)) == (2, 0)
+    assert evaluate(x, Fraction(1, 4)) == 0.5
+
+
+def test_eval_rounds_without_cancellation():
+    # 985 - 1393 sqrt(1/2) = 0.5 / (985 + 1393 sqrt(1/2)): the naive sum of
+    # two floats near 985 loses about 4e-10 of its value
+    x = Q_ONE * 985 - qhalfpow(1) * 1393
+    expected = 0.5 / (985 + 1393 * math.sqrt(0.5))
+    assert abs(evaluate(x, Fraction(1, 2)) - expected) <= 1e-15 * expected
 
 
 def test_render_example():

@@ -17,6 +17,7 @@ from qsphere.scalar import evaluate
 from qsphere.spectral import (
     TruncatedSpace,
     build_dirac,
+    build_gamma,
     build_J,
     build_mult,
     commutant_checks,
@@ -71,26 +72,23 @@ def test_truncated_space_rejects_bad_input():
         TruncatedSpace(Fraction(1, 2), 48, pad=3)
 
 
-def test_operator_composition_flags():
-    space = TruncatedSpace(Fraction(1, 2), 2)
-    D = build_dirac(space)
-    J = build_J(space)
-    M = build_mult(gen_A, space)
-    assert M.level_shift == 1
-    assert (J @ M).antilinear and (M @ J).antilinear
-    assert not (J @ J).antilinear and not (D @ M).antilinear
-    assert (M @ M).level_shift == 2
-    assert (D @ M @ M).level_shift == 2
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(1, 2)])
+def test_real_structure_signs(q0):
+    # J v = U conj(v): J is antiunitary with J^2 = -1, JD = DJ and
+    # J gamma = -gamma J, the signs of a real spectral triple of
+    # KO-dimension 2
+    space = TruncatedSpace(q0, 4)
+    U, D, gamma = build_J(space), build_dirac(space), build_gamma(space)
     eye = np.eye(space.dim)
-    assert np.allclose(M.adjoint().adjoint().mat, M.mat, atol=0)
-    assert np.allclose(J.inverse().inverse().mat, J.mat, atol=1e-12)
-    assert np.allclose((J @ J.inverse()).mat, eye, atol=1e-12)
-    assert np.allclose((D @ D.inverse()).mat, eye, atol=1e-12)
+    assert np.max(np.abs(U @ U.conj().T - eye)) <= 1e-12
+    assert np.max(np.abs(U @ U.conj() + eye)) <= 1e-12
+    assert np.max(np.abs(U @ D.conj() - D @ U)) <= 1e-12
+    assert np.max(np.abs(U @ gamma.conj() + gamma @ U)) <= 1e-12
 
 
 def test_dirac_spectrum():
     space = TruncatedSpace(Fraction(1, 2), 3)
-    eigs = np.sort(np.linalg.eigvalsh(build_dirac(space).mat))
+    eigs = np.sort(np.linalg.eigvalsh(build_dirac(space)))
     expected = []
     for n in range(1, space.npad + 1):
         expected += [qnum(n, space.q0), -qnum(n, space.q0)] * (2 * n)
@@ -164,7 +162,7 @@ def test_mult_matches_exact_matrices():
                     c = exact.entry(alpha.key(), beta.key())
                     c = float(evaluate(c, q0)) if c else 0.0
                     expected = c * math.sqrt(norm2[a] / norm2[b]) * (-1) ** (a[1] - b[1])
-                    assert abs(M.mat[space.pos[a], space.pos[b]] - expected) <= 1e-14
+                    assert abs(M[space.pos[a], space.pos[b]] - expected) <= 1e-14
 
 
 def _r_e(x):
@@ -187,7 +185,7 @@ def test_dirac_equals_twisted_actions(q0):
         for row, c in eng.column(act, col_key, lambda w: eng.apply(act, w)).items():
             R[space.pos[row], i] = c
     tol = 1e-12 * qnum(space.npad, space.q0)
-    assert np.max(np.abs(R - build_dirac(space).mat)) <= tol
+    assert np.max(np.abs(R - build_dirac(space))) <= tol
 
 
 def test_haar_trace_reports_insufficient_L():
@@ -205,6 +203,13 @@ def test_record_rejects_vacuous_tolerance():
     with pytest.raises(ValueError):
         record("vacuous", {}, -809.0, 0.8, tol_rel=1)
     assert not record("tight", {}, -809.0, 0.8, tol_rel=0.5)["passed"]
+    # against an exact 0 a relative error is meaningless: a lone tol_rel is
+    # refused, and rel_err is not reported
+    with pytest.raises(ValueError):
+        record("zero", {}, 6e-12, 0.0, tol_rel=0.5)
+    rec = record("zero", {}, 6e-12, 0.0, tol_abs=1e-11, tol_rel=0.5)
+    assert rec["passed"] and rec["rel_err"] is None
+    assert not record("zero", {}, 6e-12, 0.0, tol_abs=1e-12)["passed"]
 
 
 def test_tau_trace_with_zero_value_passes_on_the_tail_bound():
