@@ -1,38 +1,232 @@
-"""Ladder construction of the Peter-Weyl weight vectors and exact matrices.
+"""The Peter-Weyl ladder of the two spinor families, and exact matrices.
 
-For each spin l the unnormalized vector at the bottom corner is w_{-l,-l} =
-a^(2l); raising the row index j applies the twisted right action of F,
-raising the column index k applies the left action of E.  Squared norms are
-tracked exactly through the step factors [l-j][l+j+1] (no square roots enter
-the symbolic layer; normalized vectors exist only in the numeric layer).
+The Dirac operator acts on the j = +-1/2 Peter-Weyl modules V+ and V-.  For
+spin l = n - 1/2 the unnormalised vector at the bottom corner is
+w_{-l,-l} = a^(2l); the ladder raises the row index j by the twisted right
+action of F and the column index k by the left action of E,
 
-Half-integers are stored doubled (twol = 2l etc.) so all indices are ints.
+    w_{j+1,k} = -R_F w_{j,k},    w_{j,k+1} = E |> w_{j,k},
+
+so the normalised vectors phi = w/|w| follow phi_{j+1} = -R_F phi_j/alpha
+and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  Squared
+norms are tracked exactly through those step factors; no square root enters.
+
+`Ladder` is the one implementation of the ladder and of the expansion of an
+element in it, a triangular solve on top-degree monomials.  It keys a
+vector (s, n, 2k) with s = 2j and works over Q(q^(1/2)); `spectral._Engine`
+overrides only its arithmetic to evaluate it at a rational q0.  Spins run to
+2l <= MAX_TWOL, the one cutoff of both layers.  `vplus_vminus_basis` and
+`mult_matrix` read the module's exact `LADDER` and key a vector (2l, 2j, 2k):
+half-integers are stored doubled so all indices are ints.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from fractions import Fraction
 
-from .coordalg import CoordElement
+from .coordalg import CoordElement, mono_mul
 from .errors import CutoffExceeded
-from .haar import haar_product, inner
+from .haar import haar
 from .podles import PodlesElement, embed
-from .scalar import Q_ZERO, RationalQ, qint
+from .scalar import Q_ONE, Q_ZERO, RationalQ, qint
 from .uq import act_left, gen_E, gen_F, left_weight, r_action, right_weight
 
-MAX_TWOL = 64
+MAX_TWOL = 99
 
 
 def _twol(l_max) -> int:
     t = int(round(2 * Fraction(l_max)))
     if t > MAX_TWOL:
-        raise CutoffExceeded(f"l_max = {l_max} exceeds the configured cutoff")
+        raise CutoffExceeded(f"l_max = {l_max} exceeds the cutoff 2l <= {MAX_TWOL}")
     return t
 
 
 def alpha_squared(twol: int, twoj: int) -> RationalQ:
     """([l-j][l+j+1])^(1/2) squared: the exact ladder step factor."""
     return qint((twol - twoj) // 2) * qint((twol + twoj + 2) // 2)
+
+
+# the ladder steps, unnormalised; module functions, so that they call
+# whatever act_left and r_action are bound here at call time
+def _e_step(x):
+    return act_left(gen_E, x)
+
+
+def _f_step(x):
+    return -r_action(gen_F, x)
+
+
+# an unnormalised ladder vector: terms {mono: coefficient}, exact squared norm
+Vector = namedtuple("Vector", "terms norm2")
+
+
+class Ladder:
+    """The ladder and the expansion in it, with coefficients in Q(q^(1/2));
+    every table is filled on first use.  A subclass changes the field by
+    overriding the arithmetic methods."""
+
+    def __init__(self):
+        self._products = {}  # (m1, m2) -> mono_mul as {mono: value}
+        self._images = {}  # (map, mono) -> the exact map's image
+        self._states = {}  # mono -> h(mono)
+        self._pairings = {}  # (m2, m1) -> h(m2* m1)
+        self._levels = {}  # n -> {(s, twok): Vector}
+
+    # -- arithmetic in Q(q^(1/2)) -------------------------------------------
+
+    def value(self, x: RationalQ):
+        return x
+
+    def rational(self, x):
+        """A value that lies in the field of the squared norms."""
+        return x
+
+    times = staticmethod(operator.mul)
+    divide = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
+    plus = staticmethod(operator.add)
+    nonzero = staticmethod(bool)
+
+    def _add(self, acc, mono, c):
+        """acc[mono] += c, dropping a sum that cancels."""
+        old = acc.get(mono)
+        if old is not None:
+            c = self.plus(old, c)
+        if self.nonzero(c):
+            acc[mono] = c
+        elif old is not None:
+            del acc[mono]
+
+    # -- the exact layer in this field --------------------------------------
+
+    def terms(self, x: CoordElement) -> dict:
+        return {m: self.value(c) for m, c in x.terms.items()}
+
+    def mul(self, xs: dict, ys: dict) -> dict:
+        out = {}
+        for m1, c1 in xs.items():
+            for m2, c2 in ys.items():
+                c = self.times(c1, c2)
+                prod = self._products.get((m1, m2))
+                if prod is None:
+                    prod = {}
+                    for mono, w in mono_mul(m1, m2):
+                        self._add(prod, mono, self.value(RationalQ._raw(w)))
+                    self._products[m1, m2] = prod
+                for mono, w in prod.items():
+                    self._add(out, mono, self.times(c, w))
+        return out
+
+    def apply(self, fn, xs: dict) -> dict:
+        """The exact linear map fn (CoordElement -> CoordElement) on xs."""
+        out = {}
+        for mono, c in xs.items():
+            img = self._images.get((fn, mono))
+            if img is None:
+                img = self.terms(fn(CoordElement._raw({mono: Q_ONE})))
+                self._images[fn, mono] = img
+            for m, w in img.items():
+                self._add(out, m, self.times(c, w))
+        return out
+
+    def inner(self, xs: dict, ys: dict):
+        """The invariant inner product h(ys* xs)."""
+        total = self.value(Q_ZERO)
+        for m2, c2 in ys.items():
+            part = self.value(Q_ZERO)
+            for m1, c1 in xs.items():
+                h = self._pairings.get((m2, m1))
+                if h is None:
+                    h = self._pairings[m2, m1] = self._pairing(m2, m1)
+                if self.nonzero(h):
+                    part = self.plus(part, self.times(c1, h))
+            total = self.plus(total, self.times(c2, part))
+        return total
+
+    def _pairing(self, m2, m1):
+        """h(m2* m1), evaluating only the products the state does not kill."""
+        total = self.value(Q_ZERO)
+        ((ms, cs),) = self.apply(CoordElement.star, {m2: self.value(Q_ONE)}).items()
+        for mono, w in mono_mul(ms, m1):
+            h = self._states.get(mono)
+            if h is None:
+                h = self._states[mono] = self.value(haar(CoordElement._raw({mono: Q_ONE})))
+            if self.nonzero(h):
+                total = self.plus(total, self.times(self.value(RationalQ._raw(w)), h))
+        return self.times(cs, total)
+
+    # -- ladder ---------------------------------------------------------------
+
+    def level(self, n: int) -> dict:
+        """The j = +-1/2 vectors of spin n - 1/2, keyed (2j, 2k)."""
+        vecs = self._levels.get(n)
+        if vecs is not None:
+            return vecs
+        twol = 2 * n - 1
+        if twol > MAX_TWOL:
+            raise CutoffExceeded(f"2l = {twol} exceeds the cutoff {MAX_TWOL}")
+        # step[t] is alpha^2 for the step from 2j (or 2k) = t to t + 2
+        step = {
+            t: self.rational(self.value(alpha_squared(twol, t))) for t in range(-twol, twol, 2)
+        }
+        w = {(twol, 0, 0, 0): self.value(Q_ONE)}
+        norm2 = self.rational(self.inner(w, w))
+        vecs = {}
+        for twoj in range(-twol, 2, 2):
+            if twoj > -twol:
+                w = self.apply(_f_step, w)
+                norm2 *= step[twoj - 2]
+            if abs(twoj) != 1:
+                continue
+            v, nv = w, norm2
+            for twok in range(-twol, twol + 1, 2):
+                if twok > -twol:
+                    v = self.apply(_e_step, v)
+                    nv *= step[twok - 2]
+                vecs[twoj, twok] = Vector(v, nv)
+        self._levels[n] = vecs
+        return vecs
+
+    def vector(self, key) -> Vector:
+        s, n, twok = key
+        return self.level(n)[s, twok]
+
+    def expand(self, u: dict) -> dict:
+        """Coefficients {(s, n, twok): c} of u in the unnormalised ladder.
+
+        Within one family and left weight, a spin-l vector has degree
+        exactly 2l, so a top-degree monomial of level n (its pivot) occurs
+        in no lower level and the solve runs from the top level down; the
+        remainder must vanish, which makes the expansion the unique one.
+        The part of u of right weight other than +-1 is orthogonal to both
+        families and dropped.
+        """
+        groups = {}
+        for m, c in u.items():
+            if abs(right_weight(m)) == 1:
+                groups.setdefault((right_weight(m), left_weight(m)), {})[m] = c
+        out = {}
+        for (s, twok), rest in groups.items():
+            n = (max(map(sum, rest)) + 1) // 2
+            while rest and 2 * n - 1 >= abs(twok):
+                vec = self.level(n)[s, twok]
+                pivot = max(vec.terms, key=sum)
+                c = rest.get(pivot)
+                if c is not None:
+                    c = out[s, n, twok] = self.divide(c, vec.terms[pivot])
+                    minus_c = self.neg(c)
+                    for m, w in vec.terms.items():
+                        self._add(rest, m, self.times(minus_c, w))
+                n -= 1
+            if rest:
+                raise ArithmeticError(f"remainder {rest} outside the ladder")
+        return out
+
+
+# the exact ladder, shared by every caller
+LADDER = Ladder()
 
 
 class LadderVector:
@@ -48,18 +242,6 @@ class LadderVector:
         self.norm2 = norm2
         self._star = None
 
-    @property
-    def l(self):
-        return Fraction(self.twol, 2)
-
-    @property
-    def j(self):
-        return Fraction(self.twoj, 2)
-
-    @property
-    def k(self):
-        return Fraction(self.twok, 2)
-
     def star_elem(self) -> CoordElement:
         if self._star is None:
             self._star = self.elem.star()
@@ -67,69 +249,6 @@ class LadderVector:
 
     def key(self):
         return (self.twol, self.twoj, self.twok)
-
-    def __repr__(self):
-        return f"LadderVector(l={self.l}, j={self.j}, k={self.k})"
-
-
-_CACHE: dict[tuple[int, int], dict[int, LadderVector]] = {}
-# _CACHE[(twol, twoj)] maps twok -> vector, built lazily row by row
-
-_JROW_CACHE: dict[int, dict[int, LadderVector]] = {}
-# _JROW_CACHE[twol] maps twoj -> vector at twok = -twol
-
-
-def _j_row(twol: int) -> dict[int, LadderVector]:
-    """All vectors w_{j, -l} for one l, built by the F-ladder from a^(2l)."""
-    row = _JROW_CACHE.get(twol)
-    if row is not None:
-        return row
-    seed_elem = CoordElement.monomial((twol, 0, 0, 0))
-    seed = LadderVector(twol, -twol, -twol, seed_elem, inner(seed_elem, seed_elem))
-    row = {-twol: seed}
-    prev = seed
-    for twoj in range(-twol + 2, twol + 1, 2):
-        elem = r_action(gen_F, prev.elem)
-        norm2 = prev.norm2 * alpha_squared(twol, twoj - 2)
-        prev = LadderVector(twol, twoj, -twol, elem, norm2)
-        row[twoj] = prev
-    _JROW_CACHE[twol] = row
-    return row
-
-
-def _k_row(twol: int, twoj: int) -> dict[int, LadderVector]:
-    """All vectors w_{j,k} for fixed l and j, built by the E-ladder."""
-    key = (twol, twoj)
-    row = _CACHE.get(key)
-    if row is not None:
-        return row
-    start = _j_row(twol)[twoj]
-    row = {-twol: start}
-    prev = start
-    for twok in range(-twol + 2, twol + 1, 2):
-        elem = act_left(gen_E, prev.elem)
-        norm2 = prev.norm2 * alpha_squared(twol, twok - 2)
-        prev = LadderVector(twol, twoj, twok, elem, norm2)
-        row[twok] = prev
-    _CACHE[key] = row
-    return row
-
-
-def ladder_vector(twol: int, twoj: int, twok: int) -> LadderVector:
-    if twol > MAX_TWOL:
-        raise CutoffExceeded(f"2l = {twol} exceeds the configured cutoff")
-    return _k_row(twol, twoj)[twok]
-
-
-def build_ladder(l_max) -> dict[tuple[int, int, int], LadderVector]:
-    """All vectors with l <= l_max, keyed by (2l, 2j, 2k)."""
-    tmax = _twol(l_max)
-    out = {}
-    for twol in range(0, tmax + 1):
-        for twoj in range(-twol, twol + 1, 2):
-            for twok, vec in _k_row(twol, twoj).items():
-                out[(twol, twoj, twok)] = vec
-    return out
 
 
 def vplus_vminus_basis(l_max):
@@ -139,13 +258,11 @@ def vplus_vminus_basis(l_max):
     Dirac operator swaps.
     """
     tmax = _twol(l_max)
-    vplus = []
-    vminus = []
+    families = {1: [], -1: []}
     for twol in range(1, tmax + 1, 2):
-        for twok in range(-twol, twol + 1, 2):
-            vplus.append(ladder_vector(twol, 1, twok))
-            vminus.append(ladder_vector(twol, -1, twok))
-    return vplus, vminus
+        for (s, twok), v in LADDER.level((twol + 1) // 2).items():
+            families[s].append(LadderVector(twol, s, twok, CoordElement._raw(v.terms), v.norm2))
+    return families[1], families[-1]
 
 
 class ExactMatrix:
@@ -163,84 +280,27 @@ class ExactMatrix:
     def entry(self, row_key, col_key) -> RationalQ:
         return self.entries.get((row_key, col_key), Q_ZERO)
 
-    def to_json(self):
-        import json
 
-        from .scalar import render
-
-        rpos = {k: i for i, k in enumerate(self.row_keys)}
-        cpos = {k: i for i, k in enumerate(self.col_keys)}
-        return json.dumps(
-            {
-                "rows": [list(k) for k in self.row_keys],
-                "cols": [list(k) for k in self.col_keys],
-                "entries": {
-                    f"{rpos[rk]},{cpos[ck]}": render(v)
-                    for (rk, ck), v in self.entries.items()
-                },
-                "untrusted_cols": sorted(cpos[k] for k in self.untrusted_cols),
-            },
-            sort_keys=True,
-        )
-
-    def to_csv(self):
-        from .scalar import render
-
-        lines = ["," + ",".join(str(k) for k in self.col_keys)]
-        for r in self.row_keys:
-            lines.append(
-                str(r)
-                + ","
-                + ",".join(f'"{render(self.entry(r, c))}"' for c in self.col_keys)
-            )
-        return "\n".join(lines)
-
-
-def _coord_operand(x) -> CoordElement:
-    return embed(x) if isinstance(x, PodlesElement) else x
-
-
-def mult_matrix(x, source, target, l_max=None) -> ExactMatrix:
+def mult_matrix(x: PodlesElement, source, target) -> ExactMatrix:
     """Matrix of left multiplication by x from span(source) to span(target).
 
-    entry(alpha, beta) = (x w_beta, w_alpha) / |w_alpha|^2, exact.  Columns
-    whose image can leave the computed range (l_beta + spin bound of x past
-    the family cutoff) are flagged untrusted.
+    entry(alpha, beta) is the coefficient of w_alpha in the ladder expansion
+    of x w_beta, that is (x w_beta, w_alpha) / |w_alpha|^2, exact.  Columns
+    whose image can leave the target range (l_beta + spin bound of x past
+    the top spin of target) are flagged untrusted.
     """
-    y = _coord_operand(x)
-    if y.localized:
-        raise ValueError("multiplication operators need unlocalized symbols")
-    deg = y.degree()
-    if l_max is not None:
-        tmax = _twol(l_max)
-        source = [v for v in source if v.twol <= tmax]
-        target = [v for v in target if v.twol <= tmax]
-    tmax_target = max((v.twol for v in target), default=0)
-    # weight bookkeeping: y shifts the right weight uniformly (if homogeneous)
-    # and the left weight by each monomial's weight
+    y = embed(x)
+    xs, deg = LADDER.terms(y), y.degree()
+    rows = {v.key() for v in target}
+    tmax = max((v.twol for v in target), default=0)
     entries = {}
     untrusted = set()
-    by_weights = {}
-    for v in target:
-        by_weights.setdefault((v.twoj, v.twok), []).append(v)
-    y_lweights = {left_weight(m) for m in y.terms}
-    y_rweights = {right_weight(m) for m in y.terms}
     for beta in source:
-        if beta.twol + deg > tmax_target:
+        if beta.twol + deg > tmax:
             untrusted.add(beta.key())
-        u = y * beta.elem
-        if u.is_zero():
-            continue
-        cands = []
-        for rw in y_rweights:
-            for lw in y_lweights:
-                cands.extend(by_weights.get((beta.twoj + rw, beta.twok + lw), ()))
-        for alpha in cands:
-            if abs(alpha.twol - beta.twol) > deg:
-                continue
-            val = haar_product(alpha.star_elem(), u)
-            if not val.is_zero():
-                entries[(alpha.key(), beta.key())] = val / alpha.norm2
+        for (s, n, twok), c in LADDER.expand(LADDER.mul(xs, beta.elem.terms)).items():
+            if (2 * n - 1, s, twok) in rows:
+                entries[(2 * n - 1, s, twok), beta.key()] = c
     return ExactMatrix(
         [v.key() for v in target], [v.key() for v in source], entries, untrusted
     )

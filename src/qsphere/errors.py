@@ -27,13 +27,3 @@ class CutoffExceeded(QsphereError):
 
 class ArityError(QsphereError, ValueError):
     """Mismatched tensor arity in a tensor, chain or cochain operation."""
-
-
-class ParseError(QsphereError):
-    """Syntax error in an expression string."""
-
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, EvaluationPole, ParseError
+from .errors import DivisionByZero, EvaluationPole
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -519,7 +519,7 @@ def evaluate(x: RationalQ, q0) -> float:
     return pair_float((a * c - q0 * b * d) / norm, (b * c - a * d) / norm, q0)
 
 
-# -- rendering and parsing --------------------------------------------------
+# -- rendering ---------------------------------------------------------------
 
 
 def _render_exp(e):
@@ -556,127 +556,3 @@ def render(x: RationalQ) -> str:
     if x.den.is_one():
         return render_poly(x.num)
     return f"({render_poly(x.num)})/({render_poly(x.den)})"
-
-
-class _PolyParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise ParseError(msg, self.pos)
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse_int(self):
-        self.skip()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            self.error("expected integer")
-        return int(self.text[start:self.pos])
-
-    def parse_fraction(self):
-        n = self.parse_int()
-        save = self.pos
-        if self.peek() == "/":
-            self.pos += 1
-            if self.peek().isdigit():
-                return Fraction(n, self.parse_int())
-            self.pos = save
-        return Fraction(n)
-
-    def parse_power(self):
-        """q, q^k, or q^(n/2); returns half-unit exponent."""
-        self.skip()
-        if self.text[self.pos : self.pos + 1] != "q":
-            self.error("expected q")
-        self.pos += 1
-        if self.peek() != "^":
-            return 2
-        self.pos += 1
-        if self.peek() == "(":
-            self.pos += 1
-            n = self.parse_int()
-            self.expect("/")
-            d = self.parse_int()
-            self.expect(")")
-            if d != 2:
-                self.error("only half-integer exponents are supported")
-            return n
-        return 2 * self.parse_int()
-
-    def parse_term(self, sign):
-        """[coeff] [* q-power]; returns LaurentPoly."""
-        coeff = Fraction(sign)
-        exp = 0
-        ch = self.peek()
-        if ch.isdigit():
-            coeff *= self.parse_fraction()
-            if self.peek() == "*":
-                self.pos += 1
-                exp = self.parse_power()
-        elif ch == "q":
-            exp = self.parse_power()
-        else:
-            self.error("expected term")
-        return LaurentPoly({exp: coeff})
-
-    def parse_sum(self):
-        self.skip()
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        elif self.peek() == "+":
-            self.pos += 1
-        acc = self.parse_term(sign)
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.parse_term(1)
-            elif ch == "-":
-                self.pos += 1
-                acc = acc + self.parse_term(-1)
-            else:
-                return acc
-
-    def parse_rational(self):
-        if self.peek() == "(":
-            self.pos += 1
-            num = self.parse_sum()
-            self.expect(")")
-            if self.peek() == "/":
-                self.pos += 1
-                self.expect("(")
-                den = self.parse_sum()
-                self.expect(")")
-                result = RationalQ(num, den)
-            else:
-                result = RationalQ(num)
-        else:
-            result = RationalQ(self.parse_sum())
-        self.skip()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return result
-
-
-def parse(text: str) -> RationalQ:
-    """Parse the textual rendering back into a RationalQ (lossless)."""
-    return _PolyParser(text).parse_rational()

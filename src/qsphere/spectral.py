@@ -14,19 +14,20 @@ are built with padding levels beyond L.  M(x) moves levels by at most
 of its operands' shifts; traces sum only diagonal entries there, and report
 the discarded boundary count.
 
-Exact construction: `_Engine` specialises the exact layer at q0.  Its
-values lie in Q(sqrt(q0)), held as Fraction pairs (even, odd) with value
-even + odd sqrt(q0), the canonical split of `LaurentPoly.eval_pair`;
-`to_float` rounds one through `scalar.pair_float`.  It evaluates
-at q0 what the exact kernels return (`coordalg.mono_mul`, the `uq`
-actions, `haar.haar` and `corep.alpha_squared`) and derives none of it
-anew.  The ladder vectors w stay unnormalised, with exact squared norms N.
-A column of an operator is the image of w_beta expanded in the ladder by a
-triangular solve on top-degree monomials, whose remainder must vanish
-exactly.  Rounding enters M(x) and J in one place: the orthonormal entry
-c sqrt(N_alpha / N_beta) is the correctly rounded square root of an exact
-rational, with its sign.  Levels and orthonormal columns do not depend on
-L; each is built once per q0 and shared by every space at that q0.
+Exact construction: the basis is the one ladder of `corep.Ladder`, with
+its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
+and its cutoff 2l <= `corep.MAX_TWOL`, evaluated at q0 by `_Engine`.  The
+engine supplies only the arithmetic of Q(sqrt(q0)): values are Fraction
+pairs (even, odd) with value even + odd sqrt(q0), the canonical split of
+`LaurentPoly.eval_pair`, and `to_float` rounds one through
+`scalar.pair_float`.  The ladder vectors w stay unnormalised, with exact
+squared norms N.  A column of an operator is the image of w_beta expanded
+in the ladder by the ladder's triangular solve, whose remainder must vanish
+exactly.  Rounding enters M(x) and J in one place, `_Engine.column`: the
+orthonormal entry c sqrt(N_alpha / N_beta) is the correctly rounded square
+root of an exact rational, with its sign.  Levels and orthonormal columns
+do not depend on L; each is built once per q0 and shared by every space at
+that q0, and the engines of the few most recent q0 are kept.
 
 Complex scalars exist only in this module; everything upstream is exact.
 """
@@ -36,19 +37,17 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
-from .coordalg import CoordElement, mono_mul
-from .corep import alpha_squared
+from .corep import MAX_TWOL, Ladder, Vector
 from .errors import CutoffExceeded
-from .haar import haar, haar_podles
+from .haar import haar_podles
 from .podles import PodlesElement, embed
 from .report import record
-from .scalar import Q_ONE, evaluate, pair_float
-from .uq import act_left, act_right, gen_E, gen_F, gen_K, left_weight, r_action, right_weight
+from .scalar import evaluate, pair_float
+from .uq import act_left, act_right, gen_K
 
 
 def qnum(n: int, q0: float) -> float:
@@ -56,38 +55,20 @@ def qnum(n: int, q0: float) -> float:
     return (q0**n - q0**-n) / (q0 - 1.0 / q0)
 
 
-# the exact linear maps the engine applies monomial by monomial: the ladder
-# steps phi_{k+1} = E |> phi_k / alpha and phi_{j+1} = -R_F phi_j / alpha,
-# unnormalised, and the image K |> x* <| K of gamma J up to the factor i
-_e_step = functools.partial(act_left, gen_E)
-_f_step = functools.partial(r_action, -gen_F)
-
-
+# the image K |> x* <| K of gamma J up to the factor i, applied by the
+# engine monomial by monomial like the ladder steps
 def _j0_image(x):
     return act_left(gen_K, act_right(x.star(), gen_K))
 
 
-_ZERO = (Fraction(0), Fraction(0))
-_ONE = (Fraction(1), Fraction(0))
-
-# an unnormalised ladder vector at q0: terms {mono: pair}, exact squared norm
-_Vector = namedtuple("_Vector", "terms norm2")
-
-
-class _Engine:
-    """The exact layer at one rational q0, with values in Q(sqrt(q0)) as
-    (even, odd) pairs; every table is filled on first use."""
+class _Engine(Ladder):
+    """The exact ladder at one rational q0, with values in Q(sqrt(q0)) as
+    (even, odd) pairs: only the arithmetic differs from `corep.Ladder`."""
 
     def __init__(self, q0: Fraction):
+        super().__init__()
         self.q0 = q0
-        self._products = {}  # (m1, m2) -> mono_mul at q0
-        self._images = {}  # (map, mono) -> the exact map's image at q0
-        self._states = {}  # mono -> h(mono)
-        self._pairings = {}  # (m2, m1) -> h(m2* m1)
-        self._levels = {}  # n -> {(s, twok): _Vector}
         self._columns = {}  # (operator, key) -> {row key: float}
-
-    # -- arithmetic in Q(sqrt(q0)) ------------------------------------------
 
     def times(self, x, y):
         a, b = x
@@ -112,8 +93,15 @@ class _Engine:
             raise ArithmeticError(f"{x} is not rational")
         return even
 
-    def to_float(self, x) -> float:
-        return pair_float(*x, self.q0)
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
+
+    @staticmethod
+    def plus(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    nonzero = staticmethod(any)
 
     @staticmethod
     def _add(acc, mono, c):
@@ -126,131 +114,8 @@ class _Engine:
         elif old is not None:
             del acc[mono]
 
-    # -- the exact layer at q0 ----------------------------------------------
-
-    def terms(self, x: CoordElement) -> dict:
-        return {m: self.value(c) for m, c in x.terms.items()}
-
-    def mul(self, xs: dict, ys: dict) -> dict:
-        out = {}
-        for m1, c1 in xs.items():
-            for m2, c2 in ys.items():
-                c = self.times(c1, c2)
-                prod = self._products.get((m1, m2))
-                if prod is None:
-                    prod = {}
-                    for mono, w in mono_mul(m1, m2):
-                        self._add(prod, mono, w.eval_pair(self.q0))
-                    self._products[m1, m2] = prod
-                for mono, w in prod.items():
-                    self._add(out, mono, self.times(c, w))
-        return out
-
-    def apply(self, fn, xs: dict) -> dict:
-        """The exact linear map fn (CoordElement -> CoordElement) on xs."""
-        out = {}
-        for mono, c in xs.items():
-            img = self._images.get((fn, mono))
-            if img is None:
-                img = self.terms(fn(CoordElement._raw({mono: Q_ONE})))
-                self._images[fn, mono] = img
-            for m, w in img.items():
-                self._add(out, m, self.times(c, w))
-        return out
-
-    def inner(self, xs: dict, ys: dict):
-        """The invariant inner product h(ys* xs)."""
-        total = _ZERO
-        for m2, c2 in ys.items():
-            part = _ZERO
-            for m1, c1 in xs.items():
-                h = self._pairings.get((m2, m1))
-                if h is None:
-                    h = self._pairings[m2, m1] = self._pairing(m2, m1)
-                if h[0] or h[1]:
-                    h = self.times(c1, h)
-                    part = (part[0] + h[0], part[1] + h[1])
-            part = self.times(c2, part)
-            total = (total[0] + part[0], total[1] + part[1])
-        return total
-
-    def _pairing(self, m2, m1):
-        """h(m2* m1), evaluating only the products the state does not kill."""
-        total = _ZERO
-        ((ms, cs),) = self.apply(CoordElement.star, {m2: _ONE}).items()
-        for mono, w in mono_mul(ms, m1):
-            h = self._states.get(mono)
-            if h is None:
-                h = self._states[mono] = self.value(haar(CoordElement._raw({mono: Q_ONE})))
-            if h[0] or h[1]:
-                h = self.times(w.eval_pair(self.q0), h)
-                total = (total[0] + h[0], total[1] + h[1])
-        return self.times(cs, total)
-
-    # -- ladder ---------------------------------------------------------------
-
-    def level(self, n: int) -> dict:
-        """The j = +-1/2 vectors of spin n - 1/2, keyed (2j, 2k)."""
-        vecs = self._levels.get(n)
-        if vecs is not None:
-            return vecs
-        twol = 2 * n - 1
-        # step[t] is alpha^2 for the step from 2j (or 2k) = t to t + 2
-        step = {
-            t: self.rational(self.value(alpha_squared(twol, t))) for t in range(-twol, twol, 2)
-        }
-        w = {(twol, 0, 0, 0): _ONE}
-        norm2 = self.rational(self.inner(w, w))
-        vecs = {}
-        for twoj in range(-twol, 2, 2):
-            if twoj > -twol:
-                w = self.apply(_f_step, w)
-                norm2 *= step[twoj - 2]
-            if abs(twoj) != 1:
-                continue
-            v, nv = w, norm2
-            for twok in range(-twol, twol + 1, 2):
-                if twok > -twol:
-                    v = self.apply(_e_step, v)
-                    nv *= step[twok - 2]
-                vecs[twoj, twok] = _Vector(v, nv)
-        self._levels[n] = vecs
-        return vecs
-
-    def vector(self, key) -> _Vector:
-        s, n, twok = key
-        return self.level(n)[s, twok]
-
-    def expand(self, u: dict) -> dict:
-        """Coefficients {(s, n, twok): pair} of u in the unnormalised ladder.
-
-        Within one family and left weight, a spin-l vector has degree
-        exactly 2l, so a top-degree monomial of level n (its pivot) occurs
-        in no lower level and the solve runs from the top level down; the
-        remainder must vanish, which makes the expansion the unique one.
-        The part of u of right weight other than +-1 is orthogonal to both
-        families and dropped.
-        """
-        groups = {}
-        for m, c in u.items():
-            if abs(right_weight(m)) == 1:
-                groups.setdefault((right_weight(m), left_weight(m)), {})[m] = c
-        out = {}
-        for (s, twok), rest in groups.items():
-            n = (max(map(sum, rest)) + 1) // 2
-            while rest and 2 * n - 1 >= abs(twok):
-                vec = self.level(n)[s, twok]
-                pivot = max(vec.terms, key=sum)
-                c = rest.get(pivot)
-                if c is not None:
-                    c = out[s, n, twok] = self.divide(c, vec.terms[pivot])
-                    minus_c = (-c[0], -c[1])
-                    for m, w in vec.terms.items():
-                        self._add(rest, m, self.times(minus_c, w))
-                n -= 1
-            if rest:
-                raise ArithmeticError(f"remainder {rest} outside the ladder")
-        return out
+    def to_float(self, x) -> float:
+        return pair_float(*x, self.q0)
 
     def column(self, operator, key, image) -> dict:
         """Column `key` of an operator in the orthonormal basis, {row key:
@@ -269,8 +134,9 @@ class _Engine:
         return col
 
 
-# one engine per q0, shared by every space at that q0
-_engine_for = functools.cache(_Engine)
+# one engine per q0, shared by every space at that q0; the few most
+# recently used are kept, each holding megabytes of tables
+_engine_for = functools.lru_cache(maxsize=4)(_Engine)
 
 
 class TruncatedSpace:
@@ -285,7 +151,7 @@ class TruncatedSpace:
     def __init__(self, q0, L: int, pad: int = 3):
         if L < 1:
             raise ValueError("L must be at least 1")
-        if 2 * (L + pad) - 1 > 99:
+        if 2 * (L + pad) - 1 > MAX_TWOL:
             raise CutoffExceeded("truncation level too large")
         self.q0_exact = Fraction(q0)
         if not 0 < self.q0_exact < 1:
@@ -304,7 +170,7 @@ class TruncatedSpace:
         self.dim = len(self.index)
         self.vec = {key: self.engine.vector(key) for key in self.index}
 
-    def norm2_num(self, v: _Vector) -> float:
+    def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
         pairing h(w* w) at q0 over the tracked norm2."""
         even, odd = self.engine.inner(v.terms, v.terms)

@@ -1,75 +1,77 @@
 """Tests for the ladder construction and exact matrices."""
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from qsphere.coordalg import CoordElement
-from qsphere.corep import (
-    ExactMatrix,
-    alpha_squared,
-    build_ladder,
-    ladder_vector,
-    mult_matrix,
-    vplus_vminus_basis,
-)
+from qsphere.corep import alpha_squared, mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.haar import haar_product, inner
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
-from qsphere.scalar import Q_ONE, Q_ZERO, parse, qhalfpow, qint
+from qsphere.scalar import Q_ONE, Q_ZERO, qhalfpow, qint
 from qsphere.uq import act_left, act_right, gen_E, gen_F, gen_K, r_action
 
 
+def _ladder(l_max):
+    """Both families up to l_max, keyed (2l, 2j, 2k)."""
+    return {v.key(): v for family in vplus_vminus_basis(l_max) for v in family}
+
+
 def test_seed_vector_is_a():
-    v = ladder_vector(1, -1, -1)
+    v = _ladder(Fraction(1, 2))[(1, -1, -1)]
     assert v.elem == CoordElement.monomial((1, 0, 0, 0))
     assert v.norm2 == inner(v.elem, v.elem)
 
 
 def test_weight_invariants():
-    for (twol, twoj, twok), v in build_ladder(Fraction(5, 2)).items():
+    for (twol, twoj, twok), v in _ladder(Fraction(5, 2)).items():
         assert act_right(v.elem, gen_K) == v.elem.scale(qhalfpow(twoj))
         assert act_left(gen_K, v.elem) == v.elem.scale(qhalfpow(twok))
 
 
 def test_norm2_consistency():
-    for v in build_ladder(2).values():
+    for v in _ladder(2).values():
         assert v.norm2 == inner(v.elem, v.elem)
         assert not v.norm2.is_zero()
 
 
 def test_orthogonality_up_to_seven_halves():
-    fam = build_ladder(Fraction(7, 2))
-    vecs = list(fam.values())
+    vecs = list(_ladder(Fraction(7, 2)).values())
     for i, v in enumerate(vecs):
         for w in vecs[i + 1 :]:
             assert haar_product(w.star_elem(), v.elem) == Q_ZERO
 
 
 def test_ladder_bottom_annihilated():
-    # R_E kills the bottom of each j-ladder
-    for twol in (1, 2, 3):
-        v = ladder_vector(twol, -twol, -twol)
-        assert r_action(gen_E, v.elem).is_zero()
-        # F |> kills the bottom of each k-ladder
-        assert act_left(gen_F, v.elem).is_zero()
+    # F |> kills the bottom and E |> the top of each k-ladder; at l = 1/2
+    # the families are the two ends of the j-ladder, which R_E and R_F kill
+    ladder = _ladder(Fraction(5, 2))
+    for (twol, twoj, twok), v in ladder.items():
+        if twok == -twol:
+            assert act_left(gen_F, v.elem).is_zero()
+        if twok == twol:
+            assert act_left(gen_E, v.elem).is_zero()
+    assert r_action(gen_E, ladder[(1, -1, -1)].elem).is_zero()
+    assert r_action(gen_F, ladder[(1, 1, 1)].elem).is_zero()
 
 
 def test_dirac_eigenvalue_ladder_identity():
-    # R_E(w_{1/2,k}) = [l+1/2+1/2]^2 w_{-1/2,k} exactly: the squared step
-    # equals [n]^2 with n = l + 1/2, the absolute Dirac eigenvalue
+    # with w_{1/2,k} = -R_F w_{-1/2,k}: R_E(w_{1/2,k}) = -[n]^2 w_{-1/2,k}
+    # exactly, where [n]^2 = alpha^2 for the step j = -1/2 -> 1/2 and
+    # n = l + 1/2 is the absolute Dirac eigenvalue
+    ladder = _ladder(Fraction(7, 2))
     for twol in (1, 3, 5, 7):
         n = (twol + 1) // 2
         for twok in range(-twol, twol + 1, 2):
-            up = ladder_vector(twol, 1, twok)
-            down = ladder_vector(twol, -1, twok)
+            up = ladder[(twol, 1, twok)]
+            down = ladder[(twol, -1, twok)]
             assert alpha_squared(twol, -1) == qint(n) * qint(n)
-            assert r_action(gen_E, up.elem) == down.elem.scale(qint(n) * qint(n))
+            assert r_action(gen_E, up.elem) == down.elem.scale(-qint(n) * qint(n))
             # norm ratio matches the same factor
             assert up.norm2 == down.norm2 * qint(n) * qint(n)
-            # and R_F raises back by construction
-            assert r_action(gen_F, down.elem) == up.elem
+            # and -R_F raises back by construction
+            assert r_action(gen_F, down.elem) == -up.elem
 
 
 def test_vplus_vminus_membership():
@@ -157,23 +159,19 @@ def test_mult_matrix_untrusted_boundary():
 
 def test_cutoff_guard():
     with pytest.raises(CutoffExceeded):
-        build_ladder(100)
+        vplus_vminus_basis(50)
 
 
-def test_exact_matrix_export_roundtrip():
-    vplus, _ = vplus_vminus_basis(2)
-    m = mult_matrix(gen_A, vplus, vplus)
-    js = m.to_json()
-    assert '"entries"' in js
-    csv = m.to_csv()
-    assert csv.count("\n") == len(m.row_keys)
-    data = json.loads(js)
-    rows = [tuple(k) for k in data["rows"]]
-    cols = [tuple(k) for k in data["cols"]]
-    assert rows == m.row_keys and cols == m.col_keys
-    assert len(data["entries"]) == len(m.entries)
-    for pos, text in data["entries"].items():
-        ri, ci = map(int, pos.split(","))
-        assert parse(text) == m.entry(rows[ri], cols[ci])
-    assert 0 < len(m.untrusted_cols) < len(cols)
-    assert data["untrusted_cols"] == sorted(cols.index(k) for k in m.untrusted_cols)
+@pytest.mark.parametrize("x", [PodlesElement.one(), gen_A, gen_B, gen_Bs], ids=str)
+def test_mult_matrix_matches_haar_projection(x):
+    # the expansion against an independent reference, the projection
+    # (x w_beta, w_alpha) = h(w_alpha* x w_beta) through the closed-form
+    # Haar state, on every (alpha, beta) including untrusted columns
+    y = embed(x)
+    for family in vplus_vminus_basis(Fraction(5, 2)):
+        m = mult_matrix(x, family, family)
+        for beta in family:
+            u = y * beta.elem
+            for alpha in family:
+                entry = m.entry(alpha.key(), beta.key())
+                assert entry * alpha.norm2 == haar_product(alpha.star_elem(), u)

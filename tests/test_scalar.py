@@ -15,7 +15,6 @@ from qsphere.scalar import (
     Q_ZERO,
     RationalQ,
     evaluate,
-    parse,
     qhalfpow,
     qint,
     qlambda,
@@ -152,22 +151,15 @@ def test_render_example():
     x = (qpow(2) - Q_ONE) / (Q_ONE - qpow(4))
     # canonical form is fully reduced with monic denominator
     assert render(x) == "(-1)/(1 + q^2)"
-    # unreduced input parses to the same field element
-    assert parse("(-1 + q^2)/(1 - q^4)") == x
-
-
-def test_render_parse_roundtrip_randomized():
-    rng = random.Random(123)
-    for _ in range(80):
-        x = rand_rq(rng)
-        assert parse(render(x)) == x
+    # unreduced input reduces to the same field element
+    one = LaurentPoly.one()
+    assert RationalQ(LaurentPoly.q_power(2) - one, one - LaurentPoly.q_power(4)) == x
 
 
 def test_render_parse_half_powers():
     x = qhalfpow(3) - qhalfpow(-1) * Fraction(5, 2)
     s = render(x)
     assert "q^(3/2)" in s
-    assert parse(s) == x
 
 
 def test_half_integer_exponents():

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qsphere import spectral
 from qsphere.coordalg import CoordElement
 from qsphere.corep import mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
+from qsphere.fodc import differential
 from qsphere.haar import haar_mono_product
 from qsphere.podles import PodlesElement, gen_A, gen_B, gen_Bs
 from qsphere.report import record
@@ -70,6 +72,41 @@ def test_truncated_space_rejects_bad_input():
             TruncatedSpace(q0, 2)
     with pytest.raises(CutoffExceeded):
         TruncatedSpace(Fraction(1, 2), 48, pad=3)
+
+
+def test_engine_cache_is_bounded():
+    spaces = [TruncatedSpace(Fraction(1, d), 1) for d in (3, 5, 7, 9, 11)]
+    assert spectral._engine_for.cache_info().currsize <= 4
+    # spaces at one q0 share its engine
+    assert TruncatedSpace(Fraction(1, 11), 2).engine is spaces[-1].engine
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(1, 2)])
+def test_commutators_give_the_calculus(q0):
+    # dx = i[D, x] up to the unit: [D, M(x)] is off-diagonal in the
+    # chirality, with (-,+) block M(q^(1/2) R_E x) and (+,-) block
+    # M(q^(-1/2) R_F x), the components of fodc.differential(x)
+    space = TruncatedSpace(q0, 6)
+    eng = space.engine
+    D = build_dirac(space)
+
+    def mult(y):
+        ys = eng.terms(y)
+        return spectral._matrix(space, ("M", y), lambda w: eng.mul(ys, w))
+
+    for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
+        M = build_mult(x, space)
+        C = D @ M - M @ D
+        dx = differential(x)
+        window = set(spectral._window(space, space.npad - spectral._shift(x)))
+        plus = [i for i in window if space.index[i][0] == 1]
+        minus = [i for i in window if space.index[i][0] == -1]
+        # M(x) keeps the chirality, so the diagonal blocks vanish exactly
+        assert not C[np.ix_(plus, plus)].any() and not C[np.ix_(minus, minus)].any()
+        for rows, cols, y in ((minus, plus, dx.ecomp), (plus, minus, dx.fcomp)):
+            block = np.ix_(rows, cols)
+            assert np.max(np.abs(C[block] - mult(y)[block])) <= 1e-12, (x, q0)
+        assert np.max(np.abs(C[np.ix_(minus, plus)])) > 0.1
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(1, 2)])
@@ -137,10 +174,9 @@ def test_real_structure_at_L10():
 
 
 def test_mult_matches_exact_matrices():
-    # the numeric basis is w/|w| with the sign (-1)^n relative to corep's
-    # ladder w per level n, so an exact entry c becomes
-    # c sqrt(N_alpha/N_beta) (-1)^(n_alpha - n_beta); rows run to l = 5/2,
-    # and the columns to l = 3/2, the ones trusted at that cutoff
+    # the numeric basis is w/|w| for the one ladder w of corep, so an exact
+    # entry c becomes c sqrt(N_alpha/N_beta); rows run to l = 5/2, and the
+    # columns to l = 3/2, the ones trusted at that cutoff
     q0 = Fraction(1, 4)
     space = TruncatedSpace(q0, 3)
     families = vplus_vminus_basis(Fraction(5, 2))
@@ -161,7 +197,7 @@ def test_mult_matches_exact_matrices():
                     a = key(alpha)
                     c = exact.entry(alpha.key(), beta.key())
                     c = float(evaluate(c, q0)) if c else 0.0
-                    expected = c * math.sqrt(norm2[a] / norm2[b]) * (-1) ** (a[1] - b[1])
+                    expected = c * math.sqrt(norm2[a] / norm2[b])
                     assert abs(M[space.pos[a], space.pos[b]] - expected) <= 1e-14
 
 
