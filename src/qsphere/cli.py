@@ -5,8 +5,9 @@
 prints one JSONL record per check per truncation level L: the h-trace of
 A, the tau-traces of (A, B, B*) and (1, B, B*), and the commutant and
 order-one conditions of the real structure, then the zeta residue at q0.
-Each record carries its wall time in `wall_ms`.  The exit status is 0
-when every check passes and 1 otherwise.
+Each record carries its wall time in `wall_ms` and the module that made
+it in `layer`.  The exit status is 0 when every check passes and 1
+otherwise; an empty level range or a z <= 2 is refused with status 2.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def _timed(check, *args) -> list:
     recs = out if isinstance(out, list) else [out]
     for rec in recs:
         rec["wall_ms"] = wall_ms
+        rec["layer"] = check.__module__.rpartition(".")[2]
     return recs
 
 
@@ -63,6 +65,10 @@ def main(argv=None) -> int:
     cmd.add_argument("--L", type=_levels, default=_levels("4:8"), help="level or range lo:hi")
     cmd.add_argument("--z", type=float, default=3.0, help="zeta exponent, Re z > 2")
     args = ap.parse_args(argv)
+    if not args.L:
+        ap.error("--L names no level: give lo:hi with lo <= hi")
+    if not args.z > 2:
+        ap.error(f"--z {args.z} gives no finite trace: Re z > 2 is needed")
     records = []
     try:
         for rec in verify(args.q0, args.L, args.z):

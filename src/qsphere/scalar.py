@@ -4,6 +4,13 @@ Elements are reduced fractions of Laurent polynomials in q^(1/2) with
 rational coefficients.  The canonical form makes structural equality decide
 field equality, so identity checks in the algebra layers are decidable.
 All values are immutable; operations are pure functions.
+
+Reduction runs on integers.  A nonzero p is content * s^lo * f(s) with f a
+primitive integer coefficient list (`_primitive`), packed into one int f(xi)
+at xi = 2^k and unpacked from its balanced base-xi digits, which recover f
+when xi > 2 |f|_inf.  `poly_gcd` takes the big-int gcd of two such values
+(GCDHEU) and `poly_exact_div` one big-int divmod, each proved by exact
+division; after `_HEU_DOUBLINGS` doublings of k Euclid over Fraction decides.
 """
 
 from __future__ import annotations
@@ -223,19 +230,6 @@ _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: _ONE})
 
 
-def _dense(p: LaurentPoly):
-    """Dense coefficient list (low to high) of a min-exp-0 polynomial."""
-    n = p.max_exp()
-    out = [_ZERO] * (n + 1)
-    for e, c in p.coeffs.items():
-        out[e] = c
-    return out
-
-
-def _from_dense(lst):
-    return LaurentPoly({e: c for e, c in enumerate(lst) if c})
-
-
 def _dense_divmod(num, den):
     """Polynomial division on dense lists; den nonzero."""
     num = list(num)
@@ -258,21 +252,106 @@ def _dense_divmod(num, den):
     return quot, num
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd (as polynomials in q^(1/2), up to unit powers of q^(1/2))."""
-    if a.is_zero():
-        return _monic_shifted(b)
-    if b.is_zero():
-        return _monic_shifted(a)
-    x = _dense(a.shift(-a.min_exp()))
-    y = _dense(b.shift(-b.min_exp()))
+def _euclid_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic gcd of nonzero a, b by Euclid over Fraction: the fallback of
+    `poly_gcd` and the reference its tests compare against."""
+    x, y = ([Fraction(v) for v in _primitive(p)[1]] for p in (a, b))
     while any(y):
         _, r = _dense_divmod(x, y)
         while r and r[-1] == 0:
             r.pop()
         x, y = y, r if r else [_ZERO]
-    g = _from_dense(x)
-    return _monic_shifted(g)
+    return LaurentPoly({e: v / x[-1] for e, v in enumerate(x)})
+
+
+_HEU_DOUBLINGS = 3  # doublings of k before the integer path gives up
+
+
+def _content(f):
+    g = 0
+    for v in f:
+        g = math.gcd(g, v)
+    return g
+
+
+def _primitive(p: LaurentPoly):
+    """(content, f): p = content * s^min_exp * sum f[i] s^i, with the
+    content a positive Fraction and f integer with coprime entries."""
+    coeffs = p.coeffs
+    lo = min(coeffs)
+    den = 1
+    for c in coeffs.values():
+        den = math.lcm(den, c.denominator)
+    f = [0] * (max(coeffs) - lo + 1)
+    for e, c in coeffs.items():
+        f[e - lo] = c.numerator * (den // c.denominator)
+    g = _content(f)
+    return Fraction(g, den), [v // g for v in f]
+
+
+def _pack(f, k):
+    x = 0
+    for c in reversed(f):
+        x = (x << k) + c
+    return x
+
+
+def _unpack(x, k):
+    """Balanced base-2^k digits of x, low to high, each in (-2^(k-1), 2^(k-1)]."""
+    mask, half, xi = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    while x:
+        d = x & mask
+        if d > half:
+            d -= xi
+        out.append(d)
+        x = (x - d) >> k
+    return out
+
+
+def _int_quo(f, h):
+    """f/h for integer lists when h divides f and the packed division proves
+    it, else None.  The remainder of f(xi) by h(xi) vanishes when h | f; the
+    quotient q unpacked from f(xi) // h(xi) satisfies q(xi) h(xi) = f(xi),
+    and multiplying back holds as polynomials once xi exceeds twice the
+    coefficient bounds |q|_1 |h|_inf of q h and |f|_inf of f."""
+    if len(h) > len(f) or not h[0] or f[-1] % h[-1] or f[0] % h[0]:
+        return None
+    hh = max(map(abs, h))
+    k = (2 * max(max(map(abs, f)), hh) + 1).bit_length() + len(f).bit_length()
+    for _ in range(_HEU_DOUBLINGS + 1):
+        quo, rem = divmod(_pack(f, k), _pack(h, k))
+        if rem:
+            return None
+        q = _unpack(quo, k)
+        if 2 * sum(map(abs, q)) * hh < 1 << k:
+            return q
+        k *= 2
+    return None
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic gcd (as polynomials in q^(1/2), up to unit powers of q^(1/2)).
+
+    GCDHEU (Char, Geddes and Gonnet, 1989) on the primitive integer lists f,
+    g of the operands: with xi = 2^k > 2 min(|f|_inf, |g|_inf) + 1, the
+    primitive part h of the balanced digits of the big-int gcd(f(xi), g(xi))
+    is the gcd as soon as it divides both f and g (`_int_quo`).  Otherwise k
+    doubles, `_HEU_DOUBLINGS` times, and then Euclid over Fraction decides."""
+    if a.is_zero():
+        return _monic_shifted(b)
+    if b.is_zero():
+        return _monic_shifted(a)
+    f, g = _primitive(a)[1], _primitive(b)[1]
+    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+    for _ in range(_HEU_DOUBLINGS + 1):
+        h = _unpack(math.gcd(_pack(f, k), _pack(g, k)), k)
+        c = _content(h)
+        h = [v // c for v in h]
+        if len(h) == 1 or (_int_quo(f, h) is not None and _int_quo(g, h) is not None):
+            return LaurentPoly({e: Fraction(v, h[-1]) for e, v in enumerate(h)})
+        k *= 2
+    return _euclid_gcd(a, b)
 
 
 def _monic_shifted(p: LaurentPoly) -> LaurentPoly:
@@ -284,14 +363,24 @@ def _monic_shifted(p: LaurentPoly) -> LaurentPoly:
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division num/den; remainder must vanish."""
+    """Exact division num/den; a nonzero remainder raises ValueError.
+
+    The primitive parts divide by one packed big-int divmod, checked by
+    multiplying back (`_int_quo`); the contents and the powers of q^(1/2)
+    divide apart.  When the packed path cannot prove the division, polynomial
+    division over Fraction decides."""
+    if num.is_zero():
+        return _LP_ZERO
     shift = num.min_exp() - den.min_exp()
-    n = _dense(num.shift(-num.min_exp()))
-    d = _dense(den.shift(-den.min_exp()))
-    q, r = _dense_divmod(n, d)
-    if any(r):
-        raise ValueError("non-exact polynomial division")
-    return _from_dense(q).shift(shift)
+    cn, f = _primitive(num)
+    cd, h = _primitive(den)
+    q = _int_quo(f, h)
+    if q is None:
+        q, r = _dense_divmod([Fraction(v) for v in f], h)
+        if any(r):
+            raise ValueError("non-exact polynomial division")
+    c = cn / cd
+    return LaurentPoly({e + shift: c * v for e, v in enumerate(q)})
 
 
 class RationalQ:

@@ -20,6 +20,7 @@ def test_verify_prints_one_record_per_check_per_level(capsys):
     assert [r["check"] for r in recs] == per_level * 2 + ["zeta_residue"]
     assert [r["L"] for r in recs[:-1]] == [6] * 5 + [7] * 5
     assert all(r["passed"] and r["wall_ms"] >= 0 and r["q0"] == 0.25 for r in recs)
+    assert all(r["layer"] == "spectral" for r in recs)
     # the exact value of the commutant is 0, where a relative error says nothing
     commutant = next(r for r in recs if r["check"] == "commutant")
     assert commutant["rhs"] == 0.0 and commutant["rel_err"] is None
@@ -38,3 +39,19 @@ def test_verify_refuses_a_q0_outside_the_unit_interval(capsys):
         main(["verify", "--q0", "3/2", "--L", "2"])
     assert exc.value.code == 2
     assert "0 < q0 < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--L", "8:4"], "--L names no level"),
+        (["--L", "6", "--z", "2"], "Re z > 2"),
+        (["--L", "6", "--z", "1.5"], "Re z > 2"),
+    ],
+)
+def test_verify_refuses_an_empty_level_range_or_a_z_at_most_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

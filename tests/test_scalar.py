@@ -1,11 +1,13 @@
 """Tests for the exact scalar field Q(q^(1/2))."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsphere import scalar
 from qsphere.errors import DivisionByZero, EvaluationPole
 from qsphere.scalar import (
     LaurentPoly,
@@ -15,6 +17,8 @@ from qsphere.scalar import (
     Q_ZERO,
     RationalQ,
     evaluate,
+    poly_exact_div,
+    poly_gcd,
     qhalfpow,
     qint,
     qlambda,
@@ -23,21 +27,39 @@ from qsphere.scalar import (
 )
 
 
-def rand_poly(rng, max_terms=4, max_exp=6):
-    return LaurentPoly(
-        {
-            rng.randint(-max_exp, max_exp): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            for _ in range(rng.randint(0, max_terms))
-        }
-    )
+def polys(max_terms=4, max_exp=6, max_num=5, max_den=4):
+    """Laurent polynomials in q^(1/2); exponents count half powers of q."""
+    coeff = st.builds(Fraction, st.integers(-max_num, max_num), st.integers(1, max_den))
+    return st.dictionaries(
+        st.integers(-max_exp, max_exp), coeff, max_size=max_terms
+    ).map(LaurentPoly)
 
 
-def rand_rq(rng):
-    num = rand_poly(rng)
-    den = rand_poly(rng)
-    while den.is_zero():
-        den = rand_poly(rng)
-    return RationalQ(num, den)
+def nonzero_polys(**kw):
+    return polys(**kw).filter(bool)
+
+
+rqs = st.builds(RationalQ, polys(), nonzero_polys())
+
+
+def _lp(*terms):
+    """LaurentPoly from (half-exponent, coefficient) pairs."""
+    return LaurentPoly(dict(terms))
+
+
+# planted common factors: cyclotomic in s = q^(1/2), and not cyclotomic
+FACTORS = [
+    _lp((0, 1), (1, 1)),  # 1 + q^(1/2)
+    _lp((0, 1), (2, -1)),  # 1 - q
+    _lp((0, 1), (4, 1)),  # 1 + q^2
+    _lp((0, 1), (2, 1), (4, 1)),  # 1 + q + q^2
+    _lp((0, 1), (1, -1), (2, 1)),  # 1 - q^(1/2) + q
+    _lp((0, 1), (1, 2)),  # 1 + 2 q^(1/2)
+    _lp((0, 1), (2, -2)),  # 1 - 2q
+    _lp((-1, Fraction(3, 2)), (2, -5), (3, 1)),  # 3/2 q^(-1/2) - 5q + q^(3/2)
+]
+planted = st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3).map(math.prod)
+bigger = dict(max_terms=6, max_exp=9, max_num=9, max_den=6)
 
 
 def test_qint_small_values():
@@ -79,25 +101,76 @@ def test_zero_denominator_raises():
         Q_ZERO.inverse()
 
 
-def test_normalize_idempotent_randomized():
-    rng = random.Random(11)
-    for _ in range(100):
-        x = rand_rq(rng)
-        assert RationalQ(x.num, x.den) == x
-        assert (x - x) == Q_ZERO
+@settings(max_examples=100)
+@given(rqs)
+def test_normalize_idempotent_randomized(x):
+    assert RationalQ(x.num, x.den) == x
+    assert (x - x) == Q_ZERO
 
 
-def test_field_axioms_randomized():
-    rng = random.Random(5)
-    for _ in range(60):
-        x, y, z = rand_rq(rng), rand_rq(rng), rand_rq(rng)
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + y == y + x
-        assert x * y == y * x
-        if not y.is_zero():
-            assert (x / y) * y == x
+@settings(max_examples=60)
+@given(rqs, rqs, rqs)
+def test_field_axioms_randomized(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + y == y + x
+    assert x * y == y * x
+    if not y.is_zero():
+        assert (x / y) * y == x
+
+
+@settings(max_examples=200)
+@given(nonzero_polys(**bigger), nonzero_polys(**bigger), planted)
+def test_poly_gcd_matches_euclid(f, g, c):
+    a, b = f * c, g * c
+    h = poly_gcd(a, b)
+    assert h == scalar._euclid_gcd(a, b)
+    assert poly_exact_div(h, c) * c == h  # the planted factor divides the gcd
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 150), st.integers(1, 150))
+def test_poly_gcd_of_q_power_binomials(m, n):
+    # q^m - 1 has s-degree 2m, up to 300
+    minus_one = LaurentPoly.const(-1)
+    g = poly_gcd(LaurentPoly.q_power(m) + minus_one, LaurentPoly.q_power(n) + minus_one)
+    assert g == LaurentPoly.q_power(math.gcd(m, n)) + minus_one
+
+
+@settings(max_examples=200)
+@given(nonzero_polys(**bigger), nonzero_polys(**bigger))
+def test_poly_exact_div_inverts_multiplication(f, h):
+    assert poly_exact_div(f * h, h) == f
+    if len(h.coeffs) > 1:  # h divides f h + 1 only if h is a unit
+        with pytest.raises(ValueError):
+            poly_exact_div(f * h + LaurentPoly.one(), h)
+
+
+def test_poly_exact_div_when_the_quotient_outgrows_the_dividend():
+    # (1 - q^5)^6 / (1 - q^(1/2))^6 = (1 + q^(1/2) + ... + q^(9/2))^6: the
+    # quotient's coefficients reach 4.3e4 against 20 in the dividend, so the
+    # first packing radix cannot hold them and the multiply-back must refuse it
+    s = LaurentPoly.half_power(1)
+    one = LaurentPoly.one()
+    quo = sum((s**i for i in range(1, 10)), one) ** 6
+    assert max(quo.coeffs.values()) > 4 * 10**4
+    assert poly_exact_div((one - s**10) ** 6, (one - s) ** 6) == quo
+    assert poly_gcd((one - s**10) ** 6, quo * (one + s)) == quo.scale(1 / quo.leading_coeff())
+
+
+@settings(max_examples=60)
+@given(nonzero_polys(**bigger), nonzero_polys(**bigger), planted)
+def test_euclid_fallback_gives_the_same_results(f, g, c):
+    a, b = f * c, g * c
+    h, quo = poly_gcd(a, b), poly_exact_div(a, c)
+    with pytest.MonkeyPatch.context() as mp:
+        # the integer heuristics find nothing, so Euclid over Fraction decides
+        mp.setattr(scalar, "_HEU_DOUBLINGS", -1)
+        assert poly_gcd(a, b) == h
+        assert poly_exact_div(a, c) == quo
+        with pytest.raises(ValueError):
+            poly_exact_div(a + LaurentPoly.one(), c)
 
 
 def test_eval_examples():
@@ -108,17 +181,16 @@ def test_eval_examples():
     assert float(evaluate(qlambda(), q0)) == pytest.approx(-1.5)
 
 
-def test_eval_matches_normalized_randomized():
-    rng = random.Random(77)
-    for _ in range(40):
-        x = rand_rq(rng)
-        for q0 in (Fraction(1, 2), Fraction(3, 10)):
-            try:
-                a = evaluate(x, q0)
-            except EvaluationPole:
-                continue
-            b = evaluate(RationalQ(x.num, x.den), q0)
-            assert a == b
+@settings(max_examples=40)
+@given(rqs)
+def test_eval_matches_normalized_randomized(x):
+    for q0 in (Fraction(1, 2), Fraction(3, 10)):
+        try:
+            a = evaluate(x, q0)
+        except EvaluationPole:
+            continue
+        b = evaluate(RationalQ(x.num, x.den), q0)
+        assert a == b
 
 
 def test_eval_pole_detection():
