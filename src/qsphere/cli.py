@@ -7,12 +7,14 @@ A, the tau-traces of (A, B, B*) and (1, B, B*), and the commutant and
 order-one conditions of the real structure, then the zeta residue at q0.
 Each record carries its wall time in `wall_ms` and the module that made
 it in `layer`.  The exit status is 0 when every check passes and 1
-otherwise; an empty level range or a z <= 2 is refused with status 2.
+otherwise; an empty level range, a q0 that is not a rational number, and a
+z <= 2, not finite or overflowing zeta are refused with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -33,6 +35,13 @@ def _levels(text: str) -> range:
     """A level such as 6, or an inclusive range such as 4:8, as a range."""
     lo, _, hi = text.partition(":")
     return range(int(lo), int(hi or lo) + 1)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text} is not a rational number") from exc
 
 
 def _timed(check, *args) -> list:
@@ -61,20 +70,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="qsphere", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
     cmd = sub.add_parser("verify", help="check the trace formulas and the real structure")
-    cmd.add_argument("--q0", type=Fraction, default=Fraction(1, 4), help="rational 0 < q0 < 1")
+    cmd.add_argument("--q0", type=_rational, default=Fraction(1, 4), help="rational 0 < q0 < 1")
     cmd.add_argument("--L", type=_levels, default=_levels("4:8"), help="level or range lo:hi")
     cmd.add_argument("--z", type=float, default=3.0, help="zeta exponent, Re z > 2")
     args = ap.parse_args(argv)
     if not args.L:
         ap.error("--L names no level: give lo:hi with lo <= hi")
-    if not args.z > 2:
-        ap.error(f"--z {args.z} gives no finite trace: Re z > 2 is needed")
+    if not 2 < args.z < math.inf:
+        ap.error(f"--z {args.z} gives no finite trace: a finite Re z > 2 is needed")
     records = []
     try:
         for rec in verify(args.q0, args.L, args.z):
             print(to_jsonl([rec]), flush=True)
             records.append(rec)
-    except (ValueError, QsphereError) as exc:  # a q0 or L the space refuses
+    except (ValueError, QsphereError) as exc:  # a q0, L or z the checks refuse
         ap.error(str(exc))
     return 0 if all_passed(records) else 1
 

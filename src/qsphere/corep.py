@@ -266,14 +266,12 @@ def vplus_vminus_basis(l_max):
 
 
 class ExactMatrix:
-    """Dense exact matrix indexed by ladder keys, with untrusted columns
-    flagged at the truncation boundary."""
+    """Exact matrix entries {(row key, column key): entry} over ladder keys,
+    with untrusted columns flagged at the truncation boundary."""
 
-    __slots__ = ("row_keys", "col_keys", "entries", "untrusted_cols")
+    __slots__ = ("entries", "untrusted_cols")
 
-    def __init__(self, row_keys, col_keys, entries, untrusted_cols=()):
-        self.row_keys = list(row_keys)
-        self.col_keys = list(col_keys)
+    def __init__(self, entries, untrusted_cols=()):
         self.entries = entries
         self.untrusted_cols = set(untrusted_cols)
 
@@ -301,6 +299,4 @@ def mult_matrix(x: PodlesElement, source, target) -> ExactMatrix:
         for (s, n, twok), c in LADDER.expand(LADDER.mul(xs, beta.elem.terms)).items():
             if (2 * n - 1, s, twok) in rows:
                 entries[(2 * n - 1, s, twok), beta.key()] = c
-    return ExactMatrix(
-        [v.key() for v in target], [v.key() for v in source], entries, untrusted
-    )
+    return ExactMatrix(entries, untrusted)

@@ -10,15 +10,16 @@ form is the implementation; invariance under the module actions and the
 modular property are enforced by the test suite rather than assumed, and
 together with h(1) = 1 they determine the state uniquely.
 
-haar_product computes h(x * y) without materializing the normal form of the
-product; it is the workhorse behind the exact Gram matrices.
+haar_mono_product reads the terms of coordalg.mono_mul and keeps those with
+a = d = 0; haar_product sums it over the pairs of monomials whose weights
+cancel, without building the product's normal form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coordalg import CoordElement, _dgamma, _gamma
+from .coordalg import CoordElement, mono_mul
 from .errors import NotInHopfDomain
 from .podles import PodlesElement, embed
 from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ
@@ -62,37 +63,16 @@ def haar_podles(x: PodlesElement) -> RationalQ:
     return haar(embed(x))
 
 
-@lru_cache(maxsize=None)
-def _h_word_tail(t: int, n0: int) -> RationalQ:
-    """sum_j gamma[t][j] * h((bc)^(n0+j)), the fully contracted a^t..d^t part."""
-    total = Q_ZERO
-    for j, g in enumerate(_gamma(t)):
-        total = total + _h_bc(n0 + j).mul_poly(g)
-    return total
-
-
 def haar_mono_product(m1, m2) -> RationalQ:
-    """h(m1 * m2) for normal monomials, in closed form."""
+    """h(m1 * m2) for normal monomials, read off the terms of mono_mul."""
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
     if a1 + a2 != d1 + d2 or b1 + b2 != c1 + c2:
         return Q_ZERO
-    s, t = d1, a2
-    m = min(s, t)
-    x = t - m
-    y = s - m
-    scal = -x * (b1 + c1) - y * (b2 + c2)
     total = Q_ZERO
-    for i, g in enumerate(_dgamma(s, t)):
-        A = a1 + x
-        D = y + d2
-        if A != D:
-            continue
-        B = b1 + i + b2
-        C = c1 + i + c2
-        # h(word(A,B,C,A)) = q^(A(B+C)) sum_j gamma[A][j] h((bc)^(B+j)), B == C
-        part = _h_word_tail(A, B).mul_poly(g.shift(2 * (scal + A * (B + C))))
-        total = total + part
+    for (a, b, c, d), w in mono_mul(m1, m2):
+        if a == 0 and d == 0:
+            total = total + _h_bc(b).mul_poly(w)
     return total
 
 

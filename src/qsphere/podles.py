@@ -48,13 +48,9 @@ class PodlesElement(SparseComb):
         i = i1 + i2
         if j1 == 0 or j2 == 0 or (j1 > 0) == (j2 > 0):
             return (((i, j1 + j2), scal),)
-        if j1 > 0:
-            crossed = _bb_cross(j1, -j2)
-        else:
-            crossed = _bsb_cross(-j1, j2)
         # prepending A^i to a normal element costs nothing
         return tuple(
-            ((ci + i, cj), scal * cc) for (ci, cj), cc in crossed.terms.items()
+            ((ci + i, cj), scal * cc) for (ci, cj), cc in _cross(j1, j2).terms.items()
         )
 
     def star(self):
@@ -70,21 +66,14 @@ gen_Bs = PodlesElement._raw({(0, -1): Q_ONE})
 
 
 @lru_cache(maxsize=None)
-def _bb_cross(m, k):
-    """B^m B*^k (m, k >= 1) in normal form as a PodlesElement."""
-    # innermost pair: B B* = q^2 A - q^4 A^2
-    mid = PodlesElement._raw({(1, 0): qpow(2), (2, 0): -qpow(4)})
-    left = PodlesElement._raw({(0, m - 1): Q_ONE})
-    right = PodlesElement._raw({(0, -(k - 1)): Q_ONE}) if k > 1 else PodlesElement.one()
-    return left * mid * right
-
-
-@lru_cache(maxsize=None)
-def _bsb_cross(k, m):
-    """B*^k B^m (k, m >= 1) in normal form."""
-    mid = PodlesElement._raw({(1, 0): Q_ONE, (2, 0): -Q_ONE})  # B*B = A - A^2
-    left = PodlesElement._raw({(0, -(k - 1)): Q_ONE}) if k > 1 else PodlesElement.one()
-    right = PodlesElement._raw({(0, m - 1): Q_ONE})
+def _cross(j1, j2):
+    """B^j1 B*^-j2 (j1 > 0 > j2) or B*^-j1 B^j2 (j1 < 0 < j2) in normal form;
+    the innermost pair BB* = q^2 A - q^4 A^2 or B*B = A - A^2 is
+    q^w A - q^2w A^2, and the key (0, 0) of an empty outer power is the unit."""
+    step, w = (1, 2) if j1 > 0 else (-1, 0)
+    mid = PodlesElement._raw({(1, 0): qpow(w), (2, 0): -qpow(2 * w)})
+    left = PodlesElement._raw({(0, j1 - step): Q_ONE})
+    right = PodlesElement._raw({(0, j2 + step): Q_ONE})
     return left * mid * right
 
 

@@ -9,7 +9,7 @@ exactly as
 
 Operators are plain complex numpy arrays.  The one antilinear operator,
 the real structure J, is held as the unitary U of J v = U conj(v).  Spaces
-are built with padding levels beyond L.  M(x) moves levels by at most
+are built with `PAD` levels beyond L.  M(x) moves levels by at most
 `_shift(x)`, so a product is exact on the levels up to npad less the sum
 of its operands' shifts; traces sum only diagonal entries there, and report
 the discarded boundary count.
@@ -53,6 +53,11 @@ from .uq import act_left, act_right, gen_K
 def qnum(n: int, q0: float) -> float:
     """The q-deformed integer at a numeric point."""
     return (q0**n - q0**-n) / (q0 - 1.0 / q0)
+
+
+def _qnum_pow(n: int, z, q0: float) -> complex:
+    """[n]^-z as exp(-z log [n]): a power of an integral z overflows to nan."""
+    return cmath.exp(-complex(z) * math.log(qnum(n, q0)))
 
 
 # the image K |> x* <| K of gamma J up to the factor i, applied by the
@@ -138,28 +143,30 @@ class _Engine(Ladder):
 # recently used are kept, each holding megabytes of tables
 _engine_for = functools.lru_cache(maxsize=4)(_Engine)
 
+# levels built beyond the reported L, so operator products stay exact there
+PAD = 3
+
 
 class TruncatedSpace:
     """Orthonormal truncated basis phi^(s)_{n,k} with padding levels.
 
     Levels run n = 1..L for reporting; internally the basis is built to
-    npad = L + pad so that operator products of bounded level shift stay
+    npad = L + PAD so that operator products of bounded level shift stay
     exact on the reported window.  `vec` maps a key (s, n, 2k) to its
     unnormalised ladder vector.
     """
 
-    def __init__(self, q0, L: int, pad: int = 3):
+    def __init__(self, q0, L: int):
         if L < 1:
             raise ValueError("L must be at least 1")
-        if 2 * (L + pad) - 1 > MAX_TWOL:
+        if 2 * (L + PAD) - 1 > MAX_TWOL:
             raise CutoffExceeded("truncation level too large")
         self.q0_exact = Fraction(q0)
         if not 0 < self.q0_exact < 1:
             raise ValueError("q0 must satisfy 0 < q0 < 1")
         self.q0 = float(self.q0_exact)
         self.L = L
-        self.pad = pad
-        self.npad = L + pad
+        self.npad = L + PAD
         self.engine = _engine_for(self.q0_exact)
         self.index = []
         for s in (1, -1):
@@ -239,8 +246,8 @@ def zeta_series(z, L: int, q0: float):
     convergence through the returned tail estimate."""
     total = 0.0 + 0.0j
     for n in range(1, L + 1):
-        total += complex(qnum(n, q0)) ** (-z) * qnum(2 * n, q0)
-    last = abs(complex(qnum(L, q0)) ** (-z) * qnum(2 * L, q0))
+        total += _qnum_pow(n, z, q0) * qnum(2 * n, q0)
+    last = abs(_qnum_pow(L, z, q0) * qnum(2 * L, q0))
     ratio = q0 ** (complex(z).real - 2.0)
     tail = last * ratio / (1 - ratio) if ratio < 1 else float("inf")
     return total, tail
@@ -256,7 +263,10 @@ def zeta_merom(z, k_max: int, q0: float):
     """
     z = complex(z)
     lq = math.log(q0)
-    pref = complex(1.0 / q0 - q0) ** (z - 1)
+    try:
+        pref = complex(1.0 / q0 - q0) ** (z - 1)
+    except OverflowError as exc:
+        raise ValueError(f"zeta(z) overflows a float at z = {z.real:g}") from exc
     total = 0.0 + 0.0j
     coeff = 1.0 + 0.0j  # C(z-2+k, k) built iteratively
     for k in range(k_max + 1):
@@ -272,31 +282,23 @@ def zeta_residue(q0: float) -> float:
     return (q0 - 1.0 / q0) / math.log(q0)
 
 
-def residue_check(q0: float, eps: float = 1e-4, k_max: int = 80):
+def residue_check(q0: float, eps: float = 1e-4):
     """(z-2) zeta(z) at z = 2 + eps against the closed-form residue."""
     z = 2.0 + eps
-    val = (z - 2) * zeta_merom(z, k_max, q0)
-    expected = zeta_residue(q0)
-    return record(
-        "zeta_residue",
-        {"eps": eps},
-        val.real,
-        expected,
-        tol_rel=1e-3,
-        q0=q0,
-    )
+    val = (z - 2) * zeta_merom(z, 80, q0)
+    return record("zeta_residue", {"eps": eps}, val.real, zeta_residue(q0), tol_rel=1e-3, q0=q0)
 
 
 # -- trace checks -------------------------------------------------------------
 
 
-def _trace_record(check, inputs, P, weight, nmax, exact, z, space, tol_rel, shift):
+def _trace_record(check, inputs, P, weight, nmax, exact, z, space, shift):
     """zeta(z)^-1 sum_i weight(key_i) P_ii over the levels n <= nmax against
     the exact value, reporting the discarded boundary count.
 
-    Without tol_rel the tail bound 10 q0^((z-2)(L-shift)) of a trace cut at
-    level L, for an operator that moves levels by up to `shift`, floored at
-    the round-off scale dim * 2.2e-16 of the dense sums, is the tolerance:
+    The tail bound 10 q0^((z-2)(L-shift)) of a trace cut at level L, for an
+    operator that moves levels by up to `shift`, floored at the round-off
+    scale dim * 2.2e-16 of the dense sums, is the tolerance:
     relative, or absolute when the exact value is 0.  A bound of 1 or more
     cannot tell a converged trace from a wrong one, so the record then
     fails with "L insufficient".
@@ -306,8 +308,8 @@ def _trace_record(check, inputs, P, weight, nmax, exact, z, space, tol_rel, shif
     tr = sum(weight(space.index[i]) * P[i, i] for i in keep)
     lhs = (tr / zeta_merom(z, 80, q0)).real
     tail = 10.0 * q0 ** ((complex(z).real - 2) * (space.L - shift))
-    tol = max(tail, space.dim * 2.2e-16) if tol_rel is None else tol_rel
-    insufficient = tol_rel is None and tol >= 1
+    tol = max(tail, space.dim * 2.2e-16)
+    insufficient = tol >= 1
     if insufficient:
         tols = {"tol_abs": 0.0}
     elif exact.is_zero():
@@ -331,22 +333,22 @@ def _trace_record(check, inputs, P, weight, nmax, exact, z, space, tol_rel, shif
     return rec
 
 
-def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace, tol_rel=None):
+def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
     """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
     q0 = space.q0
 
     def weight(key):
         s, n, twok = key
-        return q0**twok * complex(qnum(n, q0)) ** (-z) if s == 1 else 0.0
+        return q0**twok * _qnum_pow(n, z, q0) if s == 1 else 0.0
 
     # diagonal entries are exact at every built level
     return _trace_record(
         "haar_trace", {"x": str(x), "z": z}, build_mult(x, space), weight, space.npad,
-        haar_podles(x), z, space, tol_rel, _shift(x),
+        haar_podles(x), z, space, _shift(x),
     )
 
 
-def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace, tol_rel=None):
+def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     """Tr gamma_q K^2 |D|^-z x0 [D,x1] [D,x2] against zeta(z) tau(x0,x1,x2)."""
     from .fodc import tau
 
@@ -355,22 +357,19 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace, tol_rel=None):
     def weight(key):
         s, n, twok = key
         gq = 1.0 if s == 1 else -q0**2
-        return gq * q0**twok * complex(qnum(n, q0)) ** (-z)
+        return gq * q0**twok * _qnum_pow(n, z, q0)
 
     D = build_dirac(space)
-    M0 = build_mult(x0, space)
-    M1 = build_mult(x1, space)
-    M2 = build_mult(x2, space)
+    M0, M1, M2 = (build_mult(x, space) for x in (x0, x1, x2))
     P = M0 @ (D @ M1 - M1 @ D) @ (D @ M2 - M2 @ D)
     shift = _shift(x0) + _shift(x1) + _shift(x2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
     return _trace_record(
-        "tau_trace", inputs, P, weight, space.npad - shift, tau(x0, x1, x2), z, space, tol_rel,
-        shift,
+        "tau_trace", inputs, P, weight, space.npad - shift, tau(x0, x1, x2), z, space, shift
     )
 
 
-def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace, tol=1e-9):
+def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):
     """[M(x), J M(y)* J^-1] = 0 and [[D, M(x)], J M(y)* J^-1] = 0 on the
     trusted window."""
     D = build_dirac(space)
@@ -382,7 +381,7 @@ def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace, 
     keep = np.ix_(*[_window(space, space.npad - _shift(x) - _shift(y))] * 2)
     inputs = {"x": str(x), "y": str(y)}
     return [
-        record(name, inputs, float(abs(c[keep]).max()), 0.0, tol_abs=tol, L=space.L, q0=space.q0)
+        record(name, inputs, float(abs(c[keep]).max()), 0.0, tol_abs=1e-9, L=space.L, q0=space.q0)
         for name, c in (
             ("commutant", Mx @ conj_y - conj_y @ Mx),
             ("order_one", DMx @ conj_y - conj_y @ DMx),

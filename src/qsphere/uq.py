@@ -57,7 +57,6 @@ gen_E = UqElement._raw({(0, 0, 1): Q_ONE})
 gen_F = UqElement._raw({(1, 0, 0): Q_ONE})
 gen_K = UqElement._raw({(0, 1, 0): Q_ONE})
 gen_Kinv = UqElement._raw({(0, -1, 0): Q_ONE})
-_GENS = {"E": gen_E, "F": gen_F, "K": gen_K, "Kinv": gen_Kinv}
 
 
 @lru_cache(maxsize=None)
@@ -95,54 +94,16 @@ def uq_star(f: UqElement) -> UqElement:
     return UqElement._raw({(ee, kk, ff): c for (ff, kk, ee), c in f.terms.items()})
 
 
-# The antipode maps each generator line to a multiple of itself (or of its
-# K-inverse); the inverse antipode is solved from S(S^-1(g)) = g on these
-# lines rather than hardcoded.
-_S_GEN = {
-    "E": ("E", RationalQ.q_power(1, -1)),
-    "F": ("F", RationalQ.q_power(-1, -1)),
-    "K": ("Kinv", Q_ONE),
-    "Kinv": ("K", Q_ONE),
-}
-
-
-def _solve_inverse_antipode():
-    inv = {}
-    for g, (img, c) in _S_GEN.items():
-        inv[img] = (g, c.inverse())
-    # verify S(S^-1(g)) = g for every generator line
-    for g, (h, c) in inv.items():
-        img, c2 = _S_GEN[h]
-        assert img == g and (c * c2).is_one(), "inverse antipode solve failed"
-    return inv
-
-
-_SINV_GEN = _solve_inverse_antipode()
-
-
-def _antipode_mono(mono, gen_map) -> UqElement:
-    f, k, e = mono
-    # antihomomorphism: apply to E^e, then K^k, then F^f, multiplying
-    acc = UqElement.one()
-    for name, exp in (("E", e), ("K", k), ("F", f)):
-        if exp == 0:
-            continue
-        if name == "K":
-            target, c = gen_map["K" if exp > 0 else "Kinv"]
-            kk = abs(exp) * (1 if target == "K" else -1)
-            acc = acc * UqElement._raw({(0, kk, 0): Q_ONE})
-            continue
-        target, c = gen_map[name]
-        base = gen_E if target == "E" else gen_F
-        acc = acc * (base ** exp).scale(c ** exp)
-    return acc
-
-
 def uq_antipode(f: UqElement, inverse: bool = False) -> UqElement:
-    gen_map = _SINV_GEN if inverse else _S_GEN
+    """S(F^f K^k E^e) = (-1)^(e+f) q^(e-f) E^e K^-k F^f, or with q^(f-e)
+    its inverse: both are antihomomorphisms, with S(E) = -qE, S(K) = K^-1,
+    S(F) = -q^-1 F and S^-1(E) = -q^-1 E, S^-1(F) = -qF."""
     acc = {}
-    for mono, c in f.terms.items():
-        merge_into(acc, _antipode_mono(mono, gen_map).terms, c)
+    for (ff, kk, ee), c in f.terms.items():
+        word = UqElement.monomial((0, 0, ee)) * UqElement.monomial((0, -kk, 0))
+        word = word * UqElement.monomial((ff, 0, 0))
+        n = ff - ee if inverse else ee - ff
+        merge_into(acc, word.terms, c * RationalQ.q_power(n, (-1) ** (ee + ff)))
     return UqElement._raw(acc)
 
 
@@ -264,8 +225,6 @@ def _act_gen(side, gen, x: CoordElement) -> CoordElement:
 
 
 def _act(side, f, x: CoordElement) -> CoordElement:
-    if isinstance(f, str):
-        f = _GENS[f]
     if x.localized:
         raise NotInHopfDomain("actions are not defined on localized elements")
     acc = {}
@@ -293,8 +252,6 @@ def act_right(x: CoordElement, f: UqElement) -> CoordElement:
 
 def r_action(f: UqElement, x: CoordElement) -> CoordElement:
     """R_f(x) = x <| S^-1(f), the *-representation used by the Dirac layer."""
-    if isinstance(f, str):
-        f = _GENS[f]
     return act_right(x, uq_antipode(f, inverse=True))
 
 

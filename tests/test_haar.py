@@ -1,9 +1,10 @@
 """Tests for the invariant state and its inner product."""
 
-import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_binv, gen_c, gen_d
 from qsphere.errors import NotInHopfDomain
@@ -28,8 +29,13 @@ from qsphere.uq import (
     uq_counit,
     uq_star,
 )
-from tests.test_podles import rand_podles
-from tests.test_uq import rand_coord, rand_uq
+from tests.test_podles import podles_elements
+from tests.test_uq import coord_elements, uq_elements
+
+# every normal monomial a^i b^j c^k d^l (i l = 0) of total degree <= 4
+NORMAL_SMALL = [
+    m for m in product(range(5), repeat=4) if sum(m) <= 4 and not (m[0] and m[3])
+]
 
 
 def test_haar_unit():
@@ -72,11 +78,10 @@ def test_haar_rejects_localized():
         haar_product(gen_binv, gen_b.localize())
 
 
-def test_haar_product_matches_naive_randomized():
-    rng = random.Random(19)
-    for _ in range(60):
-        x, y = rand_coord(rng, 3, 3), rand_coord(rng, 3, 3)
-        assert haar_product(x, y) == haar(x * y)
+@settings(max_examples=60)
+@given(coord_elements(3, 3), coord_elements(3, 3))
+def test_haar_product_matches_naive_randomized(x, y):
+    assert haar_product(x, y) == haar(x * y)
 
 
 def test_haar_mono_product_spot():
@@ -86,15 +91,21 @@ def test_haar_mono_product_spot():
     )
 
 
-def test_invariance_under_actions_randomized():
-    rng = random.Random(29)
-    gens = {"E": gen_E, "F": gen_F, "K": gen_K, "Kinv": gen_Kinv}
-    for _ in range(50):
-        x = rand_coord(rng, 4, 3)
-        hx = haar(x)
-        for f in gens.values():
-            assert haar(act_left(f, x)) == uq_counit(f) * hx
-            assert haar(act_right(x, f)) == uq_counit(f) * hx
+def test_haar_mono_product_on_small_monomials():
+    assert len(NORMAL_SMALL) == 55
+    for m1 in NORMAL_SMALL:
+        x = CoordElement.monomial(m1)
+        for m2 in NORMAL_SMALL:
+            assert haar_mono_product(m1, m2) == haar(x * CoordElement.monomial(m2)), (m1, m2)
+
+
+@settings(max_examples=50)
+@given(coord_elements(4, 3))
+def test_invariance_under_actions_randomized(x):
+    hx = haar(x)
+    for f in (gen_E, gen_F, gen_K, gen_Kinv):
+        assert haar(act_left(f, x)) == uq_counit(f) * hx
+        assert haar(act_right(x, f)) == uq_counit(f) * hx
 
 
 def test_haar_zero_on_a_forced_by_invariance():
@@ -105,30 +116,28 @@ def test_haar_zero_on_a_forced_by_invariance():
     assert haar(gen_a) == Q_ZERO
 
 
-def test_modular_property_randomized():
-    rng = random.Random(43)
-    for _ in range(30):
-        x, y = rand_coord(rng, 3, 2), rand_coord(rng, 3, 2)
-        twisted = act_right(act_left(gen_Kinv, act_left(gen_Kinv, y)), gen_Kinv)
-        twisted = act_right(twisted, gen_Kinv)
-        assert haar_product(x, y) == haar_product(twisted, x)
+@settings(max_examples=30)
+@given(coord_elements(3, 2), coord_elements(3, 2))
+def test_modular_property_randomized(x, y):
+    twisted = act_right(act_left(gen_Kinv, act_left(gen_Kinv, y)), gen_Kinv)
+    twisted = act_right(twisted, gen_Kinv)
+    assert haar_product(x, y) == haar_product(twisted, x)
 
 
-def test_twisted_trace_on_sphere_randomized():
-    rng = random.Random(59)
-    for _ in range(30):
-        x, y = rand_podles(rng, 2, 3), rand_podles(rng, 2, 3)
-        assert haar_podles(x * y) == haar_podles(sigma(y) * x)
+@settings(max_examples=30)
+@given(podles_elements(2, 3), podles_elements(2, 3))
+def test_twisted_trace_on_sphere_randomized(x, y):
+    assert haar_podles(x * y) == haar_podles(sigma(y) * x)
 
 
-def test_rf_re_exchange_randomized():
+@settings(max_examples=30)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_rf_re_exchange_randomized(x, y):
     # h(R_F(x) R_E(y)) = q^2 h(R_E(x) R_F(y)) on the sphere
-    rng = random.Random(61)
-    for _ in range(30):
-        x, y = embed(rand_podles(rng, 2, 2)), embed(rand_podles(rng, 2, 2))
-        lhs = haar(r_action(gen_F, x) * r_action(gen_E, y))
-        rhs = haar(r_action(gen_E, x) * r_action(gen_F, y))
-        assert lhs == rhs * qpow(2)
+    x, y = embed(x), embed(y)
+    lhs = haar(r_action(gen_F, x) * r_action(gen_E, y))
+    rhs = haar(r_action(gen_E, x) * r_action(gen_F, y))
+    assert lhs == rhs * qpow(2)
 
 
 def test_inner_unit_and_orthogonality():
@@ -140,19 +149,16 @@ def test_inner_unit_and_orthogonality():
     assert inner(gen_a, gen_a) == expected
 
 
-def test_inner_positive_at_numeric_points_randomized():
-    rng = random.Random(67)
-    for _ in range(20):
-        x = rand_coord(rng, 3, 3)
-        v = inner(x, x)
-        for q0 in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
-            assert float(evaluate(v, q0)) >= -1e-12
+@settings(max_examples=20)
+@given(coord_elements(3, 3))
+def test_inner_positive_at_numeric_points_randomized(x):
+    v = inner(x, x)
+    for q0 in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
+        assert float(evaluate(v, q0)) >= -1e-12
 
 
-def test_r_is_star_representation_randomized():
+@settings(max_examples=20)
+@given(uq_elements(2, 1), coord_elements(2, 2), coord_elements(2, 2))
+def test_r_is_star_representation_randomized(f, x, y):
     # (x, R_f(y)) = (R_(f*)(x), y)
-    rng = random.Random(71)
-    for _ in range(20):
-        f = rand_uq(rng, 2, 1)
-        x, y = rand_coord(rng, 2, 2), rand_coord(rng, 2, 2)
-        assert inner(x, r_action(f, y)) == inner(r_action(uq_star(f), x), y)
+    assert inner(x, r_action(f, y)) == inner(r_action(uq_star(f), x), y)

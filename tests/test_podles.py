@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c
 from qsphere.errors import NotInSubalgebra
@@ -19,6 +20,21 @@ from qsphere.podles import (
 )
 from qsphere.scalar import Q_ONE, qpow
 from qsphere.uq import act_left, gen_E, gen_F, gen_K, r_action
+from tests.test_uq import coeffs
+
+
+def podles_elements(max_exp=3, terms=3):
+    """Sums of `terms` basis monomials A^i B^j (|j| <= max_exp, i <= max_exp)
+    with coefficients +-q^k, k = -1, 0, 1."""
+    term = st.builds(
+        lambda i, j, c: PodlesElement.monomial((i, j), c),
+        st.integers(0, max_exp),
+        st.integers(-max_exp, max_exp),
+        coeffs,
+    )
+    return st.lists(term, min_size=terms, max_size=terms).map(
+        lambda ts: sum(ts, PodlesElement.zero())
+    )
 
 
 def rand_podles(rng, max_exp=3, terms=3):
@@ -59,6 +75,16 @@ def test_multiplication_confluence_randomized():
             i = rng.randrange(len(items) - 1)
             items[i : i + 2] = [items[i] * items[i + 1]]
         assert items[0] == left
+
+
+def test_crossing_against_the_embedding():
+    # B^m B*^k and B*^k B^m, normal-ordered through podles._cross, against
+    # the product of their images in the coordinate algebra
+    for m in range(1, 5):
+        for k in range(1, 5):
+            B_m, Bs_k = embed(gen_B**m), embed(gen_Bs**k)
+            assert embed(gen_B**m * gen_Bs**k) == B_m * Bs_k, (m, k)
+            assert embed(gen_Bs**k * gen_B**m) == Bs_k * B_m, (m, k)
 
 
 def test_embed_generators():

@@ -43,9 +43,11 @@ def _state_of_product(m1, m2):
 def gram_defect(space, nmax):
     """Largest |<phi_a, phi_b> - delta_ab| over basis vectors of level <= nmax.
 
-    The exact vectors are paired at q0 monomial by monomial through the
-    closed form haar.haar_mono_product, not through the engine's pairing
-    that the ladder's norm2 comes from; only the normalisation reads norm2.
+    The exact vectors are paired at q0 monomial by monomial through exact
+    sums of haar.haar_mono_product, each read off coordalg.mono_mul and only
+    then evaluated at q0; the engine's pairing that the ladder's norm2 comes
+    from evaluates at q0 term by term instead.  Only the normalisation reads
+    norm2.
     """
     eng = space.engine
     vecs = [v for (s, n, twok), v in space.vec.items() if n <= nmax]
@@ -71,7 +73,7 @@ def test_truncated_space_rejects_bad_input():
         with pytest.raises(ValueError):
             TruncatedSpace(q0, 2)
     with pytest.raises(CutoffExceeded):
-        TruncatedSpace(Fraction(1, 2), 48, pad=3)
+        TruncatedSpace(Fraction(1, 2), 48)
 
 
 def test_engine_cache_is_bounded():
@@ -140,6 +142,14 @@ def test_zeta_series_within_tail(q0):
         assert abs(exact - partial) <= tail
 
 
+def test_large_integral_z_gives_no_nan():
+    # at a large integral z, [n]^-z must underflow to 0, not overflow to nan
+    assert math.isfinite(zeta_series(20, 60, 0.25)[0].real)
+    rec = haar_trace_check(gen_A, 80, TruncatedSpace(Fraction(1, 4), 8))
+    assert rec["rhs"] == pytest.approx(16 / 17)
+    assert rec["passed"] and abs(rec["lhs"] - 16 / 17) <= 1e-14
+
+
 @pytest.mark.parametrize("q0", [0.25, 0.5, 0.8, 0.9])
 def test_residue_check_passes(q0):
     assert residue_check(q0)["passed"]
@@ -169,7 +179,7 @@ def test_norm2_num_through_level_15():
 
 
 def test_real_structure_at_L10():
-    for rec in commutant_checks(gen_A, gen_B, TruncatedSpace(Fraction(1, 4), 10), tol=1e-10):
+    for rec in commutant_checks(gen_A, gen_B, TruncatedSpace(Fraction(1, 4), 10)):
         assert rec["passed"] and rec["lhs"] <= 1e-10
 
 
