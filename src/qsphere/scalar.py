@@ -5,12 +5,19 @@ rational coefficients.  The canonical form makes structural equality decide
 field equality, so identity checks in the algebra layers are decidable.
 All values are immutable; operations are pure functions.
 
+A coefficient is a Python int when it is integral and a Fraction only when
+it is not; floats are refused.  int and Fraction compare and hash alike, so
+equality stays structural, while products of integral polynomials, the
+bulk of the algebra layers' work, run on big ints alone.
+
 Reduction runs on integers.  A nonzero p is content * s^lo * f(s) with f a
 primitive integer coefficient list (`_primitive`), packed into one int f(xi)
 at xi = 2^k and unpacked from its balanced base-xi digits, which recover f
-when xi > 2 |f|_inf.  `poly_gcd` takes the big-int gcd of two such values
-(GCDHEU) and `poly_exact_div` one big-int divmod, each proved by exact
-division; after `_HEU_DOUBLINGS` doublings of k Euclid over Fraction decides.
+when xi > 2 |f|_inf.  `poly_gcd` takes the big-int gcd h of two such values
+(GCDHEU) and returns it with the cofactors f/h and g/h that the exact
+divisions accepting h computed; `_reduce` makes num/den canonical from these
+by one shift and one monic scale.  After `_HEU_DOUBLINGS` doublings of k,
+Euclid over Fraction finds the gcd and `poly_exact_div` the cofactors.
 """
 
 from __future__ import annotations
@@ -20,15 +27,49 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, EvaluationPole
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coeff(c):
+    """c as a coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}: the exact field takes int or Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ratio(n, d):
+    """n/d as a coefficient, for int or Fraction n and nonzero d."""
+    if type(n) is int and type(d) is int and n % d == 0:
+        return n // d
+    r = Fraction(n, d)
+    return r.numerator if r.denominator == 1 else r
+
+
+def _wrap(d):
+    """LaurentPoly on a trusted dict of nonzero coefficients."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = d
+    out._hash = None
+    return out
+
+
+def _poly(d):
+    """LaurentPoly on a dict of nonzero int or Fraction coefficients, each
+    integral Fraction among them replaced by its int."""
+    if Fraction in set(map(type, d.values())):
+        for e, v in d.items():
+            if type(v) is not int and v.denominator == 1:
+                d[e] = v.numerator
+    return _wrap(d)
 
 
 class LaurentPoly:
     """Laurent polynomial in s = q^(1/2), coefficients exact rationals.
 
     Exponents count half powers of q: exponent 2 means q, exponent -3 means
-    q^(-3/2).  No zero coefficients are stored.
+    q^(-3/2).  No zero coefficients are stored, and each is an int when
+    integral.
     """
 
     __slots__ = ("coeffs", "_hash")
@@ -37,8 +78,7 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     d[e] = c
         self.coeffs = d
@@ -56,18 +96,17 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
-        return LaurentPoly({0: c}) if c else _LP_ZERO
+        return LaurentPoly({0: c})
 
     @staticmethod
     def q_power(k, coeff=1):
         """coeff * q^k with k in whole q units."""
-        return LaurentPoly({2 * k: Fraction(coeff)})
+        return LaurentPoly({2 * k: coeff})
 
     @staticmethod
     def half_power(n, coeff=1):
         """coeff * q^(n/2) with n counting half units."""
-        return LaurentPoly({n: Fraction(coeff)})
+        return LaurentPoly({n: coeff})
 
     # -- structure ----------------------------------------------------
 
@@ -75,7 +114,7 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_one(self):
-        return self.coeffs == {0: _ONE}
+        return self.coeffs == {0: 1}
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -98,7 +137,7 @@ class LaurentPoly:
 
     def leading_coeff(self):
         """Coefficient of the highest power of q^(1/2); 0 for the zero poly."""
-        return self.coeffs[max(self.coeffs)] if self.coeffs else _ZERO
+        return self.coeffs[max(self.coeffs)] if self.coeffs else 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -114,20 +153,16 @@ class LaurentPoly:
                 d[e] = c
             else:
                 v = v + c
-                if v:
+                if not v:
+                    del d[e]
+                elif type(v) is int or v.denominator != 1:
                     d[e] = v
                 else:
-                    del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        out._hash = None
-        return out
+                    d[e] = v.numerator
+        return _wrap(d)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return _wrap({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -152,31 +187,22 @@ class LaurentPoly:
                             d[e] = v
                         else:
                             del d[e]
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.coeffs = d
-            out._hash = None
-            return out
-        c = Fraction(other)
-        return self.scale(c)
+            return _poly(d)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
+        c = _coeff(c)
         if not c:
             return _LP_ZERO
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: v * c for e, v in self.coeffs.items()}
-        out._hash = None
-        return out
+        return _poly({e: v * c for e, v in self.coeffs.items()})
 
     def shift(self, n):
         """Multiply by q^(n/2): add n to every exponent."""
         if n == 0:
             return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e + n: c for e, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return _wrap({e + n: c for e, c in self.coeffs.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -219,7 +245,7 @@ class LaurentPoly:
             out.append(Fraction(num, scale * p ** max(-lo, 0) * r ** max(hi, 0)))
         even, odd = out
         if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
-            return even + odd * Fraction(math.isqrt(p), math.isqrt(r)), _ZERO
+            return even + odd * Fraction(math.isqrt(p), math.isqrt(r)), 0
         return even, odd
 
     def __repr__(self):
@@ -227,7 +253,7 @@ class LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({0: _ONE})
+_LP_ONE = LaurentPoly({0: 1})
 
 
 def _dense_divmod(num, den):
@@ -238,7 +264,7 @@ def _dense_divmod(num, den):
         dn -= 1
     lead = den[dn]
     deg = len(num) - 1
-    quot = [_ZERO] * max(deg - dn + 1, 1)
+    quot = [Fraction(0)] * max(deg - dn + 1, 1)
     while deg >= dn:
         while deg >= 0 and num[deg] == 0:
             deg -= 1
@@ -260,33 +286,39 @@ def _euclid_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         _, r = _dense_divmod(x, y)
         while r and r[-1] == 0:
             r.pop()
-        x, y = y, r if r else [_ZERO]
+        x, y = y, r if r else [Fraction(0)]
     return LaurentPoly({e: v / x[-1] for e, v in enumerate(x)})
 
 
 _HEU_DOUBLINGS = 3  # doublings of k before the integer path gives up
 
 
-def _content(f):
-    g = 0
-    for v in f:
-        g = math.gcd(g, v)
-    return g
-
-
 def _primitive(p: LaurentPoly):
     """(content, f): p = content * s^min_exp * sum f[i] s^i, with the
-    content a positive Fraction and f integer with coprime entries."""
+    content a positive int or Fraction and f integer with coprime entries."""
     coeffs = p.coeffs
     lo = min(coeffs)
-    den = 1
-    for c in coeffs.values():
-        den = math.lcm(den, c.denominator)
     f = [0] * (max(coeffs) - lo + 1)
-    for e, c in coeffs.items():
-        f[e - lo] = c.numerator * (den // c.denominator)
-    g = _content(f)
-    return Fraction(g, den), [v // g for v in f]
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    if den == 1:
+        for e, c in coeffs.items():
+            f[e - lo] = c
+    else:
+        for e, c in coeffs.items():
+            f[e - lo] = c.numerator * (den // c.denominator)
+    g = math.gcd(*f)
+    if g != 1:
+        f = [v // g for v in f]
+    return (g if den == 1 else Fraction(g, den)), f
+
+
+def _from_ints(f, lo, c):
+    """The LaurentPoly c * s^lo * sum f[i] s^i, for an integer list f and a
+    nonzero int or Fraction c."""
+    n, d = c.numerator, c.denominator
+    if d == 1:
+        return _wrap({lo + i: n * v for i, v in enumerate(f) if v})
+    return _wrap({lo + i: _ratio(n * v, d) for i, v in enumerate(f) if v})
 
 
 def _pack(f, k):
@@ -330,36 +362,45 @@ def _int_quo(f, h):
     return None
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd (as polynomials in q^(1/2), up to unit powers of q^(1/2)).
+def poly_gcd(a: LaurentPoly, b: LaurentPoly):
+    """(h, a/h, b/h): the monic gcd h of a and b (as polynomials in q^(1/2),
+    up to unit powers of q^(1/2), so min_exp(h) = 0) with its cofactors.
+    gcd(0, 0) is 0, with cofactors 0.
 
     GCDHEU (Char, Geddes and Gonnet, 1989) on the primitive integer lists f,
     g of the operands: with xi = 2^k > 2 min(|f|_inf, |g|_inf) + 1, the
     primitive part h of the balanced digits of the big-int gcd(f(xi), g(xi))
-    is the gcd as soon as it divides both f and g (`_int_quo`).  Otherwise k
-    doubles, `_HEU_DOUBLINGS` times, and then Euclid over Fraction decides."""
-    if a.is_zero():
-        return _monic_shifted(b)
-    if b.is_zero():
-        return _monic_shifted(a)
-    f, g = _primitive(a)[1], _primitive(b)[1]
+    is the gcd as soon as it divides both f and g (`_int_quo`), and those
+    two quotients give the cofactors.  Otherwise k doubles, `_HEU_DOUBLINGS`
+    times, and then Euclid over Fraction decides."""
+    if not (a and b):
+        p = a or b
+        if not p:
+            return p, p, p
+        lo, lc = p.min_exp(), p.leading_coeff()
+        h, unit = p.shift(-lo).scale(Fraction(1, lc)), LaurentPoly.half_power(lo, lc)
+        return (h, unit, _LP_ZERO) if p is a else (h, _LP_ZERO, unit)
+    ca, f = _primitive(a)
+    cb, g = _primitive(b)
     k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
     for _ in range(_HEU_DOUBLINGS + 1):
         h = _unpack(math.gcd(_pack(f, k), _pack(g, k)), k)
-        c = _content(h)
+        c = math.gcd(*h)
         h = [v // c for v in h]
-        if len(h) == 1 or (_int_quo(f, h) is not None and _int_quo(g, h) is not None):
-            return LaurentPoly({e: Fraction(v, h[-1]) for e, v in enumerate(h)})
+        if len(h) == 1:
+            return _LP_ONE, a, b
+        qf = _int_quo(f, h)
+        qg = None if qf is None else _int_quo(g, h)
+        if qg is not None:
+            lc = h[-1]  # > 0: the leading digit of a positive int
+            return (
+                _from_ints(h, 0, Fraction(1, lc)),
+                _from_ints(qf, a.min_exp(), ca * lc),
+                _from_ints(qg, b.min_exp(), cb * lc),
+            )
         k *= 2
-    return _euclid_gcd(a, b)
-
-
-def _monic_shifted(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
-        return p
-    p = p.shift(-p.min_exp())
-    lc = p.leading_coeff()
-    return p if lc == 1 else p.scale(1 / lc)
+    h = _euclid_gcd(a, b)
+    return h, poly_exact_div(a, h), poly_exact_div(b, h)
 
 
 def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -379,8 +420,8 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         q, r = _dense_divmod([Fraction(v) for v in f], h)
         if any(r):
             raise ValueError("non-exact polynomial division")
-    c = cn / cd
-    return LaurentPoly({e + shift: c * v for e, v in enumerate(q)})
+        q = [int(v) for v in q]  # integral by Gauss's lemma: h is primitive
+    return _from_ints(q, shift, _ratio(cn, cd))
 
 
 class RationalQ:
@@ -482,7 +523,7 @@ class RationalQ:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Q_ZERO
-            return RationalQ._raw(self.num.scale(Fraction(other)), self.den)
+            return RationalQ._raw(self.num.scale(other), self.den)
         if not isinstance(other, RationalQ):
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
@@ -534,22 +575,17 @@ class RationalQ:
 
 
 def _reduce(num: LaurentPoly, den: LaurentPoly):
-    """Bring num/den to canonical form."""
+    """Bring num/den to canonical form: the cofactors of their gcd, shifted
+    and scaled so that den has min-exp 0 and leading coefficient 1."""
     if num.is_zero():
         return _LP_ZERO, _LP_ONE
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num = poly_exact_div(num, g)
-        den = poly_exact_div(den, g)
-    shift = den.min_exp()
-    if shift:
-        den = den.shift(-shift)
-        num = num.shift(-shift)
-    lc = den.leading_coeff()
-    if lc != 1:
-        den = den.scale(1 / lc)
-        num = num.scale(1 / lc)
-    return num, den
+    _, num, den = poly_gcd(num, den)
+    shift, lc = -den.min_exp(), den.leading_coeff()
+    if lc == 1:
+        return num.shift(shift), den.shift(shift)
+    return tuple(
+        _wrap({e + shift: _ratio(v, lc) for e, v in p.coeffs.items()}) for p in (num, den)
+    )
 
 
 Q_ZERO = RationalQ._raw(_LP_ZERO)
@@ -574,12 +610,12 @@ def qint(n: int) -> RationalQ:
         return Q_ZERO
     if n < 0:
         return -qint(-n)
-    return RationalQ._raw(LaurentPoly({2 * (n - 1 - 2 * i): _ONE for i in range(n)}))
+    return RationalQ._raw(LaurentPoly({2 * (n - 1 - 2 * i): 1 for i in range(n)}))
 
 
 def qlambda() -> RationalQ:
     """q - q^-1."""
-    return RationalQ._raw(LaurentPoly({2: _ONE, -2: -_ONE}))
+    return RationalQ._raw(LaurentPoly({2: 1, -2: -1}))
 
 
 def pair_float(even: Fraction, odd: Fraction, q0: Fraction) -> float:

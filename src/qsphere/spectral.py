@@ -253,13 +253,15 @@ def zeta_series(z, L: int, q0: float):
     return total, tail
 
 
-def zeta_merom(z, k_max: int, q0: float):
+def zeta_merom(z, q0: float):
     """Meromorphic form of the eigenvalue zeta function.
 
     zeta(z) = (q^-1 - q)^(z-1) * sum_k C(z-2+k, k)
               [ q^(z-2+2k)/(1-q^(z-2+2k)) + q^(z+2k)/(1-q^(z+2k)) ],
     an absolutely convergent series off the poles z = 2 - 2k; the pole at
-    z = 2 is simple with residue (q - q^-1)/log q.
+    z = 2 is simple with residue (q - q^-1)/log q.  Its terms grow while
+    (z-1+k) q^2 > k+1, so the sum runs past the largest term and on until
+    a term is below the round-off of the sum.
     """
     z = complex(z)
     lq = math.log(q0)
@@ -269,12 +271,19 @@ def zeta_merom(z, k_max: int, q0: float):
         raise ValueError(f"zeta(z) overflows a float at z = {z.real:g}") from exc
     total = 0.0 + 0.0j
     coeff = 1.0 + 0.0j  # C(z-2+k, k) built iteratively
-    for k in range(k_max + 1):
+    prev, k = math.inf, 0
+    while True:
         e1 = cmath.exp((z - 2 + 2 * k) * lq)
         e2 = cmath.exp((z + 2 * k) * lq)
-        total += coeff * (e1 / (1 - e1) + e2 / (1 - e2))
+        term = coeff * (e1 / (1 - e1) + e2 / (1 - e2))
+        total += term
+        if not cmath.isfinite(total):
+            raise ValueError(f"zeta(z) overflows a float at z = {z.real:g}")
+        if abs(term) < prev and abs(term) <= 2.0**-53 * abs(total):
+            return pref * total
+        prev = abs(term)
         coeff *= (z - 1 + k) / (k + 1)
-    return pref * total
+        k += 1
 
 
 def zeta_residue(q0: float) -> float:
@@ -285,7 +294,7 @@ def zeta_residue(q0: float) -> float:
 def residue_check(q0: float, eps: float = 1e-4):
     """(z-2) zeta(z) at z = 2 + eps against the closed-form residue."""
     z = 2.0 + eps
-    val = (z - 2) * zeta_merom(z, 80, q0)
+    val = (z - 2) * zeta_merom(z, q0)
     return record("zeta_residue", {"eps": eps}, val.real, zeta_residue(q0), tol_rel=1e-3, q0=q0)
 
 
@@ -306,7 +315,7 @@ def _trace_record(check, inputs, P, weight, nmax, exact, z, space, shift):
     q0 = space.q0
     keep = _window(space, nmax)
     tr = sum(weight(space.index[i]) * P[i, i] for i in keep)
-    lhs = (tr / zeta_merom(z, 80, q0)).real
+    lhs = (tr / zeta_merom(z, q0)).real
     tail = 10.0 * q0 ** ((complex(z).real - 2) * (space.L - shift))
     tol = max(tail, space.dim * 2.2e-16)
     insufficient = tol >= 1

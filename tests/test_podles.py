@@ -1,8 +1,9 @@
 """Tests for the quantum-sphere algebra."""
 
-import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c
@@ -62,19 +63,15 @@ def test_normal_form_basis():
     assert len(signs) <= 1
 
 
-def test_multiplication_confluence_randomized():
-    rng = random.Random(17)
-    gens = [gen_A, gen_B, gen_Bs]
-    from functools import reduce
-
-    for _ in range(200):
-        word = [gens[rng.randrange(3)] for _ in range(rng.randint(2, 5))]
-        left = reduce(lambda x, y: x * y, word)
-        items = list(word)
-        while len(items) > 1:
-            i = rng.randrange(len(items) - 1)
-            items[i : i + 2] = [items[i] * items[i + 1]]
-        assert items[0] == left
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from([gen_A, gen_B, gen_Bs]), min_size=2, max_size=5), st.data())
+def test_multiplication_confluence_randomized(word, data):
+    left = reduce(lambda x, y: x * y, word)
+    items = list(word)
+    while len(items) > 1:
+        i = data.draw(st.integers(0, len(items) - 2))
+        items[i : i + 2] = [items[i] * items[i + 1]]
+    assert items[0] == left
 
 
 def test_crossing_against_the_embedding():
@@ -96,12 +93,11 @@ def test_embed_generators():
     assert embed(PodlesElement.one()) == CoordElement.one()
 
 
-def test_embed_is_algebra_map_randomized():
-    rng = random.Random(23)
-    for _ in range(30):
-        x, y = rand_podles(rng, 2, 2), rand_podles(rng, 2, 2)
-        assert embed(x * y) == embed(x) * embed(y)
-        assert embed(x + y) == embed(x) + embed(y)
+@settings(max_examples=30)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_embed_is_algebra_map_randomized(x, y):
+    assert embed(x * y) == embed(x) * embed(y)
+    assert embed(x + y) == embed(x) + embed(y)
 
 
 def test_embed_matches_abstract_relations():
@@ -124,11 +120,10 @@ def test_embed_injective_on_basis():
             seen[mono] = (i, j)
 
 
-def test_star_matches_embedding():
-    rng = random.Random(31)
-    for _ in range(20):
-        x = rand_podles(rng, 2, 2)
-        assert embed(x.star()) == embed(x).star()
+@settings(max_examples=20)
+@given(podles_elements(2, 2))
+def test_star_matches_embedding(x):
+    assert embed(x.star()) == embed(x).star()
 
 
 def test_recognize_generators():
@@ -137,11 +132,10 @@ def test_recognize_generators():
     assert recognize(CoordElement.one()) == PodlesElement.one()
 
 
-def test_recognize_embed_roundtrip_randomized():
-    rng = random.Random(37)
-    for _ in range(40):
-        x = rand_podles(rng, 3, 3)
-        assert recognize(embed(x)) == x
+@settings(max_examples=40)
+@given(podles_elements(3, 3))
+def test_recognize_embed_roundtrip_randomized(x):
+    assert recognize(embed(x)) == x
 
 
 def test_recognize_rejects_non_invariant():
@@ -167,28 +161,23 @@ def test_sigma_on_generators():
     assert sigma(a3) == a3
 
 
-def test_sigma_is_automorphism_randomized():
-    rng = random.Random(41)
-    for _ in range(25):
-        x, y = rand_podles(rng, 2, 2), rand_podles(rng, 2, 2)
-        assert sigma(x * y) == sigma(x) * sigma(y)
-        assert sigma_inverse(sigma(x)) == x
+@settings(max_examples=25)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_sigma_is_automorphism_randomized(x, y):
+    assert sigma(x * y) == sigma(x) * sigma(y)
+    assert sigma_inverse(sigma(x)) == x
 
 
-def test_sigma_agrees_with_module_action_randomized():
-    rng = random.Random(47)
-    for _ in range(15):
-        x = rand_podles(rng, 2, 2)
-        assert sigma_via_action(x) == sigma(x)
+@settings(max_examples=15)
+@given(podles_elements(2, 2))
+def test_sigma_agrees_with_module_action_randomized(x):
+    assert sigma_via_action(x) == sigma(x)
 
 
-def test_sphere_is_stable_under_left_action_randomized():
-    rng = random.Random(53)
-    for f in (gen_E, gen_F, gen_K):
-        for _ in range(10):
-            x = rand_podles(rng, 2, 2)
-            y = act_left(f, embed(x))
-            recognize(y)  # must not raise
+@settings(max_examples=30)
+@given(st.sampled_from([gen_E, gen_F, gen_K]), podles_elements(2, 2))
+def test_sphere_is_stable_under_left_action_randomized(f, x):
+    recognize(act_left(f, embed(x)))  # must not raise
 
 
 def test_render():

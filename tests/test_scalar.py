@@ -124,7 +124,7 @@ def test_field_axioms_randomized(x, y, z):
 @given(nonzero_polys(**bigger), nonzero_polys(**bigger), planted)
 def test_poly_gcd_matches_euclid(f, g, c):
     a, b = f * c, g * c
-    h = poly_gcd(a, b)
+    h = poly_gcd(a, b)[0]
     assert h == scalar._euclid_gcd(a, b)
     assert poly_exact_div(h, c) * c == h  # the planted factor divides the gcd
 
@@ -134,7 +134,7 @@ def test_poly_gcd_matches_euclid(f, g, c):
 def test_poly_gcd_of_q_power_binomials(m, n):
     # q^m - 1 has s-degree 2m, up to 300
     minus_one = LaurentPoly.const(-1)
-    g = poly_gcd(LaurentPoly.q_power(m) + minus_one, LaurentPoly.q_power(n) + minus_one)
+    g = poly_gcd(LaurentPoly.q_power(m) + minus_one, LaurentPoly.q_power(n) + minus_one)[0]
     assert g == LaurentPoly.q_power(math.gcd(m, n)) + minus_one
 
 
@@ -156,21 +156,126 @@ def test_poly_exact_div_when_the_quotient_outgrows_the_dividend():
     quo = sum((s**i for i in range(1, 10)), one) ** 6
     assert max(quo.coeffs.values()) > 4 * 10**4
     assert poly_exact_div((one - s**10) ** 6, (one - s) ** 6) == quo
-    assert poly_gcd((one - s**10) ** 6, quo * (one + s)) == quo.scale(1 / quo.leading_coeff())
+    assert poly_gcd((one - s**10) ** 6, quo * (one + s))[0] == quo.scale(
+        Fraction(1, quo.leading_coeff())
+    )
+
+
+@settings(max_examples=200)
+@given(nonzero_polys(**bigger), nonzero_polys(**bigger), planted)
+def test_poly_gcd_cofactors_multiply_back_and_are_coprime(f, g, c):
+    a, b = f * c, g * c
+    h, a_h, b_h = poly_gcd(a, b)
+    assert h * a_h == a and h * b_h == b
+    assert scalar._euclid_gcd(a_h, b_h) == LaurentPoly.one()
+
+
+def test_poly_gcd_with_a_zero_operand():
+    p = _lp((-3, Fraction(-4, 9)), (1, 2))
+    h, zero, unit = poly_gcd(LaurentPoly.zero(), p)
+    assert h == _lp((0, Fraction(-2, 9)), (4, 1)) and zero.is_zero() and h * unit == p
+    assert poly_gcd(p, LaurentPoly.zero()) == (h, unit, zero)
+    assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()) == (zero, zero, zero)
 
 
 @settings(max_examples=60)
 @given(nonzero_polys(**bigger), nonzero_polys(**bigger), planted)
 def test_euclid_fallback_gives_the_same_results(f, g, c):
     a, b = f * c, g * c
-    h, quo = poly_gcd(a, b), poly_exact_div(a, c)
+    gcd, quo, pair = poly_gcd(a, b), poly_exact_div(a, c), scalar._reduce(a, b)
     with pytest.MonkeyPatch.context() as mp:
         # the integer heuristics find nothing, so Euclid over Fraction decides
         mp.setattr(scalar, "_HEU_DOUBLINGS", -1)
-        assert poly_gcd(a, b) == h
+        assert poly_gcd(a, b) == gcd
         assert poly_exact_div(a, c) == quo
+        assert scalar._reduce(a, b) == pair
         with pytest.raises(ValueError):
             poly_exact_div(a + LaurentPoly.one(), c)
+
+
+def _int_coeffs(p):
+    return all(type(v) is int for v in p.coeffs.values())
+
+
+int_polys = st.dictionaries(
+    st.integers(-9, 9), st.integers(-9, 9), min_size=1, max_size=6
+).map(LaurentPoly).filter(bool)
+int_planted = st.lists(
+    st.sampled_from([f for f in FACTORS if _int_coeffs(f)]), min_size=1, max_size=3
+).map(math.prod)
+
+
+@settings(max_examples=100)
+@given(int_polys, int_polys, int_planted, st.integers(-5, 5).filter(bool))
+def test_integral_polynomials_keep_int_coefficients(f, g, c, n):
+    a, b = f * c, g * c
+    assert all(map(_int_coeffs, (a, b, a + b, a - b, a.scale(n), a.scale(Fraction(2 * n, 2)))))
+    assert all(map(_int_coeffs, poly_gcd(a, b)[1:]))
+    assert _int_coeffs(poly_exact_div(a, c))
+    # integral results of rational coefficients are ints too
+    half = LaurentPoly({e: Fraction(v, 2) for e, v in f.coeffs.items()})
+    assert _int_coeffs(half * LaurentPoly.const(2)) and _int_coeffs(half + half)
+    assert _int_coeffs(half.scale(Fraction(4, 2)))
+
+
+def test_float_coefficients_are_refused():
+    one = LaurentPoly.one()
+    for make in (
+        lambda: LaurentPoly({0: 0.5}),
+        lambda: LaurentPoly.const(2.0),
+        lambda: LaurentPoly.q_power(1, 0.5),
+        lambda: one.scale(0.5),
+        lambda: one * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+# canonical forms that must not change: reductions with rational
+# coefficients and negative leading denominators, rendered as before
+# integer coefficients came in
+GOLDEN_FACTORS = {
+    "a": {0: 1, 1: 1},
+    "b": {0: 1, 2: -1},
+    "c": {-1: Fraction(3, 2), 2: -5, 3: 1},
+    "d": {0: Fraction(-2, 3), 4: Fraction(1, 5)},
+    "e": {1: -7, 3: Fraction(2, 9)},
+    "f": {0: 1, 2: 1, 4: 1},
+    "g": {-3: Fraction(-4, 9)},
+    "n": {0: -1},
+}
+GOLDEN = {
+    "ab/na": "-1 + q",
+    "ab/nbd": "(-5 - 5*q^(1/2))/(-10/3 + q^2)",
+    "c/d": "(15/2*q^(-1/2) - 25*q + 5*q^(3/2))/(-10/3 + q^2)",
+    "cd/nde": "(-27/4*q^-1 + 45/2*q^(1/2) - 9/2*q)/(-63/2 + q)",
+    "ee/ne": "7*q^(1/2) - 2/9*q^(3/2)",
+    "g/ng": "-1",
+    "f/gd": "(-45/4*q^(3/2) - 45/4*q^(5/2) - 45/4*q^(7/2))/(-10/3 + q^2)",
+    "af/nbf": "(1)/(-1 + q^(1/2))",
+    "bc/ga": "-27/8*q + 27/8*q^(3/2) + 45/4*q^(5/2) - 27/2*q^3 + 9/4*q^(7/2)",
+    "d/c": "(-2/3*q^(1/2) + 1/5*q^(5/2))/(3/2 - 5*q^(3/2) + q^2)",
+    "abc/nab": "-3/2*q^(-1/2) + 5*q - q^(3/2)",
+    "e/nd": "(35*q^(1/2) - 10/9*q^(3/2))/(-10/3 + q^2)",
+    "gg/nf": "(-16/81*q^-3)/(1 + q + q^2)",
+    "dd/nde": "(3*q^(-1/2) - 9/10*q^(3/2))/(-63/2 + q)",
+    "acf/nbce": "(9/2*q^(-1/2) + 9/2*q^(1/2) + 9/2*q^(3/2))/(63/2 - 63/2*q^(1/2) - q + q^(3/2))",
+    "ne/ggd": "(2835/16*q^(7/2) - 45/8*q^(9/2))/(-10/3 + q^2)",
+    "b/nbb": "(1)/(-1 + q)",
+    "cc/ncd": "(-15/2*q^(-1/2) + 25*q - 5*q^(3/2))/(-10/3 + q^2)",
+    "/nd": "(-5)/(-10/3 + q^2)",
+    "cdf/ndg": "27/8*q + 27/8*q^2 - 45/4*q^(5/2) + 45/8*q^3 - 45/4*q^(7/2)"
+    " + 9/4*q^4 - 45/4*q^(9/2) + 9/4*q^5",
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_reduction_renders_as_before(case):
+    num, den = (
+        math.prod((LaurentPoly(GOLDEN_FACTORS[ch]) for ch in word), start=LaurentPoly.one())
+        for word in case.split("/")
+    )
+    assert render(RationalQ(num, den)) == GOLDEN[case]
 
 
 def test_eval_examples():

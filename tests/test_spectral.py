@@ -136,10 +136,34 @@ def test_dirac_spectrum():
 
 @pytest.mark.parametrize("q0", [0.25, 0.5, 0.8])
 def test_zeta_series_within_tail(q0):
-    exact = zeta_merom(3, 80, q0)
+    exact = zeta_merom(3, q0)
     for L in (3, 5, 10):
         partial, tail = zeta_series(3, L, q0)
         assert abs(exact - partial) <= tail
+
+
+@pytest.mark.parametrize("z", [80, 100, 120])
+def test_zeta_merom_at_large_z(z):
+    # the terms C(z-2+k, k) q0^(2k) of the series peak near k = 38 at
+    # z = 120, q0 = 1/2, far past a fixed cut at k = 80 in size
+    q0 = Fraction(1, 2)
+
+    def exact_qnum(n):
+        return (q0**n - q0**-n) / (q0 - 1 / q0)
+
+    exact = sum(exact_qnum(n) ** -z * exact_qnum(2 * n) for n in range(1, 40))
+    assert zeta_merom(z, float(q0)).real == pytest.approx(float(exact), rel=1e-13, abs=0)
+
+
+def test_zeta_merom_refuses_an_overflowing_series():
+    # the prefactor underflows here, but the terms C(z-2+k, k) overflow
+    with pytest.raises(ValueError, match="overflows"):
+        zeta_merom(1e4, 0.99)
+
+
+def test_haar_trace_check_at_large_z():
+    rec = haar_trace_check(gen_A, 120, TruncatedSpace(Fraction(1, 2), 4))
+    assert rec["passed"] and abs(rec["lhs"] - 0.8) <= 1e-14
 
 
 def test_large_integral_z_gives_no_nan():
