@@ -12,11 +12,13 @@ and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  Squared
 norms are tracked exactly through those step factors; no square root enters.
 
 `Ladder` is the one implementation of the ladder and of the expansion of an
-element in it, a triangular solve on top-degree monomials.  It keys a
-vector (s, n, 2k) with s = 2j and works over Q(q^(1/2)); `spectral._Engine`
-overrides only its arithmetic to evaluate it at a rational q0.  Spins run to
-2l <= MAX_TWOL, the one cutoff of both layers.  `vplus_vminus_basis` and
-`mult_matrix` read the module's exact `LADDER` and key a vector (2l, 2j, 2k):
+element in it, a triangular solve on top-degree monomials; `expand_mul`
+solves one column of M(x) per level and fills the rest by U_q-covariance
+(the q-Wigner-Eckart theorem).  It keys a vector (s, n, 2k) with s = 2j
+and works over Q(q^(1/2)); `spectral._Engine` overrides only its
+arithmetic to evaluate it at a rational q0.  Spins run to 2l <= MAX_TWOL,
+the one cutoff of both layers.  `vplus_vminus_basis` and `mult_matrix`
+read the module's exact `LADDER` and key a vector (2l, 2j, 2k):
 half-integers are stored doubled so all indices are ints.
 """
 
@@ -30,7 +32,7 @@ from .coordalg import CoordElement, mono_mul
 from .errors import CutoffExceeded
 from .haar import haar
 from .podles import PodlesElement, embed
-from .scalar import Q_ONE, Q_ZERO, RationalQ, qint
+from .scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qint
 from .uq import act_left, gen_E, gen_F, left_weight, r_action, right_weight
 
 MAX_TWOL = 99
@@ -68,11 +70,11 @@ class Ladder:
     overriding the arithmetic methods."""
 
     def __init__(self):
-        self._products = {}  # (m1, m2) -> mono_mul as {mono: value}
         self._images = {}  # (map, mono) -> the exact map's image
         self._states = {}  # mono -> h(mono)
         self._pairings = {}  # (m2, m1) -> h(m2* m1)
         self._levels = {}  # n -> {(s, twok): Vector}
+        self._halfpows = {}  # m -> q^(m/2)
 
     # -- arithmetic in Q(q^(1/2)) -------------------------------------------
 
@@ -109,14 +111,8 @@ class Ladder:
         for m1, c1 in xs.items():
             for m2, c2 in ys.items():
                 c = self.times(c1, c2)
-                prod = self._products.get((m1, m2))
-                if prod is None:
-                    prod = {}
-                    for mono, w in mono_mul(m1, m2):
-                        self._add(prod, mono, self.value(RationalQ._raw(w)))
-                    self._products[m1, m2] = prod
-                for mono, w in prod.items():
-                    self._add(out, mono, self.times(c, w))
+                for mono, w in mono_mul(m1, m2):
+                    self._add(out, mono, self.times(c, self.value(RationalQ._raw(w))))
         return out
 
     def apply(self, fn, xs: dict) -> dict:
@@ -224,6 +220,41 @@ class Ladder:
                 raise ArithmeticError(f"remainder {rest} outside the ladder")
         return out
 
+    def _halfpow(self, m: int):
+        """q^(m/2) in the field, cached."""
+        if m not in self._halfpows:
+            self._halfpows[m] = self.value(qhalfpow(m))
+        return self._halfpows[m]
+
+    def expand_mul(self, xs: dict, s: int, n: int) -> dict:
+        """{twok: expand(mul(xs, w_{s,n,twok}))} over level n, solving only
+        the lowest-weight column of each of x, E |> x, E^2 |> x, ...
+
+        By Delta(E) = E (x) K + K^-1 (x) E and w_{k+1} = E |> w_k, a part x_w
+        of x of left weight w has x_w w_{k+1} = q^(w/2) (E |> (x_w w_k)
+        - q^(2k/2) (E |> x_w) w_k); E |> shifts an expansion's key (s', n',
+        t) to t + 2 and kills t = 2n' - 1.  Here w = t - 2k is read off a key.
+        """
+        twol = 2 * n - 1
+        bottom = self.vector((s, n, -twol)).terms
+        chain = []
+        while xs:
+            chain.append(self.expand(self.mul(xs, bottom)))
+            xs = self.apply(_e_step, xs)
+        chain.append({})
+        out = {-twol: chain[0]}
+        for twok in range(-twol, twol, 2):
+            for i in range(len(chain) - 1):
+                col = {}
+                for (s2, n2, t), c in chain[i].items():
+                    if t < 2 * n2 - 1:
+                        self._add(col, (s2, n2, t + 2), self.times(self._halfpow(t - twok), c))
+                for (s2, n2, t), c in chain[i + 1].items():
+                    self._add(col, (s2, n2, t), self.neg(self.times(self._halfpow(t - 2), c)))
+                chain[i] = col
+            out[twok + 2] = chain[0]
+        return out
+
 
 # the exact ladder, shared by every caller
 LADDER = Ladder()
@@ -293,10 +324,14 @@ def mult_matrix(x: PodlesElement, source, target) -> ExactMatrix:
     tmax = max((v.twol for v in target), default=0)
     entries = {}
     untrusted = set()
+    levels = {}  # (2l, 2j) -> {twok: expansion}
     for beta in source:
         if beta.twol + deg > tmax:
             untrusted.add(beta.key())
-        for (s, n, twok), c in LADDER.expand(LADDER.mul(xs, beta.elem.terms)).items():
+        level = (beta.twol, beta.twoj)
+        if level not in levels:
+            levels[level] = LADDER.expand_mul(xs, beta.twoj, (beta.twol + 1) // 2)
+        for (s, n, twok), c in levels[level][beta.twok].items():
             if (2 * n - 1, s, twok) in rows:
                 entries[(2 * n - 1, s, twok), beta.key()] = c
     return ExactMatrix(entries, untrusted)

@@ -21,13 +21,15 @@ engine supplies only the arithmetic of Q(sqrt(q0)): values are Fraction
 pairs (even, odd) with value even + odd sqrt(q0), the canonical split of
 `LaurentPoly.eval_pair`, and `to_float` rounds one through
 `scalar.pair_float`.  The ladder vectors w stay unnormalised, with exact
-squared norms N.  A column of an operator is the image of w_beta expanded
-in the ladder by the ladder's triangular solve, whose remainder must vanish
-exactly.  Rounding enters M(x) and J in one place, `_Engine.column`: the
-orthonormal entry c sqrt(N_alpha / N_beta) is the correctly rounded square
-root of an exact rational, with its sign.  Levels and orthonormal columns
-do not depend on L; each is built once per q0 and shared by every space at
-that q0, and the engines of the few most recent q0 are kept.
+squared norms N.  A column of J0 is the image of w_beta expanded in the
+ladder by its triangular solve, whose remainder must vanish exactly.  The
+columns of M(x) on one level come from `Ladder.expand_mul`: it solves only
+the lowest-weight one and fills the rest by the U_q-covariance recursion.
+Rounding enters M(x) and J in one place, `_Engine._round`: the orthonormal
+entry c sqrt(N_alpha / N_beta) is the correctly rounded square root of an
+exact rational, with its sign.  Levels and orthonormal columns do not
+depend on L; each is built once per q0 and shared by every space at that
+q0, and the engines of the few most recent q0 are kept.
 
 Complex scalars exist only in this module; everything upstream is exact.
 """
@@ -73,7 +75,7 @@ class _Engine(Ladder):
     def __init__(self, q0: Fraction):
         super().__init__()
         self.q0 = q0
-        self._columns = {}  # (operator, key) -> {row key: float}
+        self._columns = {}  # (fn or ("M", y), key) -> {row key: float}
 
     def times(self, x, y):
         a, b = x
@@ -122,21 +124,35 @@ class _Engine(Ladder):
     def to_float(self, x) -> float:
         return pair_float(*x, self.q0)
 
-    def column(self, operator, key, image) -> dict:
-        """Column `key` of an operator in the orthonormal basis, {row key:
-        entry}; image(w) applies the operator to the exact vector w of
-        `key`.  Cached per (operator, key): a column does not depend on L."""
-        col = self._columns.get((operator, key))
-        if col is None:
-            beta = self.vector(key)
-            col = {}
-            for alpha, (even, odd) in self.expand(image(beta.terms)).items():
-                ratio = self.vector(alpha).norm2 / beta.norm2
-                col[alpha] = math.copysign(math.sqrt(even * even * ratio), even) + math.copysign(
-                    math.sqrt(odd * odd * self.q0 * ratio), odd
-                )
-            self._columns[operator, key] = col
+    def _round(self, key, coeffs) -> dict:
+        """The orthonormal column {row key: entry} of w_key from its exact
+        coefficients {alpha: c}: the one place where rounding enters."""
+        norm2 = self.vector(key).norm2
+        col = {}
+        for alpha, (even, odd) in coeffs.items():
+            ratio = self.vector(alpha).norm2 / norm2
+            col[alpha] = math.copysign(math.sqrt(even * even * ratio), even) + math.copysign(
+                math.sqrt(odd * odd * self.q0 * ratio), odd
+            )
         return col
+
+    def column(self, fn, key) -> dict:
+        """Column `key` of the exact linear map fn (CoordElement ->
+        CoordElement) in the orthonormal basis, by the triangular solve.
+        Cached per (fn, key): a column does not depend on L."""
+        if (fn, key) not in self._columns:
+            coeffs = self.expand(self.apply(fn, self.vector(key).terms))
+            self._columns[fn, key] = self._round(key, coeffs)
+        return self._columns[fn, key]
+
+    def mult_column(self, y, key) -> dict:
+        """Column `key` of M(y) for a CoordElement y, cached like `column`;
+        the first call at a level fills its columns by `expand_mul`."""
+        if (("M", y), key) not in self._columns:
+            s, n, _ = key
+            for twok, coeffs in self.expand_mul(self.terms(y), s, n).items():
+                self._columns[("M", y), (s, n, twok)] = self._round((s, n, twok), coeffs)
+        return self._columns[("M", y), key]
 
 
 # one engine per q0, shared by every space at that q0; the few most
@@ -176,6 +192,9 @@ class TruncatedSpace:
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
         self.vec = {key: self.engine.vector(key) for key in self.index}
+        # D = diag(dirac) P for the involution P: (s, n, 2k) -> (-s, n, 2k)
+        self.swap = [self.pos[(-s, n, twok)] for s, n, twok in self.index]
+        self.dirac = np.array([-qnum(n, self.q0) for s, n, twok in self.index])
 
     def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
@@ -188,9 +207,7 @@ def build_dirac(space: TruncatedSpace) -> np.ndarray:
     """D phi^+_{n,k} = -[n] phi^-_{n,k} and symmetrically; hermitian with
     eigenvalues +-[n] of multiplicity 2n."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for (s, n, twok), i in space.pos.items():
-        j = space.pos[(-s, n, twok)]
-        mat[j, i] = -qnum(n, space.q0)
+    mat[space.swap, range(space.dim)] = space.dirac
     return mat
 
 
@@ -199,12 +216,12 @@ def build_gamma(space: TruncatedSpace) -> np.ndarray:
     return np.diag(signs).astype(complex)
 
 
-def _matrix(space, operator, image, factor=1.0):
-    """Dense matrix from the engine's orthonormal columns; rows past the
-    padded space are cut off."""
+def _matrix(space, column, factor=1.0):
+    """Dense matrix from the engine's orthonormal columns, column(key) for
+    each basis key; rows past the padded space are cut off."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for key, i in space.pos.items():
-        for row, c in space.engine.column(operator, key, image).items():
+        for row, c in column(key).items():
             j = space.pos.get(row)
             if j is not None:
                 mat[j, i] = factor * c
@@ -215,8 +232,18 @@ def build_J(space: TruncatedSpace) -> np.ndarray:
     """The unitary U of the real structure J v = U conj(v), where J = gamma J0
     and J0 is v -> i (K |> v* <| K), built by expanding the image of every
     basis vector in the ladder (no closed formula assumed)."""
-    eng = space.engine
-    return build_gamma(space) @ _matrix(space, "J0", lambda w: eng.apply(_j0_image, w), 1j)
+    j0 = _matrix(space, functools.partial(space.engine.column, _j0_image), 1j)
+    return build_gamma(space) @ j0
+
+
+def _dirac_commutator(space: TruncatedSpace, M: np.ndarray) -> np.ndarray:
+    """[D, M] = d M[P, :] - M[:, P] d without a dense D, in place where it can."""
+    out = M[space.swap]
+    out *= space.dirac[:, None]
+    M = M[:, space.swap]
+    M *= space.dirac
+    out -= M
+    return out
 
 
 def _shift(x: PodlesElement) -> int:
@@ -227,10 +254,7 @@ def _shift(x: PodlesElement) -> int:
 def build_mult(x: PodlesElement, space: TruncatedSpace) -> np.ndarray:
     """Left multiplication by a sphere element in the orthonormal basis; the
     part of the image outside the two families is projected away."""
-    y = embed(x)
-    eng = space.engine
-    xs = eng.terms(y)
-    return _matrix(space, ("M", y), lambda w: eng.mul(xs, w))
+    return _matrix(space, functools.partial(space.engine.mult_column, embed(x)))
 
 
 def _window(space: TruncatedSpace, nmax: int) -> list:
@@ -301,8 +325,8 @@ def residue_check(q0: float, eps: float = 1e-4):
 # -- trace checks -------------------------------------------------------------
 
 
-def _trace_record(check, inputs, P, weight, nmax, exact, z, space, shift):
-    """zeta(z)^-1 sum_i weight(key_i) P_ii over the levels n <= nmax against
+def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift):
+    """zeta(z)^-1 sum_i weight(key_i) diag_i over the levels n <= nmax against
     the exact value, reporting the discarded boundary count.
 
     The tail bound 10 q0^((z-2)(L-shift)) of a trace cut at level L, for an
@@ -314,7 +338,7 @@ def _trace_record(check, inputs, P, weight, nmax, exact, z, space, shift):
     """
     q0 = space.q0
     keep = _window(space, nmax)
-    tr = sum(weight(space.index[i]) * P[i, i] for i in keep)
+    tr = sum(weight(space.index[i]) * diag[i] for i in keep)
     lhs = (tr / zeta_merom(z, q0)).real
     tail = 10.0 * q0 ** ((complex(z).real - 2) * (space.L - shift))
     tol = max(tail, space.dim * 2.2e-16)
@@ -350,10 +374,12 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
         s, n, twok = key
         return q0**twok * _qnum_pow(n, z, q0) if s == 1 else 0.0
 
-    # diagonal entries are exact at every built level
+    # diagonal entries are exact at every built level, read off the columns
+    column = functools.partial(space.engine.mult_column, embed(x))
+    diag = np.array([column(key).get(key, 0.0) for key in space.index], complex)
     return _trace_record(
-        "haar_trace", {"x": str(x), "z": z}, build_mult(x, space), weight, space.npad,
-        haar_podles(x), z, space, _shift(x),
+        "haar_trace", {"x": str(x), "z": z}, diag, weight, space.npad, haar_podles(x), z,
+        space, _shift(x),
     )
 
 
@@ -368,25 +394,24 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
         gq = 1.0 if s == 1 else -q0**2
         return gq * q0**twok * _qnum_pow(n, z, q0)
 
-    D = build_dirac(space)
-    M0, M1, M2 = (build_mult(x, space) for x in (x0, x1, x2))
-    P = M0 @ (D @ M1 - M1 @ D) @ (D @ M2 - M2 @ D)
+    # only the diagonal of the product, and each factor freed once used
+    left = build_mult(x0, space) @ _dirac_commutator(space, build_mult(x1, space))
+    diag = np.einsum("ij,ji->i", left, _dirac_commutator(space, build_mult(x2, space)))
     shift = _shift(x0) + _shift(x1) + _shift(x2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
     return _trace_record(
-        "tau_trace", inputs, P, weight, space.npad - shift, tau(x0, x1, x2), z, space, shift
+        "tau_trace", inputs, diag, weight, space.npad - shift, tau(x0, x1, x2), z, space, shift
     )
 
 
 def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):
     """[M(x), J M(y)* J^-1] = 0 and [[D, M(x)], J M(y)* J^-1] = 0 on the
     trusted window."""
-    D = build_dirac(space)
     U = build_J(space)
     Mx = build_mult(x, space)
     # J M(y)* J^-1 v = U conj(M(y)* conj(U^H v)) = U M(y)^T U^H v
     conj_y = U @ build_mult(y, space).T @ U.conj().T
-    DMx = D @ Mx - Mx @ D
+    DMx = _dirac_commutator(space, Mx)
     keep = np.ix_(*[_window(space, space.npad - _shift(x) - _shift(y))] * 2)
     inputs = {"x": str(x), "y": str(y)}
     return [

@@ -1,9 +1,10 @@
 """Tests for the quantum SU(2) coordinate algebra."""
 
-import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsphere.coordalg import (
     CoordElement,
@@ -18,6 +19,7 @@ from qsphere.coordalg import (
 )
 from qsphere.errors import NotInHopfDomain
 from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qpow
+from tests.test_uq import coord_elements
 
 GENS = [gen_a, gen_b, gen_c, gen_d]
 one = CoordElement.one()
@@ -25,19 +27,6 @@ one = CoordElement.one()
 
 def mono(a, b, c, d, coeff=Q_ONE, localized=False):
     return CoordElement.monomial((a, b, c, d), coeff, localized)
-
-
-def rand_word(rng, length):
-    return [GENS[rng.randrange(4)] for _ in range(length)]
-
-
-def rand_element(rng, max_deg=3, terms=3):
-    out = CoordElement.zero()
-    for _ in range(terms):
-        word = rand_word(rng, rng.randint(0, max_deg))
-        coeff = qpow(rng.randint(-1, 1)) * rng.choice([1, -1])
-        out = out + reduce(lambda x, y: x * y, word, one).scale(coeff)
-    return out
 
 
 def test_defining_relations():
@@ -71,17 +60,16 @@ def test_mixed_powers_reduce():
     assert (gen_a * (gen_a * gen_d)) * gen_d == x
 
 
-def test_rewriting_confluence_randomized():
-    rng = random.Random(42)
-    for _ in range(500):
-        word = rand_word(rng, rng.randint(2, 5))
-        left = reduce(lambda x, y: x * y, word)
-        # fold in a random association order
-        items = list(word)
-        while len(items) > 1:
-            i = rng.randrange(len(items) - 1)
-            items[i : i + 2] = [items[i] * items[i + 1]]
-        assert items[0] == left
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(GENS), min_size=2, max_size=5), st.data())
+def test_rewriting_confluence_randomized(word, data):
+    left = reduce(lambda x, y: x * y, word)
+    # fold in a random association order
+    items = list(word)
+    while len(items) > 1:
+        i = data.draw(st.integers(0, len(items) - 2))
+        items[i : i + 2] = [items[i] * items[i + 1]]
+    assert items[0] == left
 
 
 def test_counit_on_generators():
@@ -98,12 +86,11 @@ def test_star_on_generators():
     assert gen_c.star() == gen_b.scale(RationalQ.q_power(-1, -1))
 
 
-def test_star_antihomomorphism_randomized():
-    rng = random.Random(7)
-    for _ in range(40):
-        x, y = rand_element(rng), rand_element(rng)
-        assert (x * y).star() == y.star() * x.star()
-        assert x.star().star() == x
+@settings(max_examples=40)
+@given(coord_elements(), coord_elements())
+def test_star_antihomomorphism_randomized(x, y):
+    assert (x * y).star() == y.star() * x.star()
+    assert x.star().star() == x
 
 
 def test_antipode_on_generators():
@@ -131,35 +118,33 @@ def test_coproduct_on_generators():
     )
 
 
-def test_hopf_axioms_randomized():
-    rng = random.Random(13)
-    for _ in range(25):
-        x = rand_element(rng, max_deg=3, terms=2)
-        delta = x.coproduct()
-        # (eps (x) id) Delta = id and (id (x) eps) Delta = id
-        assert delta.slot_counit(0) == TensorElement.of(x)
-        assert delta.slot_counit(1) == TensorElement.of(x)
-        # m (S (x) id) Delta = eps(x) 1
-        acc = CoordElement.zero()
-        for (m1, m2), coeff in delta.terms.items():
-            acc = acc + (
-                CoordElement._raw({m1: Q_ONE}).antipode() * CoordElement._raw({m2: Q_ONE})
-            ).scale(coeff)
-        assert acc == scalar_coord(x.counit())
-        # m (id (x) S) Delta = eps(x) 1
-        acc = CoordElement.zero()
-        for (m1, m2), coeff in delta.terms.items():
-            acc = acc + (
-                CoordElement._raw({m1: Q_ONE}) * CoordElement._raw({m2: Q_ONE}).antipode()
-            ).scale(coeff)
-        assert acc == scalar_coord(x.counit())
+@settings(max_examples=25)
+@given(coord_elements(3, 2))
+def test_hopf_axioms_randomized(x):
+    delta = x.coproduct()
+    # (eps (x) id) Delta = id and (id (x) eps) Delta = id
+    assert delta.slot_counit(0) == TensorElement.of(x)
+    assert delta.slot_counit(1) == TensorElement.of(x)
+    # m (S (x) id) Delta = eps(x) 1
+    acc = CoordElement.zero()
+    for (m1, m2), coeff in delta.terms.items():
+        acc = acc + (
+            CoordElement._raw({m1: Q_ONE}).antipode() * CoordElement._raw({m2: Q_ONE})
+        ).scale(coeff)
+    assert acc == scalar_coord(x.counit())
+    # m (id (x) S) Delta = eps(x) 1
+    acc = CoordElement.zero()
+    for (m1, m2), coeff in delta.terms.items():
+        acc = acc + (
+            CoordElement._raw({m1: Q_ONE}) * CoordElement._raw({m2: Q_ONE}).antipode()
+        ).scale(coeff)
+    assert acc == scalar_coord(x.counit())
 
 
-def test_coproduct_is_algebra_map_randomized():
-    rng = random.Random(99)
-    for _ in range(20):
-        x, y = rand_element(rng, 2, 2), rand_element(rng, 2, 2)
-        assert (x * y).coproduct() == x.coproduct() * y.coproduct()
+@settings(max_examples=20)
+@given(coord_elements(2, 2), coord_elements(2, 2))
+def test_coproduct_is_algebra_map_randomized(x, y):
+    assert (x * y).coproduct() == x.coproduct() * y.coproduct()
 
 
 def test_coproduct_coassociativity():
@@ -180,12 +165,11 @@ def test_localization_inverses():
     assert gen_a * gen_binv == (gen_binv * gen_a).scale(qpow(-1))
 
 
-def test_localized_embedding_is_algebra_map_randomized():
-    rng = random.Random(3)
-    for _ in range(30):
-        x, y = rand_element(rng), rand_element(rng)
-        assert (x * y).localize() == x.localize() * y.localize()
-        assert (x + y).localize() == x.localize() + y.localize()
+@settings(max_examples=30)
+@given(coord_elements(), coord_elements())
+def test_localized_embedding_is_algebra_map_randomized(x, y):
+    assert (x * y).localize() == x.localize() * y.localize()
+    assert (x + y).localize() == x.localize() + y.localize()
 
 
 def test_localized_elements_refuse_hopf_ops():

@@ -1,11 +1,15 @@
 """Tests for the ladder construction and exact matrices."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from qsphere import corep
 from qsphere.coordalg import CoordElement
-from qsphere.corep import alpha_squared, mult_matrix, vplus_vminus_basis
+from qsphere.corep import LADDER, alpha_squared, mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.haar import haar_product, inner
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
@@ -175,3 +179,41 @@ def test_mult_matrix_matches_haar_projection(x):
             for alpha in family:
                 entry = m.entry(alpha.key(), beta.key())
                 assert entry * alpha.norm2 == haar_product(alpha.star_elem(), u)
+
+
+# the operands of the covariance recursion's tests, with chains E^i |> x of
+# length 1 to 4
+RECURSION_OPERANDS = (
+    PodlesElement.one(), gen_A, gen_B, gen_Bs, gen_A * gen_B, gen_Bs * gen_B,
+)
+
+
+def expand_mul_mismatches(ladder, x, levels):
+    """Columns (s, n, 2k) where `expand_mul` differs from the solve per
+    column, expand(mul(x, w)), compared exactly before any rounding."""
+    xs = ladder.terms(embed(x))
+    bad = []
+    for s in (1, -1):
+        for n in levels:
+            cols = ladder.expand_mul(xs, s, n)
+            for twok in range(-(2 * n - 1), 2 * n, 2):
+                w = ladder.vector((s, n, twok)).terms
+                if cols[twok] != ladder.expand(ladder.mul(xs, w)):
+                    bad.append((s, n, twok))
+    return bad
+
+
+@pytest.mark.parametrize("x", RECURSION_OPERANDS, ids=str)
+def test_expand_mul_equals_the_solve_per_column(x):
+    # over Q(q^(1/2)) on the exact ladder, l <= 5/2
+    assert expand_mul_mismatches(LADDER, x, range(1, 4)) == []
+
+
+def test_exact_layer_does_not_import_numpy():
+    # numpy costs the exact layer about 12 MB of resident memory
+    src = os.path.dirname(os.path.dirname(corep.__file__))
+    code = "import sys, qsphere.corep, qsphere.fodc, qsphere.haar; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -31,6 +31,7 @@ from qsphere.spectral import (
     zeta_series,
 )
 from qsphere.uq import gen_E, gen_F, r_action
+from tests.test_corep import RECURSION_OPERANDS, expand_mul_mismatches
 
 
 @functools.cache
@@ -93,8 +94,7 @@ def test_commutators_give_the_calculus(q0):
     D = build_dirac(space)
 
     def mult(y):
-        ys = eng.terms(y)
-        return spectral._matrix(space, ("M", y), lambda w: eng.mul(ys, w))
+        return spectral._matrix(space, functools.partial(eng.mult_column, y))
 
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
         M = build_mult(x, space)
@@ -235,6 +235,13 @@ def test_mult_matches_exact_matrices():
                     assert abs(M[space.pos[a], space.pos[b]] - expected) <= 1e-14
 
 
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)])
+@pytest.mark.parametrize("x", RECURSION_OPERANDS, ids=str)
+def test_expand_mul_equals_the_solve_per_column_at_q0(x, q0):
+    # the same recursion in Q(sqrt(q0)), through level 8, before rounding
+    assert expand_mul_mismatches(spectral._engine_for(q0), x, range(1, 9)) == []
+
+
 def _r_e(x):
     return r_action(gen_E, x)
 
@@ -252,7 +259,7 @@ def test_dirac_equals_twisted_actions(q0):
     R = np.zeros((space.dim, space.dim))
     for col_key, i in space.pos.items():
         act = _r_e if col_key[0] == 1 else _r_f
-        for row, c in eng.column(act, col_key, lambda w: eng.apply(act, w)).items():
+        for row, c in eng.column(act, col_key).items():
             R[space.pos[row], i] = c
     tol = 1e-12 * qnum(space.npad, space.q0)
     assert np.max(np.abs(R - build_dirac(space))) <= tol
