@@ -232,8 +232,9 @@ class Ladder:
 
         By Delta(E) = E (x) K + K^-1 (x) E and w_{k+1} = E |> w_k, a part x_w
         of x of left weight w has x_w w_{k+1} = q^(w/2) (E |> (x_w w_k)
-        - q^(2k/2) (E |> x_w) w_k); E |> shifts an expansion's key (s', n',
-        t) to t + 2 and kills t = 2n' - 1.  Here w = t - 2k is read off a key.
+        - q^(2k/2) (E |> x_w) w_k), where E |> shifts a key (s', n', t) of
+        an expansion to t + 2 and kills t = 2n' - 1.  A key of x_w w_k has
+        t = w + 2k, so x is never split by weight.
         """
         twol = 2 * n - 1
         bottom = self.vector((s, n, -twol)).terms
