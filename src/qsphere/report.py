@@ -20,11 +20,12 @@ def record(
     """Build one report entry comparing lhs against rhs.
 
     Passing requires abs_err <= tol_abs and rel_err <= tol_rel when given;
-    exact checks pass tol_abs = 0.  rel_err = |lhs - rhs| / max(|lhs|, |rhs|)
-    is at most 2, and at most 1 when lhs and rhs share a sign, so a tol_rel
-    of 1 or more could not fail and raises ValueError.  Against rhs = 0 the
-    relative error says nothing: it is reported as None, and a tol_rel
-    without a tol_abs raises ValueError.
+    exact checks pass tol_abs = 0.  The record names both bounds, None when
+    unset.  rel_err = |lhs - rhs| / max(|lhs|, |rhs|) is at most 2, and at
+    most 1 when lhs and rhs share a sign, so a tol_rel of 1 or more could
+    not fail and raises ValueError.  Against rhs = 0 the relative error says
+    nothing: it is reported as None, and a tol_rel without a tol_abs raises
+    ValueError.
     """
     if tol_rel is not None and tol_rel >= 1:
         raise ValueError(f"tol_rel = {tol_rel} >= 1 passes any pair of the same sign")
@@ -46,6 +47,8 @@ def record(
         "rhs": _plain(rhs),
         "abs_err": float(abs_err),
         "rel_err": rel_err,
+        "tol_abs": tol_abs,
+        "tol_rel": tol_rel,
         "L": L,
         "q0": _plain(q0),
         "trusted_fraction": trusted_fraction,

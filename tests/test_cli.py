@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qsphere import cli
 from qsphere.cli import main
+from qsphere.report import record
 
 
 def _run(capsys, *argv):
@@ -21,17 +23,35 @@ def test_verify_prints_one_record_per_check_per_level(capsys):
     assert [r["L"] for r in recs[:-1]] == [6] * 5 + [7] * 5
     assert all(r["passed"] and r["wall_ms"] >= 0 and r["q0"] == 0.25 for r in recs)
     assert all(r["layer"] == "spectral" for r in recs)
+    # every record names the bounds it was judged against
+    assert all("tol_abs" in r and "tol_rel" in r for r in recs)
+    assert all(r["tol_abs"] > 0 and r["tol_rel"] is None for r in recs if "trace" in r["check"])
     # the exact value of the commutant is 0, where a relative error says nothing
     commutant = next(r for r in recs if r["check"] == "commutant")
     assert commutant["rhs"] == 0.0 and commutant["rel_err"] is None
 
 
-def test_verify_fails_when_a_check_fails(capsys):
-    # at L = 2 the tail bound of the tau-trace exceeds 1
+def test_verify_fails_when_a_check_fails(capsys, monkeypatch):
+    def failing(x, z, space):
+        return record("haar_trace", {"x": str(x)}, 0.81, 0.8, tol_abs=1e-15, L=space.L)
+
+    monkeypatch.setattr(cli, "haar_trace_check", failing)
     status, recs = _run(capsys, "--L", "2")
     assert status == 1
     assert {r["L"] for r in recs[:-1]} == {2}
-    assert any(r.get("reason") == "L insufficient" for r in recs)
+    assert [r["check"] for r in recs if not r["passed"]] == ["haar_trace"]
+    assert recs[0]["tol_abs"] == 1e-15 and recs[0]["tol_rel"] is None
+
+
+def test_verify_passes_near_z_2_at_a_large_q0(capsys):
+    # the truncated trace there is far from its limit, but equal to the
+    # exact truncated value up to round-off
+    status, recs = _run(capsys, "--q0", "81/100", "--L", "1:4", "--z", "2.5")
+    assert status == 0
+    traces = [r for r in recs if "trace" in r["check"]]
+    assert len(traces) == 12
+    assert all(r["abs_err"] <= r["tol_abs"] and abs(r["lhs"] - r["exact"]) > 1e-3 for r in traces
+               if r["exact"])
 
 
 def test_verify_refuses_a_q0_outside_the_unit_interval(capsys):

@@ -1,5 +1,6 @@
 """Tests for the ladder construction and exact matrices."""
 
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from qsphere.corep import LADDER, alpha_squared, mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.haar import haar_product, inner
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
-from qsphere.scalar import Q_ONE, Q_ZERO, qhalfpow, qint
+from qsphere.scalar import Q_ONE, Q_ZERO, evaluate, qhalfpow, qint
 from qsphere.uq import act_left, act_right, gen_E, gen_F, gen_K, r_action
 
 
@@ -207,6 +208,34 @@ def expand_mul_mismatches(ladder, x, levels):
 def test_expand_mul_equals_the_solve_per_column(x):
     # over Q(q^(1/2)) on the exact ladder, l <= 5/2
     assert expand_mul_mismatches(LADDER, x, range(1, 4)) == []
+
+
+def _j0_image(x):
+    """J0 x = i (K |> x* <| K) up to the factor i."""
+    return act_left(gen_K, act_right(x.star(), gen_K))
+
+
+def j0_coefficients(ladder, levels):
+    """{(s, n, 2k): c} with J0 w_{s,n,2k} = i c w_{-s,n,-2k}, from the
+    expansion of the exact image in the ladder: asserts that it has that
+    one term and that c^2 N_{-s,n,-2k} = N_{s,n,2k}."""
+    out = {}
+    for n in levels:
+        for (s, twok), v in ladder.level(n).items():
+            image = ladder.expand(ladder.apply(_j0_image, v.terms))
+            assert list(image) == [(-s, n, -twok)], (s, n, twok)
+            c = out[s, n, twok] = image[-s, n, -twok]
+            c2 = ladder.rational(ladder.times(c, c))
+            assert c2 * ladder.vector((-s, n, -twok)).norm2 == v.norm2, (s, n, twok)
+    return out
+
+
+def test_j0_is_a_signed_permutation():
+    # over Q(q^(1/2)), l <= 7/2: c^2 is a ratio of Haar norms, positive on
+    # 0 < q < 1, so c has one sign there, its sign at q = 1/4
+    for (s, n, twok), c in j0_coefficients(LADDER, range(1, 5)).items():
+        sign = math.copysign(1, evaluate(c, Fraction(1, 4)))
+        assert sign == s * (-1) ** ((twok - 1) // 2), (s, n, twok)
 
 
 def test_exact_layer_does_not_import_numpy():

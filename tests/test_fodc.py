@@ -1,9 +1,10 @@
 """Tests for the differential calculus and the twisted cyclic cocycle."""
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsphere.coordalg import CoordElement
 from qsphere.errors import ArityError
@@ -34,13 +35,18 @@ from qsphere.haar import haar_podles, haar_value_A
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs, sigma
 from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qpow
 from qsphere.uq import gen_E, gen_F, gen_K, uq_counit
-from tests.test_podles import rand_podles
+from tests.test_podles import podles_elements
 
 one = PodlesElement.one()
 
 
-def rand_basis_mono(rng, max_exp=3):
-    return PodlesElement.monomial((rng.randint(0, max_exp), rng.randint(-max_exp, max_exp)))
+def basis_monos(max_exp=3):
+    """Basis monomials A^i B^j with i <= max_exp and |j| <= max_exp."""
+    return st.builds(
+        lambda i, j: PodlesElement.monomial((i, j)),
+        st.integers(0, max_exp),
+        st.integers(-max_exp, max_exp),
+    )
 
 
 # -- generator tables ---------------------------------------------------------
@@ -67,13 +73,12 @@ def test_differential_components():
     assert differential(gen_A).fcomp == gen_d * gen_c
 
 
-def test_leibniz_rule_randomized():
-    rng = random.Random(9)
-    for _ in range(20):
-        x, y = rand_podles(rng, 2, 2), rand_podles(rng, 2, 2)
-        lhs = differential(x * y)
-        rhs = rmul(differential(x), y) + lmul(x, differential(y))
-        assert lhs.fcomp == rhs.fcomp and lhs.ecomp == rhs.ecomp
+@settings(max_examples=20)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_leibniz_rule_randomized(x, y):
+    lhs = differential(x * y)
+    rhs = rmul(differential(x), y) + lmul(x, differential(y))
+    assert lhs.fcomp == rhs.fcomp and lhs.ecomp == rhs.ecomp
 
 
 def test_bimodule_units():
@@ -82,23 +87,21 @@ def test_bimodule_units():
     assert rmul(w, one).ecomp == w.ecomp
 
 
-def test_derivation_property_randomized():
+@settings(max_examples=20)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_derivation_property_randomized(x, y):
     # R_E and R_F are derivations on the sphere
-    rng = random.Random(15)
-    for _ in range(20):
-        x, y = rand_podles(rng, 2, 2), rand_podles(rng, 2, 2)
-        assert r_e(x * y) == embed(x) * r_e(y) + r_e(x) * embed(y)
-        assert r_f(x * y) == embed(x) * r_f(y) + r_f(x) * embed(y)
+    assert r_e(x * y) == embed(x) * r_e(y) + r_e(x) * embed(y)
+    assert r_f(x * y) == embed(x) * r_f(y) + r_f(x) * embed(y)
 
 
 # -- wedge and volume ---------------------------------------------------------
 
 
-def test_wedge_kernel_closed_in_sphere():
-    rng = random.Random(25)
-    for _ in range(15):
-        x, y = rand_podles(rng, 2, 2), rand_podles(rng, 2, 2)
-        wedge_kernel(x, y)  # must not raise
+@settings(max_examples=15)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_wedge_kernel_closed_in_sphere(x, y):
+    wedge_kernel(x, y)  # must not raise
 
 
 def test_wedge_of_unit_vanishes():
@@ -106,18 +109,17 @@ def test_wedge_of_unit_vanishes():
     assert wedge_coeff([(one, gen_A)], [(one, one)]).is_zero()
 
 
-def test_wedge_leibniz_reduction_consistent():
+@settings(max_examples=10)
+@given(podles_elements(2, 2))
+def test_wedge_leibniz_reduction_consistent(x):
     # compute pi(dA ^ x dA) two ways: direct reduction and after expanding
     # the middle coefficient with the Leibniz rule
-    rng = random.Random(35)
-    for _ in range(10):
-        x = rand_podles(rng, 2, 2)
-        direct = wedge_coeff([(one, gen_A)], [(x, gen_A)])
-        # dA x = d(Ax) - A dx
-        expanded = wedge_coeff([(one, gen_A * x)], [(one, gen_A)]) - wedge_coeff(
-            [(gen_A, x)], [(one, gen_A)]
-        )
-        assert direct == expanded
+    direct = wedge_coeff([(one, gen_A)], [(x, gen_A)])
+    # dA x = d(Ax) - A dx
+    expanded = wedge_coeff([(one, gen_A * x)], [(one, gen_A)]) - wedge_coeff(
+        [(gen_A, x)], [(one, gen_A)]
+    )
+    assert direct == expanded
 
 
 def test_volume_check_is_one():
@@ -133,17 +135,13 @@ def test_volume_summands_stay_in_sphere():
             wedge_kernel(_P_MATRIX[(i, j)], _P_MATRIX[(j, i)])
 
 
-def test_volume_coefficient_is_central_randomized():
-    # pi((dy ^ dz) x) = pi(dy ^ dz) x: right multiplication only scales the
-    # coefficient because the volume form is central
-    rng = random.Random(45)
-    for _ in range(10):
-        y, z, x = (rand_podles(rng, 1, 2) for _ in range(3))
-        lhs = wedge_coeff([(one, y)], [(one, z)]) * x
-        # absorbing x as a right factor of the second leg first:
-        # x dy ^ dz x ... instead check x pi = pi(x dy ^ dz) with x on x0 slot
-        rhs = wedge_coeff([(x, y)], [(one, z)])
-        assert x * wedge_coeff([(one, y)], [(one, z)]) == rhs
+@settings(max_examples=10)
+@given(podles_elements(1, 2), podles_elements(1, 2), podles_elements(1, 2))
+def test_volume_coefficient_is_central_randomized(y, z, x):
+    # pi(x dy ^ dz) = x pi(dy ^ dz): a factor x in the x0 slot multiplies
+    # the coefficient of the volume form from the left
+    rhs = wedge_coeff([(x, y)], [(one, z)])
+    assert x * wedge_coeff([(one, y)], [(one, z)]) == rhs
 
 
 def test_dsquared_vanishes_on_generators():
@@ -153,21 +151,20 @@ def test_dsquared_vanishes_on_generators():
         assert wedge_coeff([(one, one)], [(one, g)]).is_zero()
 
 
-def test_quantum_tangent_space_consistency_randomized():
+@settings(max_examples=10)
+@given(podles_elements(2, 2), podles_elements(2, 2))
+def test_quantum_tangent_space_consistency_randomized(x, y):
     # if sum_i x_i dy_i = 0 componentwise then sum_i x_i R_E(y_i) = 0 and
     # sum_i x_i R_F(y_i) = 0; build such relations from the Leibniz rule:
     # dx y + x dy - d(xy) = 0
-    rng = random.Random(55)
-    for _ in range(10):
-        x, y = rand_podles(rng, 2, 2), rand_podles(rng, 2, 2)
-        combo = rmul(differential(x), y) + lmul(x, differential(y)) - differential(
-            x * y
-        )
-        assert combo.is_zero()
-        # hence the E- and F-components vanish separately
-        assert (
-            embed(x) * r_e(y) + r_e(x) * embed(y) - r_e(x * y)
-        ).is_zero()
+    combo = rmul(differential(x), y) + lmul(x, differential(y)) - differential(
+        x * y
+    )
+    assert combo.is_zero()
+    # hence the E- and F-components vanish separately
+    assert (
+        embed(x) * r_e(y) + r_e(x) * embed(y) - r_e(x * y)
+    ).is_zero()
 
 
 # -- localized commutators ----------------------------------------------------
@@ -179,20 +176,19 @@ def test_localized_commutators_on_generators():
         assert ok_f and ok_e
 
 
-def test_localized_commutators_randomized():
-    rng = random.Random(65)
-    for _ in range(15):
-        x = rand_podles(rng, 4, 3)
-        ok_f, ok_e = localized_commutator_check(x)
-        assert ok_f and ok_e
+@settings(max_examples=15)
+@given(podles_elements(4, 3))
+def test_localized_commutators_randomized(x):
+    ok_f, ok_e = localized_commutator_check(x)
+    assert ok_f and ok_e
 
 
 # -- twisted cyclic cohomology ------------------------------------------------
 
 
-def test_tau_trilinear():
-    rng = random.Random(75)
-    x, y, z, w = (rand_podles(rng, 2, 2) for _ in range(4))
+@settings(max_examples=1)
+@given(*[podles_elements(2, 2)] * 4)
+def test_tau_trilinear(x, y, z, w):
     c = qpow(1)
     assert tau(x + y.scale(c), z, w) == tau(x, z, w) + tau(y, z, w) * c
     assert tau(x, y + z, w) == tau(x, y, w) + tau(x, z, w)
@@ -214,9 +210,9 @@ def test_tau_closed_forms_on_generators():
     ) * h2
 
 
-def test_tau_degenerate_inputs():
-    rng = random.Random(85)
-    x = rand_podles(rng, 2, 2)
+@settings(max_examples=1)
+@given(podles_elements(2, 2))
+def test_tau_degenerate_inputs(x):
     assert tau(one, one, x) == Q_ZERO
     assert tau(x, one, one) == Q_ZERO
 
@@ -318,36 +314,31 @@ def test_cyclic_one_cocycle_vanishes_on_AA():
     assert lam(gen_A, gen_A) == -phi(sigma(gen_A), gen_A)
 
 
-def test_tau_is_cocycle_randomized():
-    rng = random.Random(95)
-    bt = b_sigma(TAU)
-    for _ in range(60):
-        xs = [rand_basis_mono(rng) for _ in range(4)]
-        assert bt(*xs) == Q_ZERO
+@settings(max_examples=60)
+@given(st.lists(basis_monos(), min_size=4, max_size=4))
+def test_tau_is_cocycle_randomized(xs):
+    assert b_sigma(TAU)(*xs) == Q_ZERO
 
 
-def test_tau_is_cyclic_randomized():
-    rng = random.Random(105)
-    lt = lambda_sigma(TAU)
-    for _ in range(60):
-        xs = [rand_basis_mono(rng) for _ in range(3)]
-        assert lt(*xs) == tau(*xs)
+@settings(max_examples=60)
+@given(st.lists(basis_monos(), min_size=3, max_size=3))
+def test_tau_is_cyclic_randomized(xs):
+    assert lambda_sigma(TAU)(*xs) == tau(*xs)
 
 
-def test_tau_uq_invariant_randomized():
-    rng = random.Random(115)
+@settings(max_examples=8)
+@given(st.data())
+def test_tau_uq_invariant_randomized(data):
     for f in (gen_E, gen_F, gen_K):
-        for _ in range(8):
-            chain = Chain.of(*(rand_basis_mono(rng, 2) for _ in range(3)))
-            acted = act_on_chain(f, chain)
-            assert pair_chain(TAU, acted) == uq_counit(f) * pair_chain(TAU, chain)
+        chain = Chain.of(*data.draw(st.lists(basis_monos(2), min_size=3, max_size=3)))
+        acted = act_on_chain(f, chain)
+        assert pair_chain(TAU, acted) == uq_counit(f) * pair_chain(TAU, chain)
 
 
-def test_tau_matches_volume_route_randomized():
-    rng = random.Random(125)
-    for _ in range(25):
-        x0, x1, x2 = (rand_podles(rng, 2, 2) for _ in range(3))
-        assert tau(x0, x1, x2) == tau_via_volume(x0, x1, x2)
+@settings(max_examples=25)
+@given(podles_elements(2, 2), podles_elements(2, 2), podles_elements(2, 2))
+def test_tau_matches_volume_route_randomized(x0, x1, x2):
+    assert tau(x0, x1, x2) == tau_via_volume(x0, x1, x2)
 
 
 def test_arity_guards():

@@ -38,16 +38,6 @@ def podles_elements(max_exp=3, terms=3):
     )
 
 
-def rand_podles(rng, max_exp=3, terms=3):
-    out = PodlesElement.zero()
-    for _ in range(terms):
-        i = rng.randint(0, max_exp)
-        j = rng.randint(-max_exp, max_exp)
-        coeff = qpow(rng.randint(-1, 1)) * rng.choice([1, -1])
-        out = out + PodlesElement.monomial((i, j), coeff)
-    return out
-
-
 def test_defining_relations():
     assert gen_B * gen_A == (gen_A * gen_B).scale(qpow(2))
     assert gen_A * gen_Bs == (gen_Bs * gen_A).scale(qpow(2))

@@ -15,11 +15,10 @@ from qsphere.fodc import differential
 from qsphere.haar import haar_mono_product
 from qsphere.podles import PodlesElement, gen_A, gen_B, gen_Bs
 from qsphere.report import record
-from qsphere.scalar import evaluate
+from qsphere.scalar import evaluate, qint
 from qsphere.spectral import (
     TruncatedSpace,
     build_dirac,
-    build_gamma,
     build_J,
     build_mult,
     commutant_checks,
@@ -31,7 +30,7 @@ from qsphere.spectral import (
     zeta_series,
 )
 from qsphere.uq import gen_E, gen_F, r_action
-from tests.test_corep import RECURSION_OPERANDS, expand_mul_mismatches
+from tests.test_corep import RECURSION_OPERANDS, expand_mul_mismatches, j0_coefficients
 
 
 @functools.cache
@@ -117,7 +116,8 @@ def test_real_structure_signs(q0):
     # J gamma = -gamma J, the signs of a real spectral triple of
     # KO-dimension 2
     space = TruncatedSpace(q0, 4)
-    U, D, gamma = build_J(space), build_dirac(space), build_gamma(space)
+    U, D = build_J(space), build_dirac(space)
+    gamma = np.diag([float(s) for s, n, twok in space.index])
     eye = np.eye(space.dim)
     assert np.max(np.abs(U @ U.conj().T - eye)) <= 1e-12
     assert np.max(np.abs(U @ U.conj() + eye)) <= 1e-12
@@ -136,10 +136,13 @@ def test_dirac_spectrum():
 
 @pytest.mark.parametrize("q0", [0.25, 0.5, 0.8])
 def test_zeta_series_within_tail(q0):
+    # the terms [n]^-z [2n] fall by at least q0^(z-2) per level, so the
+    # tail past L is at most last * r / (1 - r) with r = q0^(z-2)
     exact = zeta_merom(3, q0)
     for L in (3, 5, 10):
-        partial, tail = zeta_series(3, L, q0)
-        assert abs(exact - partial) <= tail
+        last = qnum(L, q0) ** -3 * qnum(2 * L, q0)
+        tail = last * q0 / (1 - q0)
+        assert 0 < exact.real - zeta_series(3, L, q0).real <= tail
 
 
 @pytest.mark.parametrize("z", [80, 100, 120])
@@ -168,7 +171,7 @@ def test_haar_trace_check_at_large_z():
 
 def test_large_integral_z_gives_no_nan():
     # at a large integral z, [n]^-z must underflow to 0, not overflow to nan
-    assert math.isfinite(zeta_series(20, 60, 0.25)[0].real)
+    assert math.isfinite(zeta_series(20, 60, 0.25).real)
     rec = haar_trace_check(gen_A, 80, TruncatedSpace(Fraction(1, 4), 8))
     assert rec["rhs"] == pytest.approx(16 / 17)
     assert rec["passed"] and abs(rec["lhs"] - 16 / 17) <= 1e-14
@@ -252,28 +255,48 @@ def _r_f(x):
 
 @pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(1, 2)])
 def test_dirac_equals_twisted_actions(q0):
-    # R_E on phi^+ and R_F on phi^-, expanded in the basis by the same solve
-    # as every operator, against the closed form +-[n] of build_dirac
-    space = TruncatedSpace(q0, 4)
+    # exactly in Q(sqrt(q0)), through level 8: R_E w+ = -[n]^2 w-,
+    # R_F w- = -w+ and N+ = [n]^2 N-, so R_E phi+ = -[n] phi- and
+    # R_F phi- = -[n] phi+, the entries build_dirac writes
+    eng = spectral._engine_for(q0)
+    for n in range(1, 9):
+        n2 = eng.value(qint(n) * qint(n))
+        for twok in range(-(2 * n - 1), 2 * n, 2):
+            up, down = eng.vector((1, n, twok)), eng.vector((-1, n, twok))
+            minus_n2_down = {m: eng.neg(eng.times(n2, c)) for m, c in down.terms.items()}
+            assert eng.apply(_r_e, up.terms) == minus_n2_down, (n, twok)
+            assert eng.apply(_r_f, down.terms) == {m: eng.neg(c) for m, c in up.terms.items()}
+            assert up.norm2 == eng.rational(n2) * down.norm2
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)])
+def test_build_J_is_the_j0_expansion(q0):
+    # J0 w_{s,n,2k} = i c w_{-s,n,-2k} with c^2 N_{-s,n,-2k} = N_{s,n,2k} in
+    # Q(sqrt(q0)) through level 8, so with gamma = -s on the image the
+    # orthonormal U = gamma i J0 has the one entry -i s sign(c), and
+    # sign(c) = s (-1)^(k-1/2)
+    space = TruncatedSpace(q0, 5)
     eng = space.engine
-    R = np.zeros((space.dim, space.dim))
-    for col_key, i in space.pos.items():
-        act = _r_e if col_key[0] == 1 else _r_f
-        for row, c in eng.column(act, col_key).items():
-            R[space.pos[row], i] = c
-    tol = 1e-12 * qnum(space.npad, space.q0)
-    assert np.max(np.abs(R - build_dirac(space))) <= tol
+    expected = np.zeros((space.dim, space.dim), dtype=complex)
+    for (s, n, twok), c in j0_coefficients(eng, range(1, space.npad + 1)).items():
+        sign = math.copysign(1, eng.to_float(c))
+        assert sign == s * (-1) ** ((twok - 1) // 2), (q0, s, n, twok)
+        expected[space.pos[-s, n, -twok], space.pos[s, n, twok]] = -1j * s * sign
+    assert np.array_equal(build_J(space), expected)
 
 
-def test_haar_trace_reports_insufficient_L():
-    # the default bound 10 q0^((z-2)(L-deg)) is 1.25 here, too loose to
-    # tell a converged trace from a wrong one, so the check must not pass
+def test_haar_trace_is_judged_against_its_truncated_value():
+    # at q0 = 1/2, z = 3, L = 4 the h-trace of A is far from h(A) = 0.8, but
+    # equal to 0.8 zeta_7(3) / zeta(3) up to round-off
     space = TruncatedSpace(Fraction(1, 2), 4)
     rec = haar_trace_check(gen_A, 3, space)
-    assert rec["passed"] is False
-    assert rec["reason"] == "L insufficient"
-    assert rec["rhs"] == pytest.approx(0.8)
-    assert isinstance(rec["lhs"], float)
+    assert rec["exact"] == pytest.approx(0.8) and abs(rec["lhs"] - 0.8) > 1e-3
+    assert rec["zeta_ratio"] == (zeta_series(3, space.npad, 0.5) / zeta_merom(3, 0.5)).real
+    assert rec["rhs"] == rec["exact"] * rec["zeta_ratio"]
+    assert rec["tol_abs"] == space.dim * 2.2e-16 and rec["tol_rel"] is None
+    assert rec["passed"]
+    # an exact value off by 1e-12 relative would fail on the same bound
+    assert not record("off", {}, rec["lhs"], rec["rhs"] * (1 + 1e-12), rec["tol_abs"])["passed"]
 
 
 def test_record_rejects_vacuous_tolerance():
@@ -289,24 +312,34 @@ def test_record_rejects_vacuous_tolerance():
     assert not record("zero", {}, 6e-12, 0.0, tol_abs=1e-12)["passed"]
 
 
-def test_tau_trace_with_zero_value_passes_on_the_tail_bound():
-    rec = tau_trace_check(PodlesElement.one(), gen_B, gen_Bs, 3, TruncatedSpace(Fraction(1, 4), 8))
-    assert rec["rhs"] == 0.0
+def test_tau_trace_with_zero_value_passes_on_round_off():
+    space = TruncatedSpace(Fraction(1, 4), 8)
+    rec = tau_trace_check(PodlesElement.one(), gen_B, gen_Bs, 3, space)
+    assert rec["rhs"] == 0.0 and rec["rel_err"] is None
     assert rec["passed"] and abs(rec["lhs"]) <= 1e-15
 
 
-def test_tau_trace_reports_insufficient_L():
-    rec = tau_trace_check(gen_A, gen_B, gen_Bs, 3, TruncatedSpace(Fraction(1, 4), 2))
-    assert rec["passed"] is False
-    assert rec["reason"] == "L insufficient"
-    assert rec["tail_bound"] >= 1
+def test_trace_check_without_a_level_raises():
+    # (A^2, A^2, A^2) moves levels by up to 6, more than npad = 4: no level
+    # of the product is exact, and an empty trace would pass vacuously
+    a2 = gen_A * gen_A
+    with pytest.raises(ValueError, match="no level"):
+        tau_trace_check(a2, a2, a2, 3, TruncatedSpace(Fraction(1, 4), 1))
 
 
-def test_traces_meet_the_tail_bound():
-    space = TruncatedSpace(Fraction(1, 4), 6)
-    for rec in (
-        haar_trace_check(gen_A, 3, space),
-        tau_trace_check(gen_A, gen_B, gen_Bs, 3, space),
-        tau_trace_check(gen_Bs, gen_A, gen_B, 4, space),
-    ):
-        assert rec["passed"], rec
+@pytest.mark.parametrize("q0, L", [(Fraction(1, 4), 6), (Fraction(9, 16), 4), (Fraction(81, 100), 8)])
+def test_traces_meet_their_truncated_values(q0, L):
+    # every trace is its exact value times zeta_nmax(z) / zeta(z) up to the
+    # round-off dim * 2.2e-16, down to z = 2.01 where the truncation is far
+    # from the untruncated value
+    space = TruncatedSpace(q0, L)
+    for z in (2.01, 2.5, 3, 4, 30):
+        for rec in (
+            haar_trace_check(gen_A, z, space),
+            haar_trace_check(gen_Bs * gen_B, z, space),
+            tau_trace_check(gen_A, gen_B, gen_Bs, z, space),
+            tau_trace_check(gen_Bs, gen_A, gen_B, z, space),
+            tau_trace_check(PodlesElement.one(), gen_B, gen_Bs, z, space),
+        ):
+            assert rec["passed"] and rec["tol_abs"] == space.dim * 2.2e-16, rec
+            assert rec["rhs"] == rec["exact"] * rec["zeta_ratio"]
