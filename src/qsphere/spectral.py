@@ -169,11 +169,8 @@ class TruncatedSpace:
         self.L = L
         self.npad = L + PAD
         self.engine = _engine_for(self.q0_exact)
-        self.index = []
-        for s in (1, -1):
-            for n in range(1, self.npad + 1):
-                for twok in range(-(2 * n - 1), 2 * n, 2):
-                    self.index.append((s, n, twok))
+        self.index = [(s, n, twok) for s in (1, -1) for n in range(1, self.npad + 1)
+                      for twok in range(-(2 * n - 1), 2 * n, 2)]
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
         self.vec = {key: self.engine.vector(key) for key in self.index}
@@ -306,7 +303,7 @@ def residue_check(q0: float, eps: float = 1e-4):
 # -- trace checks -------------------------------------------------------------
 
 
-def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift):
+def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift, bound):
     """zeta(z)^-1 sum_i weight(key_i) diag_i over the levels n <= nmax against
     its exact truncated value, reporting the discarded boundary count.
 
@@ -314,26 +311,25 @@ def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift):
     level n is [n]^-z [2n] times the exact value.  So the truncated trace is
     exactly value * zeta_nmax(z) / zeta(z), the rhs; the value and the ratio,
     with zeta_nmax from `zeta_series`, are reported beside it.  Only
-    round-off is left.  A diagonal entry and the trace are each a rounded
-    sum of at most dim terms, so |lhs - rhs| <= gamma_(2 dim) S ~ 2 dim u S
-    with u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 3.1), where S is the weighted sum of the terms' absolute values
-    over |zeta(z)|.  An h-trace has S <= |x| zeta_nmax / zeta <= |x|; the
-    tau-trace of (A, B, B*) has S <= 0.42 at q0 in {1/4, 1/2, 9/16, 81/100},
-    L <= 14, 2 < z <= 30.  S <= 1 gives tol_abs = dim * 2.2e-16; the errors
-    there reach 0.07 of it.
+    round-off is left.  A diagonal entry and the trace each sum at most dim
+    rounded terms, so |lhs - rhs| <= gamma_(2 dim) S ~ 2 dim u S, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), for
+    S = sum_i |weight_i| bound_i / |zeta(z)| with bound_i at least the sum of
+    |terms| of diag_i: tol_abs = dim * 2.2e-16 * max(1, S), S = round_off_scale.
     """
     keep = _window(space, nmax)
-    tr = sum(weight(space.index[i]) * diag[i] for i in keep)
+    w = [weight(space.index[i]) for i in keep]
+    tr = sum(wi * diag[i] for wi, i in zip(w, keep))
     zeta = zeta_merom(z, space.q0)
+    scale = sum(abs(wi) * bound[i] for wi, i in zip(w, keep)) / abs(zeta)
     ratio = (zeta_series(z, nmax, space.q0) / zeta).real
     value = float(evaluate(exact, space.q0_exact))
     discarded = space.dim - len(keep)
     extra = {"discarded_boundary": discarded, "level_shift": shift, "exact": value,
-             "zeta_ratio": ratio}
-    return record(check, inputs, (tr / zeta).real, value * ratio, tol_abs=space.dim * 2.2e-16,
-                  L=space.L, q0=space.q0, trusted_fraction=1.0 - discarded / space.dim,
-                  extra=extra)
+             "zeta_ratio": ratio, "round_off_scale": scale}
+    return record(check, inputs, (tr / zeta).real, value * ratio,
+                  tol_abs=space.dim * 2.2e-16 * max(1.0, scale), L=space.L, q0=space.q0,
+                  trusted_fraction=1.0 - discarded / space.dim, extra=extra)
 
 
 def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
@@ -347,10 +343,8 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
     # diagonal entries are exact at every built level, read off the columns
     column = functools.partial(space.engine.mult_column, embed(x))
     diag = np.array([column(key).get(key, 0.0) for key in space.index], complex)
-    return _trace_record(
-        "haar_trace", {"x": str(x), "z": z}, diag, weight, space.npad, haar_podles(x), z,
-        space, _shift(x),
-    )
+    return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, weight, space.npad,
+                         haar_podles(x), z, space, _shift(x), abs(diag))
 
 
 def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
@@ -361,16 +355,22 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
 
     def weight(key):
         s, n, twok = key
-        gq = 1.0 if s == 1 else -q0**2
-        return gq * q0**twok * _qnum_pow(n, z, q0)
+        return (1.0 if s == 1 else -q0**2) * q0**twok * _qnum_pow(n, z, q0)
 
-    # only the diagonal of the product, and each factor freed once used
-    left = build_mult(x0, space) @ _dirac_commutator(space, build_mult(x1, space))
-    diag = np.einsum("ij,ji->i", left, _dirac_commutator(space, build_mult(x2, space)))
+    # only the diagonal of the product, each factor freed once used; the terms
+    # of diag_i sum to at most row i of |M(x0)| times max row sums of |[D,x]|
+    m0, c = build_mult(x0, space), _dirac_commutator(space, build_mult(x1, space))
+    bound = abs(m0).sum(1) * abs(c).sum(1).max()
+    left = m0 @ c
+    del m0, c
+    c = _dirac_commutator(space, build_mult(x2, space))
+    bound *= abs(c).sum(1).max()
+    diag = np.einsum("ij,ji->i", left, c)
     shift = _shift(x0) + _shift(x1) + _shift(x2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
     return _trace_record(
-        "tau_trace", inputs, diag, weight, space.npad - shift, tau(x0, x1, x2), z, space, shift
+        "tau_trace", inputs, diag, weight, space.npad - shift, tau(x0, x1, x2), z, space, shift,
+        bound,
     )
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsphere.coordalg import CoordElement
@@ -187,6 +187,8 @@ def test_localized_commutators_randomized(x):
 
 
 @settings(max_examples=1)
+@example(gen_A + gen_B, gen_Bs, gen_A * gen_B, gen_A * gen_A + gen_Bs)
+@example(gen_Bs * gen_B, gen_A + one, gen_B.scale(qpow(-1)), gen_Bs - gen_A)
 @given(*[podles_elements(2, 2)] * 4)
 def test_tau_trilinear(x, y, z, w):
     c = qpow(1)
@@ -211,6 +213,7 @@ def test_tau_closed_forms_on_generators():
 
 
 @settings(max_examples=1)
+@example(gen_A * gen_B + gen_Bs)
 @given(podles_elements(2, 2))
 def test_tau_degenerate_inputs(x):
     assert tau(one, one, x) == Q_ZERO
