@@ -9,7 +9,9 @@ action of F and the column index k by the left action of E,
 
 so the normalised vectors phi = w/|w| follow phi_{j+1} = -R_F phi_j/alpha
 and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  Squared
-norms are tracked exactly through those step factors; no square root enters.
+norms come from those step factors alone, from |a^(2l)|^2 = q^(2l)/[2l+1],
+without the vectors; no square root enters.  Vectors are built on demand:
+one (s, n) holds its bottom vector and the part of its E-chain read so far.
 
 `Ladder` is the one implementation of the ladder and of the expansion of an
 element in it, a triangular solve on top-degree monomials; `expand_mul`
@@ -27,6 +29,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 from .coordalg import CoordElement, mono_mul
 from .errors import CutoffExceeded
@@ -43,11 +46,6 @@ def _twol(l_max) -> int:
     if t > MAX_TWOL:
         raise CutoffExceeded(f"l_max = {l_max} exceeds the cutoff 2l <= {MAX_TWOL}")
     return t
-
-
-def alpha_squared(twol: int, twoj: int) -> RationalQ:
-    """([l-j][l+j+1])^(1/2) squared: the exact ladder step factor."""
-    return qint((twol - twoj) // 2) * qint((twol + twoj + 2) // 2)
 
 
 # the ladder steps, unnormalised; module functions, so that they call
@@ -73,7 +71,9 @@ class Ladder:
         self._images = {}  # (map, mono) -> the exact map's image
         self._states = {}  # mono -> h(mono)
         self._pairings = {}  # (m2, m1) -> h(m2* m1)
-        self._levels = {}  # n -> {(s, twok): Vector}
+        self._chains = {}  # (s, n) -> the E-chain of vector terms built so far
+        self._norms = {}  # (s, n) -> the squared norms of the level, by 2k
+        self._qints = []  # [m] at index m
         self._halfpows = {}  # m -> q^(m/2)
 
     # -- arithmetic in Q(q^(1/2)) -------------------------------------------
@@ -155,39 +155,50 @@ class Ladder:
 
     # -- ladder ---------------------------------------------------------------
 
-    def level(self, n: int) -> dict:
-        """The j = +-1/2 vectors of spin n - 1/2, keyed (2j, 2k)."""
-        vecs = self._levels.get(n)
-        if vecs is not None:
-            return vecs
+    def norm2(self, key):
+        """The squared norm h(w* w) of w_key, without the vector: the bottom
+        norm h((a^2l)* a^2l) = q^(2l)/[2l+1], a Schur orthogonality relation
+        (Klimyk-Schmuedgen 1997), times alpha^2 = [l-j][l+j+1] for each
+        F-step to 2j = s and each E-step to 2k."""
+        s, n, twok = key
         twol = 2 * n - 1
-        if twol > MAX_TWOL:
-            raise CutoffExceeded(f"2l = {twol} exceeds the cutoff {MAX_TWOL}")
-        # step[t] is alpha^2 for the step from 2j (or 2k) = t to t + 2
-        step = {
-            t: self.rational(self.value(alpha_squared(twol, t))) for t in range(-twol, twol, 2)
-        }
-        w = {(twol, 0, 0, 0): self.value(Q_ONE)}
-        norm2 = self.rational(self.inner(w, w))
-        vecs = {}
-        for twoj in range(-twol, 2, 2):
-            if twoj > -twol:
-                w = self.apply(_f_step, w)
-                norm2 *= step[twoj - 2]
-            if abs(twoj) != 1:
-                continue
-            v, nv = w, norm2
-            for twok in range(-twol, twol + 1, 2):
-                if twok > -twol:
-                    v = self.apply(_e_step, v)
-                    nv *= step[twok - 2]
-                vecs[twoj, twok] = Vector(v, nv)
-        self._levels[n] = vecs
-        return vecs
+        norms = self._norms.get((s, n))
+        if norms is None:
+            if twol > MAX_TWOL:
+                raise CutoffExceeded(f"2l = {twol} exceeds the cutoff {MAX_TWOL}")
+            qi = self._qints
+            while len(qi) <= twol + 1:
+                qi.append(self.rational(self.value(qint(len(qi)))))
+            # steps[i] is alpha^2 for the step from 2j (or 2k) = -2l + 2i
+            steps = [qi[twol - i] * qi[i + 1] for i in range(twol)]
+            bottom = self.rational(self.value(qhalfpow(2 * twol))) / qi[twol + 1]
+            fsteps = (twol + s) // 2
+            norms = list(accumulate(steps[:fsteps] + steps, operator.mul, initial=bottom))
+            norms = self._norms[s, n] = norms[fsteps:]
+        return norms[(twol + twok) // 2]
 
     def vector(self, key) -> Vector:
+        """w_key, extending the E-chain of its (s, n) only as far as 2k; the
+        chain starts at a^(2l), raised by the F-steps to 2j = s."""
         s, n, twok = key
-        return self.level(n)[s, twok]
+        norm2 = self.norm2(key)
+        chain = self._chains.get((s, n))
+        if chain is None:
+            if s == 1:
+                w = self.apply(_f_step, self.vector((-1, n, 1 - 2 * n)).terms)
+            else:
+                w = {(2 * n - 1, 0, 0, 0): self.value(Q_ONE)}
+                for _ in range(n - 1):
+                    w = self.apply(_f_step, w)
+            chain = self._chains[s, n] = [w]
+        while len(chain) <= (twok + 2 * n - 1) // 2:
+            chain.append(self.apply(_e_step, chain[-1]))
+        return Vector(chain[(twok + 2 * n - 1) // 2], norm2)
+
+    def level(self, n: int) -> dict:
+        """All j = +-1/2 vectors of spin n - 1/2, keyed (2j, 2k)."""
+        return {(s, twok): self.vector((s, n, twok))
+                for s in (-1, 1) for twok in range(1 - 2 * n, 2 * n, 2)}
 
     def expand(self, u: dict) -> dict:
         """Coefficients {(s, n, twok): c} of u in the unnormalised ladder.
@@ -207,7 +218,7 @@ class Ladder:
         for (s, twok), rest in groups.items():
             n = (max(map(sum, rest)) + 1) // 2
             while rest and 2 * n - 1 >= abs(twok):
-                vec = self.level(n)[s, twok]
+                vec = self.vector((s, n, twok))
                 pivot = max(vec.terms, key=sum)
                 c = rest.get(pivot)
                 if c is not None:

@@ -22,14 +22,15 @@ engine supplies only the arithmetic of Q(sqrt(q0)): values are Fraction
 pairs (even, odd) with value even + odd sqrt(q0), the canonical split of
 `LaurentPoly.eval_pair`, and `to_float` rounds one through
 `scalar.pair_float`.  The ladder vectors w stay unnormalised, with exact
-squared norms N.  The columns of M(x) on one level come from
-`Ladder.expand_mul`: it solves only the lowest-weight one and fills the
-rest by the U_q-covariance recursion.  Rounding enters M(x) in one place,
-`_Engine._round`: the orthonormal entry c sqrt(N_alpha / N_beta) is the
-correctly rounded square root of an exact rational, with its sign.  Levels
-and orthonormal columns do not depend on L; each is built once per q0 and
-shared by every space at that q0, and the engines of the few most recent
-q0 are kept.
+squared norms N from the step factors, and are built on demand: the
+columns of M(x) on one level come from `Ladder.expand_mul`, which solves
+only the lowest-weight one, so only the lowest vectors of a level are
+built.  Rounding enters M(x) in one place, `_Engine._round`: each part of
+the entry c sqrt(N_alpha / N_beta) is the square root of the correctly
+rounded rational c^2 N_alpha / N_beta, within one ulp, with its sign.
+Vectors, norms and columns do not depend on L; each is built once per q0
+and shared by every space at that q0, and the engines of the few most
+recent q0 are kept.
 
 Complex scalars exist only in this module; everything upstream is exact.
 """
@@ -120,10 +121,10 @@ class _Engine(Ladder):
     def _round(self, key, coeffs) -> dict:
         """The orthonormal column {row key: entry} of w_key from its exact
         coefficients {alpha: c}: the one place where rounding enters."""
-        norm2 = self.vector(key).norm2
+        norm2 = self.norm2(key)
         col = {}
         for alpha, (even, odd) in coeffs.items():
-            ratio = self.vector(alpha).norm2 / norm2
+            ratio = self.norm2(alpha) / norm2
             col[alpha] = math.copysign(math.sqrt(even * even * ratio), even) + math.copysign(
                 math.sqrt(odd * odd * self.q0 * ratio), odd
             )
@@ -154,7 +155,7 @@ class TruncatedSpace:
     Levels run n = 1..L for reporting; internally the basis is built to
     npad = L + PAD so that operator products of bounded level shift stay
     exact on the reported window.  `vec` maps a key (s, n, 2k) to its
-    unnormalised ladder vector.
+    unnormalised ladder vector, built on first read; no check reads it.
     """
 
     def __init__(self, q0, L: int):
@@ -173,13 +174,16 @@ class TruncatedSpace:
                       for twok in range(-(2 * n - 1), 2 * n, 2)]
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
-        self.vec = {key: self.engine.vector(key) for key in self.index}
         # D = diag(dirac) P for the involution P: (s, n, 2k) -> (-s, n, 2k)
         self.swap = [self.pos[(-s, n, twok)] for s, n, twok in self.index]
         self.dirac = np.array([-qnum(n, self.q0) for s, n, twok in self.index])
         # U = J conj: (s, n, 2k) -> (-s, n, -2k) with entry -i (-1)^(k-1/2)
         self.flip = [self.pos[(-s, n, -twok)] for s, n, twok in self.index]
         self.jsign = np.array([-1j * (-1) ** ((twok - 1) // 2) for s, n, twok in self.index])
+
+    @functools.cached_property
+    def vec(self) -> dict:
+        return {key: self.engine.vector(key) for key in self.index}
 
     def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar

@@ -10,7 +10,7 @@ import pytest
 
 from qsphere import corep
 from qsphere.coordalg import CoordElement
-from qsphere.corep import LADDER, alpha_squared, mult_matrix, vplus_vminus_basis
+from qsphere.corep import LADDER, mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.haar import haar_product, inner
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
@@ -36,9 +36,19 @@ def test_weight_invariants():
 
 
 def test_norm2_consistency():
-    for v in _ladder(2).values():
+    # the squared norms come from the step factors alone, never from the
+    # vectors; through level 4 they are the Haar norms of the built vectors
+    for v in _ladder(Fraction(7, 2)).values():
         assert v.norm2 == inner(v.elem, v.elem)
         assert not v.norm2.is_zero()
+
+
+def test_bottom_norm_closed_form():
+    # h((a^m)* a^m) = q^m/[m+1], the norm the ladder's step factors start
+    # from at m = 2l, for 2l <= 9
+    for m in range(1, 10):
+        a_m = CoordElement.monomial((m, 0, 0, 0))
+        assert inner(a_m, a_m) == qhalfpow(2 * m) / qint(m + 1), m
 
 
 def test_orthogonality_up_to_seven_halves():
@@ -71,7 +81,6 @@ def test_dirac_eigenvalue_ladder_identity():
         for twok in range(-twol, twol + 1, 2):
             up = ladder[(twol, 1, twok)]
             down = ladder[(twol, -1, twok)]
-            assert alpha_squared(twol, -1) == qint(n) * qint(n)
             assert r_action(gen_E, up.elem) == down.elem.scale(-qint(n) * qint(n))
             # norm ratio matches the same factor
             assert up.norm2 == down.norm2 * qint(n) * qint(n)
@@ -160,6 +169,17 @@ def test_mult_matrix_untrusted_boundary():
     for v in vplus:
         flagged = v.key() in m.untrusted_cols
         assert flagged == (v.twol + 2 > top)
+
+
+def test_mult_matrix_builds_few_vectors_past_its_range(monkeypatch):
+    # expanding the boundary columns at l <= 7/2 reads only the lowest
+    # vectors of spin 9/2, so its E-chains stay short
+    monkeypatch.setattr(corep, "LADDER", corep.Ladder())
+    for family in vplus_vminus_basis(Fraction(7, 2)):
+        for x in (gen_A, gen_B, gen_Bs):
+            mult_matrix(x, family, family)
+    built = {s: len(corep.LADDER._chains[s, 5]) for s in (1, -1)}
+    assert max(built.values()) <= 3, built
 
 
 def test_cutoff_guard():

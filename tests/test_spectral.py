@@ -208,6 +208,50 @@ def test_norm2_num_through_level_15():
         assert abs(space.norm2_num(v) - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)])
+def test_norm2_is_the_haar_norm_at_q0(q0):
+    # the squared norms from the step factors, exactly in Q(sqrt(q0)) through
+    # level 8, against the engine's Haar pairing of the built vectors
+    eng = spectral._engine_for(q0)
+    for n in range(1, 9):
+        for (s, twok), v in eng.level(n).items():
+            assert v.norm2 == eng.rational(eng.inner(v.terms, v.terms)), (s, n, twok)
+
+
+def test_checks_build_few_ladder_vectors(monkeypatch):
+    # a column of M(x) reads only the lowest vectors of the nearby levels:
+    # the space alone builds no vector, and the two checks at most three
+    # per (s, n), against 2n in a whole level
+    monkeypatch.setattr(spectral, "_engine_for", spectral._Engine)
+    space = TruncatedSpace(Fraction(1, 4), 11)
+    assert not space.engine._chains
+    haar_trace_check(gen_A, 3, space)
+    tau_trace_check(gen_A, gen_B, gen_Bs, 3, space)
+    built = {key: len(chain) for key, chain in space.engine._chains.items()}
+    assert {(s, n) for s in (1, -1) for n in range(1, space.npad + 1)} <= set(built)
+    assert max(built.values()) <= 3, built
+
+
+@pytest.mark.parametrize("q0", [0.25, 0.81])
+@pytest.mark.parametrize("z", [0.1, 0.5, 1, 3])
+def test_abs_dirac_power_is_trace_class(q0, z):
+    # |D| has eigenvalue [n] with multiplicity 4n, so Tr |D|^-z is the sum of
+    # 4n [n]^-z.  [n] = q^(1-n) (1 + q^2 + ... + q^(2n-2)) >= q^(1-n), so the
+    # terms past N sum to at most T_N = sum_{n>N} 4n r^(n-1), r = q^z < 1 for
+    # z > 0, which is 4 ((N+1) r^N/(1-r) + r^(N+1)/(1-r)^2) and goes to 0
+    r = q0**z
+
+    def tail(N):
+        return 4 * ((N + 1) * r**N / (1 - r) + r ** (N + 1) / (1 - r) ** 2)
+
+    nmax = int(700 / -math.log(q0))  # [n] stays a finite float
+    terms = [4 * n * qnum(n, q0) ** -z for n in range(1, nmax + 1)]
+    for N in (nmax // 64, nmax // 16, nmax // 4, nmax // 2):
+        gap = math.fsum(terms[N : 2 * N])
+        assert 0 <= gap <= tail(N), (N, gap, tail(N))
+    assert tail(nmax // 2) <= 1e-9 * math.fsum(terms)
+
+
 def test_real_structure_at_L10():
     for rec in commutant_checks(gen_A, gen_B, TruncatedSpace(Fraction(1, 4), 10)):
         assert rec["passed"] and rec["lhs"] <= 1e-10
