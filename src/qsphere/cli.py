@@ -6,11 +6,11 @@ prints one JSONL record per check per truncation level L: the h-trace of
 A, the tau-traces of (A, B, B*) and (1, B, B*), and the commutant and
 order-one conditions of the real structure, then the zeta residue at q0.
 A trace record is judged against `exact` times `zeta_ratio`, its exact
-truncated value.  Each record carries its bounds `tol_abs` and `tol_rel`
-(null when unset), its wall time `wall_ms` and the module that made it,
-`layer`.  The exit status is 0 when every check passes and 1 otherwise; an
-empty level range, a q0 that is not rational, a z <= 2, not finite or
-overflowing zeta, and a trace with no exact level are refused with status 2.
+truncated value.  Each record carries its bound `tol_abs`, its wall time
+`wall_ms` and the module that made it, `layer`.  The exit status is 0 when
+every check passes and 1 otherwise; an empty level range, a q0 that is not
+rational, a z <= 2, not finite or overflowing zeta, and a trace with no
+exact level are refused with status 2.
 """
 
 from __future__ import annotations

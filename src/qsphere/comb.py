@@ -21,20 +21,22 @@ def _as_q(c) -> RationalQ:
     return c if isinstance(c, RationalQ) else RationalQ(c)
 
 
+def add_term(acc: dict, key, c):
+    """acc[key] += c in place, dropping a sum that cancels: the one merge of
+    the exact algebras and of the ladder in either of its fields."""
+    old = acc.get(key)
+    if old is not None:
+        c = old + c
+    if c:
+        acc[key] = c
+    elif old is not None:
+        del acc[key]
+
+
 def merge_into(acc: dict, terms: dict, coeff=None):
     """acc += coeff * terms in place, dropping coefficients that cancel."""
     for key, c in terms.items():
-        if coeff is not None:
-            c = c * coeff
-        old = acc.get(key)
-        if old is None:
-            acc[key] = c
-        else:
-            old = old + c
-            if old.is_zero():
-                del acc[key]
-            else:
-                acc[key] = old
+        add_term(acc, key, c if coeff is None else c * coeff)
 
 
 class SparseComb:
@@ -172,16 +174,7 @@ class SparseComb:
             for m2, c2 in other.terms.items():
                 c = c1 * c2
                 for mono, w in mono_product(m1, m2):
-                    v = times(c, w)
-                    old = out.get(mono)
-                    if old is None:
-                        out[mono] = v
-                    else:
-                        old = old + v
-                        if old.is_zero():
-                            del out[mono]
-                        else:
-                            out[mono] = old
+                    add_term(out, mono, times(c, w))
         return self._like(out, other)
 
     def __rmul__(self, other):

@@ -16,7 +16,6 @@ freely between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .comb import SparseComb, TensorComb, merge_into
@@ -297,18 +296,3 @@ def _mono_coproduct(mono, n):
                 out = out * base
     return out
 
-
-def _convention_self_test():
-    """Assert the relation conventions reproduce the sphere relations."""
-    A = gen_b * gen_c * RationalQ.q_power(-1, -1)
-    B = gen_a * gen_c
-    Bs = gen_d * gen_b * Fraction(-1)
-    assert gen_d * gen_a == CoordElement.one() + gen_b * gen_c * RationalQ.q_power(-1)
-    assert gen_a * gen_d == CoordElement.one() + gen_b * gen_c * RationalQ.q_power(1)
-    assert Bs * B == A - A * A
-    assert B * Bs == A * RationalQ.q_power(2) - (A * A) * RationalQ.q_power(4)
-    assert B.star() == Bs
-    assert A.star() == A
-
-
-_convention_self_test()

@@ -17,9 +17,10 @@ one (s, n) holds its bottom vector and the part of its E-chain read so far.
 element in it, a triangular solve on top-degree monomials; `expand_mul`
 solves one column of M(x) per level and fills the rest by U_q-covariance
 (the q-Wigner-Eckart theorem).  It keys a vector (s, n, 2k) with s = 2j
-and works over Q(q^(1/2)); `spectral._Engine` overrides only its
-arithmetic to evaluate it at a rational q0.  Spins run to 2l <= MAX_TWOL,
-the one cutoff of both layers.  `vplus_vminus_basis` and `mult_matrix`
+and computes with +, -, * and / alone, on the values `value` gives the
+exact coefficients: the RationalQ itself here, and its `scalar.Surd` at a
+rational q0 in `spectral._Engine`.  Spins run to 2l <= MAX_TWOL, the one
+cutoff of both layers.  `vplus_vminus_basis` and `mult_matrix`
 read the module's exact `LADDER` and key a vector (2l, 2j, 2k):
 half-integers are stored doubled so all indices are ints.
 """
@@ -31,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
+from .comb import add_term
 from .coordalg import CoordElement, mono_mul
 from .errors import CutoffExceeded
 from .haar import haar
@@ -65,7 +67,7 @@ Vector = namedtuple("Vector", "terms norm2")
 class Ladder:
     """The ladder and the expansion in it, with coefficients in Q(q^(1/2));
     every table is filled on first use.  A subclass changes the field by
-    overriding the arithmetic methods."""
+    overriding `value` and `rational`."""
 
     def __init__(self):
         self._images = {}  # (map, mono) -> the exact map's image
@@ -76,30 +78,15 @@ class Ladder:
         self._qints = []  # [m] at index m
         self._halfpows = {}  # m -> q^(m/2)
 
-    # -- arithmetic in Q(q^(1/2)) -------------------------------------------
+    # -- the field ----------------------------------------------------------
 
     def value(self, x: RationalQ):
+        """x in the ladder's field."""
         return x
 
     def rational(self, x):
         """A value that lies in the field of the squared norms."""
         return x
-
-    times = staticmethod(operator.mul)
-    divide = staticmethod(operator.truediv)
-    neg = staticmethod(operator.neg)
-    plus = staticmethod(operator.add)
-    nonzero = staticmethod(bool)
-
-    def _add(self, acc, mono, c):
-        """acc[mono] += c, dropping a sum that cancels."""
-        old = acc.get(mono)
-        if old is not None:
-            c = self.plus(old, c)
-        if self.nonzero(c):
-            acc[mono] = c
-        elif old is not None:
-            del acc[mono]
 
     # -- the exact layer in this field --------------------------------------
 
@@ -110,9 +97,9 @@ class Ladder:
         out = {}
         for m1, c1 in xs.items():
             for m2, c2 in ys.items():
-                c = self.times(c1, c2)
+                c = c1 * c2
                 for mono, w in mono_mul(m1, m2):
-                    self._add(out, mono, self.times(c, self.value(RationalQ._raw(w))))
+                    add_term(out, mono, c * self.value(RationalQ._raw(w)))
         return out
 
     def apply(self, fn, xs: dict) -> dict:
@@ -124,7 +111,7 @@ class Ladder:
                 img = self.terms(fn(CoordElement._raw({mono: Q_ONE})))
                 self._images[fn, mono] = img
             for m, w in img.items():
-                self._add(out, m, self.times(c, w))
+                add_term(out, m, c * w)
         return out
 
     def inner(self, xs: dict, ys: dict):
@@ -136,9 +123,9 @@ class Ladder:
                 h = self._pairings.get((m2, m1))
                 if h is None:
                     h = self._pairings[m2, m1] = self._pairing(m2, m1)
-                if self.nonzero(h):
-                    part = self.plus(part, self.times(c1, h))
-            total = self.plus(total, self.times(c2, part))
+                if h:
+                    part = part + c1 * h
+            total = total + c2 * part
         return total
 
     def _pairing(self, m2, m1):
@@ -149,9 +136,9 @@ class Ladder:
             h = self._states.get(mono)
             if h is None:
                 h = self._states[mono] = self.value(haar(CoordElement._raw({mono: Q_ONE})))
-            if self.nonzero(h):
-                total = self.plus(total, self.times(self.value(RationalQ._raw(w)), h))
-        return self.times(cs, total)
+            if h:
+                total = total + self.value(RationalQ._raw(w)) * h
+        return cs * total
 
     # -- ladder ---------------------------------------------------------------
 
@@ -222,10 +209,10 @@ class Ladder:
                 pivot = max(vec.terms, key=sum)
                 c = rest.get(pivot)
                 if c is not None:
-                    c = out[s, n, twok] = self.divide(c, vec.terms[pivot])
-                    minus_c = self.neg(c)
+                    c = out[s, n, twok] = c / vec.terms[pivot]
+                    minus_c = -c
                     for m, w in vec.terms.items():
-                        self._add(rest, m, self.times(minus_c, w))
+                        add_term(rest, m, minus_c * w)
                 n -= 1
             if rest:
                 raise ArithmeticError(f"remainder {rest} outside the ladder")
@@ -260,9 +247,9 @@ class Ladder:
                 col = {}
                 for (s2, n2, t), c in chain[i].items():
                     if t < 2 * n2 - 1:
-                        self._add(col, (s2, n2, t + 2), self.times(self._halfpow(t - twok), c))
+                        add_term(col, (s2, n2, t + 2), self._halfpow(t - twok) * c)
                 for (s2, n2, t), c in chain[i + 1].items():
-                    self._add(col, (s2, n2, t), self.neg(self.times(self._halfpow(t - 2), c)))
+                    add_term(col, (s2, n2, t), -(self._halfpow(t - 2) * c))
                 chain[i] = col
             out[twok + 2] = chain[0]
         return out

@@ -5,41 +5,18 @@ from __future__ import annotations
 import json
 
 
-def record(
-    check,
-    inputs,
-    lhs,
-    rhs,
-    tol_abs=None,
-    tol_rel=None,
-    L=None,
-    q0=None,
-    trusted_fraction=None,
-    extra=None,
-):
+def record(check, inputs, lhs, rhs, tol_abs=None, L=None, q0=None, trusted_fraction=None,
+           extra=None):
     """Build one report entry comparing lhs against rhs.
 
-    Passing requires abs_err <= tol_abs and rel_err <= tol_rel when given;
-    exact checks pass tol_abs = 0.  The record names both bounds, None when
-    unset.  rel_err = |lhs - rhs| / max(|lhs|, |rhs|) is at most 2, and at
-    most 1 when lhs and rhs share a sign, so a tol_rel of 1 or more could
-    not fail and raises ValueError.  Against rhs = 0 the relative error says
-    nothing: it is reported as None, and a tol_rel without a tol_abs raises
-    ValueError.
+    Passing requires abs_err <= tol_abs, and abs_err = 0 when tol_abs is
+    None; the record names the bound.  rel_err = |lhs - rhs| / max(|lhs|,
+    |rhs|) is reported beside it, and None against rhs = 0, where a relative
+    error says nothing.
     """
-    if tol_rel is not None and tol_rel >= 1:
-        raise ValueError(f"tol_rel = {tol_rel} >= 1 passes any pair of the same sign")
-    if rhs == 0 and tol_rel is not None and tol_abs is None:
-        raise ValueError("a relative tolerance cannot judge an exact value of 0; give tol_abs")
     abs_err = abs(lhs - rhs)
     rel_err = None if rhs == 0 else float(abs_err) / max(abs(lhs), abs(rhs))
-    passed = True
-    if tol_abs is not None:
-        passed = passed and abs_err <= tol_abs
-    if tol_rel is not None and rel_err is not None:
-        passed = passed and rel_err <= tol_rel
-    if tol_abs is None and tol_rel is None:
-        passed = abs_err == 0
+    passed = abs_err == 0 if tol_abs is None else abs_err <= tol_abs
     rec = {
         "check": check,
         "inputs": inputs,
@@ -48,7 +25,6 @@ def record(
         "abs_err": float(abs_err),
         "rel_err": rel_err,
         "tol_abs": tol_abs,
-        "tol_rel": tol_rel,
         "L": L,
         "q0": _plain(q0),
         "trusted_fraction": trusted_fraction,

@@ -18,6 +18,10 @@ when xi > 2 |f|_inf.  `poly_gcd` takes the big-int gcd h of two such values
 divisions accepting h computed; `_reduce` makes num/den canonical from these
 by one shift and one monic scale.  After `_HEU_DOUBLINGS` doublings of k,
 Euclid over Fraction finds the gcd and `poly_exact_div` the cofactors.
+
+At a rational q0 a value lies in Q(sqrt(q0)): a `Surd` even + odd sqrt(q0)
+with Fraction parts, exact under the field operations and rounded to a
+float once (`evaluate`).
 """
 
 from __future__ import annotations
@@ -475,7 +479,7 @@ class RationalQ:
         return self.den.is_one() and self.num.is_one()
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -618,30 +622,81 @@ def qlambda() -> RationalQ:
     return RationalQ._raw(LaurentPoly({2: 1, -2: -1}))
 
 
-def pair_float(even: Fraction, odd: Fraction, q0: Fraction) -> float:
-    """even + odd sqrt(q0) as a float.  Parts of opposite signs would cancel,
-    so their sum is rounded as (even^2 - q0 odd^2) / (even - odd sqrt(q0)),
-    whose numerator is exact and whose denominator adds like signs."""
-    root = math.sqrt(q0)
-    if even and odd and (even < 0) != (odd < 0):
-        return float(even * even - q0 * odd * odd) / (float(even) - float(odd) * root)
-    return float(even) + float(odd) * root
+class Surd:
+    """even + odd sqrt(q0) in Q(sqrt(q0)), for a rational q0 > 0 and
+    Fraction parts: the value of a RationalQ at q0 (`at`), exact under
+    +, unary -, * and /.  When sqrt(q0) is rational the odd part is 0, so
+    a value is 0 exactly when both parts are."""
+
+    __slots__ = ("even", "odd", "q0")
+
+    def __init__(self, even, odd, q0):
+        self.even = even
+        self.odd = odd
+        self.q0 = q0
+
+    @staticmethod
+    def at(x: RationalQ, q0: Fraction) -> Surd:
+        """x at q0, from the canonical pairs of `eval_pair`."""
+        num = Surd(*x.num.eval_pair(q0), q0)
+        return num if x.den.is_one() else num / Surd(*x.den.eval_pair(q0), q0)
+
+    def __add__(self, other):
+        a, b, c, d = self.even, self.odd, other.even, other.odd
+        return Surd(a + c if c else a, b + d if d else b, self.q0)
+
+    def __neg__(self):
+        return Surd(-self.even, -self.odd, self.q0)
+
+    def __mul__(self, other):
+        a, b, c, d = self.even, self.odd, other.even, other.odd
+        # most values have a zero part; skip its products
+        if b and d:
+            return Surd(a * c + self.q0 * b * d, a * d + b * c, self.q0)
+        return Surd(a * c, b * c if b else a * d, self.q0)
+
+    def __truediv__(self, other):
+        c, d = other.even, other.odd
+        norm = c * c - self.q0 * d * d
+        if not norm:
+            raise EvaluationPole(f"division by 0 at q0 = {self.q0}")
+        return self * Surd(c / norm, -d / norm, self.q0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return (self.even, self.odd, self.q0) == (other.even, other.odd, other.q0)
+
+    def __bool__(self):
+        return bool(self.even or self.odd)
+
+    def rational(self) -> Fraction:
+        """The value as a Fraction; ArithmeticError if it is not rational."""
+        if self.odd:
+            raise ArithmeticError(f"{self!r} is not rational")
+        return self.even
+
+    def __float__(self):
+        """Rounded once.  Parts of opposite signs would cancel, so their sum is
+        rounded as (even^2 - q0 odd^2) / (even - odd sqrt(q0)), whose numerator
+        is exact and whose denominator adds like signs."""
+        even, odd, q0 = self.even, self.odd, self.q0
+        root = math.sqrt(q0)
+        if even and odd and (even < 0) != (odd < 0):
+            return float(even * even - q0 * odd * odd) / (float(even) - float(odd) * root)
+        return float(even) + float(odd) * root
+
+    def __repr__(self):
+        return f"Surd({self.even} + {self.odd}*sqrt({self.q0}))"
 
 
 def evaluate(x: RationalQ, q0) -> float:
-    """Value of x at 0 < q0 < 1: the exact quotient in Q(sqrt(q0)), rounded
-    once by `pair_float`.  Raises EvaluationPole when the denominator
-    vanishes at q0, which the canonical pair of `eval_pair` decides exactly.
-    """
+    """Value of x at 0 < q0 < 1, exact in Q(sqrt(q0)) and rounded once.
+    Raises EvaluationPole when the denominator vanishes at q0."""
     q0 = Fraction(q0)
     if not 0 < q0 < 1:
         raise ValueError("q0 must satisfy 0 < q0 < 1")
-    a, b = x.num.eval_pair(q0)
-    c, d = x.den.eval_pair(q0)
-    if not (c or d):
-        raise EvaluationPole(f"pole at q0 = {q0}")
-    norm = c * c - q0 * d * d
-    return pair_float((a * c - q0 * b * d) / norm, (b * c - a * d) / norm, q0)
+    return float(Surd.at(x, q0))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -18,14 +18,13 @@ count.
 Exact construction: the basis is the one ladder of `corep.Ladder`, with
 its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
 and its cutoff 2l <= `corep.MAX_TWOL`, evaluated at q0 by `_Engine`.  The
-engine supplies only the arithmetic of Q(sqrt(q0)): values are Fraction
-pairs (even, odd) with value even + odd sqrt(q0), the canonical split of
-`LaurentPoly.eval_pair`, and `to_float` rounds one through
-`scalar.pair_float`.  The ladder vectors w stay unnormalised, with exact
-squared norms N from the step factors, and are built on demand: the
-columns of M(x) on one level come from `Ladder.expand_mul`, which solves
-only the lowest-weight one, so only the lowest vectors of a level are
-built.  Rounding enters M(x) in one place, `_Engine._round`: each part of
+engine only maps an exact coefficient to its value at q0, a `scalar.Surd`
+in Q(sqrt(q0)), and a squared norm to its Fraction; the ladder runs on
+these values as on RationalQ.  The ladder vectors w stay unnormalised,
+with exact squared norms N from the step factors, and are built on
+demand: the columns of M(x) on one level come from `Ladder.expand_mul`,
+which solves only the lowest-weight one, so only the lowest vectors of a
+level are built.  Rounding enters M(x) in one place, `_Engine._round`: each part of
 the entry c sqrt(N_alpha / N_beta) is the square root of the correctly
 rounded rational c^2 N_alpha / N_beta, within one ulp, with its sign.
 Vectors, norms and columns do not depend on L; each is built once per q0
@@ -49,7 +48,7 @@ from .errors import CutoffExceeded
 from .haar import haar_podles
 from .podles import PodlesElement, embed
 from .report import record
-from .scalar import evaluate, pair_float
+from .scalar import Surd, evaluate
 
 
 def qnum(n: int, q0: float) -> float:
@@ -64,67 +63,26 @@ def _qnum_pow(n: int, z, q0: float) -> complex:
 
 class _Engine(Ladder):
     """The exact ladder at one rational q0, with values in Q(sqrt(q0)) as
-    (even, odd) pairs: only the arithmetic differs from `corep.Ladder`."""
+    `scalar.Surd`s and squared norms as Fractions."""
 
     def __init__(self, q0: Fraction):
         super().__init__()
         self.q0 = q0
         self._columns = {}  # (y, key) -> {row key: float}
 
-    def times(self, x, y):
-        a, b = x
-        c, d = y
-        # most values have a zero part; skip its products
-        if b and d:
-            return (a * c + self.q0 * b * d, a * d + b * c)
-        return (a * c, b * c if b else a * d)
-
-    def divide(self, x, y):
-        norm = y[0] * y[0] - self.q0 * y[1] * y[1]
-        return self.times(x, (y[0] / norm, -y[1] / norm))
-
     def value(self, x):
         """A RationalQ at q0."""
-        num = x.num.eval_pair(self.q0)
-        return num if x.den.is_one() else self.divide(num, x.den.eval_pair(self.q0))
+        return Surd.at(x, self.q0)
 
-    def rational(self, x) -> Fraction:
-        even, odd = x
-        if odd:
-            raise ArithmeticError(f"{x} is not rational")
-        return even
-
-    @staticmethod
-    def neg(x):
-        return (-x[0], -x[1])
-
-    @staticmethod
-    def plus(x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    nonzero = staticmethod(any)
-
-    @staticmethod
-    def _add(acc, mono, c):
-        """acc[mono] += c, dropping a sum that cancels."""
-        old = acc.get(mono)
-        if old is not None:
-            c = (old[0] + c[0] if c[0] else old[0], old[1] + c[1] if c[1] else old[1])
-        if c[0] or c[1]:
-            acc[mono] = c
-        elif old is not None:
-            del acc[mono]
-
-    def to_float(self, x) -> float:
-        return pair_float(*x, self.q0)
+    rational = staticmethod(Surd.rational)
 
     def _round(self, key, coeffs) -> dict:
         """The orthonormal column {row key: entry} of w_key from its exact
         coefficients {alpha: c}: the one place where rounding enters."""
         norm2 = self.norm2(key)
         col = {}
-        for alpha, (even, odd) in coeffs.items():
-            ratio = self.norm2(alpha) / norm2
+        for alpha, c in coeffs.items():
+            even, odd, ratio = c.even, c.odd, self.norm2(alpha) / norm2
             col[alpha] = math.copysign(math.sqrt(even * even * ratio), even) + math.copysign(
                 math.sqrt(odd * odd * self.q0 * ratio), odd
             )
@@ -163,6 +121,8 @@ class TruncatedSpace:
             raise ValueError("L must be at least 1")
         if 2 * (L + PAD) - 1 > MAX_TWOL:
             raise CutoffExceeded("truncation level too large")
+        if isinstance(q0, float):
+            raise TypeError(f"float q0 {q0!r}: the exact basis takes an int or Fraction")
         self.q0_exact = Fraction(q0)
         if not 0 < self.q0_exact < 1:
             raise ValueError("q0 must satisfy 0 < q0 < 1")
@@ -188,8 +148,8 @@ class TruncatedSpace:
     def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
         pairing h(w* w) at q0 over the tracked norm2."""
-        even, odd = self.engine.inner(v.terms, v.terms)
-        return self.engine.to_float((even / v.norm2, odd / v.norm2))
+        h = self.engine.inner(v.terms, v.terms)
+        return float(Surd(h.even / v.norm2, h.odd / v.norm2, h.q0))
 
 
 def build_dirac(space: TruncatedSpace) -> np.ndarray:
@@ -298,10 +258,24 @@ def zeta_residue(q0: float) -> float:
 
 
 def residue_check(q0: float, eps: float = 1e-4):
-    """(z-2) zeta(z) at z = 2 + eps against the closed-form residue."""
+    """(z-2) zeta(z) at z = 2 + eps against the residue R of `zeta_residue`.
+
+    In `zeta_merom` at z = 2 + eps only the term q^eps/(1 - q^eps) =
+    -1/(eps log q) - 1/2 + O(eps) has a pole, the prefactor is (q^-1 - q)
+    (1 + eps log(q^-1 - q)) + O(eps^2), and the rest of the series is
+    S = 2 sum_{m>=1} q^2m/(1 - q^2m) + O(eps).  So eps zeta(2 + eps) =
+    R + a1 eps + O(eps^2), with a1 = (q^-1 - q)(S - 1/2 - log(q^-1 - q)/log q),
+    and the check is judged by tol_abs = 2 |a1| eps.  That holds while the
+    O(eps^2) term and the round-off of 1 - q^eps stay below |a1| eps, with
+    margins over 100 at eps = 1e-4 for 0.01 <= q0 <= 0.99, where a1 > 1.15.
+    """
+    lam, lq = 1.0 / q0 - q0, math.log(q0)
+    s = sum(2 * q0 ** (2 * m) / (1 - q0 ** (2 * m)) for m in range(1, int(20 / -lq) + 2))
+    a1 = lam * (s - 0.5 - math.log(lam) / lq)
     z = 2.0 + eps
     val = (z - 2) * zeta_merom(z, q0)
-    return record("zeta_residue", {"eps": eps}, val.real, zeta_residue(q0), tol_rel=1e-3, q0=q0)
+    return record("zeta_residue", {"eps": eps}, val.real, zeta_residue(q0),
+                  tol_abs=2 * abs(a1) * eps, q0=q0)
 
 
 # -- trace checks -------------------------------------------------------------

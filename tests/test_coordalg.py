@@ -42,7 +42,7 @@ def test_defining_relations():
 
 def test_da_example():
     # d*a -> 1 + q^-1 bc, the unique orientation compatible with the
-    # sphere relations checked in the module self-test
+    # sphere relations (tests/test_podles.py, test_embed_matches_abstract_relations)
     prod = gen_d * gen_a
     assert prod.coefficient((0, 0, 0, 0)) == Q_ONE
     assert prod.coefficient((0, 1, 1, 0)) == qpow(-1)

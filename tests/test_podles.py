@@ -3,7 +3,7 @@
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c
@@ -91,9 +91,11 @@ def test_embed_is_algebra_map_randomized(x, y):
 
 
 def test_embed_matches_abstract_relations():
-    # embed(B*B) equals the normal form of (-db)(ac) and embed(A - A^2)
+    # embed(B*B) equals the normal form of (-db)(ac) and embed(A - A^2);
+    # embed(BB*) that of (ac)(-db) and embed(q^2 A - q^4 A^2)
     assert embed(gen_Bs * gen_B) == embed(gen_Bs) * embed(gen_B)
     assert embed(gen_Bs) * embed(gen_B) == embed(gen_A - gen_A * gen_A)
+    assert embed(gen_B) * embed(gen_Bs) == embed(gen_A * qpow(2) - gen_A * gen_A * qpow(4))
 
 
 def test_embed_injective_on_basis():
@@ -112,6 +114,8 @@ def test_embed_injective_on_basis():
 
 @settings(max_examples=20)
 @given(podles_elements(2, 2))
+@example(gen_A)  # (-q^-1 bc)* = -q^-1 bc: A* = A
+@example(gen_B)  # (ac)* = -db: B* = gen_Bs
 def test_star_matches_embedding(x):
     assert embed(x.star()) == embed(x).star()
 

@@ -16,6 +16,7 @@ from qsphere.scalar import (
     Q_ONE,
     Q_ZERO,
     RationalQ,
+    Surd,
     evaluate,
     poly_exact_div,
     poly_gcd,
@@ -322,6 +323,62 @@ def test_eval_rounds_without_cancellation():
     x = Q_ONE * 985 - qhalfpow(1) * 1393
     expected = 0.5 / (985 + 1393 * math.sqrt(0.5))
     assert abs(evaluate(x, Fraction(1, 2)) - expected) <= 1e-15 * expected
+
+
+SURD_Q0 = [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]
+
+
+@settings(max_examples=60)
+@given(rqs, rqs)
+def test_surd_at_respects_the_field_operations(x, y):
+    for q0 in SURD_Q0:
+        try:
+            sx, sy = Surd.at(x, q0), Surd.at(y, q0)
+        except EvaluationPole:
+            continue
+        assert Surd.at(x + y, q0) == sx + sy
+        assert Surd.at(-x, q0) == -sx
+        assert Surd.at(x * y, q0) == sx * sy
+        # equal at q0 exactly when the difference vanishes there
+        assert (sx == sy) == (not Surd.at(x - y, q0))
+        if sy:
+            assert Surd.at(x / y, q0) == sx / sy
+        else:
+            with pytest.raises(EvaluationPole):
+                sx / sy
+        assert float(sx) == evaluate(x, q0)
+
+
+@pytest.mark.parametrize(
+    "q0, pole",
+    [
+        (Fraction(1, 4), {0: 1, 1: -2}),  # 1 - 2 q^(1/2)
+        (Fraction(1, 2), {0: 1, 2: -2}),  # 1 - 2 q
+        (Fraction(2, 3), {0: 2, 2: -3}),  # 2 - 3 q
+    ],
+)
+def test_surd_pole_raises(q0, pole):
+    with pytest.raises(EvaluationPole):
+        Surd.at(RationalQ(LaurentPoly.one(), LaurentPoly(pole)), q0)
+    with pytest.raises(EvaluationPole):
+        Surd.at(Q_ONE, q0) / Surd.at(RationalQ(LaurentPoly(pole)), q0)
+
+
+@pytest.mark.parametrize(
+    "q0, even, odd, norm",
+    [
+        (Fraction(1, 4), 1, -2, 0),  # 1 - 2 sqrt(1/4) = 0
+        (Fraction(1, 2), 985, -1393, Fraction(1, 2)),
+        (Fraction(2, 3), 881, -1079, Fraction(1, 3)),
+    ],
+)
+def test_surd_float_rounds_without_cancellation(q0, even, odd, norm):
+    # even^2 - q0 odd^2 = norm: even + odd sqrt(q0) = norm / (even - odd
+    # sqrt(q0)), far below the two floats near even whose naive sum cancels
+    x = Surd(Fraction(even), Fraction(odd), q0)
+    expected = float(norm) / (even - odd * math.sqrt(q0))
+    assert abs(float(x) - expected) <= 1e-15 * abs(expected)
+    assert float(-x) == -float(x)
 
 
 def test_render_example():

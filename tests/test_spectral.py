@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsphere import spectral
 from qsphere.coordalg import CoordElement
@@ -54,14 +56,13 @@ def gram_defect(space, nmax):
     worst = 0.0
     for a in vecs:
         for b in vecs:
-            g = (Fraction(0), Fraction(0))
+            g = eng.value(RationalQ(0))
             for m1, c1 in a.terms.items():
                 for m2, c2 in b.terms.items():
                     h = _state_of_product(m1, m2)
                     if h:
-                        t = eng.times(eng.times(c1, c2), eng.value(h))
-                        g = (g[0] + t[0], g[1] + t[1])
-            g = eng.to_float((g[0] / a.norm2, g[1] / a.norm2))
+                        g = g + c1 * c2 * eng.value(h)
+            g = float(g / eng.value(RationalQ(a.norm2)))
             worst = max(worst, abs(g * math.sqrt(a.norm2 / b.norm2) - (a is b)))
     return worst
 
@@ -74,6 +75,14 @@ def test_truncated_space_rejects_bad_input():
             TruncatedSpace(q0, 2)
     with pytest.raises(CutoffExceeded):
         TruncatedSpace(Fraction(1, 2), 48)
+
+
+def test_truncated_space_refuses_a_float_q0():
+    # Fraction(0.1) is 3602879701896397/2^55: the basis would be exact for
+    # that binary rational, not for 1/10, and slow to build
+    with pytest.raises(TypeError, match="float"):
+        TruncatedSpace(0.1, 8)
+    assert TruncatedSpace(Fraction(1, 10), 1).q0_exact == Fraction(1, 10)
 
 
 def test_engine_cache_is_bounded():
@@ -183,6 +192,21 @@ def test_large_integral_z_gives_no_nan():
 @pytest.mark.parametrize("q0", [0.25, 0.5, 0.8, 0.9])
 def test_residue_check_passes(q0):
     assert residue_check(q0)["passed"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(5, 95))
+def test_residue_check_is_judged_by_its_first_order_term(k):
+    # eps zeta(2 + eps) - R is a1 eps to first order, and tol_abs = 2 |a1| eps
+    q0, eps = k / 100, 1e-4
+    rec = residue_check(q0, eps)
+    a1 = rec["tol_abs"] / (2 * eps)
+    assert rec["passed"] and abs((rec["lhs"] - rec["rhs"]) / eps - a1) <= 1e-4 * a1
+    # a residue off by 3 a1 eps away from lhs fails, and by 4 a1 eps toward it
+    for off in (-3, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "zeta_residue", lambda q, r=rec["rhs"]: r + off * a1 * eps)
+            assert not residue_check(q0, eps)["passed"], off
 
 
 def test_gram_defect_low_levels():
@@ -310,9 +334,9 @@ def test_dirac_equals_twisted_actions(q0):
         n2 = eng.value(qint(n) * qint(n))
         for twok in range(-(2 * n - 1), 2 * n, 2):
             up, down = eng.vector((1, n, twok)), eng.vector((-1, n, twok))
-            minus_n2_down = {m: eng.neg(eng.times(n2, c)) for m, c in down.terms.items()}
+            minus_n2_down = {m: -(n2 * c) for m, c in down.terms.items()}
             assert eng.apply(_r_e, up.terms) == minus_n2_down, (n, twok)
-            assert eng.apply(_r_f, down.terms) == {m: eng.neg(c) for m, c in up.terms.items()}
+            assert eng.apply(_r_f, down.terms) == {m: -c for m, c in up.terms.items()}
             assert up.norm2 == eng.rational(n2) * down.norm2
 
 
@@ -326,7 +350,7 @@ def test_build_J_is_the_j0_expansion(q0):
     eng = space.engine
     expected = np.zeros((space.dim, space.dim), dtype=complex)
     for (s, n, twok), c in j0_coefficients(eng, range(1, space.npad + 1)).items():
-        sign = math.copysign(1, eng.to_float(c))
+        sign = math.copysign(1, float(c))
         assert sign == s * (-1) ** ((twok - 1) // 2), (q0, s, n, twok)
         expected[space.pos[-s, n, -twok], space.pos[s, n, twok]] = -1j * s * sign
     assert np.array_equal(build_J(space), expected)
@@ -340,21 +364,23 @@ def test_haar_trace_is_judged_against_its_truncated_value():
     assert rec["exact"] == pytest.approx(0.8) and abs(rec["lhs"] - 0.8) > 1e-3
     assert rec["zeta_ratio"] == (zeta_series(3, space.npad, 0.5) / zeta_merom(3, 0.5)).real
     assert rec["rhs"] == rec["exact"] * rec["zeta_ratio"]
-    assert rec["tol_abs"] == space.dim * 2.2e-16 and rec["tol_rel"] is None
+    assert rec["tol_abs"] == space.dim * 2.2e-16 and "tol_rel" not in rec
     assert rec["passed"]
     # an exact value off by 1e-12 relative would fail on the same bound
     assert not record("off", {}, rec["lhs"], rec["rhs"] * (1 + 1e-12), rec["tol_abs"])["passed"]
 
 
-def test_record_rejects_vacuous_tolerance():
-    with pytest.raises(ValueError):
+def test_record_is_judged_by_its_absolute_bound():
+    # tol_abs is the one bound; without it only an exact match passes, and
+    # no relative tolerance is taken
+    assert record("exact", {}, 0.8, 0.8)["passed"]
+    assert not record("exact", {}, 0.8000001, 0.8)["passed"]
+    rec = record("tight", {}, -809.0, 0.8, tol_abs=1.0)
+    assert not rec["passed"] and "tol_rel" not in rec
+    with pytest.raises(TypeError):
         record("vacuous", {}, -809.0, 0.8, tol_rel=1)
-    assert not record("tight", {}, -809.0, 0.8, tol_rel=0.5)["passed"]
-    # against an exact 0 a relative error is meaningless: a lone tol_rel is
-    # refused, and rel_err is not reported
-    with pytest.raises(ValueError):
-        record("zero", {}, 6e-12, 0.0, tol_rel=0.5)
-    rec = record("zero", {}, 6e-12, 0.0, tol_abs=1e-11, tol_rel=0.5)
+    # against an exact 0 a relative error says nothing, and is not reported
+    rec = record("zero", {}, 6e-12, 0.0, tol_abs=1e-11)
     assert rec["passed"] and rec["rel_err"] is None
     assert not record("zero", {}, 6e-12, 0.0, tol_abs=1e-12)["passed"]
 
