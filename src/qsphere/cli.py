@@ -9,8 +9,9 @@ A trace record is judged against `exact` times `zeta_ratio`, its exact
 truncated value.  Each record carries its bound `tol_abs`, its wall time
 `wall_ms` and the module that made it, `layer`.  The exit status is 0 when
 every check passes and 1 otherwise; an empty level range, a q0 that is not
-rational, a z <= 2, not finite or overflowing zeta, and a trace with no
-exact level are refused with status 2.
+rational, a z <= 2, not finite or overflowing zeta, a level whose
+operators need a spin past the ladder cutoff and a trace with no exact
+level are refused with status 2.
 """
 
 from __future__ import annotations

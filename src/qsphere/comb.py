@@ -50,7 +50,7 @@ class SparseComb:
     the product of two basis monomials (_mono_mul, returning (key, weight)
     pairs that the weight multiplication _scale_by_weight applies to a
     coefficient), the letters that render a key (LETTERS) and, for an extra
-    field such as a localization flag or a tensor arity, _raw and _like.
+    field such as a tensor arity, _raw and _like.
     Values are immutable.
     """
 

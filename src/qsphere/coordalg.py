@@ -5,10 +5,8 @@ Generators a, b, c, d with the relations
     ab = q ba,  ac = q ca,  bc = cb,  bd = q db,  cd = q dc,
     ad = 1 + q bc,  da = 1 + q^-1 bc.
 
-Normal monomials are a^i b^j c^k and b^j c^k d^l (a and d never mix).  In the
-localized algebra, obtained by inverting b and c, the exponents j and k range
-over all integers; the Hopf operations are only defined on the unlocalized
-subalgebra.
+Normal monomials are a^i b^j c^k and b^j c^k d^l (a and d never mix), all
+exponents nonnegative.
 
 Elements are immutable; all operations are pure, so values can be shared
 freely between threads.
@@ -19,10 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .comb import SparseComb, TensorComb, merge_into
-from .errors import NotInHopfDomain
 from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, qhalfpow
 
-# A monomial is (aexp, bexp, cexp, dexp) with aexp, dexp >= 0, aexp*dexp = 0.
+# A monomial is (aexp, bexp, cexp, dexp), all >= 0, with aexp*dexp = 0.
 MONO_ONE = (0, 0, 0, 0)
 
 _ONE_POLY = LaurentPoly.one()
@@ -97,52 +94,21 @@ def mono_mul(m1, m2):
 
 
 class CoordElement(SparseComb):
-    """Element of the coordinate algebra (optionally of its localization)."""
+    """Element of the coordinate algebra."""
 
-    __slots__ = ("localized",)
+    __slots__ = ()
 
     ONE_KEY = MONO_ONE
     LETTERS = (("a", None), ("b", None), ("c", None), ("d", None))
     # mono_mul weighs each product monomial by a Laurent polynomial
     _scale_by_weight = staticmethod(RationalQ.mul_poly)
 
-    def __init__(self, terms=None, localized=False):
-        self.localized = localized
-        super().__init__(terms)
-
     def _check_key(self, mono):
-        a, b, c, d = mono
-        if a < 0 or d < 0:
-            raise ValueError(f"negative a or d exponent in {mono}")
+        a, _, _, d = mono
+        if min(mono) < 0:
+            raise ValueError(f"negative exponent in {mono}")
         if a and d:
             raise ValueError(f"monomial {mono} mixes a and d")
-        if not self.localized and (b < 0 or c < 0):
-            raise ValueError(f"negative b or c exponent outside the localization: {mono}")
-
-    @classmethod
-    def _raw(cls, terms, localized=False):
-        out = cls.__new__(cls)
-        out.terms = terms
-        out.localized = localized
-        return out
-
-    def _like(self, terms, other=None):
-        loc = self.localized or (other is not None and other.localized)
-        return CoordElement._raw(terms, loc)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, localized=False):
-        return cls._raw({}, localized)
-
-    @classmethod
-    def one(cls, localized=False):
-        return cls._raw({MONO_ONE: Q_ONE}, localized)
-
-    @classmethod
-    def monomial(cls, mono, coeff=Q_ONE, localized=False):
-        return cls({tuple(mono): coeff}, localized)
 
     # -- structure ------------------------------------------------------
 
@@ -160,13 +126,8 @@ class CoordElement(SparseComb):
 
     # -- Hopf structure ---------------------------------------------------
 
-    def _require_hopf(self, op):
-        if self.localized:
-            raise NotInHopfDomain(f"{op} is not defined on localized elements")
-
     def star(self):
         """The *-involution: a* = d, b* = -q c, c* = -q^-1 b, d* = a."""
-        self._require_hopf("star")
         # (a^i b^j c^k d^l)* is a multiple of a^l b^k c^j d^i: no two terms meet
         return CoordElement._raw(
             {
@@ -176,7 +137,6 @@ class CoordElement(SparseComb):
         )
 
     def counit(self):
-        self._require_hopf("counit")
         total = Q_ZERO
         for (a, b, c, d), coeff in self.terms.items():
             if b == 0 and c == 0:
@@ -190,7 +150,6 @@ class CoordElement(SparseComb):
         chosen relations and coproduct (equivalently S(u_ij) = u_ji* for the
         unitary corepresentation matrix).
         """
-        self._require_hopf("antipode")
         # S(a^i b^j c^k d^l) is a multiple of a^l b^j c^k d^i: no two terms meet
         return CoordElement._raw(
             {
@@ -200,7 +159,6 @@ class CoordElement(SparseComb):
         )
 
     def coproduct(self, n=2):
-        self._require_hopf("coproduct")
         if n < 2:
             raise ValueError("coproduct arity must be at least 2")
         acc = {}
@@ -224,23 +182,12 @@ class CoordElement(SparseComb):
         ws = {right_weight(m) for m in self.terms}
         return ws.pop() if len(ws) == 1 else None
 
-    def localize(self):
-        """The same element viewed in the localization (b, c inverted)."""
-        return CoordElement._raw(dict(self.terms), True)
-
-
-def scalar_coord(coeff, localized=False):
-    """coeff * 1 as a CoordElement."""
-    return CoordElement.one(localized).scale(coeff)
-
 
 # generator elements
 gen_a = CoordElement._raw({(1, 0, 0, 0): Q_ONE})
 gen_b = CoordElement._raw({(0, 1, 0, 0): Q_ONE})
 gen_c = CoordElement._raw({(0, 0, 1, 0): Q_ONE})
 gen_d = CoordElement._raw({(0, 0, 0, 1): Q_ONE})
-gen_binv = CoordElement._raw({(0, -1, 0, 0): Q_ONE}, True)
-gen_cinv = CoordElement._raw({(0, 0, -1, 0): Q_ONE}, True)
 
 
 class TensorElement(TensorComb):

@@ -13,10 +13,6 @@ class EvaluationPole(QsphereError):
     """Numeric evaluation hit a pole of the rational function."""
 
 
-class NotInHopfDomain(QsphereError):
-    """Hopf-algebra operation applied to a localized element."""
-
-
 class NotInSubalgebra(QsphereError):
     """Element does not lie in the quantum-sphere subalgebra."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .comb import TensorComb
-from .coordalg import CoordElement, gen_a, gen_binv, gen_cinv, gen_d
+from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from .errors import ArityError, NotInSubalgebra
 from .haar import haar, haar_podles
 from .podles import (
@@ -34,7 +34,7 @@ from .podles import (
     sigma,
 )
 from .scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
-from .uq import UqElement, gen_E, gen_F, r_action, uq_coproduct
+from .uq import UqElement, act_left, gen_E, gen_F, gen_Kinv, r_action, uq_coproduct
 
 
 def r_e(x: PodlesElement) -> CoordElement:
@@ -121,20 +121,26 @@ def volume_check() -> PodlesElement:
     return total
 
 
-# localized commutator representation of the two derivations
-_DB_INV = gen_d * gen_binv
-_AC_INV = gen_a * gen_cinv
-
-
 def localized_commutator_check(x: PodlesElement) -> tuple[bool, bool]:
-    """Check R_F(x) = [q^(1/2) lambda^-1 d b^-1, x] and
-    R_E(x) = -[q^(-1/2) lambda^-1 a c^-1, x] in the localized algebra."""
-    lam_inv = qlambda().inverse()
-    y = embed(x).localize()
-    lhs_f = _DB_INV * y - y * _DB_INV
-    ok_f = lhs_f.scale(qhalfpow(1) * lam_inv) == r_f(x).localize()
-    lhs_e = _AC_INV * y - y * _AC_INV
-    ok_e = lhs_e.scale(qhalfpow(-1) * lam_inv * -1) == r_e(x).localize()
+    """Check that the derivations are inner once b and c are inverted,
+    R_F(x) = q^(1/2) lambda^-1 [d b^-1, x] and R_E(x) = -q^(-1/2) lambda^-1
+    [a c^-1, x], multiplied on the right by b and by c.
+
+    ab = q ba, bc = cb and bd = q db give b^-1 a b = q a, b^-1 c b = c and
+    b^-1 d b = q^-1 d; ac = q ca and cd = q dc give the same with c.  So
+    conjugation by b or c multiplies a^i b^j c^k d^l by q^(i-l), as K^-1 |>
+    does on the sphere, where i + j = k + l.  With t = K^-1 |> x, b t = x b
+    and c t = x c, and the identities become R_F(x) b = q^(1/2) lambda^-1
+    (d t - x d) and R_E(x) c = -q^(-1/2) lambda^-1 (a t - x a), equivalent to
+    the localized ones since b and c are not zero divisors.  Each flag also
+    checks its own twist identity, b t = x b or c t = x c.
+    """
+    lam_inv, y = qlambda().inverse(), embed(x)
+    t = act_left(gen_Kinv, y)
+    rf_b = (gen_d * t - y * gen_d).scale(qhalfpow(1) * lam_inv)
+    re_c = (gen_a * t - y * gen_a).scale(qhalfpow(-1, -1) * lam_inv)
+    ok_f = gen_b * t == y * gen_b and r_f(x) * gen_b == rf_b
+    ok_e = gen_c * t == y * gen_c and r_e(x) * gen_c == re_c
     return ok_f, ok_e
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coordalg import CoordElement, mono_mul
-from .errors import NotInHopfDomain
 from .podles import PodlesElement, embed
 from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ
 from .uq import left_weight, right_weight
@@ -50,8 +49,6 @@ def haar_value_A(n: int) -> RationalQ:
 
 def haar(x: CoordElement) -> RationalQ:
     """The invariant state, term by term on normal monomials."""
-    if x.localized:
-        raise NotInHopfDomain("the invariant state is not defined on localized input")
     total = Q_ZERO
     for (a, b, c, d), coeff in x.terms.items():
         if a == 0 and d == 0 and b == c:
@@ -78,8 +75,6 @@ def haar_mono_product(m1, m2) -> RationalQ:
 
 def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
     """h(x * y) computed without building the product's normal form."""
-    if x.localized or y.localized:
-        raise NotInHopfDomain("the invariant state is not defined on localized input")
     # bucket x's monomials by the (left, right) weights the partner must cancel
     buckets = {}
     for mono, coeff in x.terms.items():

@@ -122,8 +122,6 @@ def recognize(x: CoordElement) -> PodlesElement:
     monomial, so recognition solves a diagonal linear system; a final embed
     verifies the result exactly and makes the map total on the subalgebra.
     """
-    if x.localized:
-        raise NotInSubalgebra("localized elements are outside the subalgebra")
     if act_right(x, gen_K) != x:
         raise NotInSubalgebra("element is not right-K-invariant")
     out = {}

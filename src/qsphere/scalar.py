@@ -440,11 +440,11 @@ class RationalQ:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
         if den is None:
             den = _LP_ONE
-        elif isinstance(den, (int, Fraction)):
+        elif not isinstance(den, LaurentPoly):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator in Q(q^(1/2))")
@@ -594,8 +594,6 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
 
 Q_ZERO = RationalQ._raw(_LP_ZERO)
 Q_ONE = RationalQ._raw(_LP_ONE)
-Q = RationalQ._raw(LaurentPoly.q_power(1))
-QINV = RationalQ._raw(LaurentPoly.q_power(-1))
 
 
 def qpow(k):

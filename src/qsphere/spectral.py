@@ -197,10 +197,19 @@ def _shift(x: PodlesElement) -> int:
     return (embed(x).degree() + 1) // 2
 
 
+def _mult_columns(x: PodlesElement, space: TruncatedSpace):
+    """column(key) of M(x); the top level's columns reach spin npad +
+    _shift(x) - 1/2, so one past the cutoff is refused before any is built."""
+    if (twol := 2 * (space.npad + _shift(x)) - 1) > MAX_TWOL:
+        raise CutoffExceeded(f"M({x}) at L = {space.L} needs 2l = {twol}, past the cutoff "
+                             f"{MAX_TWOL}")
+    return functools.partial(space.engine.mult_column, embed(x))
+
+
 def build_mult(x: PodlesElement, space: TruncatedSpace) -> np.ndarray:
     """Left multiplication by a sphere element in the orthonormal basis; the
     part of the image outside the two families is projected away."""
-    return _matrix(space, functools.partial(space.engine.mult_column, embed(x)))
+    return _matrix(space, _mult_columns(x, space))
 
 
 def _window(space: TruncatedSpace, nmax: int) -> list:
@@ -319,7 +328,7 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
         return q0**twok * _qnum_pow(n, z, q0) if s == 1 else 0.0
 
     # diagonal entries are exact at every built level, read off the columns
-    column = functools.partial(space.engine.mult_column, embed(x))
+    column = _mult_columns(x, space)
     diag = np.array([column(key).get(key, 0.0) for key in space.index], complex)
     return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, weight, space.npad,
                          haar_podles(x), z, space, _shift(x), abs(diag))

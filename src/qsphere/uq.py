@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .comb import SparseComb, TensorComb, merge_into
 from .coordalg import CoordElement
-from .errors import NotInHopfDomain
 from .scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
 
 MONO_ONE = (0, 0, 0)
@@ -225,8 +224,6 @@ def _act_gen(side, gen, x: CoordElement) -> CoordElement:
 
 
 def _act(side, f, x: CoordElement) -> CoordElement:
-    if x.localized:
-        raise NotInHopfDomain("actions are not defined on localized elements")
     acc = {}
     for (ff, kk, ee), c in f.terms.items():
         # F^f K^k E^e |> x applies E first, x <| F^f K^k E^e applies F first

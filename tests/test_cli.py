@@ -53,6 +53,13 @@ def test_verify_passes_near_z_2_at_a_large_q0(capsys):
                if r["exact"])
 
 
+def test_verify_refuses_a_level_past_the_ladder_cutoff(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q0", "1/4", "--L", "47", "--z", "3"])
+    assert exc.value.code == 2
+    assert "cutoff" in capsys.readouterr().err
+
+
 def test_verify_refuses_a_q0_outside_the_unit_interval(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q0", "3/2", "--L", "2"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsphere.coordalg import CoordElement
+from qsphere.coordalg import gen_a, gen_b, gen_c, gen_d
 from qsphere.errors import ArityError
 from qsphere.fodc import (
     Chain,
@@ -31,9 +31,9 @@ from qsphere.fodc import (
     wedge_coeff,
     wedge_kernel,
 )
-from qsphere.haar import haar_podles, haar_value_A
+from qsphere.haar import haar_value_A
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs, sigma
-from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qpow
+from qsphere.scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
 from qsphere.uq import gen_E, gen_F, gen_K, uq_counit
 from tests.test_podles import podles_elements
 
@@ -167,7 +167,7 @@ def test_quantum_tangent_space_consistency_randomized(x, y):
     ).is_zero()
 
 
-# -- localized commutators ----------------------------------------------------
+# -- inner derivations ---------------------------------------------------------
 
 
 def test_localized_commutators_on_generators():
@@ -181,6 +181,15 @@ def test_localized_commutators_on_generators():
 def test_localized_commutators_randomized(x):
     ok_f, ok_e = localized_commutator_check(x)
     assert ok_f and ok_e
+
+
+def test_inner_derivation_needs_the_twist():
+    # without t = K^-1 |> x the right-multiplied identities fail: b x != x b
+    y, lam_inv = embed(gen_B), qlambda().inverse()
+    untwisted_f = (gen_d * y - y * gen_d).scale(qhalfpow(1) * lam_inv)
+    assert r_f(gen_B) * gen_b != untwisted_f
+    untwisted_e = (gen_a * y - y * gen_a).scale(qhalfpow(-1, -1) * lam_inv)
+    assert r_e(gen_B) * gen_c != untwisted_e
 
 
 # -- twisted cyclic cohomology ------------------------------------------------

@@ -6,8 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_binv, gen_c, gen_d
-from qsphere.errors import NotInHopfDomain
+from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere.haar import (
     haar,
     haar_mono_product,
@@ -16,7 +15,7 @@ from qsphere.haar import (
     haar_value_A,
     inner,
 )
-from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs, sigma
+from qsphere.podles import embed, gen_A, sigma
 from qsphere.scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, evaluate, qpow
 from qsphere.uq import (
     act_left,
@@ -69,13 +68,6 @@ def test_haar_bc_powers():
 
 def test_haar_value_at_half():
     assert float(evaluate(haar_value_A(1), Fraction(1, 2))) == pytest.approx(0.8)
-
-
-def test_haar_rejects_localized():
-    with pytest.raises(NotInHopfDomain):
-        haar(gen_binv)
-    with pytest.raises(NotInHopfDomain):
-        haar_product(gen_binv, gen_b.localize())
 
 
 @settings(max_examples=60)

@@ -77,6 +77,23 @@ def test_truncated_space_rejects_bad_input():
         TruncatedSpace(Fraction(1, 2), 48)
 
 
+def test_operators_past_the_ladder_cutoff_are_refused_up_front():
+    # L = 47 pads to level 50, spin 99/2, the cutoff; M(A) moves a level up,
+    # to spin 101/2, so every check there is refused before any column or
+    # ladder vector is built
+    space = TruncatedSpace(Fraction(1, 13), 47)
+    with pytest.raises(CutoffExceeded):
+        haar_trace_check(gen_A, 3, space)
+    with pytest.raises(CutoffExceeded):
+        build_mult(gen_A, space)
+    assert not space.engine._columns and not space.engine._chains
+    # at L = 46 one level of shift fits and two do not
+    space = TruncatedSpace(Fraction(1, 13), 46)
+    spectral._mult_columns(gen_A, space)
+    with pytest.raises(CutoffExceeded):
+        spectral._mult_columns(gen_A * gen_A, space)
+
+
 def test_truncated_space_refuses_a_float_q0():
     # Fraction(0.1) is 3602879701896397/2^55: the basis would be exact for
     # that binary rational, not for 1/10, and slow to build

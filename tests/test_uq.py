@@ -3,12 +3,10 @@
 from functools import reduce
 from itertools import product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_binv, gen_c, gen_d
-from qsphere.errors import NotInHopfDomain
+from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
 from qsphere.uq import (
     UqElement,
@@ -279,13 +277,6 @@ def test_r_action_values(f, g, x):
     assert r_action(gen_E, B) == (gen_a * gen_a).scale(qhalfpow(-1, -1))
     # R_f is an algebra map composition: R_(fg) = R_f R_g
     assert r_action(f * g, x) == r_action(f, r_action(g, x))
-
-
-def test_actions_reject_localized():
-    with pytest.raises(NotInHopfDomain):
-        act_left(gen_E, gen_binv)
-    with pytest.raises(NotInHopfDomain):
-        act_right(gen_binv, gen_E)
 
 
 @settings(max_examples=10)
