@@ -5,13 +5,13 @@
 prints one JSONL record per check per truncation level L: the h-trace of
 A, the tau-traces of (A, B, B*) and (1, B, B*), and the commutant and
 order-one conditions of the real structure, then the zeta residue at q0.
-A trace record is judged against `exact` times `zeta_ratio`, its exact
-truncated value.  Each record carries its bound `tol_abs`, its wall time
-`wall_ms` and the module that made it, `layer`.  The exit status is 0 when
-every check passes and 1 otherwise; an empty level range, a q0 that is not
-rational, a z <= 2, not finite or overflowing zeta, a level whose
-operators need a spin past the ladder cutoff and a trace with no exact
-level are refused with status 2.
+The zeta exponent is a real z > 2.  A trace record is judged against
+`exact` times `zeta_ratio`, its exact truncated value.  Each record carries
+its bound `tol_abs`, its wall time `wall_ms` and the module that made it,
+`layer`.  The exit status is 0 when every check passes and 1 otherwise; an
+empty level range, a q0 that is not rational, a z <= 2, not finite or
+overflowing zeta, a level whose operators need a spin past the ladder
+cutoff and a trace with no exact level are refused with status 2.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     cmd = sub.add_parser("verify", help="check the trace formulas and the real structure")
     cmd.add_argument("--q0", type=_rational, default=Fraction(1, 4), help="rational 0 < q0 < 1")
     cmd.add_argument("--L", type=_levels, default=_levels("4:8"), help="level or range lo:hi")
-    cmd.add_argument("--z", type=float, default=3.0, help="zeta exponent, Re z > 2")
+    cmd.add_argument("--z", type=float, default=3.0, help="zeta exponent, a real z > 2")
     args = ap.parse_args(argv)
     if not args.L:
         ap.error("--L names no level: give lo:hi with lo <= hi")

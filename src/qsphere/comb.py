@@ -121,6 +121,11 @@ class SparseComb:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a multiple of the unit equals its scalar, so it hashes as that scalar
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and self.ONE_KEY in self.terms:
+            return hash(self.terms[self.ONE_KEY])
         return hash(frozenset(self.terms.items()))
 
     def degree(self):

@@ -112,9 +112,6 @@ class CoordElement(SparseComb):
 
     # -- structure ------------------------------------------------------
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Q_ZERO)
-
     @staticmethod
     def _mono_mul(m1, m2):
         # looked up in the module at call time, so a wrapper installed on
@@ -166,22 +163,6 @@ class CoordElement(SparseComb):
             merge_into(acc, _mono_coproduct(mono, n).terms, coeff)
         return TensorElement._raw(acc, n)
 
-    # -- weights ------------------------------------------------------------
-
-    def left_weight(self):
-        """2w such that K acts on the left by q^w, or None if mixed."""
-        from .uq import left_weight
-
-        ws = {left_weight(m) for m in self.terms}
-        return ws.pop() if len(ws) == 1 else None
-
-    def right_weight(self):
-        """2w such that K acts on the right by q^w, or None if mixed."""
-        from .uq import right_weight
-
-        ws = {right_weight(m) for m in self.terms}
-        return ws.pop() if len(ws) == 1 else None
-
 
 # generator elements
 gen_a = CoordElement._raw({(1, 0, 0, 0): Q_ONE})
@@ -197,16 +178,6 @@ class TensorElement(TensorComb):
 
     FACTOR = CoordElement
     _scale_by_weight = staticmethod(RationalQ.mul_poly)
-
-    def slot_counit(self, slot):
-        """Apply the counit in one slot, lowering the arity."""
-        out = {}
-        for key, coeff in self.terms.items():
-            a, b, c, d = key[slot]
-            if b == 0 and c == 0:
-                k = key[:slot] + key[slot + 1 :]
-                out[k] = out.get(k, Q_ZERO) + coeff
-        return TensorElement(self.arity - 1, out)
 
 
 # coproducts of the generators: Delta(u_ij) = sum_k u_ik (x) u_kj for the

@@ -84,12 +84,6 @@ def sigma(x: PodlesElement) -> PodlesElement:
     )
 
 
-def sigma_inverse(x: PodlesElement) -> PodlesElement:
-    return PodlesElement._raw(
-        {(i, j): c * qpow(-2 * j) for (i, j), c in x.terms.items()}
-    )
-
-
 # embedded generators
 _EMB_A = (gen_b * gen_c).scale(RationalQ.q_power(-1, -1))
 _EMB_B = gen_a * gen_c

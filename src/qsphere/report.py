@@ -38,8 +38,6 @@ def record(check, inputs, lhs, rhs, tol_abs=None, L=None, q0=None, trusted_fract
 def _plain(v):
     if v is None or isinstance(v, (int, float, bool, str)):
         return v
-    if isinstance(v, complex):
-        return [v.real, v.imag]
     return str(v)
 
 

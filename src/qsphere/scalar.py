@@ -489,8 +489,13 @@ class RationalQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes as that value
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            coeffs = self.num.coeffs
+            if self.den.is_one() and coeffs.keys() <= {0}:
+                self._hash = hash(coeffs.get(0, 0))
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     # -- field arithmetic -------------------------------------------------

@@ -7,13 +7,17 @@ exactly as
 
     R_E phi^+_{n,k} = -[n] phi^-_{n,k},   R_F phi^-_{n,k} = -[n] phi^+_{n,k}.
 
-Operators are plain complex numpy arrays.  The one antilinear operator,
-the real structure J, is held as the unitary U of J v = U conj(v), a
-signed permutation like D (see `build_J`).  Spaces are built with `PAD`
-levels beyond L.  M(x) moves levels by at most `_shift(x)`, so a product
-is exact on the levels up to npad less the sum of its operands' shifts;
-traces sum only diagonal entries there, and report the discarded boundary
-count.
+In this basis D, every M(x) and [D, M(x)] have real entries, each an
+element of Q(sqrt(q0)) rounded once, so they are real numpy arrays.  Each
+trace formula holds level by level, so checking it at a real z > 2 loses
+nothing, and z is a real number.  The one antilinear operator, the real
+structure J, is held as the unitary U of J v = U conj(v): U is -i times a
+signed permutation like D, and `build_J` is the one complex array.
+
+Spaces are built with `PAD` levels beyond L.  M(x) moves levels by at most
+`_shift(x)`, so a product is exact on the levels up to npad less the sum
+of its operands' shifts; traces sum only diagonal entries there, and
+report the discarded boundary count.
 
 Exact construction: the basis is the one ladder of `corep.Ladder`, with
 its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
@@ -30,13 +34,10 @@ rounded rational c^2 N_alpha / N_beta, within one ulp, with its sign.
 Vectors, norms and columns do not depend on L; each is built once per q0
 and shared by every space at that q0, and the engines of the few most
 recent q0 are kept.
-
-Complex scalars exist only in this module; everything upstream is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from fractions import Fraction
@@ -54,11 +55,6 @@ from .scalar import Surd, evaluate
 def qnum(n: int, q0: float) -> float:
     """The q-deformed integer at a numeric point."""
     return (q0**n - q0**-n) / (q0 - 1.0 / q0)
-
-
-def _qnum_pow(n: int, z, q0: float) -> complex:
-    """[n]^-z as exp(-z log [n]): a power of an integral z overflows to nan."""
-    return cmath.exp(-complex(z) * math.log(qnum(n, q0)))
 
 
 class _Engine(Ladder):
@@ -139,7 +135,7 @@ class TruncatedSpace:
         self.dirac = np.array([-qnum(n, self.q0) for s, n, twok in self.index])
         # U = J conj: (s, n, 2k) -> (-s, n, -2k) with entry -i (-1)^(k-1/2)
         self.flip = [self.pos[(-s, n, -twok)] for s, n, twok in self.index]
-        self.jsign = np.array([-1j * (-1) ** ((twok - 1) // 2) for s, n, twok in self.index])
+        self.jsign = np.array([(-1.0) ** ((twok - 1) // 2) for s, n, twok in self.index])
 
     @functools.cached_property
     def vec(self) -> dict:
@@ -155,7 +151,7 @@ class TruncatedSpace:
 def build_dirac(space: TruncatedSpace) -> np.ndarray:
     """D phi^+_{n,k} = -[n] phi^-_{n,k} and symmetrically; hermitian with
     eigenvalues +-[n] of multiplicity 2n."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat = np.zeros((space.dim, space.dim))
     mat[space.swap, range(space.dim)] = space.dirac
     return mat
 
@@ -163,7 +159,7 @@ def build_dirac(space: TruncatedSpace) -> np.ndarray:
 def _matrix(space, column):
     """Dense matrix from the engine's orthonormal columns, column(key) for
     each basis key; rows past the padded space are cut off."""
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat = np.zeros((space.dim, space.dim))
     for key, i in space.pos.items():
         for row, c in column(key).items():
             j = space.pos.get(row)
@@ -178,7 +174,7 @@ def build_J(space: TruncatedSpace) -> np.ndarray:
     c^2 N_{-s,n,-2k} = N_{s,n,2k} and sign s (-1)^(k-1/2), so U is the signed
     permutation U phi_{s,n,k} = -i (-1)^(k-1/2) phi_{-s,n,-k}."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[space.flip, range(space.dim)] = space.jsign
+    mat[space.flip, range(space.dim)] = -1j * space.jsign
     return mat
 
 
@@ -223,12 +219,13 @@ def _window(space: TruncatedSpace, nmax: int) -> list:
 # -- zeta function ------------------------------------------------------------
 
 
-def zeta_series(z, L: int, q0: float) -> complex:
-    """Truncated eigenvalue sum [1]^-z [2] + ... + [L]^-z [2L]."""
-    return sum(_qnum_pow(n, z, q0) * qnum(2 * n, q0) for n in range(1, L + 1))
+def zeta_series(z: float, L: int, q0: float) -> float:
+    """Truncated eigenvalue sum [1]^-z [2] + ... + [L]^-z [2L]; at z > 0 a
+    power [n]^-z only underflows to 0, since [n] >= 1."""
+    return sum(qnum(n, q0) ** -z * qnum(2 * n, q0) for n in range(1, L + 1))
 
 
-def zeta_merom(z, q0: float):
+def zeta_merom(z: float, q0: float) -> float:
     """Meromorphic form of the eigenvalue zeta function.
 
     zeta(z) = (q^-1 - q)^(z-1) * sum_k C(z-2+k, k)
@@ -238,22 +235,21 @@ def zeta_merom(z, q0: float):
     (z-1+k) q^2 > k+1, so the sum runs past the largest term and on until
     a term is below the round-off of the sum.
     """
-    z = complex(z)
     lq = math.log(q0)
     try:
-        pref = complex(1.0 / q0 - q0) ** (z - 1)
+        pref = (1.0 / q0 - q0) ** (z - 1)
     except OverflowError as exc:
-        raise ValueError(f"zeta(z) overflows a float at z = {z.real:g}") from exc
-    total = 0.0 + 0.0j
-    coeff = 1.0 + 0.0j  # C(z-2+k, k) built iteratively
+        raise ValueError(f"zeta(z) overflows a float at z = {z:g}") from exc
+    total = 0.0
+    coeff = 1.0  # C(z-2+k, k) built iteratively
     prev, k = math.inf, 0
     while True:
-        e1 = cmath.exp((z - 2 + 2 * k) * lq)
-        e2 = cmath.exp((z + 2 * k) * lq)
+        e1 = math.exp((z - 2 + 2 * k) * lq)
+        e2 = math.exp((z + 2 * k) * lq)
         term = coeff * (e1 / (1 - e1) + e2 / (1 - e2))
         total += term
-        if not cmath.isfinite(total):
-            raise ValueError(f"zeta(z) overflows a float at z = {z.real:g}")
+        if not math.isfinite(total):
+            raise ValueError(f"zeta(z) overflows a float at z = {z:g}")
         if abs(term) < prev and abs(term) <= 2.0**-53 * abs(total):
             return pref * total
         prev = abs(term)
@@ -283,7 +279,7 @@ def residue_check(q0: float, eps: float = 1e-4):
     a1 = lam * (s - 0.5 - math.log(lam) / lq)
     z = 2.0 + eps
     val = (z - 2) * zeta_merom(z, q0)
-    return record("zeta_residue", {"eps": eps}, val.real, zeta_residue(q0),
+    return record("zeta_residue", {"eps": eps}, val, zeta_residue(q0),
                   tol_abs=2 * abs(a1) * eps, q0=q0)
 
 
@@ -309,12 +305,12 @@ def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift, bou
     tr = sum(wi * diag[i] for wi, i in zip(w, keep))
     zeta = zeta_merom(z, space.q0)
     scale = sum(abs(wi) * bound[i] for wi, i in zip(w, keep)) / abs(zeta)
-    ratio = (zeta_series(z, nmax, space.q0) / zeta).real
+    ratio = zeta_series(z, nmax, space.q0) / zeta
     value = float(evaluate(exact, space.q0_exact))
     discarded = space.dim - len(keep)
     extra = {"discarded_boundary": discarded, "level_shift": shift, "exact": value,
              "zeta_ratio": ratio, "round_off_scale": scale}
-    return record(check, inputs, (tr / zeta).real, value * ratio,
+    return record(check, inputs, tr / zeta, value * ratio,
                   tol_abs=space.dim * 2.2e-16 * max(1.0, scale), L=space.L, q0=space.q0,
                   trusted_fraction=1.0 - discarded / space.dim, extra=extra)
 
@@ -325,11 +321,11 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
 
     def weight(key):
         s, n, twok = key
-        return q0**twok * _qnum_pow(n, z, q0) if s == 1 else 0.0
+        return q0**twok * qnum(n, q0) ** -z if s == 1 else 0.0
 
     # diagonal entries are exact at every built level, read off the columns
     column = _mult_columns(x, space)
-    diag = np.array([column(key).get(key, 0.0) for key in space.index], complex)
+    diag = np.array([column(key).get(key, 0.0) for key in space.index])
     return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, weight, space.npad,
                          haar_podles(x), z, space, _shift(x), abs(diag))
 
@@ -342,7 +338,7 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
 
     def weight(key):
         s, n, twok = key
-        return (1.0 if s == 1 else -q0**2) * q0**twok * _qnum_pow(n, z, q0)
+        return (1.0 if s == 1 else -q0**2) * q0**twok * qnum(n, q0) ** -z
 
     # only the diagonal of the product, each factor freed once used; the terms
     # of diag_i sum to at most row i of |M(x0)| times max row sums of |[D,x]|
@@ -365,10 +361,10 @@ def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):
     """[M(x), J M(y)* J^-1] = 0 and [[D, M(x)], J M(y)* J^-1] = 0 on the
     trusted window."""
     Mx = build_mult(x, space)
-    # J M(y)* J^-1 = U M(y)^T U^H, with U from the index map flip and the
-    # entries jsign: entry (a, b) is jsign_a' conj(jsign_b') M(y)[b', a']
-    # for a' = flip(a), b' = flip(b), where the sign product is real
-    conj_y = build_mult(y, space).T * np.outer(space.jsign, space.jsign.conj())
+    # J M(y)* J^-1 = U M(y)^T U^H, with U = -i times the signed permutation
+    # of flip and jsign: entry (a, b) is jsign_a' jsign_b' M(y)[b', a'] for
+    # a' = flip(a), b' = flip(b)
+    conj_y = build_mult(y, space).T * np.outer(space.jsign, space.jsign)
     conj_y = conj_y[np.ix_(space.flip, space.flip)]
     DMx = _dirac_commutator(space, Mx)
     keep = np.ix_(*[_window(space, space.npad - _shift(x) - _shift(y))] * 2)

@@ -93,16 +93,14 @@ def uq_star(f: UqElement) -> UqElement:
     return UqElement._raw({(ee, kk, ff): c for (ff, kk, ee), c in f.terms.items()})
 
 
-def uq_antipode(f: UqElement, inverse: bool = False) -> UqElement:
-    """S(F^f K^k E^e) = (-1)^(e+f) q^(e-f) E^e K^-k F^f, or with q^(f-e)
-    its inverse: both are antihomomorphisms, with S(E) = -qE, S(K) = K^-1,
-    S(F) = -q^-1 F and S^-1(E) = -q^-1 E, S^-1(F) = -qF."""
+def uq_antipode(f: UqElement) -> UqElement:
+    """S(F^f K^k E^e) = (-1)^(e+f) q^(e-f) E^e K^-k F^f: S is an
+    antihomomorphism with S(E) = -qE, S(K) = K^-1 and S(F) = -q^-1 F."""
     acc = {}
     for (ff, kk, ee), c in f.terms.items():
         word = UqElement.monomial((0, 0, ee)) * UqElement.monomial((0, -kk, 0))
         word = word * UqElement.monomial((ff, 0, 0))
-        n = ff - ee if inverse else ee - ff
-        merge_into(acc, word.terms, c * RationalQ.q_power(n, (-1) ** (ee + ff)))
+        merge_into(acc, word.terms, c * RationalQ.q_power(ee - ff, (-1) ** (ee + ff)))
     return UqElement._raw(acc)
 
 
@@ -223,18 +221,27 @@ def _act_gen(side, gen, x: CoordElement) -> CoordElement:
     return CoordElement._raw(acc)
 
 
-def _act(side, f, x: CoordElement) -> CoordElement:
+def _letters(e, k, f) -> list:
+    """The generators of E^e, then K^k (K^-1 for k < 0), then F^f, in turn."""
+    return ["E"] * e + ["K" if k > 0 else "Kinv"] * abs(k) + ["F"] * f
+
+
+def _act_words(side, words, x: CoordElement) -> CoordElement:
+    """The sum over (word, c) of c times x acted on by the letters of word in turn."""
     acc = {}
-    for (ff, kk, ee), c in f.terms.items():
-        # F^f K^k E^e |> x applies E first, x <| F^f K^k E^e applies F first
-        word = ["E"] * ee + ["K" if kk > 0 else "Kinv"] * abs(kk) + ["F"] * ff
-        if side == "R":
-            word.reverse()
+    for word, c in words:
         y = x
         for gen in word:
             y = _act_gen(side, gen, y)
         merge_into(acc, y.terms, c)
     return CoordElement._raw(acc)
+
+
+def _act(side, f, x: CoordElement) -> CoordElement:
+    # F^f K^k E^e |> x applies E first, x <| F^f K^k E^e applies F first
+    order = 1 if side == "L" else -1
+    words = [(_letters(ee, kk, ff)[::order], c) for (ff, kk, ee), c in f.terms.items()]
+    return _act_words(side, words, x)
 
 
 def act_left(f: UqElement, x: CoordElement) -> CoordElement:
@@ -248,8 +255,16 @@ def act_right(x: CoordElement, f: UqElement) -> CoordElement:
 
 
 def r_action(f: UqElement, x: CoordElement) -> CoordElement:
-    """R_f(x) = x <| S^-1(f), the *-representation used by the Dirac layer."""
-    return act_right(x, uq_antipode(f, inverse=True))
+    """R_f(x) = x <| S^-1(f), the *-representation used by the Dirac layer.
+
+    S^-1 is an antihomomorphism with S^-1(E) = -q^-1 E, S^-1(K) = K^-1 and
+    S^-1(F) = -qF, so S^-1(F^f K^k E^e) = S^-1(E)^e S^-1(K)^k S^-1(F)^f =
+    (-1)^(e+f) q^(f-e) E^e K^-k F^f.  A right action takes the letters of
+    a product from the left, x <| (g h) = (x <| g) <| h, so x <| S^-1(f)
+    applies E e times, then K^-k, then F f times, with no normal ordering."""
+    words = [(_letters(ee, -kk, ff), c * RationalQ.q_power(ff - ee, (-1) ** (ee + ff)))
+             for (ff, kk, ee), c in f.terms.items()]
+    return _act_words("R", words, x)
 
 
 def pair(f: UqElement, x: CoordElement) -> RationalQ:

@@ -1,6 +1,8 @@
 """Tests for the command line `qsphere verify`."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +86,13 @@ def test_verify_refuses_an_empty_level_range_or_a_z_at_most_2(capsys, argv, mess
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_declared_console_script_resolves():
+    # pyproject.toml declares the `qsphere` command as module:function
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    module, _, attr = scripts["qsphere"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry) and entry is main

@@ -15,6 +15,7 @@ from qsphere.coordalg import (
     gen_d,
 )
 from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qpow
+from qsphere.uq import left_weight, right_weight
 from tests.test_uq import coord_elements
 
 GENS = [gen_a, gen_b, gen_c, gen_d]
@@ -36,8 +37,8 @@ def test_da_example():
     # d*a -> 1 + q^-1 bc, the unique orientation compatible with the
     # sphere relations (tests/test_podles.py, test_embed_matches_abstract_relations)
     prod = gen_d * gen_a
-    assert prod.coefficient((0, 0, 0, 0)) == Q_ONE
-    assert prod.coefficient((0, 1, 1, 0)) == qpow(-1)
+    assert prod.terms.get((0, 0, 0, 0)) == Q_ONE
+    assert prod.terms.get((0, 1, 1, 0)) == qpow(-1)
 
 
 def test_ba_example():
@@ -115,8 +116,12 @@ def test_coproduct_on_generators():
 def test_hopf_axioms_randomized(x):
     delta = x.coproduct()
     # (eps (x) id) Delta = id and (id (x) eps) Delta = id
-    assert delta.slot_counit(0) == TensorElement.of(x)
-    assert delta.slot_counit(1) == TensorElement.of(x)
+    for slot in (0, 1):
+        acc = CoordElement.zero()
+        for key, coeff in delta.terms.items():
+            eps = CoordElement.monomial(key[slot]).counit()
+            acc = acc + CoordElement.monomial(key[1 - slot]).scale(coeff * eps)
+        assert acc == x, slot
     # m (S (x) id) Delta = eps(x) 1
     acc = CoordElement.zero()
     for (m1, m2), coeff in delta.terms.items():
@@ -162,13 +167,16 @@ def test_keys_outside_the_normal_form_are_refused(key):
 
 
 def test_weights():
-    assert gen_a.left_weight() == -1
-    assert gen_a.right_weight() == -1
-    assert gen_c.left_weight() == -1
-    assert gen_c.right_weight() == 1
-    assert (gen_a * gen_c).right_weight() == 0
-    assert (gen_a + gen_c).left_weight() == -1
-    assert (gen_a + gen_c).right_weight() is None
+    def weights(weight, x):
+        return {weight(m) for m in x.terms}
+
+    assert weights(left_weight, gen_a) == {-1}
+    assert weights(right_weight, gen_a) == {-1}
+    assert weights(left_weight, gen_c) == {-1}
+    assert weights(right_weight, gen_c) == {1}
+    assert weights(right_weight, gen_a * gen_c) == {0}
+    assert weights(left_weight, gen_a + gen_c) == {-1}
+    assert weights(right_weight, gen_a + gen_c) == {-1, 1}
 
 
 def test_render_basic():

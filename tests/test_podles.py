@@ -16,7 +16,6 @@ from qsphere.podles import (
     gen_Bs,
     recognize,
     sigma,
-    sigma_inverse,
     sigma_via_action,
 )
 from qsphere.scalar import Q_ONE, qpow
@@ -159,7 +158,6 @@ def test_sigma_on_generators():
 @given(podles_elements(2, 2), podles_elements(2, 2))
 def test_sigma_is_automorphism_randomized(x, y):
     assert sigma(x * y) == sigma(x) * sigma(y)
-    assert sigma_inverse(sigma(x)) == x
 
 
 @settings(max_examples=15)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsphere import scalar
 from qsphere.errors import DivisionByZero, EvaluationPole
+from qsphere.coordalg import CoordElement
 from qsphere.podles import PodlesElement, gen_A
 from qsphere.scalar import (
     LaurentPoly,
@@ -411,3 +412,13 @@ def test_structural_equality_decides_field_equality():
     rhs = qpow(2) + Q_ONE
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=1000)))
+def test_equal_values_hash_alike(c):
+    # a constant field value, coordinate function or sphere element equals
+    # its int or Fraction, so it must be found under it in a set or dict
+    for x in (RationalQ(c), CoordElement.one().scale(c), PodlesElement.one().scale(c)):
+        assert x == c and hash(x) == hash(c), x
+        assert x in {c} and {c: "x"}.get(x) == "x", x
+    assert RationalQ(c) + qpow(1) not in {c}

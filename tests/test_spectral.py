@@ -166,10 +166,10 @@ def test_zeta_series_within_tail(q0):
     # tail past L is at most last * r / (1 - r); at z = 30 it is below the
     # round-off of zeta_merom, and the partial sum meets it to 1e-14
     for z in (2.5, 3, 30):
-        exact, r = zeta_merom(z, q0).real, q0 ** (z - 2)
+        exact, r = zeta_merom(z, q0), q0 ** (z - 2)
         for L in (3, 5, 10):
             tail = qnum(L, q0) ** -z * qnum(2 * L, q0) * r / (1 - r)
-            gap, slack = exact - zeta_series(z, L, q0).real, 1e-14 * exact
+            gap, slack = exact - zeta_series(z, L, q0), 1e-14 * exact
             assert -slack <= gap <= tail + slack
             assert gap > 0 or tail <= slack
 
@@ -184,7 +184,7 @@ def test_zeta_merom_at_large_z(z):
         return (q0**n - q0**-n) / (q0 - 1 / q0)
 
     exact = sum(exact_qnum(n) ** -z * exact_qnum(2 * n) for n in range(1, 40))
-    assert zeta_merom(z, float(q0)).real == pytest.approx(float(exact), rel=1e-13, abs=0)
+    assert zeta_merom(z, float(q0)) == pytest.approx(float(exact), rel=1e-13, abs=0)
 
 
 def test_zeta_merom_refuses_an_overflowing_series():
@@ -200,7 +200,7 @@ def test_haar_trace_check_at_large_z():
 
 def test_large_integral_z_gives_no_nan():
     # at a large integral z, [n]^-z must underflow to 0, not overflow to nan
-    assert math.isfinite(zeta_series(20, 60, 0.25).real)
+    assert math.isfinite(zeta_series(20, 60, 0.25))
     rec = haar_trace_check(gen_A, 80, TruncatedSpace(Fraction(1, 4), 8))
     assert rec["rhs"] == pytest.approx(16 / 17)
     assert rec["passed"] and abs(rec["lhs"] - 16 / 17) <= 1e-14
@@ -373,13 +373,34 @@ def test_build_J_is_the_j0_expansion(q0):
     assert np.array_equal(build_J(space), expected)
 
 
+def test_operators_are_real_and_only_J_is_complex():
+    # in the orthonormal weight basis every entry of D, M(x) and [D, M(x)]
+    # is a real number of Q(sqrt(q0)), rounded once; J's unitary is -i times
+    # the real signed permutation of flip and jsign
+    space = TruncatedSpace(Fraction(1, 4), 3)
+    M = build_mult(gen_B, space)
+    for op in (M, build_dirac(space), spectral._dirac_commutator(space, M)):
+        assert op.dtype == np.float64
+    assert space.jsign.dtype == np.float64 and set(space.jsign) == {-1.0, 1.0}
+    S = np.zeros((space.dim, space.dim))
+    S[space.flip, range(space.dim)] = space.jsign
+    assert np.array_equal(build_J(space), -1j * S)
+
+
+def test_zeta_is_a_real_function_of_a_real_z():
+    for z in (2.5, 3, 30):
+        assert type(zeta_merom(z, 0.25)) is float and type(zeta_series(z, 5, 0.25)) is float
+    with pytest.raises(TypeError):
+        haar_trace_check(gen_A, 3 + 1j, TruncatedSpace(Fraction(1, 4), 2))
+
+
 def test_haar_trace_is_judged_against_its_truncated_value():
     # at q0 = 1/2, z = 3, L = 4 the h-trace of A is far from h(A) = 0.8, but
     # equal to 0.8 zeta_7(3) / zeta(3) up to round-off
     space = TruncatedSpace(Fraction(1, 2), 4)
     rec = haar_trace_check(gen_A, 3, space)
     assert rec["exact"] == pytest.approx(0.8) and abs(rec["lhs"] - 0.8) > 1e-3
-    assert rec["zeta_ratio"] == (zeta_series(3, space.npad, 0.5) / zeta_merom(3, 0.5)).real
+    assert rec["zeta_ratio"] == zeta_series(3, space.npad, 0.5) / zeta_merom(3, 0.5)
     assert rec["rhs"] == rec["exact"] * rec["zeta_ratio"]
     assert rec["tol_abs"] == space.dim * 2.2e-16 and "tol_rel" not in rec
     assert rec["passed"]

@@ -103,13 +103,26 @@ def test_antipode_on_generators():
     assert uq_antipode(gen_F) == gen_F.scale(RationalQ.q_power(-1, -1))
 
 
+def _inverse_antipode(f):
+    """S^-1(F^f K^k E^e) = (-1)^(e+f) q^(f-e) E^e K^-k F^f, as products."""
+    out = UqElement.zero()
+    for (ff, kk, ee), c in f.terms.items():
+        word = gen_E**ee * UqElement.monomial((0, -kk, 0)) * gen_F**ff
+        out = out + word.scale(c * RationalQ.q_power(ff - ee, (-1) ** (ee + ff)))
+    return out
+
+
 @settings(max_examples=20)
-@given(uq_elements(3, 2))
-def test_inverse_antipode_derived(f):
-    assert uq_antipode(gen_E, inverse=True) == gen_E.scale(RationalQ.q_power(-1, -1))
-    assert uq_antipode(gen_F, inverse=True) == gen_F.scale(RationalQ.q_power(1, -1))
-    assert uq_antipode(uq_antipode(f, inverse=True)) == f
-    assert uq_antipode(uq_antipode(f), inverse=True) == f
+@given(uq_elements(3, 2), coord_elements(2, 2))
+def test_inverse_antipode_derived(f, x):
+    # S^-1(E) = -q^-1 E and S^-1(F) = -qF, and the closed form g of S^-1(f)
+    # inverts S on both sides; r_action applies it without normal ordering
+    assert uq_antipode(gen_E.scale(RationalQ.q_power(-1, -1))) == gen_E
+    assert uq_antipode(gen_F.scale(RationalQ.q_power(1, -1))) == gen_F
+    g = _inverse_antipode(f)
+    assert uq_antipode(g) == f
+    assert _inverse_antipode(uq_antipode(f)) == f
+    assert r_action(f, x) == act_right(x, g)
 
 
 @settings(max_examples=15)
@@ -147,7 +160,7 @@ def test_antipode_on_small_pbw_monomials():
     # the Hopf axiom and S S^-1 = id on every F^f K^k E^e with e, f <= 2, |k| <= 2
     for u in PBW_SMALL:
         assert _antipode_convolution(u) == UqElement.one().scale(uq_counit(u)), u
-        assert uq_antipode(uq_antipode(u, inverse=True)) == u, u
+        assert uq_antipode(_inverse_antipode(u)) == u, u
 
 
 def test_pairing_generator_values():
