@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     if not args.L:
         ap.error("--L names no level: give lo:hi with lo <= hi")
     if not 2 < args.z < math.inf:
-        ap.error(f"--z {args.z} gives no finite trace: a finite Re z > 2 is needed")
+        ap.error(f"--z {args.z} gives no finite trace: a finite real z > 2 is needed")
     records = []
     try:
         for rec in verify(args.q0, args.L, args.z):

@@ -5,6 +5,10 @@ quantum sphere, their tensor powers and the chains over the sphere) stores
 an element as a dict {monomial key: RationalQ}.  SparseComb holds the code
 they share: the zero-dropping constructor, the merging sum, scaling, the
 product loop over a per-class monomial product, powers and rendering.
+
+The contract that code rests on: every algebra has a unit key, tensor
+powers included, and the product of two basis monomials is a sequence of
+(key, RationalQ) pairs.
 """
 
 from __future__ import annotations
@@ -47,10 +51,9 @@ class SparseComb:
     when their term dicts are equal; `==` decides equality.
 
     Subclasses supply the key check (_check_key), the unit key (ONE_KEY),
-    the product of two basis monomials (_mono_mul, returning (key, weight)
-    pairs that the weight multiplication _scale_by_weight applies to a
-    coefficient), the letters that render a key (LETTERS) and, for an extra
-    field such as a tensor arity, _raw and _like.
+    the product of two basis monomials (_mono_mul, returning (key, RationalQ)
+    pairs), the letters that render a key (LETTERS) and, for an extra field
+    such as a tensor arity, _raw and _like.
     Values are immutable.
     """
 
@@ -59,7 +62,6 @@ class SparseComb:
     ONE_KEY = None
     # per position of a key: (name, name of the inverse letter or None)
     LETTERS = ()
-    _scale_by_weight = staticmethod(RationalQ.__mul__)
 
     def __init__(self, terms=None):
         clean = {}
@@ -128,8 +130,12 @@ class SparseComb:
             return hash(self.terms[self.ONE_KEY])
         return hash(frozenset(self.terms.items()))
 
+    @staticmethod
+    def _mono_degree(mono):
+        return sum(abs(e) for e in mono)
+
     def degree(self):
-        return max((sum(abs(e) for e in m) for m in self.terms), default=0)
+        return max(map(self._mono_degree, self.terms), default=0)
 
     # -- linear structure -------------------------------------------------
 
@@ -172,14 +178,12 @@ class SparseComb:
             return self.scale(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        mono_product = self._mono_mul
-        times = self._scale_by_weight
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                for mono, w in mono_product(m1, m2):
-                    add_term(out, mono, times(c, w))
+                for mono, w in self._mono_mul(m1, m2):
+                    add_term(out, mono, c * w)
         return self._like(out, other)
 
     def __rmul__(self, other):
@@ -195,8 +199,9 @@ class SparseComb:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- rendering --------------------------------------------------------
@@ -207,18 +212,18 @@ class SparseComb:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (sum(abs(e) for e in m), m)):
+        parts, one = [], self.ONE_KEY
+        for mono in sorted(self.terms, key=lambda m: (self._mono_degree(m), m)):
             body = self._render_mono(mono)
             cs = render(self.terms[mono])
-            if cs == "1":
+            if mono == one:
+                s = cs
+            elif cs == "1":
                 s = body
             elif cs == "-1":
                 s = f"-{body}"
-            elif (" " in cs or "/" in cs) and body != "1":
+            elif " " in cs or "/" in cs:
                 s = f"({cs})*{body}"
-            elif body == "1":
-                s = cs
             else:
                 s = f"{cs}*{body}"
             parts.append(s)
@@ -227,9 +232,10 @@ class SparseComb:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    def _render_mono(self, mono):
+    @classmethod
+    def _render_mono(cls, mono):
         factors = []
-        for e, (name, inverse) in zip(mono, self.LETTERS):
+        for e, (name, inverse) in zip(mono, cls.LETTERS):
             if e < 0 and inverse:
                 name, e = inverse, -e
             if e:
@@ -239,9 +245,10 @@ class SparseComb:
 
 class TensorComb(SparseComb):
     """Element of an n-fold tensor power: keys are n-tuples of monomials of
-    the factor algebra FACTOR, and the product is taken slot by slot.  The
-    slot weights multiply like FACTOR's, so a subclass whose FACTOR weighs
-    by Laurent polynomials sets the same _scale_by_weight."""
+    the factor algebra FACTOR, and the product is taken slot by slot, with
+    RationalQ weights like FACTOR's.  The unit key is FACTOR's unit key in
+    every slot, so scalars, powers and hashing work as on the factor; a
+    key's degree and rendering are FACTOR's, slot by slot."""
 
     __slots__ = ("arity",)
 
@@ -254,6 +261,10 @@ class TensorComb(SparseComb):
     def _check_key(self, key):
         if len(key) != self.arity:
             raise ArityError("tensor key arity mismatch")
+
+    @property
+    def ONE_KEY(self):
+        return (self.FACTOR.ONE_KEY,) * self.arity
 
     @classmethod
     def _raw(cls, terms, arity):
@@ -272,10 +283,16 @@ class TensorComb(SparseComb):
         return cls._raw({}, arity)
 
     @classmethod
+    def one(cls, arity):
+        return cls._raw({(cls.FACTOR.ONE_KEY,) * arity: Q_ONE}, arity)
+
+    @classmethod
     def of(cls, *factors):
-        """Tensor product of factor-algebra elements."""
+        """Tensor product of factor-algebra elements or scalars."""
         terms = {(): Q_ONE}
         for f in factors:
+            if isinstance(f, _SCALARS):
+                f = cls.FACTOR.one().scale(f)
             terms = {
                 key + (m,): c0 * c
                 for key, c0 in terms.items()
@@ -284,11 +301,20 @@ class TensorComb(SparseComb):
         return cls(len(factors), terms)
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        other = self._lift(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
 
     __hash__ = SparseComb.__hash__
+
+    @classmethod
+    def _mono_degree(cls, key):
+        return sum(map(cls.FACTOR._mono_degree, key))
+
+    @classmethod
+    def _render_mono(cls, key):
+        return " (x) ".join(map(cls.FACTOR._render_mono, key))
 
     def _mono_mul(self, k1, k2):
         slot_mul = self.FACTOR._mono_mul

@@ -77,7 +77,10 @@ def _word(A, B, C, D):
 
 
 def mono_mul(m1, m2):
-    """Product of two normal monomials as (mono, LaurentPoly) pairs."""
+    """Product of two normal monomials as (mono, RationalQ) pairs.
+
+    The tables _gamma, _dgamma and _word stay Laurent polynomials, where a
+    power of q is a cheap shift; each output weight is wrapped once."""
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
     s, t = d1, a2
@@ -89,7 +92,7 @@ def mono_mul(m1, m2):
     for i, g in enumerate(_dgamma(s, t)):
         gshift = g.shift(2 * scal)
         for mono, w in _word(a1 + x, b1 + i + b2, c1 + i + c2, y + d2):
-            out.append((mono, gshift if w is _ONE_POLY else gshift * w))
+            out.append((mono, RationalQ._raw(gshift if w is _ONE_POLY else gshift * w)))
     return out
 
 
@@ -100,8 +103,6 @@ class CoordElement(SparseComb):
 
     ONE_KEY = MONO_ONE
     LETTERS = (("a", None), ("b", None), ("c", None), ("d", None))
-    # mono_mul weighs each product monomial by a Laurent polynomial
-    _scale_by_weight = staticmethod(RationalQ.mul_poly)
 
     def _check_key(self, mono):
         a, _, _, d = mono
@@ -177,7 +178,6 @@ class TensorElement(TensorComb):
     __slots__ = ()
 
     FACTOR = CoordElement
-    _scale_by_weight = staticmethod(RationalQ.mul_poly)
 
 
 # coproducts of the generators: Delta(u_ij) = sum_k u_ik (x) u_kj for the
@@ -200,17 +200,8 @@ def _letter_coproduct(letter, n):
 
 @lru_cache(maxsize=None)
 def _mono_coproduct(mono, n):
-    a, b, c, d = mono
-    out = TensorElement._raw({(MONO_ONE,) * n: Q_ONE}, n)
-    for letter, exp in (
-        ((1, 0, 0, 0), a),
-        ((0, 1, 0, 0), b),
-        ((0, 0, 1, 0), c),
-        ((0, 0, 0, 1), d),
-    ):
+    out = TensorElement.one(n)
+    for letter, exp in zip(_GEN_POS, mono):
         if exp:
-            base = _letter_coproduct(letter, n)
-            for _ in range(exp):
-                out = out * base
+            out = out * _letter_coproduct(letter, n) ** exp
     return out
-

@@ -99,7 +99,7 @@ class Ladder:
             for m2, c2 in ys.items():
                 c = c1 * c2
                 for mono, w in mono_mul(m1, m2):
-                    add_term(out, mono, c * self.value(RationalQ._raw(w)))
+                    add_term(out, mono, c * self.value(w))
         return out
 
     def apply(self, fn, xs: dict) -> dict:
@@ -137,7 +137,7 @@ class Ladder:
             if h is None:
                 h = self._states[mono] = self.value(haar(CoordElement._raw({mono: Q_ONE})))
             if h:
-                total = total + self.value(RationalQ._raw(w)) * h
+                total = total + self.value(w) * h
         return cs * total
 
     # -- ladder ---------------------------------------------------------------

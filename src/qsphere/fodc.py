@@ -246,8 +246,6 @@ def pair_chain(phi: Cochain, eta: Chain) -> RationalQ:
 
 def act_on_chain(f: UqElement, eta: Chain) -> Chain:
     """Diagonal left action through the iterated coproduct."""
-    from .uq import act_left
-
     out = Chain.zero(eta.arity)
     for key, coeff in uq_coproduct(f, eta.arity).terms.items():
         legs = [UqElement.monomial(m) for m in key]

@@ -10,9 +10,9 @@ form is the implementation; invariance under the module actions and the
 modular property are enforced by the test suite rather than assumed, and
 together with h(1) = 1 they determine the state uniquely.
 
-haar_mono_product reads the terms of coordalg.mono_mul and keeps those with
-a = d = 0; haar_product sums it over the pairs of monomials whose weights
-cancel, without building the product's normal form.
+haar_mono_product reads the (mono, RationalQ) terms of coordalg.mono_mul and
+keeps those with a = d = 0; haar_product sums it over the pairs of monomials
+whose weights cancel, without building the product's normal form.
 """
 
 from __future__ import annotations
@@ -21,30 +21,19 @@ from functools import lru_cache
 
 from .coordalg import CoordElement, mono_mul
 from .podles import PodlesElement, embed
-from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ
+from .scalar import Q_ONE, Q_ZERO, RationalQ, qpow
 from .uq import left_weight, right_weight
 
 
 @lru_cache(maxsize=None)
 def _h_bc(n: int) -> RationalQ:
     """h((bc)^n) = (-q)^n (1 - q^2)/(1 - q^(2n+2))."""
-    if n == 0:
-        return Q_ONE
-    num = LaurentPoly.q_power(n, (-1) ** n) * (
-        LaurentPoly.one() - LaurentPoly.q_power(2)
-    )
-    den = LaurentPoly.one() - LaurentPoly.q_power(2 * n + 2)
-    return RationalQ(num, den)
+    return RationalQ.q_power(n, (-1) ** n) * haar_value_A(n)
 
 
 def haar_value_A(n: int) -> RationalQ:
     """h(A^n) = (1 - q^2)/(1 - q^(2n+2))."""
-    if n == 0:
-        return Q_ONE
-    return RationalQ(
-        LaurentPoly.one() - LaurentPoly.q_power(2),
-        LaurentPoly.one() - LaurentPoly.q_power(2 * n + 2),
-    )
+    return (Q_ONE - qpow(2)) / (Q_ONE - qpow(2 * n + 2))
 
 
 def haar(x: CoordElement) -> RationalQ:
@@ -69,7 +58,7 @@ def haar_mono_product(m1, m2) -> RationalQ:
     total = Q_ZERO
     for (a, b, c, d), w in mono_mul(m1, m2):
         if a == 0 and d == 0:
-            total = total + _h_bc(b).mul_poly(w)
+            total = total + _h_bc(b) * w
     return total
 
 

@@ -541,12 +541,6 @@ class RationalQ:
 
     __rmul__ = __mul__
 
-    def mul_poly(self, p: LaurentPoly):
-        """Multiply by a Laurent polynomial (den-1 fast path)."""
-        if self.den.is_one():
-            return RationalQ._raw(self.num * p)
-        return RationalQ(self.num * p, self.den)
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalQ(other)

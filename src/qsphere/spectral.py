@@ -46,6 +46,7 @@ import numpy as np
 
 from .corep import MAX_TWOL, Ladder, Vector
 from .errors import CutoffExceeded
+from .fodc import tau
 from .haar import haar_podles
 from .podles import PodlesElement, embed
 from .report import record
@@ -332,7 +333,6 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
 
 def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     """Tr gamma_q K^2 |D|^-z x0 [D,x1] [D,x2] against zeta(z) tau(x0,x1,x2)."""
-    from .fodc import tau
 
     q0 = space.q0
 

@@ -113,43 +113,25 @@ class UqTensor(TensorComb):
 
 
 @lru_cache(maxsize=None)
-def _gen_coproduct(name, n):
-    """n-fold coproduct of a generator as a UqTensor."""
-    if name == "K" or name == "Kinv":
-        k = 1 if name == "K" else -1
-        return UqTensor(n, {((0, k, 0),) * n: Q_ONE})
-    # Delta^(n)(E) = sum_i K^-1 (x) ... (x) E_i (x) ... (x) K
-    mono = (0, 0, 1) if name == "E" else (1, 0, 0)
+def _gen_coproduct(mono, n):
+    """n-fold coproduct of E (mono (0, 0, 1)) or F (mono (1, 0, 0)) as a
+    UqTensor: Delta^(n)(E) = sum_i K^-1 (x) ... (x) E_i (x) ... (x) K."""
     terms = {}
     for i in range(n):
         key = tuple(
             (0, -1, 0) if t < i else mono if t == i else (0, 1, 0) for t in range(n)
         )
         terms[key] = Q_ONE
-    return UqTensor(n, terms)
+    return UqTensor._raw(terms, n)
 
 
 def uq_coproduct(f: UqElement, n: int = 2) -> UqTensor:
     acc = {}
     for (ff, kk, ee), c in f.terms.items():
-        t = UqTensor._raw({(MONO_ONE,) * n: Q_ONE}, n)
-        if ff:
-            t = t * _power_coproduct("F", ff, n)
-        if kk:
-            t = t * _power_coproduct("K" if kk > 0 else "Kinv", abs(kk), n)
-        if ee:
-            t = t * _power_coproduct("E", ee, n)
+        k = UqTensor._raw({((0, kk, 0),) * n: Q_ONE}, n)  # K^k (x) ... (x) K^k
+        t = _gen_coproduct((1, 0, 0), n) ** ff * k * _gen_coproduct((0, 0, 1), n) ** ee
         merge_into(acc, t.terms, c)
     return UqTensor._raw(acc, n)
-
-
-@lru_cache(maxsize=None)
-def _power_coproduct(name, exp, n):
-    acc = _gen_coproduct(name, n)
-    base = _gen_coproduct(name, n)
-    for _ in range(exp - 1):
-        acc = acc * base
-    return acc
 
 
 # -- actions on the coordinate algebra ---------------------------------------

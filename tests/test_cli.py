@@ -73,9 +73,9 @@ def test_verify_refuses_a_q0_outside_the_unit_interval(capsys):
     "argv, message",
     [
         (["--L", "8:4"], "--L names no level"),
-        (["--L", "6", "--z", "2"], "Re z > 2"),
-        (["--L", "6", "--z", "1.5"], "Re z > 2"),
-        (["--L", "1", "--z", "inf"], "a finite Re z > 2"),
+        (["--L", "6", "--z", "2"], "real z > 2"),
+        (["--L", "6", "--z", "1.5"], "real z > 2"),
+        (["--L", "1", "--z", "inf"], "a finite real z > 2"),
         (["--L", "1", "--q0", "1/0"], "1/0 is not a rational number"),
         (["--L", "1", "--z", "1e6"], "zeta(z) overflows a float at z = 1e+06"),
     ],
