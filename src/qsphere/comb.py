@@ -73,7 +73,8 @@ class SparseComb:
                     clean[key] = coeff
         self.terms = clean
 
-    def _check_key(self, key):
+    @staticmethod
+    def _check_key(key):
         """Raise ValueError for a key outside the basis."""
 
     @classmethod
@@ -245,10 +246,10 @@ class SparseComb:
 
 class TensorComb(SparseComb):
     """Element of an n-fold tensor power: keys are n-tuples of monomials of
-    the factor algebra FACTOR, and the product is taken slot by slot, with
-    RationalQ weights like FACTOR's.  The unit key is FACTOR's unit key in
-    every slot, so scalars, powers and hashing work as on the factor; a
-    key's degree and rendering are FACTOR's, slot by slot."""
+    the factor algebra FACTOR, and a key's check, degree, rendering and
+    product (with RationalQ weights) are FACTOR's, slot by slot.  The unit
+    key is FACTOR's unit key in every slot, so scalars, powers and hashing
+    work as on the factor; `of` takes only FACTOR elements and scalars."""
 
     __slots__ = ("arity",)
 
@@ -261,6 +262,8 @@ class TensorComb(SparseComb):
     def _check_key(self, key):
         if len(key) != self.arity:
             raise ArityError("tensor key arity mismatch")
+        for mono in key:
+            self.FACTOR._check_key(mono)
 
     @property
     def ONE_KEY(self):
@@ -293,6 +296,8 @@ class TensorComb(SparseComb):
         for f in factors:
             if isinstance(f, _SCALARS):
                 f = cls.FACTOR.one().scale(f)
+            elif not isinstance(f, cls.FACTOR):
+                raise TypeError(f"{type(f).__name__} is not a {cls.FACTOR.__name__} factor")
             terms = {
                 key + (m,): c0 * c
                 for key, c0 in terms.items()

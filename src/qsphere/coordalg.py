@@ -104,7 +104,8 @@ class CoordElement(SparseComb):
     ONE_KEY = MONO_ONE
     LETTERS = (("a", None), ("b", None), ("c", None), ("d", None))
 
-    def _check_key(self, mono):
+    @staticmethod
+    def _check_key(mono):
         a, _, _, d = mono
         if min(mono) < 0:
             raise ValueError(f"negative exponent in {mono}")

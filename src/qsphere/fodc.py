@@ -19,11 +19,12 @@ conventions for an algebra automorphism sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .comb import TensorComb
 from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from .errors import ArityError, NotInSubalgebra
-from .haar import haar, haar_podles
+from .haar import haar_podles, haar_product
 from .podles import (
     PodlesElement,
     embed,
@@ -33,14 +34,16 @@ from .podles import (
     recognize,
     sigma,
 )
-from .scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
+from .scalar import Q_ONE, RationalQ, qhalfpow, qlambda, qpow, sum_products
 from .uq import UqElement, act_left, gen_E, gen_F, gen_Kinv, r_action, uq_coproduct
 
 
+@lru_cache(maxsize=256)
 def r_e(x: PodlesElement) -> CoordElement:
     return r_action(gen_E, embed(x))
 
 
+@lru_cache(maxsize=256)
 def r_f(x: PodlesElement) -> CoordElement:
     return r_action(gen_F, embed(x))
 
@@ -184,14 +187,9 @@ def b_sigma(phi: Cochain) -> Cochain:
     def ev(*xs):
         if len(xs) != n + 2:
             raise ArityError("coboundary arity mismatch")
-        total = Q_ZERO
-        for j in range(n + 1):
-            args = xs[:j] + (xs[j] * xs[j + 1],) + xs[j + 2 :]
-            val = phi(*args)
-            total = total + (val if j % 2 == 0 else -val)
-        wrap = phi(sigma(xs[-1]) * xs[0], *xs[1:-1])
-        total = total + (wrap if (n + 1) % 2 == 0 else -wrap)
-        return total
+        vals = [phi(*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :]) for j in range(n + 1)]
+        vals.append(phi(sigma(xs[-1]) * xs[0], *xs[1:-1]))  # the wrap, with sign (-1)^(n+1)
+        return sum_products((v, (Q_ONE, -Q_ONE)[j % 2]) for j, v in enumerate(vals))
 
     return Cochain(phi.arity + 1, ev, f"b_sigma({phi.name})")
 
@@ -238,10 +236,7 @@ def lambda_sigma_chain(eta: Chain) -> Chain:
 def pair_chain(phi: Cochain, eta: Chain) -> RationalQ:
     if phi.arity != eta.arity:
         raise ArityError("cochain/chain arity mismatch")
-    total = Q_ZERO
-    for coeff, xs in eta.slots():
-        total = total + phi(*xs) * coeff
-    return total
+    return sum_products((phi(*xs), coeff) for coeff, xs in eta.slots())
 
 
 def act_on_chain(f: UqElement, eta: Chain) -> Chain:
@@ -257,9 +252,10 @@ def act_on_chain(f: UqElement, eta: Chain) -> Chain:
 
 def tau(x0: PodlesElement, x1: PodlesElement, x2: PodlesElement) -> RationalQ:
     """The twisted cyclic 2-cocycle
-    tau(x0, x1, x2) = h(x0 (R_F(x1) R_E(x2) - q^2 R_E(x1) R_F(x2)))."""
+    tau(x0, x1, x2) = h(x0 (R_F(x1) R_E(x2) - q^2 R_E(x1) R_F(x2))), with
+    the derivations cached and h(x0 kernel) read by `haar_product`."""
     kernel = r_f(x1) * r_e(x2) - (r_e(x1) * r_f(x2)).scale(qpow(2))
-    return haar(embed(x0) * kernel)
+    return haar_product(embed(x0), kernel)
 
 
 TAU = Cochain(3, tau, "tau")

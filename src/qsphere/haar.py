@@ -10,18 +10,20 @@ form is the implementation; invariance under the module actions and the
 modular property are enforced by the test suite rather than assumed, and
 together with h(1) = 1 they determine the state uniquely.
 
-haar_mono_product reads the (mono, RationalQ) terms of coordalg.mono_mul and
-keeps those with a = d = 0; haar_product sums it over the pairs of monomials
-whose weights cancel, without building the product's normal form.
+haar_product reads h(x y) off the (bc)^n terms of coordalg.mono_mul over
+the pairs of monomials whose weights cancel, without building the product's
+normal form.  Each value sums coefficient * h((bc)^n) over n and is reduced
+once, by `scalar.sum_products`, not after each term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .comb import add_term
 from .coordalg import CoordElement, mono_mul
 from .podles import PodlesElement, embed
-from .scalar import Q_ONE, Q_ZERO, RationalQ, qpow
+from .scalar import Q_ONE, RationalQ, qpow, sum_products
 from .uq import left_weight, right_weight
 
 
@@ -37,29 +39,13 @@ def haar_value_A(n: int) -> RationalQ:
 
 
 def haar(x: CoordElement) -> RationalQ:
-    """The invariant state, term by term on normal monomials."""
-    total = Q_ZERO
-    for (a, b, c, d), coeff in x.terms.items():
-        if a == 0 and d == 0 and b == c:
-            total = total + coeff * _h_bc(b)
-    return total
+    """The invariant state, read off the powers of bc among x's monomials."""
+    terms = x.terms.items()
+    return sum_products((k, _h_bc(b)) for (a, b, c, d), k in terms if a == d == 0 and b == c)
 
 
 def haar_podles(x: PodlesElement) -> RationalQ:
     return haar(embed(x))
-
-
-def haar_mono_product(m1, m2) -> RationalQ:
-    """h(m1 * m2) for normal monomials, read off the terms of mono_mul."""
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    if a1 + a2 != d1 + d2 or b1 + b2 != c1 + c2:
-        return Q_ZERO
-    total = Q_ZERO
-    for (a, b, c, d), w in mono_mul(m1, m2):
-        if a == 0 and d == 0:
-            total = total + _h_bc(b) * w
-    return total
 
 
 def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
@@ -69,13 +55,14 @@ def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
     for mono, coeff in x.terms.items():
         key = (left_weight(mono), right_weight(mono))
         buckets.setdefault(key, []).append((mono, coeff))
-    total = Q_ZERO
+    acc = {}  # n -> coefficient of (bc)^n in x y
     for m2, c2 in y.terms.items():
         for m1, c1 in buckets.get((-left_weight(m2), -right_weight(m2)), ()):
-            h = haar_mono_product(m1, m2)
-            if not h.is_zero():
-                total = total + h * c1 * c2
-    return total
+            c = c1 * c2
+            for (a, b, _, d), w in mono_mul(m1, m2):
+                if a == d == 0:
+                    add_term(acc, b, c * w)
+    return sum_products((c, _h_bc(n)) for n, c in acc.items())
 
 
 def inner(x: CoordElement, y: CoordElement) -> RationalQ:

@@ -32,9 +32,10 @@ class PodlesElement(SparseComb):
     ONE_KEY = (0, 0)
     LETTERS = (("A", None), ("B", "Bs"))
 
-    def _check_key(self, mono):
-        if mono[0] < 0:
-            raise ValueError(f"negative A exponent in {mono}")
+    @staticmethod
+    def _check_key(mono):
+        if len(mono) != 2 or mono[0] < 0:
+            raise ValueError(f"{mono} is not the key (i, j) of A^i B^j, i >= 0")
 
     @staticmethod
     def _mono_mul(m1, m2):

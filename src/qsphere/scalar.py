@@ -18,6 +18,8 @@ when xi > 2 |f|_inf.  `poly_gcd` takes the big-int gcd h of two such values
 divisions accepting h computed; `_reduce` makes num/den canonical from these
 by one shift and one monic scale.  After `_HEU_DOUBLINGS` doublings of k,
 Euclid over Fraction finds the gcd and `poly_exact_div` the cofactors.
+`sum_products` reduces a sum of products once: it adds the numerators over
+each denominator and joins the few distinct denominators over their lcm.
 
 At a rational q0 a value lies in Q(sqrt(q0)): a `Surd` even + odd sqrt(q0)
 with Fraction parts, exact under the field operations and rounded to a
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DivisionByZero, EvaluationPole
 
@@ -178,6 +181,11 @@ class LaurentPoly:
             a, b = self.coeffs, other.coeffs
             if len(a) > len(b):
                 a, b = b, a
+            if len(a) == 1:  # c s^n: a shift, scaled unless c = +-1
+                ((n, c),) = a.items()
+                if c == 1 or c == -1:
+                    return _wrap({e + n: v if c == 1 else -v for e, v in b.items()})
+                return _poly({e + n: v * c for e, v in b.items()})
             d = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
@@ -507,11 +515,7 @@ class RationalQ:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RationalQ._raw(self.num + other.num)
-        if self.den == other.den:
-            return RationalQ(self.num + other.num, self.den)
-        return RationalQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return sum_products(((self, Q_ONE), (other, Q_ONE)))
 
     __radd__ = __add__
 
@@ -535,8 +539,11 @@ class RationalQ:
             return RationalQ._raw(self.num.scale(other), self.den)
         if not isinstance(other, RationalQ):
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalQ._raw(self.num * other.num)
+        # a polynomial times a polynomial, or a unit c q^(n/2) times a reduced
+        # fraction, is reduced: a unit shares no factor with a denominator
+        a, b = (other, self) if other.den.is_one() else (self, other)
+        if a.den.is_one() and (b.den.is_one() or len(a.num.coeffs) == 1):
+            return RationalQ._raw(self.num * other.num, b.den)
         return RationalQ(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -554,6 +561,8 @@ class RationalQ:
     def inverse(self):
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero in Q(q^(1/2))")
+        if self.den.is_one() and len(self.num.coeffs) == 1:  # 1/(c s^n) = s^-n / c
+            return RationalQ._raw(_wrap({-n: _ratio(1, c) for n, c in self.num.coeffs.items()}))
         return RationalQ(self.den, self.num)
 
     def __pow__(self, n):
@@ -593,6 +602,31 @@ def _reduce(num: LaurentPoly, den: LaurentPoly):
 
 Q_ZERO = RationalQ._raw(_LP_ZERO)
 Q_ONE = RationalQ._raw(_LP_ONE)
+
+
+def sum_products(pairs) -> RationalQ:
+    """sum x y over the (x, y) pairs of RationalQ, reduced once; the sums
+    over distinct denominators join over their lcm by the gcd cofactors."""
+    groups = {}
+    for x, y in pairs:
+        if x and y:
+            den, num = x.den * y.den, x.num * y.num
+            groups[den] = groups[den] + num if den in groups else num
+    if not groups:
+        return Q_ZERO
+    (den, num), *rest = groups.items()
+    for d, n in rest:
+        u, v, lcm = _lcm(den, d)
+        num, den = num * v + n * u, lcm
+    return RationalQ(num, den)
+
+
+@lru_cache(maxsize=256)
+def _lcm(a: LaurentPoly, b: LaurentPoly):
+    """(u, v, a v) with a = g u and b = g v for g = gcd(a, b); the few
+    denominators of a workload's sums recur, so their joins are cached."""
+    _, u, v = poly_gcd(a, b)
+    return u, v, a * v
 
 
 def qpow(k):

@@ -31,7 +31,8 @@ class UqElement(SparseComb):
     ONE_KEY = MONO_ONE
     LETTERS = (("F", None), ("K", "Kinv"), ("E", None))
 
-    def _check_key(self, mono):
+    @staticmethod
+    def _check_key(mono):
         f, k, e = mono
         if f < 0 or e < 0:
             raise ValueError(f"negative E or F exponent in {mono}")

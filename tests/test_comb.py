@@ -4,13 +4,15 @@ constants, and a unit key, tensor powers included."""
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsphere import fodc, scalar
 from qsphere.coordalg import TensorElement, gen_a, gen_b, gen_c, gen_d, mono_mul
+from qsphere.errors import ArityError
 from qsphere.fodc import Chain
-from qsphere.podles import PodlesElement, gen_A, gen_B
+from qsphere.podles import PodlesElement, gen_A, gen_B, gen_Bs
 from qsphere.scalar import RationalQ
 from qsphere.uq import UqElement, UqTensor
 
@@ -83,6 +85,23 @@ def test_tensor_degree_and_rendering_are_slot_by_slot():
         " + (-q^-2 + q^6)*A (x) A (x) A"
     )
     assert str(Chain.of(gen_A, gen_B) + 2) == "2 + A (x) B"
+
+
+def test_tensor_keys_are_checked_slot_by_slot():
+    with pytest.raises(TypeError):
+        Chain.of(gen_a, gen_b)  # coordinate elements are not sphere factors
+    with pytest.raises(TypeError):
+        UqTensor.of(gen_A, 1)
+    with pytest.raises(ValueError):
+        TensorElement(2, {((0, 0, 0, 1), (1, 0, 0, 1)): 1})  # a d mixes a and d
+    with pytest.raises(ValueError):
+        Chain(2, {((0, 1, 0, 0), (0, 0, 1, 0)): 1})  # coordinate keys in sphere slots
+    with pytest.raises(ValueError):
+        UqTensor(2, {((0, 0, 0), (-1, 0, 0)): 1})  # a negative F exponent
+    with pytest.raises(ArityError):
+        Chain(2, {((0, 1),): 1})
+    assert Chain.of(gen_A, 2).terms == {((1, 0), (0, 0)): RationalQ(2)}
+    assert Chain(2, {((1, 0), (0, -1)): 1}) == Chain.of(gen_A, gen_Bs)
 
 
 def _names_laurent_poly(tree):

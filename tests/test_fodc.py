@@ -31,10 +31,10 @@ from qsphere.fodc import (
     wedge_coeff,
     wedge_kernel,
 )
-from qsphere.haar import haar_value_A
+from qsphere.haar import haar, haar_value_A
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs, sigma
 from qsphere.scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
-from qsphere.uq import gen_E, gen_F, gen_K, uq_counit
+from qsphere.uq import gen_E, gen_F, gen_K, r_action, uq_counit
 from tests.test_podles import podles_elements
 
 one = PodlesElement.one()
@@ -351,6 +351,32 @@ def test_tau_uq_invariant_randomized(data):
 @given(podles_elements(2, 2), podles_elements(2, 2), podles_elements(2, 2))
 def test_tau_matches_volume_route_randomized(x0, x1, x2):
     assert tau(x0, x1, x2) == tau_via_volume(x0, x1, x2)
+
+
+@settings(max_examples=15)
+@given(podles_elements(2, 2), podles_elements(2, 2), podles_elements(2, 2))
+def test_tau_matches_h_of_the_built_product_randomized(x0, x1, x2):
+    kernel = embed(wedge_kernel(x1, x2))
+    assert tau(x0, x1, x2) == haar(embed(x0) * kernel)
+
+
+@settings(max_examples=20)
+@given(podles_elements(2, 2))
+def test_cached_derivations_equal_fresh_ones(x):
+    for r, f in ((r_e, gen_E), (r_f, gen_F)):
+        first = r(x)
+        assert r(x) is first
+        assert first == r_action(f, embed(x))
+
+
+def test_derivation_caches_stay_bounded():
+    for r, f in ((r_e, gen_E), (r_f, gen_F)):
+        maxsize = r.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        for k in range(1, maxsize + 20):
+            r(gen_A.scale(k))
+        assert r.cache_info().currsize <= maxsize
+        assert r(gen_A.scale(3)) == r_action(f, embed(gen_A)).scale(3)  # evicted, recomputed
 
 
 def test_arity_guards():

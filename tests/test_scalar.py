@@ -422,3 +422,110 @@ def test_equal_values_hash_alike(c):
         assert x == c and hash(x) == hash(c), x
         assert x in {c} and {c: "x"}.get(x) == "x", x
     assert RationalQ(c) + qpow(1) not in {c}
+
+
+# -- one-term products, unit products and sums reduced once -------------------
+
+
+def _loop_product(f, g):
+    """f g by the double loop over the terms: the reference for shortcuts."""
+    d = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(d)
+
+
+def _stored_canonically(p):
+    return all(type(v) is int or v.denominator != 1 for v in p.coeffs.values())
+
+
+one_terms = st.builds(
+    lambda n, c: LaurentPoly({n: c}),
+    st.integers(-6, 6),
+    st.one_of(
+        st.sampled_from([1, -1]),
+        st.integers(-4, 4).filter(bool),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(one_terms, polys())
+def test_one_term_products_match_the_double_loop(m, f):
+    expected = _loop_product(m, f)
+    for p in (m * f, f * m):
+        assert p.coeffs == expected.coeffs
+        assert _stored_canonically(p)
+
+
+def test_one_term_products_store_integral_fractions_as_ints():
+    f = LaurentPoly({0: Fraction(2, 3), 2: Fraction(4, 3)})
+    p = LaurentPoly({1: Fraction(3, 2)}) * f
+    assert p.coeffs == {1: 1, 3: 2} and _stored_canonically(p)
+    assert LaurentPoly({-2: -1}) * f == LaurentPoly({-2: Fraction(-2, 3), 0: Fraction(-4, 3)})
+    assert LaurentPoly({3: 1}) * f == f.shift(3)
+
+
+@settings(max_examples=100)
+@given(one_terms, rqs)
+def test_unit_products_and_inverses_are_canonical(m, x):
+    u = RationalQ(m)
+    expected = RationalQ(m * x.num, x.den)  # reduced by the general path
+    assert u * x == expected and x * u == expected
+    assert u.inverse() == RationalQ(LaurentPoly.one(), m)
+    assert u.inverse() * u == Q_ONE
+
+
+def _q_den(n):
+    """1 for n = 0, else 1 - q^(2n); 1 - q^2 divides all of these."""
+    return LaurentPoly.one() - LaurentPoly.q_power(2 * n) if n else LaurentPoly.one()
+
+
+small_fractions = st.builds(
+    RationalQ, polys(max_terms=3, max_exp=4, max_num=3, max_den=2), st.integers(0, 4).map(_q_den)
+)
+product_pairs = st.lists(st.tuples(small_fractions, small_fractions), max_size=6)
+
+
+def _naive_sum(pairs):
+    """The left-to-right sum over the product of the denominators, each
+    product and each partial sum reduced by the constructor."""
+    total = Q_ZERO
+    for x, y in pairs:
+        total = RationalQ(total.num * x.den * y.den + x.num * y.num * total.den,
+                          total.den * x.den * y.den)
+    return total
+
+
+@settings(max_examples=200)
+@given(product_pairs)
+def test_sum_products_matches_the_naive_sum(pairs):
+    assert scalar.sum_products(pairs) == _naive_sum(pairs)
+
+
+def test_sum_products_on_empty_polynomial_and_cancelling_sums():
+    sum_products = scalar.sum_products
+    assert sum_products([]) == Q_ZERO and sum_products([]).den.is_one()
+    polys_only = [(qpow(1), qint(3)), (RationalQ(2), qhalfpow(-1)), (qlambda(), Q_ZERO)]
+    total = sum_products(polys_only)
+    assert total == _naive_sum(polys_only) and total.den.is_one()
+    x, y = RationalQ(1, _q_den(1)), RationalQ(qpow(1).num, _q_den(3))
+    cancelling = [(x, y), (-x, y), (x, x), (x, -x)]
+    assert sum_products(cancelling) == Q_ZERO and sum_products(cancelling).den.is_one()
+    # 1/(1 - q^2) + 1/(1 - q^4) joins over the lcm 1 - q^4, not the product
+    lcm = sum_products([(x, Q_ONE), (RationalQ(1, _q_den(2)), Q_ONE)])
+    assert (lcm.num, lcm.den) == (LaurentPoly({0: -2, 4: -1}), LaurentPoly({0: -1, 8: 1}))
+
+
+def test_the_lcm_cache_stays_bounded():
+    maxsize = scalar._lcm.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    base = RationalQ(1, _q_den(1))
+    for n in range(maxsize + 10):
+        other = RationalQ(1, LaurentPoly({0: 1, 1: n + 1}))  # 1 + (n + 1) q^(1/2)
+        assert scalar.sum_products([(base, Q_ONE), (other, Q_ONE)]) == _naive_sum(
+            [(base, Q_ONE), (other, Q_ONE)]
+        )
+    assert scalar._lcm.cache_info().currsize <= maxsize

@@ -14,7 +14,7 @@ from qsphere.coordalg import CoordElement
 from qsphere.corep import mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.fodc import differential
-from qsphere.haar import haar_mono_product
+from qsphere.haar import haar_product
 from qsphere.podles import PodlesElement, gen_A, gen_B, gen_Bs
 from qsphere.report import record
 from qsphere.scalar import RationalQ, evaluate, qint
@@ -39,17 +39,17 @@ from tests.test_corep import RECURSION_OPERANDS, expand_mul_mismatches, j0_coeff
 def _state_of_product(m1, m2):
     """h(m1* m2) for normal monomials, exact, by the closed form of haar."""
     ((ms, c),) = CoordElement.monomial(m1).star().terms.items()
-    return c * haar_mono_product(ms, m2)
+    return c * haar_product(CoordElement.monomial(ms), CoordElement.monomial(m2))
 
 
 def gram_defect(space, nmax):
     """Largest |<phi_a, phi_b> - delta_ab| over basis vectors of level <= nmax.
 
     The exact vectors are paired at q0 monomial by monomial through exact
-    sums of haar.haar_mono_product, each read off coordalg.mono_mul and only
-    then evaluated at q0; the engine's pairing that the ladder's norm2 comes
-    from evaluates at q0 term by term instead.  Only the normalisation reads
-    norm2.
+    values of haar.haar_product on monomials, each read off coordalg.mono_mul
+    and only then evaluated at q0; the engine's pairing that the ladder's
+    norm2 comes from evaluates at q0 term by term instead.  Only the
+    normalisation reads norm2.
     """
     eng = space.engine
     vecs = [v for (s, n, twok), v in space.vec.items() if n <= nmax]
