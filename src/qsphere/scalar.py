@@ -684,13 +684,16 @@ class Surd:
         # most values have a zero part; skip its products
         if b and d:
             return Surd(a * c + self.q0 * b * d, a * d + b * c, self.q0)
-        return Surd(a * c, b * c if b else a * d, self.q0)
+        return Surd(a * c, b * c if b else a * d if d else 0, self.q0)
 
     def __truediv__(self, other):
-        c, d = other.even, other.odd
-        norm = c * c - self.q0 * d * d
+        a, b, c, d = self.even, self.odd, other.even, other.odd
+        # a divisor without an odd part divides each part
+        norm = c * c - self.q0 * d * d if d else c
         if not norm:
             raise EvaluationPole(f"division by 0 at q0 = {self.q0}")
+        if not d:
+            return Surd(a / c, b / c if b else 0, self.q0)
         return self * Surd(c / norm, -d / norm, self.q0)
 
     def __eq__(self, other):

@@ -28,12 +28,14 @@ these values as on RationalQ.  The ladder vectors w stay unnormalised,
 with exact squared norms N from the step factors, and are built on
 demand: the columns of M(x) on one level come from `Ladder.expand_mul`,
 which solves only the lowest-weight one, so only the lowest vectors of a
-level are built.  Rounding enters M(x) in one place, `_Engine._round`: each part of
-the entry c sqrt(N_alpha / N_beta) is the square root of the correctly
-rounded rational c^2 N_alpha / N_beta, within one ulp, with its sign.
-Vectors, norms and columns do not depend on L; each is built once per q0
-and shared by every space at that q0, and the engines of the few most
-recent q0 are kept.
+level are built.  The engine keeps one table of columns per operator;
+`_Engine.columns` looks the operator up once and returns the reader of its
+table, which fills a level on its first read.  Rounding enters M(x) in one
+place, `_Engine._round`: each nonzero part of the entry c sqrt(N_alpha /
+N_beta) is the square root of the correctly rounded rational
+c^2 N_alpha / N_beta, within one ulp, with its sign.  Vectors, norms and
+columns do not depend on L; each is built once per q0 and shared by every
+space at that q0, and the engines of the few most recent q0 are kept.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ def qnum(n: int, q0: float) -> float:
 
 class _Engine(Ladder):
     """The exact ladder at one rational q0, with values in Q(sqrt(q0)) as
-    `scalar.Surd`s and squared norms as Fractions."""
+    `scalar.Surd`s, squared norms as Fractions and one column table per M(y)."""
 
     def __init__(self, q0: Fraction):
         super().__init__()
         self.q0 = q0
-        self._columns = {}  # (y, key) -> {row key: float}
+        self._columns = {}  # y -> {key: {row key: float}}
 
     def value(self, x):
         """A RationalQ at q0."""
@@ -80,20 +82,29 @@ class _Engine(Ladder):
         col = {}
         for alpha, c in coeffs.items():
             even, odd, ratio = c.even, c.odd, self.norm2(alpha) / norm2
-            col[alpha] = math.copysign(math.sqrt(even * even * ratio), even) + math.copysign(
-                math.sqrt(odd * odd * self.q0 * ratio), odd
-            )
+            entry = 0.0  # a zero part adds nothing, so it is skipped
+            if even:
+                entry += math.copysign(math.sqrt(even * even * ratio), even)
+            if odd:
+                entry += math.copysign(math.sqrt(odd * odd * self.q0 * ratio), odd)
+            col[alpha] = entry
         return col
 
-    def mult_column(self, y, key) -> dict:
-        """Column `key` of M(y) for a CoordElement y in the orthonormal basis,
-        cached: a column does not depend on L.  The first call at a level
-        fills its columns by `expand_mul`."""
-        if (y, key) not in self._columns:
-            s, n, _ = key
-            for twok, coeffs in self.expand_mul(self.terms(y), s, n).items():
-                self._columns[y, (s, n, twok)] = self._round((s, n, twok), coeffs)
-        return self._columns[y, key]
+    def columns(self, y):
+        """The reader column(key) -> {row key: float} of M(y), for a
+        CoordElement y in the orthonormal basis, over y's own table of
+        columns: y is looked up once here.  A column does not depend on L;
+        the first read at a level fills its columns by `expand_mul`."""
+        table = self._columns.setdefault(y, {})
+
+        def column(key) -> dict:
+            if key not in table:
+                s, n, _ = key
+                for twok, coeffs in self.expand_mul(self.terms(y), s, n).items():
+                    table[s, n, twok] = self._round((s, n, twok), coeffs)
+            return table[key]
+
+        return column
 
 
 # one engine per q0, shared by every space at that q0; the few most
@@ -200,7 +211,7 @@ def _mult_columns(x: PodlesElement, space: TruncatedSpace):
     if (twol := 2 * (space.npad + _shift(x)) - 1) > MAX_TWOL:
         raise CutoffExceeded(f"M({x}) at L = {space.L} needs 2l = {twol}, past the cutoff "
                              f"{MAX_TWOL}")
-    return functools.partial(space.engine.mult_column, embed(x))
+    return space.engine.columns(embed(x))
 
 
 def build_mult(x: PodlesElement, space: TruncatedSpace) -> np.ndarray:

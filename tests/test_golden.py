@@ -1,8 +1,12 @@
-"""Golden renders of the exact layer's headline values.
+"""Golden renders of the exact layer's headline values, and the bits of
+the numeric layer's.
 
-Each test hashes the canonical renders of a family of values.  RationalQ
-and the sparse algebras are canonical, so a change to the arithmetic that
-keeps the values keeps every render byte for byte.
+Each exact test hashes the canonical renders of a family of values.
+RationalQ and the sparse algebras are canonical, so a change to the
+arithmetic that keeps the values keeps every render byte for byte.  The
+numeric pins are the `float.hex` of trace-check lhs values and of M(x)
+entries: each entry is rounded once from its exact value, so a change to
+the arithmetic in Q(sqrt(q0)) that keeps the values keeps every bit.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ from qsphere.fodc import TAU, eta, pair_chain, tau, volume_check
 from qsphere.haar import haar_podles
 from qsphere.podles import gen_A, gen_B, gen_Bs
 from qsphere.scalar import render
+from qsphere.spectral import TruncatedSpace, build_mult, haar_trace_check, tau_trace_check
 
 GENERATORS = {"A": gen_A, "B": gen_B, "Bs": gen_Bs}
 
@@ -59,6 +64,59 @@ def test_mult_matrices_renders():
     assert _digest(_matrix_lines()) == MATRIX_DIGEST
 
 
+def test_trace_check_lhs_bits():
+    # tau reads numpy matrix products, so its last bits are those of this
+    # numpy's BLAS kernels; h sums in Python
+    one = gen_A**0
+    for (q0, L), pins in TRACE_LHS_HEX.items():
+        space = TruncatedSpace(q0, L)
+        got = {
+            "h(A)": haar_trace_check(gen_A, 3, space)["lhs"].hex(),
+            "tau(A,B,B*)": tau_trace_check(gen_A, gen_B, gen_Bs, 3, space)["lhs"].hex(),
+            "tau(1,B,B*)": tau_trace_check(one, gen_B, gen_Bs, 3, space)["lhs"].hex(),
+        }
+        assert got == pins, (q0, L)
+
+
+def test_mult_entry_bits():
+    space = TruncatedSpace(Fraction(1, 4), 4)
+    for name, pins in MULT_ENTRY_HEX.items():
+        M = build_mult(GENERATORS[name], space)
+        for (row, col), pin in pins.items():
+            assert float(M[space.pos[row], space.pos[col]]).hex() == pin, (name, row, col)
+
+
+# z = 3 throughout
+TRACE_LHS_HEX = {
+    (Fraction(1, 4), 6): {
+        "h(A)": "0x1.e1e179ee5671ep-1",
+        "tau(A,B,B*)": "-0x1.de25f76474815p-9",
+        "tau(1,B,B*)": "0x1.f9f1969b30155p-57",
+    },
+    (Fraction(2, 3), 4): {
+        "h(A)": "0x1.5a147dadbd05ap-1",
+        "tau(A,B,B*)": "-0x1.79e14f48b1d33p-4",
+        "tau(1,B,B*)": "0x1.bde3c40951baep-55",
+    },
+}
+# {(row key, column key): entry} of M(x) at q0 = 1/4, L = 4
+MULT_ENTRY_HEX = {
+    "A": {
+        ((1, 1, -1), (1, 1, -1)): "0x1.fe1fe1fe1fe20p-1",
+        ((1, 5, -7), (1, 6, -7)): "-0x1.feffaee85f035p-15",
+        ((1, 6, 11), (1, 6, 11)): "0x1.fffffe0000002p-25",
+        ((-1, 3, 5), (-1, 3, 5)): "0x1.fffe001fffe00p-9",
+        ((-1, 6, -9), (-1, 7, -9)): "-0x1.feffbed07404fp-15",
+    },
+    "B": {
+        ((1, 1, -1), (1, 1, 1)): "0x1.e01e01e01e01ep-3",
+        ((1, 5, -7), (1, 6, -5)): "-0x1.feefb6ab15c2ep-13",
+        ((1, 6, 9), (1, 7, 11)): "-0x1.fffffeefffefep-15",
+        ((-1, 3, 5), (-1, 4, 7)): "-0x1.ffeeffd8bd915p-7",
+        ((-1, 6, -9), (-1, 6, -7)): "0x1.feff9df0ef56bp-5",
+        ((-1, 7, 11), (-1, 7, 13)): "0x1.efbde9063b23ep-27",
+    },
+}
 TAU_DIGEST = "0b584dd2ff93e5e7c90240b08496532abab6094df197df8f2aa07610c25b0b72"
 HAAR_DIGEST = "c935a495c7f6b62ae4565fbbd1e155f5dda03a26575063fbdaaf63caae3ce570"
 MATRIX_DIGEST = "3e7be4cd5135c41fda33674a590794d7bb0ebc2b66b013d9653e497584ff810f"

@@ -329,7 +329,8 @@ def test_eval_rounds_without_cancellation():
     assert abs(evaluate(x, Fraction(1, 2)) - expected) <= 1e-15 * expected
 
 
-SURD_Q0 = [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]
+# 1/4, 9/16 and 81/100 are squares: there every value has the odd part 0
+SURD_Q0 = [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 16), Fraction(81, 100)]
 
 
 @settings(max_examples=60)
@@ -351,6 +352,54 @@ def test_surd_at_respects_the_field_operations(x, y):
             with pytest.raises(EvaluationPole):
                 sx / sy
         assert float(sx) == evaluate(x, q0)
+
+
+def _general_mul(x, y):
+    a, b, c, d = x.even, x.odd, y.even, y.odd
+    return Surd(a * c + x.q0 * b * d, a * d + b * c, x.q0)
+
+
+@settings(max_examples=40)
+@given(rqs, rqs)
+def test_surd_zero_odd_parts_stay_int(x, y):
+    # at a square q0, products and quotients keep the odd part the int 0,
+    # equal to the general formula's value
+    for q0 in (Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)):
+        try:
+            sx, sy = Surd.at(x, q0), Surd.at(y, q0)
+        except EvaluationPole:
+            continue
+        assert sx.odd == 0 and sy.odd == 0
+        prod = sx * sy
+        assert type(prod.odd) is int and prod.odd == 0
+        assert prod == _general_mul(sx, sy)
+        if sy:
+            quot = sx / sy
+            assert type(quot.odd) is int and quot.odd == 0
+            assert quot * sy == sx
+
+
+def test_surd_mixed_zero_parts_match_the_general_formula():
+    for q0 in (Fraction(1, 4), Fraction(2, 3)):
+        zero_odd = [Surd(Fraction(3), Fraction(0), q0), Surd(Fraction(5), 0, q0)]
+        with_odd = [Surd(Fraction(-2, 7), Fraction(4, 3), q0), Surd(Fraction(0), Fraction(1, 5), q0)]
+        for x in zero_odd + with_odd:
+            for y in zero_odd + with_odd:
+                assert x * y == _general_mul(x, y), (x, y)
+                if y:
+                    assert (x / y) * y == x, (x, y)
+
+
+def test_surd_division_by_zero_raises():
+    for q0 in (Fraction(1, 4), Fraction(2, 3)):
+        for zero in (Surd(Fraction(0), 0, q0), Surd(Fraction(0), Fraction(0), q0)):
+            with pytest.raises(EvaluationPole):
+                Surd(Fraction(1), 0, q0) / zero
+            with pytest.raises(EvaluationPole):
+                Surd(Fraction(1), Fraction(1, 2), q0) / zero
+    # 1/2 - sqrt(1/4) is 0 with a nonzero odd part, which `Surd.at` never makes
+    with pytest.raises(EvaluationPole):
+        Surd(Fraction(1), 0, Fraction(1, 4)) / Surd(Fraction(1, 2), Fraction(-1), Fraction(1, 4))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Tests for the numeric layer: truncated space, operators, zeta function."""
 
+import collections
 import functools
 import math
 from fractions import Fraction
@@ -119,7 +120,7 @@ def test_commutators_give_the_calculus(q0):
     D = build_dirac(space)
 
     def mult(y):
-        return spectral._matrix(space, functools.partial(eng.mult_column, y))
+        return spectral._matrix(space, eng.columns(y))
 
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
         M = build_mult(x, space)
@@ -271,6 +272,34 @@ def test_checks_build_few_ladder_vectors(monkeypatch):
     built = {key: len(chain) for key, chain in space.engine._chains.items()}
     assert {(s, n) for s in (1, -1) for n in range(1, space.npad + 1)} <= set(built)
     assert max(built.values()) <= 3, built
+
+
+def test_sweep_expands_each_level_once_per_operator(monkeypatch):
+    # the spaces of a sweep in L share one engine; its table for M(y) fills
+    # a level by one expand_mul, and a second pass reads the tables alone
+    eng = spectral._Engine(Fraction(1, 4))
+    monkeypatch.setattr(spectral, "_engine_for", lambda q0: eng)
+    calls = collections.Counter()
+    expand_mul = eng.expand_mul
+
+    def counted(xs, s, n):
+        calls[tuple(sorted(xs)), s, n] += 1
+        return expand_mul(xs, s, n)
+
+    monkeypatch.setattr(eng, "expand_mul", counted)
+    spaces = [TruncatedSpace(Fraction(1, 4), L) for L in range(2, 9)]
+
+    def sweep():
+        return [(haar_trace_check(gen_A, 3, space)["lhs"],
+                 tau_trace_check(gen_A, gen_B, gen_Bs, 3, space)["lhs"]) for space in spaces]
+
+    first = sweep()
+    reached = {(tuple(sorted(eng.terms(y))), s, n)
+               for y, table in eng._columns.items() for s, n, _ in table}
+    assert len(eng._columns) == 3 and calls.keys() == reached
+    assert set(calls.values()) == {1}, calls
+    calls.clear()
+    assert sweep() == first and not calls
 
 
 @pytest.mark.parametrize("q0", [0.25, 0.81])
