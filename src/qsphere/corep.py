@@ -224,6 +224,14 @@ class Ladder:
             self._halfpows[m] = self.value(qhalfpow(m))
         return self._halfpows[m]
 
+    def e_chain(self, xs: dict) -> list:
+        """xs, E |> xs, E^2 |> xs, ... up to the last that is not zero."""
+        chain = []
+        while xs:
+            chain.append(xs)
+            xs = self.apply(_e_step, xs)
+        return chain
+
     def expand_mul(self, xs: dict, s: int, n: int) -> dict:
         """{twok: expand(mul(xs, w_{s,n,twok}))} over level n, solving only
         the lowest-weight column of each of x, E |> x, E^2 |> x, ...
@@ -236,10 +244,7 @@ class Ladder:
         """
         twol = 2 * n - 1
         bottom = self.vector((s, n, -twol)).terms
-        chain = []
-        while xs:
-            chain.append(self.expand(self.mul(xs, bottom)))
-            xs = self.apply(_e_step, xs)
+        chain = [self.expand(self.mul(x, bottom)) for x in self.e_chain(xs)]
         chain.append({})
         out = {-twol: chain[0]}
         for twok in range(-twol, twol, 2):

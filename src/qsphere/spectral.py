@@ -17,7 +17,11 @@ signed permutation like D, and `build_J` is the one complex array.
 Spaces are built with `PAD` levels beyond L.  M(x) moves levels by at most
 `_shift(x)`, so a product is exact on the levels up to npad less the sum
 of its operands' shifts; traces sum only diagonal entries there, and
-report the discarded boundary count.
+report the discarded boundary count.  A check fills only the columns its
+window reads, the rest of each dense matrix zero: x0 [D,x1] [D,x2] on the
+levels n <= W = npad - s0 - s1 - s2 reads x0 through level W + s0, x2
+through W and x1 through W + min(s2, s0 + s1); the commutant checks read
+M(x) and M(y) through npad - max(s_x, s_y).  `build_mult` fills all.
 
 Exact construction: the basis is the one ladder of `corep.Ladder`, with
 its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
@@ -30,10 +34,13 @@ demand: the columns of M(x) on one level come from `Ladder.expand_mul`,
 which solves only the lowest-weight one, so only the lowest vectors of a
 level are built.  The engine keeps one table of columns per operator;
 `_Engine.columns` looks the operator up once and returns the reader of its
-table, which fills a level on its first read.  Rounding enters M(x) in one
-place, `_Engine._round`: each nonzero part of the entry c sqrt(N_alpha /
-N_beta) is the square root of the correctly rounded rational
-c^2 N_alpha / N_beta, within one ulp, with its sign.  Vectors, norms and
+table, which fills a level on its first read.  Rounding enters M(x) in
+one place, `_Engine._round`: each nonzero part of the entry c sqrt(N_alpha
+/ N_beta) is the square root of the correctly rounded rational
+c^2 N_alpha / N_beta, within one ulp, with its sign.  So M(x*) = M(x)^T
+holds to the bit, and `build_mult` fills only the member of {x, x*} with
+the shorter E-chain (x on a tie) from its table, transposing it for the
+other: in the checks, B is read off B*'s table.  Vectors, norms and
 columns do not depend on L; each is built once per q0 and shared by every
 space at that q0, and the engines of the few most recent q0 are kept.
 """
@@ -168,15 +175,18 @@ def build_dirac(space: TruncatedSpace) -> np.ndarray:
     return mat
 
 
-def _matrix(space, column):
+def _matrix(space, column, top, transpose=False):
     """Dense matrix from the engine's orthonormal columns, column(key) for
-    each basis key; rows past the padded space are cut off."""
+    each basis key of level n <= top, the others zero; rows past npad cut
+    off.  With transpose, column(key) fills row key instead."""
     mat = np.zeros((space.dim, space.dim))
+    fill = mat.T if transpose else mat
     for key, i in space.pos.items():
-        for row, c in column(key).items():
-            j = space.pos.get(row)
-            if j is not None:
-                mat[j, i] = c
+        if key[1] <= top:
+            for row, c in column(key).items():
+                j = space.pos.get(row)
+                if j is not None:
+                    fill[j, i] = c
     return mat
 
 
@@ -214,10 +224,17 @@ def _mult_columns(x: PodlesElement, space: TruncatedSpace):
     return space.engine.columns(embed(x))
 
 
-def build_mult(x: PodlesElement, space: TruncatedSpace) -> np.ndarray:
+def build_mult(x: PodlesElement, space: TruncatedSpace, top=None) -> np.ndarray:
     """Left multiplication by a sphere element in the orthonormal basis; the
-    part of the image outside the two families is projected away."""
-    return _matrix(space, _mult_columns(x, space))
+    part of the image outside the two families is projected away.  Only the
+    columns of levels n <= top are filled, every level by default.  M(x) is
+    M(x*)^T, so when x* has the shorter E-chain, M(x*) is filled through
+    top + _shift(x), the rows that columns up to top read, and transposed."""
+    top = space.npad if top is None else top
+    eng, y = space.engine, embed(x)
+    if len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y))):
+        return _matrix(space, _mult_columns(x.star(), space), min(space.npad, top + _shift(x)), True)
+    return _matrix(space, _mult_columns(x, space), top)
 
 
 def _window(space: TruncatedSpace, nmax: int) -> list:
@@ -351,31 +368,34 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
         s, n, twok = key
         return (1.0 if s == 1 else -q0**2) * q0**twok * qnum(n, q0) ** -z
 
-    # only the diagonal of the product, each factor freed once used; the terms
-    # of diag_i sum to at most row i of |M(x0)| times max row sums of |[D,x]|
-    m0, c = build_mult(x0, space), _dirac_commutator(space, build_mult(x1, space))
+    # only the diagonal of the product on levels n <= top, from the columns
+    # it reads, each factor freed once used; the terms of diag_i sum to at
+    # most row i of |M(x0)| times max row sums of |[D,x]|
+    s0, s1, s2 = _shift(x0), _shift(x1), _shift(x2)
+    top = space.npad - s0 - s1 - s2
+    m0 = build_mult(x0, space, top + s0)
+    c = _dirac_commutator(space, build_mult(x1, space, top + min(s2, s0 + s1)))
     bound = abs(m0).sum(1) * abs(c).sum(1).max()
     left = m0 @ c
     del m0, c
-    c = _dirac_commutator(space, build_mult(x2, space))
+    c = _dirac_commutator(space, build_mult(x2, space, top))
     bound *= abs(c).sum(1).max()
     diag = np.einsum("ij,ji->i", left, c)
-    shift = _shift(x0) + _shift(x1) + _shift(x2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
     return _trace_record(
-        "tau_trace", inputs, diag, weight, space.npad - shift, tau(x0, x1, x2), z, space, shift,
-        bound,
+        "tau_trace", inputs, diag, weight, top, tau(x0, x1, x2), z, space, s0 + s1 + s2, bound,
     )
 
 
 def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):
     """[M(x), J M(y)* J^-1] = 0 and [[D, M(x)], J M(y)* J^-1] = 0 on the
-    trusted window."""
-    Mx = build_mult(x, space)
+    trusted window, which reads M(x) and M(y) through level top."""
+    top = space.npad - max(_shift(x), _shift(y))
+    Mx = build_mult(x, space, top)
     # J M(y)* J^-1 = U M(y)^T U^H, with U = -i times the signed permutation
     # of flip and jsign: entry (a, b) is jsign_a' jsign_b' M(y)[b', a'] for
     # a' = flip(a), b' = flip(b)
-    conj_y = build_mult(y, space).T * np.outer(space.jsign, space.jsign)
+    conj_y = build_mult(y, space, top).T * np.outer(space.jsign, space.jsign)
     conj_y = conj_y[np.ix_(space.flip, space.flip)]
     DMx = _dirac_commutator(space, Mx)
     keep = np.ix_(*[_window(space, space.npad - _shift(x) - _shift(y))] * 2)

@@ -16,7 +16,7 @@ from qsphere.corep import mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.fodc import differential
 from qsphere.haar import haar_product
-from qsphere.podles import PodlesElement, gen_A, gen_B, gen_Bs
+from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
 from qsphere.report import record
 from qsphere.scalar import RationalQ, evaluate, qint
 from qsphere.spectral import (
@@ -120,7 +120,7 @@ def test_commutators_give_the_calculus(q0):
     D = build_dirac(space)
 
     def mult(y):
-        return spectral._matrix(space, eng.columns(y))
+        return spectral._matrix(space, eng.columns(y), space.npad)
 
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
         M = build_mult(x, space)
@@ -274,10 +274,10 @@ def test_checks_build_few_ladder_vectors(monkeypatch):
     assert max(built.values()) <= 3, built
 
 
-def test_sweep_expands_each_level_once_per_operator(monkeypatch):
-    # the spaces of a sweep in L share one engine; its table for M(y) fills
-    # a level by one expand_mul, and a second pass reads the tables alone
-    eng = spectral._Engine(Fraction(1, 4))
+def _counted_engine(monkeypatch, q0):
+    """A fresh engine for every space at q0, with calls[terms, s, n] counting
+    its expand_mul calls."""
+    eng = spectral._Engine(q0)
     monkeypatch.setattr(spectral, "_engine_for", lambda q0: eng)
     calls = collections.Counter()
     expand_mul = eng.expand_mul
@@ -287,6 +287,15 @@ def test_sweep_expands_each_level_once_per_operator(monkeypatch):
         return expand_mul(xs, s, n)
 
     monkeypatch.setattr(eng, "expand_mul", counted)
+    return eng, calls
+
+
+def test_sweep_expands_each_level_once_per_operator(monkeypatch):
+    # the spaces of a sweep in L share one engine; of A = A* and the pair
+    # {B, B*}, only A and B*, the shorter E-chain, have tables, each level
+    # filled by one expand_mul; M(B) is M(B*)^T, and a second pass reads
+    # the tables alone
+    eng, calls = _counted_engine(monkeypatch, Fraction(1, 4))
     spaces = [TruncatedSpace(Fraction(1, 4), L) for L in range(2, 9)]
 
     def sweep():
@@ -296,10 +305,66 @@ def test_sweep_expands_each_level_once_per_operator(monkeypatch):
     first = sweep()
     reached = {(tuple(sorted(eng.terms(y))), s, n)
                for y, table in eng._columns.items() for s, n, _ in table}
-    assert len(eng._columns) == 3 and calls.keys() == reached
+    assert eng._columns.keys() == {embed(gen_A), embed(gen_Bs)} and calls.keys() == reached
     assert set(calls.values()) == {1}, calls
     calls.clear()
     assert sweep() == first and not calls
+
+
+def test_tau_expands_only_the_levels_it_reads(monkeypatch):
+    # at L = 8, npad = 11 and W = npad - 3 = 8: the diagonal of A [D,B] [D,B*]
+    # reads A through W + 1, B through W + 1 and B* through W; the columns
+    # of B through level 9 are the rows of B* there, from its columns
+    # through level 10, and B itself is never expanded
+    eng, calls = _counted_engine(monkeypatch, Fraction(1, 4))
+    tau_trace_check(gen_A, gen_B, gen_Bs, 3, TruncatedSpace(Fraction(1, 4), 8))
+    top = {y: max(n for s, n, _ in table) for y, table in eng._columns.items()}
+    assert top == {embed(gen_A): 9, embed(gen_Bs): 10}
+    terms_B = tuple(sorted(eng.terms(embed(gen_B))))
+    assert calls and all(xs != terms_B for xs, s, n in calls)
+
+
+def _with_complete_matrices(check, *args):
+    """The records of check with every factor the complete build_mult matrix."""
+    complete = spectral.build_mult
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "build_mult", lambda x, space, top=None: complete(x, space))
+        out = check(*args)
+    return out if isinstance(out, list) else [out]
+
+
+@pytest.mark.parametrize("q0, L", [(Fraction(1, 4), 6), (Fraction(2, 3), 4), (Fraction(81, 100), 5)])
+def test_checks_on_the_filled_columns_equal_the_complete_ones(q0, L):
+    # the columns a check leaves zero are ones its window never reads, so
+    # every field is the same, bits and all; only the round-off bound of a
+    # tau trace, from row sums over whole matrices, may shrink
+    space = TruncatedSpace(q0, L)
+    one = PodlesElement.one()
+    for check, args in ((tau_trace_check, (gen_A, gen_B, gen_Bs, 3, space)),
+                        (tau_trace_check, (one, gen_B, gen_Bs, 3, space)),
+                        (tau_trace_check, (gen_Bs, gen_A, gen_B, 3, space)),
+                        (commutant_checks, (gen_A, gen_B, space))):
+        got = check(*args)
+        for rec, ref in zip(got if isinstance(got, list) else [got],
+                            _with_complete_matrices(check, *args)):
+            if rec["check"] == "tau_trace":
+                for field in ("round_off_scale", "tol_abs"):
+                    assert rec.pop(field) <= ref.pop(field), (field, args)
+            assert rec == ref, args
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(2, 3), Fraction(81, 100)])
+def test_star_pairs_transpose_bit_for_bit(q0):
+    # M(y) = M(y*)^T in the orthonormal basis, and both sides round the same
+    # exact c^2 N_alpha/N_beta: on levels 1 to 8, the transposed matrix of
+    # y* is the direct one of y to the bit, for B, B* and for q^(1/2) R_E B
+    # and q^(-1/2) R_F B, which swap the families
+    space, eng = TruncatedSpace(q0, 5), spectral._Engine(q0)
+    dB = differential(gen_B)
+    for y in (embed(gen_B), embed(gen_Bs), dB.ecomp, dB.fcomp):
+        direct = spectral._matrix(space, eng.columns(y), space.npad)
+        read = spectral._matrix(space, eng.columns(y.star()), space.npad, True)
+        assert direct.any() and direct.tobytes() == read.tobytes(), y
 
 
 @pytest.mark.parametrize("q0", [0.25, 0.81])
