@@ -11,7 +11,8 @@ its bound `tol_abs`, its wall time `wall_ms` and the module that made it,
 `layer`.  The exit status is 0 when every check passes and 1 otherwise; an
 empty level range, a q0 that is not rational, a z <= 2, not finite or
 overflowing zeta, a level whose operators need a spin past the ladder
-cutoff and a trace with no exact level are refused with status 2.
+cutoff, a (q0, L) whose powers of q0 leave the float range and a trace
+with no exact level are refused with status 2.
 """
 
 from __future__ import annotations

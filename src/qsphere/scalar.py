@@ -21,6 +21,10 @@ Euclid over Fraction finds the gcd and `poly_exact_div` the cofactors.
 `sum_products` reduces a sum of products once: it adds the numerators over
 each denominator and joins the few distinct denominators over their lcm.
 
+`qpow`, `qhalfpow`, `qgeom` (a geometric sum of half powers), `qint` and
+`qlambda` build the constants of the algebra layers, which then need no
+`LaurentPoly` of their own.
+
 At a rational q0 a value lies in Q(sqrt(q0)): a `Surd` even + odd sqrt(q0)
 with Fraction parts, exact under the field operations and rounded to a
 float once (`evaluate`).
@@ -637,6 +641,12 @@ def qpow(k):
 def qhalfpow(n, coeff=1):
     """coeff * q^(n/2) for integer n."""
     return RationalQ._raw(LaurentPoly.half_power(n, coeff))
+
+
+def qgeom(n: int, start: int, step: int) -> RationalQ:
+    """The sum of the n half powers q^((start + i step)/2), i = 0..n-1, for
+    step != 0."""
+    return RationalQ._raw(_wrap({start + i * step: 1 for i in range(n)}))
 
 
 def qint(n: int) -> RationalQ:

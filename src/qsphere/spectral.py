@@ -27,22 +27,27 @@ Exact construction: the basis is the one ladder of `corep.Ladder`, with
 its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
 and its cutoff 2l <= `corep.MAX_TWOL`, evaluated at q0 by `_Engine`.  The
 engine only maps an exact coefficient to its value at q0, a `scalar.Surd`
-in Q(sqrt(q0)), and a squared norm to its Fraction; the ladder runs on
-these values as on RationalQ.  The ladder vectors w stay unnormalised,
-with exact squared norms N from the step factors, and are built on
-demand: the columns of M(x) on one level come from `Ladder.expand_mul`,
-which solves only the lowest-weight one, so only the lowest vectors of a
-level are built.  The engine keeps one table of columns per operator;
-`_Engine.columns` looks the operator up once and returns the reader of its
-table, which fills a level on its first read.  Rounding enters M(x) in
-one place, `_Engine._round`: each nonzero part of the entry c sqrt(N_alpha
-/ N_beta) is the square root of the correctly rounded rational
-c^2 N_alpha / N_beta, within one ulp, with its sign.  So M(x*) = M(x)^T
-holds to the bit, and `build_mult` fills only the member of {x, x*} with
-the shorter E-chain (x on a tie) from its table, transposing it for the
-other: in the checks, B is read off B*'s table.  Vectors, norms and
-columns do not depend on L; each is built once per q0 and shared by every
-space at that q0, and the engines of the few most recent q0 are kept.
+in Q(sqrt(q0)), once per distinct coefficient, and a squared norm to its
+Fraction; the ladder runs on these values as on RationalQ.  The ladder
+vectors w stay unnormalised, with exact squared norms N from the step
+factors, and are built on demand: the columns of M(x) on one level come
+from `Ladder.expand_mul`, which solves only the lowest-weight one, so only
+the lowest vectors of a level are built.  The engine keeps one table of
+columns per operator; `_Engine.columns` looks the operator up once and
+returns the reader of its table, which fills a level on its first read.
+Rounding enters M(x) in one place, `_Engine._round`.  It reduces
+N_alpha / N_beta = r_num / r_den once per entry c sqrt(N_alpha / N_beta);
+a nonzero part n/d of c is then the square root of one int true division,
+(n^2 r_num) / (d^2 r_den), times p/r under the root for the odd part at
+q0 = p/r, and takes its sign from n.  The division rounds the rational
+c_part^2 N_alpha / N_beta correctly, so each part is within one ulp, and
+no part is read as a float: a coefficient past the float range rounds as
+long as its entry is in it.  So M(x*) = M(x)^T holds to the bit, and
+`build_mult` fills only the member of {x, x*} with the shorter E-chain (x
+on a tie) from its table, transposing it for the other: in the checks, B
+is read off B*'s table.  Vectors, norms and columns do not depend on L;
+each is built once per q0 and shared by every space at that q0, and the
+engines of the few most recent q0 are kept.
 """
 
 from __future__ import annotations
@@ -74,11 +79,15 @@ class _Engine(Ladder):
     def __init__(self, q0: Fraction):
         super().__init__()
         self.q0 = q0
+        self._values = {}  # RationalQ -> its Surd
         self._columns = {}  # y -> {key: {row key: float}}
 
     def value(self, x):
-        """A RationalQ at q0."""
-        return Surd.at(x, self.q0)
+        """A RationalQ at q0, evaluated once per distinct value."""
+        v = self._values.get(x)
+        if v is None:
+            v = self._values[x] = Surd.at(x, self.q0)
+        return v
 
     rational = staticmethod(Surd.rational)
 
@@ -86,14 +95,20 @@ class _Engine(Ladder):
         """The orthonormal column {row key: entry} of w_key from its exact
         coefficients {alpha: c}: the one place where rounding enters."""
         norm2 = self.norm2(key)
+        p, r = self.q0.numerator, self.q0.denominator
         col = {}
         for alpha, c in coeffs.items():
-            even, odd, ratio = c.even, c.odd, self.norm2(alpha) / norm2
+            ratio = self.norm2(alpha) / norm2
+            rn, rd = ratio.numerator, ratio.denominator
             entry = 0.0  # a zero part adds nothing, so it is skipped
-            if even:
-                entry += math.copysign(math.sqrt(even * even * ratio), even)
-            if odd:
-                entry += math.copysign(math.sqrt(odd * odd * self.q0 * ratio), odd)
+            if c.even:
+                n, d = c.even.numerator, c.even.denominator
+                v = math.sqrt(n * n * rn / (d * d * rd))
+                entry += v if n > 0 else -v
+            if c.odd:
+                n, d = c.odd.numerator, c.odd.denominator
+                v = math.sqrt(n * n * p * rn / (d * d * r * rd))
+                entry += v if n > 0 else -v
             col[alpha] = entry
         return col
 
@@ -129,6 +144,8 @@ class TruncatedSpace:
     npad = L + PAD so that operator products of bounded level shift stay
     exact on the reported window.  `vec` maps a key (s, n, 2k) to its
     unnormalised ladder vector, built on first read; no check reads it.
+    A (q0, L) whose largest power q0^(-2 npad) is past the float range is
+    refused with ValueError.
     """
 
     def __init__(self, q0, L: int):
@@ -144,6 +161,12 @@ class TruncatedSpace:
         self.q0 = float(self.q0_exact)
         self.L = L
         self.npad = L + PAD
+        # the zeta sums read [2n] through n = npad
+        try:
+            self.q0 ** (-2 * self.npad)
+        except OverflowError:
+            raise ValueError(f"q0 = {q0} at L = {L} needs q0^-{2 * self.npad}, past the float "
+                             f"range") from None
         self.engine = _engine_for(self.q0_exact)
         self.index = [(s, n, twok) for s in (1, -1) for n in range(1, self.npad + 1)
                       for twok in range(-(2 * n - 1), 2 * n, 2)]

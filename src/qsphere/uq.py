@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .comb import SparseComb, TensorComb, merge_into
-from .coordalg import CoordElement
-from .scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
+from .comb import SparseComb, TensorComb, add_term, merge_into
+from .coordalg import CoordElement, mono_mul
+from .scalar import Q_ONE, Q_ZERO, RationalQ, qgeom, qhalfpow, qlambda, qpow
 
 MONO_ONE = (0, 0, 0)
 
@@ -140,11 +140,13 @@ def uq_coproduct(f: UqElement, n: int = 2) -> UqTensor:
 # The single-letter actions of E and F, the only table of them in the
 # package; letters are indexed 0..3 for a, b, c, d.  Side "L" is the left
 # action g |> x, side "R" the right action x <| g; letters not listed vanish.
+# Each entry is (y, delta) for the image y of the letter x, which
+# q-commutes with it: y x = q^delta x y.
 LETTER_ACTION = {
-    ("L", "E"): {0: (0, 1, 0, 0), 2: (0, 0, 0, 1)},  # E|>a = b, E|>c = d
-    ("L", "F"): {1: (1, 0, 0, 0), 3: (0, 0, 1, 0)},  # F|>b = a, F|>d = c
-    ("R", "E"): {2: (1, 0, 0, 0), 3: (0, 1, 0, 0)},  # c<|E = a, d<|E = b
-    ("R", "F"): {0: (0, 0, 1, 0), 1: (0, 0, 0, 1)},  # a<|F = c, b<|F = d
+    ("L", "E"): {0: ((0, 1, 0, 0), -1), 2: ((0, 0, 0, 1), -1)},  # E|>a = b, E|>c = d
+    ("L", "F"): {1: ((1, 0, 0, 0), 1), 3: ((0, 0, 1, 0), 1)},  # F|>b = a, F|>d = c
+    ("R", "E"): {2: ((1, 0, 0, 0), 1), 3: ((0, 1, 0, 0), 1)},  # c<|E = a, d<|E = b
+    ("R", "F"): {0: ((0, 0, 1, 0), -1), 1: ((0, 0, 0, 1), -1)},  # a<|F = c, b<|F = d
 }
 _LETTER_MONOS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -164,30 +166,31 @@ def right_weight(mono):
 WEIGHT = {"L": left_weight, "R": right_weight}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _act_mono(side, gen, mono) -> CoordElement:
     """E or F acting on one normal monomial: gen |> mono on side "L",
     mono <| gen on side "R".
 
-    Peels the first letter x off mono = x y.  Both actions expand through
-    Delta(g) = g (x) K + K^-1 (x) g as g.(x y) = (g.x)(K.y) + (K^-1.x)(g.y).
+    Both actions expand through Delta(g) = g (x) K + K^-1 (x) g, so g acts
+    on a word letter by letter, as the sum of (K^-1 . before) (g . letter)
+    (K . after).  In mono = P x^e S the image y of x q-commutes with x,
+    y x = q^delta x y, so the e terms of the group x^e are one element
+    H y S, H = P x^(e-1), times sum_i q^((W(S) - W(H))/2 + i (W(x) + delta))
+    over i = 0..e-1, for the weight W of K on that side.
     """
-    letter = next((i for i in range(4) if mono[i] > 0), None)
-    if letter is None:
-        return CoordElement.zero()
-    x = _LETTER_MONOS[letter]
-    rest = tuple(e - u for e, u in zip(mono, x))
     weight = WEIGHT[side]
-    out = CoordElement.zero()
-    img = LETTER_ACTION[side, gen].get(letter)
-    if img is not None:
-        out = (CoordElement._raw({img: Q_ONE}) * CoordElement._raw({rest: Q_ONE})).scale(
-            qhalfpow(weight(rest))
-        )
-    tail = _act_mono(side, gen, rest)
-    if tail:
-        out = out + (CoordElement._raw({x: Q_ONE}) * tail).scale(qhalfpow(-weight(x)))
-    return out
+    acc = {}
+    for letter, (img, delta) in LETTER_ACTION[side, gen].items():
+        e = mono[letter]
+        if e:
+            head = mono[:letter] + (e - 1,) + (0,) * (3 - letter)
+            tail = (0,) * (letter + 1) + mono[letter + 1:]
+            step = 2 * (weight(_LETTER_MONOS[letter]) + delta)
+            coeff = qgeom(e, weight(tail) - weight(head), step)
+            for m, w in mono_mul(head, img):
+                for m2, w2 in mono_mul(m, tail):
+                    add_term(acc, m2, w * w2 * coeff)
+    return CoordElement._raw(acc)
 
 
 def _act_gen(side, gen, x: CoordElement) -> CoordElement:

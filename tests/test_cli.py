@@ -62,6 +62,13 @@ def test_verify_refuses_a_level_past_the_ladder_cutoff(capsys):
     assert "cutoff" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_q0_whose_powers_leave_the_float_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q0", "1/100000", "--L", "28", "--z", "3"])
+    assert exc.value.code == 2
+    assert "past the float range" in capsys.readouterr().err
+
+
 def test_verify_refuses_a_q0_outside_the_unit_interval(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q0", "3/2", "--L", "2"])

@@ -20,6 +20,7 @@ from qsphere.scalar import (
     evaluate,
     poly_exact_div,
     poly_gcd,
+    qgeom,
     qhalfpow,
     qint,
     qlambda,
@@ -79,6 +80,13 @@ def test_qint_times_lambda():
     lam = qlambda()
     for n in range(1, 31):
         assert qint(n) * lam == qpow(n) - qpow(-n)
+
+
+def test_qgeom_sums_half_powers():
+    # [n] = q^(n-1) + q^(n-3) + ... + q^(1-n)
+    for n in range(7):
+        assert qgeom(n, 2 * (n - 1), -4) == qint(n)
+    assert qgeom(2, 1, 3) == qhalfpow(1) + qhalfpow(4)
 
 
 def test_normalize_reduces():

@@ -18,7 +18,7 @@ from qsphere.fodc import differential
 from qsphere.haar import haar_product
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
 from qsphere.report import record
-from qsphere.scalar import RationalQ, evaluate, qint
+from qsphere.scalar import RationalQ, Surd, evaluate, qint
 from qsphere.spectral import (
     TruncatedSpace,
     build_dirac,
@@ -101,6 +101,78 @@ def test_truncated_space_refuses_a_float_q0():
     with pytest.raises(TypeError, match="float"):
         TruncatedSpace(0.1, 8)
     assert TruncatedSpace(Fraction(1, 10), 1).q0_exact == Fraction(1, 10)
+
+
+def test_truncated_space_refuses_a_q0_past_the_float_range():
+    # the zeta sums read [2n] through n = npad = L + 3: at q0 = 10^-5, L = 28
+    # needs q0^-62 = 10^310, and L = 27 needs 10^300
+    with pytest.raises(ValueError, match=r"q0\^-62, past the float range"):
+        TruncatedSpace(Fraction(1, 100000), 28)
+    assert TruncatedSpace(Fraction(1, 100000), 27).npad == 30
+
+
+def _round_by_fractions(eng, key, coeffs):
+    """`_Engine._round` by Fraction products: each nonzero part of the entry
+    c sqrt(N_alpha / N_key) is the sqrt of its square c_part^2 (times q0 for
+    the odd part) N_alpha / N_key, rounded by Fraction.__float__, signed by
+    copysign."""
+    norm2 = eng.norm2(key)
+    col = {}
+    for alpha, c in coeffs.items():
+        ratio = eng.norm2(alpha) / norm2
+        entry = 0.0
+        if c.even:
+            entry += math.copysign(math.sqrt(c.even * c.even * ratio), c.even)
+        if c.odd:
+            entry += math.copysign(math.sqrt(c.odd * c.odd * eng.q0 * ratio), c.odd)
+        col[alpha] = entry
+    return col
+
+
+def _rounding_engine(q0, norms):
+    """A fresh engine whose squared norms are read from norms."""
+    eng = spectral._Engine(q0)
+    eng.norm2 = norms.__getitem__
+    return eng
+
+
+_PART = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60))
+_NORM = st.builds(Fraction, st.integers(1, 10**60), st.integers(1, 10**60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Fraction(1, 4), Fraction(2, 3)]),
+       st.lists(st.tuples(_PART, _PART, _NORM), min_size=1, max_size=6), _NORM)
+def test_round_equals_the_fraction_route_bit_for_bit(q0, entries, norm_key):
+    # at the square q0 = 1/4 a value has no odd part
+    key = (1, 1, 1)
+    norms, coeffs = {key: norm_key}, {}
+    for n, (even, odd, norm) in enumerate(entries, start=1):
+        norms[-1, n, 1] = norm
+        coeffs[-1, n, 1] = Surd(even, odd if q0 == Fraction(2, 3) else 0, q0)
+    eng = _rounding_engine(q0, norms)
+    got, want = eng._round(key, coeffs), _round_by_fractions(eng, key, coeffs)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_round_signs_a_coefficient_past_the_float_range():
+    # c = -10^400 + 10^400 sqrt(q0) is past the float range, while
+    # c_part^2 N_alpha / N_key is not; copysign reads the part as a float
+    q0 = Fraction(2, 3)
+    key, alpha = (1, 1, 1), (-1, 2, 1)
+    eng = _rounding_engine(q0, {key: Fraction(10**700), alpha: Fraction(1)})
+    coeffs = {alpha: Surd(Fraction(-10**400), Fraction(10**400), q0)}
+    with pytest.raises(OverflowError):
+        _round_by_fractions(eng, key, coeffs)
+    entry = -math.sqrt(1e100) + math.sqrt(2 * 10**100 / 3)
+    assert eng._round(key, coeffs)[alpha].hex() == entry.hex()
+
+
+def test_engine_evaluates_each_value_once():
+    eng = spectral._Engine(Fraction(2, 3))
+    x = qint(3) / qint(2)
+    assert eng.value(x) is eng.value(qint(3) / qint(2))
+    assert eng.value(x) == Surd.at(x, Fraction(2, 3))
 
 
 def test_engine_cache_is_bounded():

@@ -1,6 +1,6 @@
 """Tests for U_q(su_2), the dual pairing and the actions."""
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
+from qsphere import uq
 from qsphere.uq import (
     UqElement,
     UqTensor,
@@ -320,3 +321,47 @@ def test_cross_relations_in_represented_form(v):
     assert lhs == rhs
     # K B = q^-1 B K
     assert act_left(gen_K, B * v) == (B * act_left(gen_K, v)).scale(qpow(-1))
+
+
+@cache
+def _act_mono_by_recursion(side, gen, mono):
+    """g acting on mono = x y letter by letter through Delta(g) = g (x) K +
+    K^-1 (x) g: g.(x y) = (g.x)(K.y) + (K^-1.x)(g.y), peeling the first
+    letter x; the closed form of `uq._act_mono` collapses each letter group."""
+    letter = next((i for i in range(4) if mono[i] > 0), None)
+    if letter is None:
+        return CoordElement.zero()
+    x = tuple(int(i == letter) for i in range(4))
+    rest = tuple(e - u for e, u in zip(mono, x))
+    weight = uq.WEIGHT[side]
+    out = CoordElement.zero()
+    hit = uq.LETTER_ACTION[side, gen].get(letter)
+    if hit is not None:
+        out = (CoordElement.monomial(hit[0]) * CoordElement.monomial(rest)).scale(
+            qhalfpow(weight(rest))
+        )
+    tail = _act_mono_by_recursion(side, gen, rest)
+    if tail:
+        out = out + (CoordElement.monomial(x) * tail).scale(qhalfpow(-weight(x)))
+    return out
+
+
+# every normal monomial a^i b^j c^k d^l (i l = 0) of degree at most 10
+NORMAL_MONOS = [m for m in product(range(11), repeat=4) if sum(m) <= 10 and not (m[0] and m[3])]
+
+
+def test_letter_actions_equal_the_recursion():
+    assert len(NORMAL_MONOS) == 506
+    for side, gen, mono in product("LR", "EF", NORMAL_MONOS):
+        assert uq._act_mono(side, gen, mono) == _act_mono_by_recursion(side, gen, mono), (
+            side, gen, mono)
+
+
+def test_letter_action_cache_stays_bounded():
+    maxsize = uq._act_mono.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for j in range(maxsize + 20):
+        uq._act_mono("L", "E", (1, j, 0, 0))
+    assert uq._act_mono.cache_info().currsize <= maxsize
+    # evicted, recomputed
+    assert uq._act_mono("L", "E", (1, 0, 0, 0)) == CoordElement.monomial((0, 1, 0, 0))
