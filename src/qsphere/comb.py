@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityError
-from .scalar import Q_ONE, RationalQ, render
+from .scalar import Q_ONE, RationalQ, power, render
 
 _SCALARS = (int, Fraction, RationalQ)
 
@@ -195,15 +195,7 @@ class SparseComb:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined on elements")
-        result = self._like({self.ONE_KEY: Q_ONE})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, self._like({self.ONE_KEY: Q_ONE}))
 
     # -- rendering --------------------------------------------------------
 

@@ -22,30 +22,18 @@ from .scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, qhalfpow
 # A monomial is (aexp, bexp, cexp, dexp), all >= 0, with aexp*dexp = 0.
 MONO_ONE = (0, 0, 0, 0)
 
-_ONE_POLY = LaurentPoly.one()
+_ONE_POLY = LaurentPoly({0: 1})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _gamma(t):
-    """Coefficients g[0..t] with a^t d^t = sum_i g[i] * b^i c^i (Laurent in q).
-
-    Recursion: one (a,d) pair contracts through ad = 1 + q bc, picking up
-    q^(2t-1) when the new bc crosses the remaining letters.
-    """
-    if t == 0:
-        return (_ONE_POLY,)
-    prev = _gamma(t - 1)
-    shift = LaurentPoly.q_power(2 * t - 1)
-    out = []
-    for i in range(t + 1):
-        p = prev[i] if i < t else LaurentPoly.zero()
-        if i > 0:
-            p = p + prev[i - 1] * shift
-        out.append(p)
-    return tuple(out)
+    """Coefficients g[0..t] with a^t d^t = sum_i g[i] * b^i c^i (Laurent in q):
+    a <-> d, b and c fixed, q -> q^-1 keeps every relation, so a^t d^t is the
+    image of d^t a^t, `_dgamma(t, t)` with every exponent negated."""
+    return tuple(LaurentPoly({-e: c for e, c in p.coeffs.items()}) for p in _dgamma(t, t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _dgamma(s, t):
     """Coefficients g[0..min(s,t)] of d^s a^t = sum_i g[i] a^x b^i c^i d^y,
     where x = max(t-s, 0) and y = max(s-t, 0)."""
@@ -54,10 +42,10 @@ def _dgamma(s, t):
     prev = _dgamma(s - 1, t - 1)
     m = min(s, t)
     x = t - m
-    shift = LaurentPoly.q_power(-(2 * s - 1) - 2 * x)
+    shift = LaurentPoly({-2 * (2 * s - 1) - 4 * x: 1})
     out = []
     for i in range(m + 1):
-        p = prev[i] if i < m else LaurentPoly.zero()
+        p = prev[i] if i < m else LaurentPoly()
         if i > 0:
             p = p + prev[i - 1] * shift
         out.append(p)
@@ -70,7 +58,7 @@ def _word(A, B, C, D):
         return ((( A, B, C, D), _ONE_POLY),)
     t = min(A, D)
     gam = _gamma(t)
-    base = LaurentPoly.q_power(t * (B + C))
+    base = LaurentPoly({2 * t * (B + C): 1})
     return tuple(
         ((A - t, B + i, C + i, D - t), gam[i] * base) for i in range(t + 1)
     )
@@ -187,7 +175,7 @@ _U = {(0, 0): (1, 0, 0, 0), (0, 1): (0, 1, 0, 0), (1, 0): (0, 0, 1, 0), (1, 1): 
 _GEN_POS = {(1, 0, 0, 0): (0, 0), (0, 1, 0, 0): (0, 1), (0, 0, 1, 0): (1, 0), (0, 0, 0, 1): (1, 1)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _letter_coproduct(letter, n):
     """n-fold coproduct of a single generator letter as a TensorElement."""
     i, j = _GEN_POS[letter]
@@ -199,7 +187,7 @@ def _letter_coproduct(letter, n):
     return TensorElement._raw(terms, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _mono_coproduct(mono, n):
     out = TensorElement.one(n)
     for letter, exp in zip(_GEN_POS, mono):

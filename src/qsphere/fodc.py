@@ -70,16 +70,6 @@ def differential(x: PodlesElement) -> OneForm:
     return OneForm(r_f(x).scale(qhalfpow(-1)), r_e(x).scale(qhalfpow(1)))
 
 
-def lmul(x: PodlesElement, w: OneForm) -> OneForm:
-    y = embed(x)
-    return OneForm(y * w.fcomp, y * w.ecomp)
-
-
-def rmul(w: OneForm, x: PodlesElement) -> OneForm:
-    y = embed(x)
-    return OneForm(w.fcomp * y, w.ecomp * y)
-
-
 def wedge_kernel(y: PodlesElement, z: PodlesElement) -> PodlesElement:
     """The coefficient of dy ^ dz against the volume form:
     R_F(y) R_E(z) - q^2 R_E(y) R_F(z), recognized back into the sphere."""

@@ -23,14 +23,14 @@ from functools import lru_cache
 from .comb import add_term
 from .coordalg import CoordElement, mono_mul
 from .podles import PodlesElement, embed
-from .scalar import Q_ONE, RationalQ, qpow, sum_products
+from .scalar import Q_ONE, RationalQ, qhalfpow, qpow, sum_products
 from .uq import left_weight, right_weight
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _h_bc(n: int) -> RationalQ:
     """h((bc)^n) = (-q)^n (1 - q^2)/(1 - q^(2n+2))."""
-    return RationalQ.q_power(n, (-1) ** n) * haar_value_A(n)
+    return qhalfpow(2 * n, (-1) ** n) * haar_value_A(n)
 
 
 def haar_value_A(n: int) -> RationalQ:

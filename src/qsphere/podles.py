@@ -20,8 +20,8 @@ from functools import lru_cache
 from .comb import SparseComb, merge_into
 from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from .errors import NotInSubalgebra
-from .scalar import Q_ONE, RationalQ, qpow
-from .uq import act_left, act_right, gen_K, gen_Kinv
+from .scalar import Q_ONE, qhalfpow, qpow
+from .uq import act_right, gen_K
 
 
 class PodlesElement(SparseComb):
@@ -66,7 +66,7 @@ gen_B = PodlesElement._raw({(0, 1): Q_ONE})
 gen_Bs = PodlesElement._raw({(0, -1): Q_ONE})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cross(j1, j2):
     """B^j1 B*^-j2 (j1 > 0 > j2) or B*^-j1 B^j2 (j1 < 0 < j2) in normal form;
     the innermost pair BB* = q^2 A - q^4 A^2 or B*B = A - A^2 is
@@ -86,12 +86,12 @@ def sigma(x: PodlesElement) -> PodlesElement:
 
 
 # embedded generators
-_EMB_A = (gen_b * gen_c).scale(RationalQ.q_power(-1, -1))
+_EMB_A = (gen_b * gen_c).scale(qhalfpow(-2, -1))
 _EMB_B = gen_a * gen_c
 _EMB_BS = (gen_d * gen_b).scale(-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _embed_mono(mono) -> CoordElement:
     i, j = mono
     out = _EMB_A ** i
@@ -134,9 +134,3 @@ def recognize(x: CoordElement) -> PodlesElement:
     if embed(result) != x:
         raise NotInSubalgebra("linear solve failed to reproduce the element")
     return result
-
-
-def sigma_via_action(x: PodlesElement) -> PodlesElement:
-    """sigma computed through the module structure as K^-2 |> x."""
-    y = act_left(gen_Kinv, act_left(gen_Kinv, embed(x)))
-    return recognize(y)

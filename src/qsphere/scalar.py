@@ -22,8 +22,9 @@ Euclid over Fraction finds the gcd and `poly_exact_div` the cofactors.
 each denominator and joins the few distinct denominators over their lcm.
 
 `qpow`, `qhalfpow`, `qgeom` (a geometric sum of half powers), `qint` and
-`qlambda` build the constants of the algebra layers, which then need no
-`LaurentPoly` of their own.
+`qlambda` build the constants of the algebra layers; only `coordalg` keeps
+`LaurentPoly` tables, where a power of q is a shift.  `power` is the one
+square-and-multiply loop, of the scalars and of every algebra in `comb`.
 
 At a rational q0 a value lies in Q(sqrt(q0)): a `Surd` even + odd sqrt(q0)
 with Fraction parts, exact under the field operations and rounded to a
@@ -95,30 +96,6 @@ class LaurentPoly:
         self.coeffs = d
         self._hash = None
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return _LP_ZERO
-
-    @staticmethod
-    def one():
-        return _LP_ONE
-
-    @staticmethod
-    def const(c):
-        return LaurentPoly({0: c})
-
-    @staticmethod
-    def q_power(k, coeff=1):
-        """coeff * q^k with k in whole q units."""
-        return LaurentPoly({2 * k: coeff})
-
-    @staticmethod
-    def half_power(n, coeff=1):
-        """coeff * q^(n/2) with n counting half units."""
-        return LaurentPoly({n: coeff})
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self):
@@ -142,9 +119,6 @@ class LaurentPoly:
 
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
 
     def leading_coeff(self):
         """Coefficient of the highest power of q^(1/2); 0 for the zero poly."""
@@ -223,14 +197,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("LaurentPoly power must be nonnegative")
-        result = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, _LP_ONE)
 
     # -- numerics -----------------------------------------------------
 
@@ -270,6 +237,19 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly({0: 1})
+
+
+def power(x, n, one):
+    """x^n for an int n >= 0 by square and multiply, starting from the unit
+    `one` of x's ring; the power loop of the scalars and of every algebra."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def _dense_divmod(num, den):
@@ -394,7 +374,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
         if not p:
             return p, p, p
         lo, lc = p.min_exp(), p.leading_coeff()
-        h, unit = p.shift(-lo).scale(Fraction(1, lc)), LaurentPoly.half_power(lo, lc)
+        h, unit = p.shift(-lo).scale(Fraction(1, lc)), LaurentPoly({lo: lc})
         return (h, unit, _LP_ZERO) if p is a else (h, _LP_ZERO, unit)
     ca, f = _primitive(a)
     cb, g = _primitive(b)
@@ -453,11 +433,11 @@ class RationalQ:
 
     def __init__(self, num, den=None):
         if not isinstance(num, LaurentPoly):
-            num = LaurentPoly.const(num)
+            num = LaurentPoly({0: num})
         if den is None:
             den = _LP_ONE
         elif not isinstance(den, LaurentPoly):
-            den = LaurentPoly.const(den)
+            den = LaurentPoly({0: den})
         if den.is_zero():
             raise DivisionByZero("zero denominator in Q(q^(1/2))")
         if not den.is_one():
@@ -475,20 +455,10 @@ class RationalQ:
         out._hash = None
         return out
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def q_power(k, coeff=1):
-        """coeff * q^k, k integer."""
-        return RationalQ._raw(LaurentPoly.q_power(k, coeff))
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return self.den.is_one() and self.num.is_one()
 
     def __bool__(self):
         return bool(self.num.coeffs)
@@ -559,9 +529,6 @@ class RationalQ:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return RationalQ(other) * self.inverse()
-
     def inverse(self):
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero in Q(q^(1/2))")
@@ -570,18 +537,9 @@ class RationalQ:
         return RationalQ(self.den, self.num)
 
     def __pow__(self, n):
-        if n == 0:
-            return Q_ONE
         if n < 0:
             return self.inverse() ** (-n)
-        result = Q_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Q_ONE)
 
     def __repr__(self):
         return f"RationalQ({render(self)!r})"
@@ -635,12 +593,12 @@ def _lcm(a: LaurentPoly, b: LaurentPoly):
 
 def qpow(k):
     """q^k for integer k."""
-    return RationalQ._raw(LaurentPoly.q_power(k))
+    return RationalQ._raw(_wrap({2 * k: 1}))
 
 
 def qhalfpow(n, coeff=1):
     """coeff * q^(n/2) for integer n."""
-    return RationalQ._raw(LaurentPoly.half_power(n, coeff))
+    return RationalQ._raw(LaurentPoly({n: coeff}))
 
 
 def qgeom(n: int, start: int, step: int) -> RationalQ:
@@ -650,12 +608,8 @@ def qgeom(n: int, start: int, step: int) -> RationalQ:
 
 
 def qint(n: int) -> RationalQ:
-    """The q-integer (q^n - q^-n)/(q - q^-1) in expanded polynomial form."""
-    if n == 0:
-        return Q_ZERO
-    if n < 0:
-        return -qint(-n)
-    return RationalQ._raw(LaurentPoly({2 * (n - 1 - 2 * i): 1 for i in range(n)}))
+    """[n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n); [-n] = -[n]."""
+    return -qint(-n) if n < 0 else qgeom(n, 2 * n - 2, -4)
 
 
 def qlambda() -> RationalQ:

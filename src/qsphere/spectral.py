@@ -190,14 +190,6 @@ class TruncatedSpace:
         return float(Surd(h.even / v.norm2, h.odd / v.norm2, h.q0))
 
 
-def build_dirac(space: TruncatedSpace) -> np.ndarray:
-    """D phi^+_{n,k} = -[n] phi^-_{n,k} and symmetrically; hermitian with
-    eigenvalues +-[n] of multiplicity 2n."""
-    mat = np.zeros((space.dim, space.dim))
-    mat[space.swap, range(space.dim)] = space.dirac
-    return mat
-
-
 def _matrix(space, column, top, transpose=False):
     """Dense matrix from the engine's orthonormal columns, column(key) for
     each basis key of level n <= top, the others zero; rows past npad cut
@@ -338,9 +330,11 @@ def residue_check(q0: float, eps: float = 1e-4):
 # -- trace checks -------------------------------------------------------------
 
 
-def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift, bound):
-    """zeta(z)^-1 sum_i weight(key_i) diag_i over the levels n <= nmax against
-    its exact truncated value, reporting the discarded boundary count.
+def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, bound):
+    """zeta(z)^-1 sum_i weight_i diag_i over the levels n <= nmax against
+    its exact truncated value, reporting the discarded boundary count.  The
+    weight of phi^(s)_{n,k} is q0^(2k) [n]^-z, times gamma if s = -1: 0 for
+    h, which reads one chirality block, and -q0^2 (from gamma_q) for tau.
 
     The trace formulas hold level by level: the weighted diagonal sum over
     level n is [n]^-z [2n] times the exact value.  So the truncated trace is
@@ -353,44 +347,33 @@ def _trace_record(check, inputs, diag, weight, nmax, exact, z, space, shift, bou
     |terms| of diag_i: tol_abs = dim * 2.2e-16 * max(1, S), S = round_off_scale.
     """
     keep = _window(space, nmax)
-    w = [weight(space.index[i]) for i in keep]
+    q0 = space.q0
+    w = [(1.0 if s == 1 else gamma) * q0**twok * qnum(n, q0) ** -z
+         for s, n, twok in (space.index[i] for i in keep)]
     tr = sum(wi * diag[i] for wi, i in zip(w, keep))
-    zeta = zeta_merom(z, space.q0)
+    zeta = zeta_merom(z, q0)
     scale = sum(abs(wi) * bound[i] for wi, i in zip(w, keep)) / abs(zeta)
-    ratio = zeta_series(z, nmax, space.q0) / zeta
+    ratio = zeta_series(z, nmax, q0) / zeta
     value = float(evaluate(exact, space.q0_exact))
     discarded = space.dim - len(keep)
     extra = {"discarded_boundary": discarded, "level_shift": shift, "exact": value,
              "zeta_ratio": ratio, "round_off_scale": scale}
     return record(check, inputs, tr / zeta, value * ratio,
-                  tol_abs=space.dim * 2.2e-16 * max(1.0, scale), L=space.L, q0=space.q0,
+                  tol_abs=space.dim * 2.2e-16 * max(1.0, scale), L=space.L, q0=q0,
                   trusted_fraction=1.0 - discarded / space.dim, extra=extra)
 
 
 def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
     """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
-    q0 = space.q0
-
-    def weight(key):
-        s, n, twok = key
-        return q0**twok * qnum(n, q0) ** -z if s == 1 else 0.0
-
     # diagonal entries are exact at every built level, read off the columns
     column = _mult_columns(x, space)
     diag = np.array([column(key).get(key, 0.0) for key in space.index])
-    return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, weight, space.npad,
+    return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, 0.0, space.npad,
                          haar_podles(x), z, space, _shift(x), abs(diag))
 
 
 def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     """Tr gamma_q K^2 |D|^-z x0 [D,x1] [D,x2] against zeta(z) tau(x0,x1,x2)."""
-
-    q0 = space.q0
-
-    def weight(key):
-        s, n, twok = key
-        return (1.0 if s == 1 else -q0**2) * q0**twok * qnum(n, q0) ** -z
-
     # only the diagonal of the product on levels n <= top, from the columns
     # it reads, each factor freed once used; the terms of diag_i sum to at
     # most row i of |M(x0)| times max row sums of |[D,x]|
@@ -405,9 +388,8 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     bound *= abs(c).sum(1).max()
     diag = np.einsum("ij,ji->i", left, c)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
-    return _trace_record(
-        "tau_trace", inputs, diag, weight, top, tau(x0, x1, x2), z, space, s0 + s1 + s2, bound,
-    )
+    return _trace_record("tau_trace", inputs, diag, -space.q0**2, top, tau(x0, x1, x2), z,
+                         space, s0 + s1 + s2, bound)
 
 
 def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):

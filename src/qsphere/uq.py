@@ -59,7 +59,7 @@ gen_K = UqElement._raw({(0, 1, 0): Q_ONE})
 gen_Kinv = UqElement._raw({(0, -1, 0): Q_ONE})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _ef_cross(e, f):
     """E^e F^f in PBW normal form (the only nontrivial rewriting)."""
     if e == 0 or f == 0:
@@ -101,7 +101,7 @@ def uq_antipode(f: UqElement) -> UqElement:
     for (ff, kk, ee), c in f.terms.items():
         word = UqElement.monomial((0, 0, ee)) * UqElement.monomial((0, -kk, 0))
         word = word * UqElement.monomial((ff, 0, 0))
-        merge_into(acc, word.terms, c * RationalQ.q_power(ee - ff, (-1) ** (ee + ff)))
+        merge_into(acc, word.terms, c * qhalfpow(2 * (ee - ff), (-1) ** (ee + ff)))
     return UqElement._raw(acc)
 
 
@@ -113,7 +113,7 @@ class UqTensor(TensorComb):
     FACTOR = UqElement
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _gen_coproduct(mono, n):
     """n-fold coproduct of E (mono (0, 0, 1)) or F (mono (1, 0, 0)) as a
     UqTensor: Delta^(n)(E) = sum_i K^-1 (x) ... (x) E_i (x) ... (x) K."""
@@ -248,7 +248,7 @@ def r_action(f: UqElement, x: CoordElement) -> CoordElement:
     (-1)^(e+f) q^(f-e) E^e K^-k F^f.  A right action takes the letters of
     a product from the left, x <| (g h) = (x <| g) <| h, so x <| S^-1(f)
     applies E e times, then K^-k, then F f times, with no normal ordering."""
-    words = [(_letters(ee, -kk, ff), c * RationalQ.q_power(ff - ee, (-1) ** (ee + ff)))
+    words = [(_letters(ee, -kk, ff), c * qhalfpow(2 * (ff - ee), (-1) ** (ee + ff)))
              for (ff, kk, ee), c in f.terms.items()]
     return _act_words("R", words, x)
 

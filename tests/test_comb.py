@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsphere import fodc, scalar
+from qsphere import coordalg, corep, fodc, haar, podles, scalar, spectral, uq
 from qsphere.coordalg import TensorElement, gen_a, gen_b, gen_c, gen_d, mono_mul
 from qsphere.errors import ArityError
 from qsphere.fodc import Chain
@@ -120,3 +120,12 @@ def test_only_scalar_and_coordalg_use_laurent_polynomials():
     src = Path(scalar.__file__).parent
     users = {p.name for p in src.glob("*.py") if _names_laurent_poly(ast.parse(p.read_text()))}
     assert users == {"scalar.py", "coordalg.py"}
+
+
+def test_every_memo_table_is_bounded():
+    # a table keyed by operands grows with every input a session sees
+    modules = (scalar, coordalg, uq, podles, haar, corep, fodc, spectral)
+    tables = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
+    assert len(tables) >= 14
+    for f in tables:
+        assert f.cache_parameters()["maxsize"] is not None, f

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsphere import coordalg
 from qsphere.coordalg import (
     CoordElement,
     TensorElement,
@@ -14,7 +15,7 @@ from qsphere.coordalg import (
     gen_c,
     gen_d,
 )
-from qsphere.scalar import Q_ONE, Q_ZERO, RationalQ, qpow
+from qsphere.scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, qhalfpow, qpow
 from qsphere.uq import left_weight, right_weight
 from tests.test_uq import coord_elements
 
@@ -75,8 +76,8 @@ def test_counit_on_generators():
 def test_star_on_generators():
     assert gen_a.star() == gen_d
     assert gen_d.star() == gen_a
-    assert gen_b.star() == gen_c.scale(RationalQ.q_power(1, -1))
-    assert gen_c.star() == gen_b.scale(RationalQ.q_power(-1, -1))
+    assert gen_b.star() == gen_c.scale(qhalfpow(2, -1))
+    assert gen_c.star() == gen_b.scale(qhalfpow(-2, -1))
 
 
 @settings(max_examples=40)
@@ -92,8 +93,8 @@ def test_antipode_on_generators():
     assert gen_d.antipode() == gen_a
     assert gen_b.antipode() == gen_c.star()
     assert gen_c.antipode() == gen_b.star()
-    assert gen_b.antipode() == gen_b.scale(RationalQ.q_power(-1, -1))
-    assert gen_c.antipode() == gen_c.scale(RationalQ.q_power(1, -1))
+    assert gen_b.antipode() == gen_b.scale(qhalfpow(-2, -1))
+    assert gen_c.antipode() == gen_c.scale(qhalfpow(2, -1))
 
 
 def test_coproduct_on_generators():
@@ -164,6 +165,39 @@ def test_keys_outside_the_normal_form_are_refused(key):
     # negative a or d exponents, a mixed with d, negative b or c exponents
     with pytest.raises(ValueError):
         CoordElement.monomial(key)
+
+
+def _gamma_by_recursion(t):
+    """Coefficients g[0..t] with a^t d^t = sum_i g[i] b^i c^i, by contracting
+    one (a, d) pair through ad = 1 + q bc, which picks up q^(2t-1) when the
+    new bc crosses the remaining letters."""
+    if t == 0:
+        return (LaurentPoly({0: 1}),)
+    prev = _gamma_by_recursion(t - 1)
+    shift = LaurentPoly({2 * (2 * t - 1): 1})
+    out = []
+    for i in range(t + 1):
+        p = prev[i] if i < t else LaurentPoly()
+        if i > 0:
+            p = p + prev[i - 1] * shift
+        out.append(p)
+    return tuple(out)
+
+
+def test_a_d_powers_equal_the_ad_recursion():
+    # _gamma reflects d^t a^t by a <-> d, q -> q^-1; the recursion reads ad alone
+    for t in range(11):
+        assert coordalg._gamma(t) == _gamma_by_recursion(t), t
+
+
+def test_a_d_powers_multiply_out():
+    for t in range(1, 5):
+        expected = sum(
+            (CoordElement.monomial((0, i, i, 0), RationalQ(g))
+             for i, g in enumerate(_gamma_by_recursion(t))),
+            CoordElement.zero(),
+        )
+        assert gen_a**t * gen_d**t == expected
 
 
 def test_weights():

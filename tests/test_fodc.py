@@ -11,6 +11,7 @@ from qsphere.errors import ArityError
 from qsphere.fodc import (
     Chain,
     Cochain,
+    OneForm,
     TAU,
     act_on_chain,
     b_sigma,
@@ -19,12 +20,10 @@ from qsphere.fodc import (
     eta,
     lambda_sigma,
     lambda_sigma_chain,
-    lmul,
     localized_commutator_check,
     pair_chain,
     r_e,
     r_f,
-    rmul,
     tau,
     tau_via_volume,
     volume_check,
@@ -38,6 +37,18 @@ from qsphere.uq import gen_E, gen_F, gen_K, r_action, uq_counit
 from tests.test_podles import podles_elements
 
 one = PodlesElement.one()
+
+
+def lmul(x: PodlesElement, w: OneForm) -> OneForm:
+    """The left module action x w on a one-form."""
+    y = embed(x)
+    return OneForm(y * w.fcomp, y * w.ecomp)
+
+
+def rmul(w: OneForm, x: PodlesElement) -> OneForm:
+    """The right module action w x on a one-form."""
+    y = embed(x)
+    return OneForm(w.fcomp * y, w.ecomp * y)
 
 
 def basis_monos(max_exp=3):

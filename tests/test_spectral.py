@@ -21,7 +21,6 @@ from qsphere.report import record
 from qsphere.scalar import RationalQ, Surd, evaluate, qint
 from qsphere.spectral import (
     TruncatedSpace,
-    build_dirac,
     build_J,
     build_mult,
     commutant_checks,
@@ -41,6 +40,14 @@ def _state_of_product(m1, m2):
     """h(m1* m2) for normal monomials, exact, by the closed form of haar."""
     ((ms, c),) = CoordElement.monomial(m1).star().terms.items()
     return c * haar_product(CoordElement.monomial(ms), CoordElement.monomial(m2))
+
+
+def build_dirac(space: TruncatedSpace) -> np.ndarray:
+    """Dense D: D phi^+_{n,k} = -[n] phi^-_{n,k} and symmetrically, hermitian
+    with eigenvalues +-[n] of multiplicity 2n."""
+    mat = np.zeros((space.dim, space.dim))
+    mat[space.swap, range(space.dim)] = space.dirac
+    return mat
 
 
 def gram_defect(space, nmax):
