@@ -8,7 +8,9 @@ exactly as
     R_E phi^+_{n,k} = -[n] phi^-_{n,k},   R_F phi^-_{n,k} = -[n] phi^+_{n,k}.
 
 In this basis D, every M(x) and [D, M(x)] have real entries, each an
-element of Q(sqrt(q0)) rounded once, so they are real numpy arrays.  Each
+element of Q(sqrt(q0)) rounded once.  A column of M(x) holds a few
+entries, so each operator is a sparse `Operator` of real COO arrays, and
+products, commutators with D and trace diagonals cost O(nnz).  Each
 trace formula holds level by level, so checking it at a real z > 2 loses
 nothing, and z is a real number.  The one antilinear operator, the real
 structure J, is held as the unitary U of J v = U conj(v): U is -i times a
@@ -18,7 +20,7 @@ Spaces are built with `PAD` levels beyond L.  M(x) moves levels by at most
 `_shift(x)`, so a product is exact on the levels up to npad less the sum
 of its operands' shifts; traces sum only diagonal entries there, and
 report the discarded boundary count.  A check fills only the columns its
-window reads, the rest of each dense matrix zero: x0 [D,x1] [D,x2] on the
+window reads and holds no entry in the others: x0 [D,x1] [D,x2] on the
 levels n <= W = npad - s0 - s1 - s2 reads x0 through level W + s0, x2
 through W and x1 through W + min(s2, s0 + s1); the commutant checks read
 M(x) and M(y) through npad - max(s_x, s_y).  `build_mult` fills all.
@@ -173,10 +175,10 @@ class TruncatedSpace:
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
         # D = diag(dirac) P for the involution P: (s, n, 2k) -> (-s, n, 2k)
-        self.swap = [self.pos[(-s, n, twok)] for s, n, twok in self.index]
+        self.swap = np.array([self.pos[(-s, n, twok)] for s, n, twok in self.index])
         self.dirac = np.array([-qnum(n, self.q0) for s, n, twok in self.index])
         # U = J conj: (s, n, 2k) -> (-s, n, -2k) with entry -i (-1)^(k-1/2)
-        self.flip = [self.pos[(-s, n, -twok)] for s, n, twok in self.index]
+        self.flip = np.array([self.pos[(-s, n, -twok)] for s, n, twok in self.index])
         self.jsign = np.array([(-1.0) ** ((twok - 1) // 2) for s, n, twok in self.index])
 
     @functools.cached_property
@@ -190,19 +192,58 @@ class TruncatedSpace:
         return float(Surd(h.even / v.norm2, h.odd / v.norm2, h.q0))
 
 
-def _matrix(space, column, top, transpose=False):
-    """Dense matrix from the engine's orthonormal columns, column(key) for
-    each basis key of level n <= top, the others zero; rows past npad cut
-    off.  With transpose, column(key) fills row key instead."""
-    mat = np.zeros((space.dim, space.dim))
-    fill = mat.T if transpose else mat
-    for key, i in space.pos.items():
-        if key[1] <= top:
-            for row, c in column(key).items():
-                j = space.pos.get(row)
-                if j is not None:
-                    fill[j, i] = c
-    return mat
+class Operator:
+    """A real dim x dim operator as COO arrays, vals[e] at (rows[e], cols[e]).
+    With merge, the entries at one position are summed in the order given."""
+
+    def __init__(self, rows, cols, vals, dim, merge=False):
+        if merge:
+            keys, inv = np.unique(rows * dim + cols, return_inverse=True)
+            rows, cols, vals = keys // dim, keys % dim, np.bincount(inv, vals, len(keys))
+        self.rows, self.cols, self.vals, self.dim = rows, cols, vals, dim
+
+    def toarray(self) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim))
+        mat[self.rows, self.cols] = self.vals
+        return mat
+
+    def _terms(self, other):
+        """Entry indices (e, f) of the product's terms self[i, j] other[j, k]."""
+        counts = np.bincount(other.rows, minlength=self.dim)
+        n = counts[self.cols]
+        e = np.repeat(np.arange(len(self.vals)), n)
+        first = np.repeat((np.cumsum(counts) - counts)[self.cols] - (np.cumsum(n) - n), n)
+        return e, np.argsort(other.rows, kind="stable")[first + np.arange(len(e))]
+
+    def __matmul__(self, other):
+        e, f = self._terms(other)
+        return Operator(self.rows[e], other.cols[f], self.vals[e] * other.vals[f], self.dim, True)
+
+    def __sub__(self, other):
+        pairs = (self.rows, other.rows), (self.cols, other.cols), (self.vals, -other.vals)
+        return Operator(*map(np.concatenate, pairs), self.dim, True)
+
+    def diagonal(self, other) -> np.ndarray:
+        """diag(self other): each self[i, k] joined with other[k, i]."""
+        e, f = self._terms(other)
+        on = self.rows[e] == other.cols[f]
+        return np.bincount(self.rows[e[on]], self.vals[e[on]] * other.vals[f[on]], self.dim)
+
+    def abs_row_sums(self) -> np.ndarray:
+        return np.bincount(self.rows, np.abs(self.vals), self.dim)
+
+
+def _operator(space, column, top, transpose=False) -> Operator:
+    """M from the engine's orthonormal columns, column(key) for each basis
+    key of level n <= top, no entry in the others; rows past npad cut off.
+    With transpose, column(key) fills row key instead."""
+    filled = [(i, column(key)) for key, i in space.pos.items() if key[1] <= top]
+    rows = np.array([space.pos.get(r, -1) for _, col in filled for r in col], dtype=np.intp)
+    cols = np.array([i for i, col in filled for _ in col], dtype=np.intp)
+    vals = np.array([c for _, col in filled for c in col.values()], dtype=float)
+    kept = rows >= 0  # -1 marks a row past npad
+    rows, cols = (cols[kept], rows[kept]) if transpose else (rows[kept], cols[kept])
+    return Operator(rows, cols, vals[kept], space.dim)
 
 
 def build_J(space: TruncatedSpace) -> np.ndarray:
@@ -215,14 +256,13 @@ def build_J(space: TruncatedSpace) -> np.ndarray:
     return mat
 
 
-def _dirac_commutator(space: TruncatedSpace, M: np.ndarray) -> np.ndarray:
-    """[D, M] = d M[P, :] - M[:, P] d without a dense D, in place where it can."""
-    out = M[space.swap]
-    out *= space.dirac[:, None]
-    M = M[:, space.swap]
-    M *= space.dirac
-    out -= M
-    return out
+def _commutator(space: TruncatedSpace, M: Operator) -> Operator:
+    """[D, M] = d M[P, :] - M[:, P] d for D = diag(d) P.  The two halves grow
+    like [n] and cancel, so they are merged, in the dense order d v - v d,
+    before any product."""
+    rows, cols = space.swap[M.rows], space.swap[M.cols]
+    return (Operator(rows, M.cols, M.vals * space.dirac[rows], M.dim)
+            - Operator(M.rows, cols, M.vals * space.dirac[cols], M.dim))
 
 
 def _shift(x: PodlesElement) -> int:
@@ -239,17 +279,17 @@ def _mult_columns(x: PodlesElement, space: TruncatedSpace):
     return space.engine.columns(embed(x))
 
 
-def build_mult(x: PodlesElement, space: TruncatedSpace, top=None) -> np.ndarray:
-    """Left multiplication by a sphere element in the orthonormal basis; the
-    part of the image outside the two families is projected away.  Only the
-    columns of levels n <= top are filled, every level by default.  M(x) is
-    M(x*)^T, so when x* has the shorter E-chain, M(x*) is filled through
-    top + _shift(x), the rows that columns up to top read, and transposed."""
+def build_mult(x: PodlesElement, space: TruncatedSpace, top=None) -> Operator:
+    """Left multiplication by a sphere element, a sparse `Operator` in the
+    orthonormal basis; the image outside the two families is projected away.
+    Only the columns of levels n <= top hold entries, every level by default.
+    M(x) is M(x*)^T, so when x* has the shorter E-chain, M(x*) is filled
+    through top + _shift(x), the rows that columns up to top read, transposed."""
     top = space.npad if top is None else top
     eng, y = space.engine, embed(x)
     if len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y))):
-        return _matrix(space, _mult_columns(x.star(), space), min(space.npad, top + _shift(x)), True)
-    return _matrix(space, _mult_columns(x, space), top)
+        return _operator(space, _mult_columns(x.star(), space), min(space.npad, top + _shift(x)), True)
+    return _operator(space, _mult_columns(x, space), top)
 
 
 def _window(space: TruncatedSpace, nmax: int) -> list:
@@ -373,20 +413,17 @@ def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
 
 
 def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
-    """Tr gamma_q K^2 |D|^-z x0 [D,x1] [D,x2] against zeta(z) tau(x0,x1,x2)."""
-    # only the diagonal of the product on levels n <= top, from the columns
-    # it reads, each factor freed once used; the terms of diag_i sum to at
-    # most row i of |M(x0)| times max row sums of |[D,x]|
+    """Tr gamma_q K^2 |D|^-z x0 [D,x1] [D,x2] against zeta(z) tau(x0,x1,x2),
+    from the diagonal on levels n <= top only: entry (i, k) of the sparse
+    x0 [D,x1] joined with entry (k, i) of [D,x2].  The terms of diag_i sum
+    to at most row i of |M(x0)| times the max row sums of |[D,x]|."""
     s0, s1, s2 = _shift(x0), _shift(x1), _shift(x2)
     top = space.npad - s0 - s1 - s2
     m0 = build_mult(x0, space, top + s0)
-    c = _dirac_commutator(space, build_mult(x1, space, top + min(s2, s0 + s1)))
-    bound = abs(m0).sum(1) * abs(c).sum(1).max()
-    left = m0 @ c
-    del m0, c
-    c = _dirac_commutator(space, build_mult(x2, space, top))
-    bound *= abs(c).sum(1).max()
-    diag = np.einsum("ij,ji->i", left, c)
+    c1 = _commutator(space, build_mult(x1, space, top + min(s2, s0 + s1)))
+    c2 = _commutator(space, build_mult(x2, space, top))
+    bound = m0.abs_row_sums() * c1.abs_row_sums().max() * c2.abs_row_sums().max()
+    diag = (m0 @ c1).diagonal(c2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
     return _trace_record("tau_trace", inputs, diag, -space.q0**2, top, tau(x0, x1, x2), z,
                          space, s0 + s1 + s2, bound)
@@ -398,15 +435,18 @@ def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):
     top = space.npad - max(_shift(x), _shift(y))
     Mx = build_mult(x, space, top)
     # J M(y)* J^-1 = U M(y)^T U^H, with U = -i times the signed permutation
-    # of flip and jsign: entry (a, b) is jsign_a' jsign_b' M(y)[b', a'] for
-    # a' = flip(a), b' = flip(b)
-    conj_y = build_mult(y, space, top).T * np.outer(space.jsign, space.jsign)
-    conj_y = conj_y[np.ix_(space.flip, space.flip)]
-    DMx = _dirac_commutator(space, Mx)
-    keep = np.ix_(*[_window(space, space.npad - _shift(x) - _shift(y))] * 2)
+    # of flip and jsign: an entry v of M(y) at (i, j) moves to (flip j,
+    # flip i) as jsign_j jsign_i v
+    My = build_mult(y, space, top)
+    conj_y = Operator(space.flip[My.cols], space.flip[My.rows],
+                      My.vals * (space.jsign[My.cols] * space.jsign[My.rows]), space.dim)
+    DMx = _commutator(space, Mx)
+    keep = np.zeros(space.dim, dtype=bool)
+    keep[_window(space, space.npad - _shift(x) - _shift(y))] = True
     inputs = {"x": str(x), "y": str(y)}
     return [
-        record(name, inputs, float(abs(c[keep]).max()), 0.0, tol_abs=1e-9, L=space.L, q0=space.q0)
+        record(name, inputs, float(abs(c.vals[keep[c.rows] & keep[c.cols]]).max(initial=0.0)),
+               0.0, tol_abs=1e-9, L=space.L, q0=space.q0)
         for name, c in (
             ("commutant", Mx @ conj_y - conj_y @ Mx),
             ("order_one", DMx @ conj_y - conj_y @ DMx),

@@ -6,7 +6,10 @@ RationalQ and the sparse algebras are canonical, so a change to the
 arithmetic that keeps the values keeps every render byte for byte.  The
 numeric pins are the `float.hex` of trace-check lhs values and of M(x)
 entries: each entry is rounded once from its exact value, so a change to
-the arithmetic in Q(sqrt(q0)) that keeps the values keeps every bit.
+the arithmetic in Q(sqrt(q0)) that keeps the values keeps every bit.  The
+tau pins are also bits of the order in which the sparse products sum
+their terms; a tau lhs is checked against the dense BLAS oracle of
+`tests.test_spectral` within its record's tol_abs.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ from qsphere.haar import haar_podles
 from qsphere.podles import gen_A, gen_B, gen_Bs
 from qsphere.scalar import render
 from qsphere.spectral import TruncatedSpace, build_mult, haar_trace_check, tau_trace_check
+from tests.test_spectral import dense_tau_record
 
 GENERATORS = {"A": gen_A, "B": gen_B, "Bs": gen_Bs}
 
@@ -65,8 +69,8 @@ def test_mult_matrices_renders():
 
 
 def test_trace_check_lhs_bits():
-    # tau reads numpy matrix products, so its last bits are those of this
-    # numpy's BLAS kernels; h sums in Python
+    # tau sums sparse products in a fixed order, by numpy's bincount, and
+    # h sums in Python; no pin reads a BLAS kernel
     one = gen_A**0
     for (q0, L), pins in TRACE_LHS_HEX.items():
         space = TruncatedSpace(q0, L)
@@ -78,10 +82,22 @@ def test_trace_check_lhs_bits():
         assert got == pins, (q0, L)
 
 
+def test_tau_lhs_meets_the_dense_blas_oracle():
+    # a BLAS product sums in another order, so the two lhs may differ in
+    # their last bits, but by no more than the record's round-off bound
+    one = gen_A**0
+    for q0, L in ((Fraction(1, 4), 14), (Fraction(2, 3), 10), (Fraction(81, 100), 14)):
+        space = TruncatedSpace(q0, L)
+        for xs in ((gen_A, gen_B, gen_Bs), (one, gen_B, gen_Bs), (gen_Bs, gen_A, gen_B)):
+            rec, dense = tau_trace_check(*xs, 3, space), dense_tau_record(*xs, 3, space)
+            assert rec["passed"] and dense["passed"], (q0, L, xs)
+            assert abs(rec["lhs"] - dense["lhs"]) <= rec["tol_abs"], (q0, L, xs)
+
+
 def test_mult_entry_bits():
     space = TruncatedSpace(Fraction(1, 4), 4)
     for name, pins in MULT_ENTRY_HEX.items():
-        M = build_mult(GENERATORS[name], space)
+        M = build_mult(GENERATORS[name], space).toarray()
         for (row, col), pin in pins.items():
             assert float(M[space.pos[row], space.pos[col]]).hex() == pin, (name, row, col)
 

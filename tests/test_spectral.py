@@ -14,7 +14,7 @@ from qsphere import spectral
 from qsphere.coordalg import CoordElement
 from qsphere.corep import mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
-from qsphere.fodc import differential
+from qsphere.fodc import differential, tau
 from qsphere.haar import haar_product
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
 from qsphere.report import record
@@ -48,6 +48,44 @@ def build_dirac(space: TruncatedSpace) -> np.ndarray:
     mat = np.zeros((space.dim, space.dim))
     mat[space.swap, range(space.dim)] = space.dirac
     return mat
+
+
+def _matrix(space, column, top, transpose=False):
+    """Dense oracle of `spectral._operator`: column(key) for each basis key
+    of level n <= top, the others zero; rows past npad cut off.  With
+    transpose, column(key) fills row key instead."""
+    mat = np.zeros((space.dim, space.dim))
+    fill = mat.T if transpose else mat
+    for key, i in space.pos.items():
+        if key[1] <= top:
+            for row, c in column(key).items():
+                j = space.pos.get(row)
+                if j is not None:
+                    fill[j, i] = c
+    return mat
+
+
+def _dirac_commutator(space: TruncatedSpace, M: np.ndarray) -> np.ndarray:
+    """Dense oracle of `spectral._commutator`: [D, M] = d M[P, :] - M[:, P] d."""
+    out = M[space.swap]
+    out *= space.dirac[:, None]
+    M = M[:, space.swap]
+    M *= space.dirac
+    out -= M
+    return out
+
+
+def dense_tau_record(x0, x1, x2, z, space):
+    """Dense oracle of `tau_trace_check`: the complete matrices of M(x0),
+    [D, M(x1)] and [D, M(x2)], the BLAS product of the first two and the
+    diagonal of its product with the third; its bound from dense row sums."""
+    shifts = [spectral._shift(x) for x in (x0, x1, x2)]
+    m0 = build_mult(x0, space).toarray()
+    c1, c2 = (_dirac_commutator(space, build_mult(x, space).toarray()) for x in (x1, x2))
+    diag = np.einsum("ij,ji->i", m0 @ c1, c2)
+    bound = abs(m0).sum(1) * abs(c1).sum(1).max() * abs(c2).sum(1).max()
+    return spectral._trace_record("tau_trace", {}, diag, -space.q0**2, space.npad - sum(shifts),
+                                  tau(x0, x1, x2), z, space, sum(shifts), bound)
 
 
 def gram_defect(space, nmax):
@@ -199,10 +237,10 @@ def test_commutators_give_the_calculus(q0):
     D = build_dirac(space)
 
     def mult(y):
-        return spectral._matrix(space, eng.columns(y), space.npad)
+        return _matrix(space, eng.columns(y), space.npad)
 
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
-        M = build_mult(x, space)
+        M = build_mult(x, space).toarray()
         C = D @ M - M @ D
         dx = differential(x)
         window = set(spectral._window(space, space.npad - spectral._shift(x)))
@@ -404,12 +442,18 @@ def test_tau_expands_only_the_levels_it_reads(monkeypatch):
 
 
 def _with_complete_matrices(check, *args):
-    """The records of check with every factor the complete build_mult matrix."""
-    complete = spectral.build_mult
+    """The records of check with every factor the complete build_mult
+    operator, and the operands the check built through the module global."""
+    complete, built = spectral.build_mult, []
+
+    def build(x, space, top=None):
+        built.append(x)
+        return complete(x, space)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "build_mult", lambda x, space, top=None: complete(x, space))
+        mp.setattr(spectral, "build_mult", build)
         out = check(*args)
-    return out if isinstance(out, list) else [out]
+    return (out if isinstance(out, list) else [out]), built
 
 
 @pytest.mark.parametrize("q0, L", [(Fraction(1, 4), 6), (Fraction(2, 3), 4), (Fraction(81, 100), 5)])
@@ -424,12 +468,82 @@ def test_checks_on_the_filled_columns_equal_the_complete_ones(q0, L):
                         (tau_trace_check, (gen_Bs, gen_A, gen_B, 3, space)),
                         (commutant_checks, (gen_A, gen_B, space))):
         got = check(*args)
-        for rec, ref in zip(got if isinstance(got, list) else [got],
-                            _with_complete_matrices(check, *args)):
+        refs, built = _with_complete_matrices(check, *args)
+        # every factor comes through the patched builder, so the comparison
+        # below is not vacuous
+        assert built == [x for x in args if isinstance(x, PodlesElement)], args
+        for rec, ref in zip(got if isinstance(got, list) else [got], refs):
             if rec["check"] == "tau_trace":
                 for field in ("round_off_scale", "tol_abs"):
                     assert rec.pop(field) <= ref.pop(field), (field, args)
             assert rec == ref, args
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(2, 3)])
+def test_sparse_commutator_equals_the_dense_one_bit_for_bit(q0):
+    # the two halves d v and -v d of [D, M(x)] are merged at each position
+    # in the dense order, so every entry is the dense entry, bits and all
+    space = TruncatedSpace(q0, 8)
+    for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
+        M = build_mult(x, space)
+        sparse = spectral._commutator(space, M)
+        dense = _dirac_commutator(space, M.toarray())
+        assert dense.any() and sparse.toarray().tobytes() == dense.tobytes(), (x, q0)
+        assert len(set(zip(sparse.rows, sparse.cols))) == len(sparse.vals)
+
+
+def _unmerged_commutator(space, M):
+    """[D, M] with its halves d v and -v d kept as separate entries."""
+    rows, cols = space.swap[M.rows], space.swap[M.cols]
+    return spectral.Operator(np.concatenate([rows, M.rows]), np.concatenate([M.cols, cols]),
+                             np.concatenate([M.vals * space.dirac[rows],
+                                             -(M.vals * space.dirac[cols])]), M.dim)
+
+
+def _path_product(a, b):
+    """a b with each term a[i, j] b[j, k] kept as its own entry."""
+    e, f = a._terms(b)
+    return spectral.Operator(a.rows[e], b.cols[f], a.vals[e] * b.vals[f], a.dim)
+
+
+def test_unmerged_commutator_halves_fail_the_tau_tolerance(monkeypatch):
+    # the halves of [D, M(x)] grow like [n] and cancel: summed path by path
+    # through x0 [D,x1] [D,x2] instead of merged before any product, tau(A,B,B*)
+    # at q0 = 1/4, L = 14 misses its exact value by far more than its tol_abs.
+    # The products keep their terms apart too, since a merging product would
+    # merge the halves again right after the first factor
+    space = TruncatedSpace(Fraction(1, 4), 14)
+    good = tau_trace_check(gen_A, gen_B, gen_Bs, 3, space)
+    assert good["passed"]
+    monkeypatch.setattr(spectral, "_commutator", _unmerged_commutator)
+    monkeypatch.setattr(spectral.Operator, "__matmul__", _path_product)
+    bad = tau_trace_check(gen_A, gen_B, gen_Bs, 3, space)
+    assert abs(bad["lhs"] - good["rhs"]) > 100 * good["tol_abs"], (bad["lhs"], good)
+
+
+def test_sparse_product_and_diagonal_equal_the_dense_ones():
+    # products of sparse operators against numpy's dense products, on
+    # operators with shared and with duplicate positions
+    rng = np.random.default_rng(0)
+    dim = 9
+
+    def random_operator(n):
+        rows, cols = rng.integers(0, dim, n), rng.integers(0, dim, n)
+        return spectral.Operator(rows, cols, rng.standard_normal(n), dim)
+
+    def dense(op):
+        mat = np.zeros((dim, dim))
+        np.add.at(mat, (op.rows, op.cols), op.vals)
+        return mat
+
+    for n in (0, 1, 12, 40):
+        a, b = random_operator(n), random_operator(30)
+        assert np.allclose((a @ b).toarray(), dense(a) @ dense(b), rtol=1e-14, atol=1e-14)
+        assert np.allclose((a - b).toarray(), dense(a) - dense(b), rtol=1e-14, atol=1e-14)
+        assert np.allclose(a.diagonal(b), np.diag(dense(a) @ dense(b)), rtol=1e-14, atol=1e-14)
+        merged = spectral.Operator(a.rows, a.cols, a.vals, dim, merge=True)
+        assert np.array_equal(merged.toarray(), dense(a))
+        assert np.allclose(merged.abs_row_sums(), abs(dense(a)).sum(1), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(2, 3), Fraction(81, 100)])
@@ -441,8 +555,8 @@ def test_star_pairs_transpose_bit_for_bit(q0):
     space, eng = TruncatedSpace(q0, 5), spectral._Engine(q0)
     dB = differential(gen_B)
     for y in (embed(gen_B), embed(gen_Bs), dB.ecomp, dB.fcomp):
-        direct = spectral._matrix(space, eng.columns(y), space.npad)
-        read = spectral._matrix(space, eng.columns(y.star()), space.npad, True)
+        direct = _matrix(space, eng.columns(y), space.npad)
+        read = _matrix(space, eng.columns(y.star()), space.npad, True)
         assert direct.any() and direct.tobytes() == read.tobytes(), y
 
 
@@ -486,7 +600,7 @@ def test_mult_matches_exact_matrices():
         norm2 = {key(v): float(evaluate(v.norm2, q0)) for v in family}
         source = [v for v in family if v.twol <= 3]
         for x in (gen_A, gen_B, gen_Bs):
-            M = build_mult(x, space)
+            M = build_mult(x, space).toarray()
             exact = mult_matrix(x, source, family)
             assert not exact.untrusted_cols
             for beta in source:
@@ -552,7 +666,7 @@ def test_operators_are_real_and_only_J_is_complex():
     # the real signed permutation of flip and jsign
     space = TruncatedSpace(Fraction(1, 4), 3)
     M = build_mult(gen_B, space)
-    for op in (M, build_dirac(space), spectral._dirac_commutator(space, M)):
+    for op in (M.vals, build_dirac(space), spectral._commutator(space, M).vals):
         assert op.dtype == np.float64
     assert space.jsign.dtype == np.float64 and set(space.jsign) == {-1.0, 1.0}
     S = np.zeros((space.dim, space.dim))
