@@ -26,9 +26,9 @@ each denominator and joins the few distinct denominators over their lcm.
 `LaurentPoly` tables, where a power of q is a shift.  `power` is the one
 square-and-multiply loop, of the scalars and of every algebra in `comb`.
 
-At a rational q0 a value lies in Q(sqrt(q0)): a `Surd` even + odd sqrt(q0)
-with Fraction parts, exact under the field operations and rounded to a
-float once (`evaluate`).
+At a rational q0 a value lies in Q(sqrt(q0)): a `Surd` (e + o sqrt(q0))/d
+with int parts, exact under the field operations and rounded to a float
+once (`evaluate`).
 """
 
 from __future__ import annotations
@@ -198,38 +198,6 @@ class LaurentPoly:
         if n < 0:
             raise ValueError("LaurentPoly power must be nonnegative")
         return power(self, n, _LP_ONE)
-
-    # -- numerics -----------------------------------------------------
-
-    def eval_pair(self, q0):
-        """Split into even/odd half powers and evaluate both at the exact
-        rational q0, returning (P_even(q0), P_odd(q0)) with
-        value = P_even + sqrt(q0) * P_odd.  The pair is canonical: when
-        sqrt(q0) is rational the odd part is folded into the even one, so
-        the value is 0 exactly when both parts are."""
-        q0 = Fraction(q0)
-        p, r = q0.numerator, q0.denominator
-        scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        out = []
-        for parity in (0, 1):
-            ints = {
-                (e - parity) // 2: c.numerator * scale // c.denominator
-                for e, c in self.coeffs.items()
-                if e % 2 == parity
-            }
-            lo, hi = min(ints, default=0), max(ints, default=0)
-            # Horner in integers: acc = sum_k ints[k] p^(k-lo) r^(hi-k)
-            acc, rpow = 0, 1
-            for k in range(hi, lo - 1, -1):
-                acc = acc * p + ints.get(k, 0) * rpow
-                rpow *= r
-            # value = acc p^lo r^-hi / scale
-            num = acc * p ** max(lo, 0) * r ** max(-hi, 0)
-            out.append(Fraction(num, scale * p ** max(-lo, 0) * r ** max(hi, 0)))
-        even, odd = out
-        if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
-            return even + odd * Fraction(math.isqrt(p), math.isqrt(r)), 0
-        return even, odd
 
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)!r})"
@@ -617,75 +585,107 @@ def qlambda() -> RationalQ:
     return RationalQ._raw(LaurentPoly({2: 1, -2: -1}))
 
 
+def _reduced(e: int, o: int, d: int, q0: Fraction) -> Surd:
+    """The Surd (e + o sqrt(q0)) / d, for d > 0, by one gcd of the parts."""
+    g = math.gcd(e, o, d)
+    return Surd(e // g, o // g, d // g, q0) if g != 1 else Surd(e, o, d, q0)
+
+
+def _poly_at(poly: LaurentPoly, q0: Fraction) -> Surd:
+    """poly at q0 = p/r, its even and odd half powers in ints; the odd part
+    is folded into the even one when sqrt(q0) is rational."""
+    p, r = q0.numerator, q0.denominator
+    scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    ints = ({}, {})  # the even and odd half powers, by their power of q
+    for e, c in poly.coeffs.items():
+        ints[e % 2][e // 2] = c.numerator * scale // c.denominator
+    lo, hi = min(poly.coeffs, default=0) // 2, max(poly.coeffs, default=0) // 2
+    # sum_k part[k] p^(k-lo) r^(hi-k) times p^lo r^-hi, over one denominator
+    even, odd = (sum(c * p ** (k - lo) * r ** (hi - k) for k, c in part.items())
+                 * p ** max(lo, 0) * r ** max(-hi, 0) for part in ints)
+    d = scale * p ** max(-lo, 0) * r ** max(hi, 0)
+    if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
+        even, odd, d = even * math.isqrt(r) + odd * math.isqrt(p), 0, d * math.isqrt(r)
+    return _reduced(even, odd, d, q0)
+
+
 class Surd:
-    """even + odd sqrt(q0) in Q(sqrt(q0)), for a rational q0 > 0 and
-    Fraction parts: the value of a RationalQ at q0 (`at`), exact under
-    +, unary -, * and /.  When sqrt(q0) is rational the odd part is 0, so
-    a value is 0 exactly when both parts are."""
+    """(e + o sqrt(q0)) / d in Q(sqrt(q0)), q0 = p/r > 0, for ints e, o and
+    d > 0 without a common factor: a RationalQ at q0 (`at`), exact under +,
+    unary -, * and /.  Sums and products by a rational cancel part by part
+    as Fraction does; other products and quotients by one gcd."""
 
-    __slots__ = ("even", "odd", "q0")
+    __slots__ = ("e", "o", "d", "q0")
 
-    def __init__(self, even, odd, q0):
-        self.even = even
-        self.odd = odd
-        self.q0 = q0
+    def __init__(self, e: int, o: int, d: int, q0: Fraction):
+        self.e, self.o, self.d, self.q0 = e, o, d, q0
 
     @staticmethod
     def at(x: RationalQ, q0: Fraction) -> Surd:
-        """x at q0, from the canonical pairs of `eval_pair`."""
-        num = Surd(*x.num.eval_pair(q0), q0)
-        return num if x.den.is_one() else num / Surd(*x.den.eval_pair(q0), q0)
+        """x at q0; EvaluationPole when its denominator vanishes there."""
+        num = _poly_at(x.num, q0)
+        return num if x.den.is_one() else num / _poly_at(x.den, q0)
 
     def __add__(self, other):
-        a, b, c, d = self.even, self.odd, other.even, other.odd
-        return Surd(a + c if c else a, b + d if d else b, self.q0)
+        # a prime of one denominator alone divides no sum of the parts
+        g = math.gcd(self.d, other.d)
+        d, f = self.d // g, other.d // g
+        e, o = self.e * f + other.e * d, self.o * f + other.o * d
+        h = math.gcd(g, e, o)
+        return Surd(e // h, o // h, d * (other.d // h), self.q0)
 
     def __neg__(self):
-        return Surd(-self.even, -self.odd, self.q0)
+        return Surd(-self.e, -self.o, self.d, self.q0)
 
     def __mul__(self, other):
-        a, b, c, d = self.even, self.odd, other.even, other.odd
-        # most values have a zero part; skip its products
-        if b and d:
-            return Surd(a * c + self.q0 * b * d, a * d + b * c, self.q0)
-        return Surd(a * c, b * c if b else a * d if d else 0, self.q0)
+        x, y = (other, self) if other.o else (self, other)
+        if y.o:  # both odd parts
+            p, r = self.q0.numerator, self.q0.denominator
+            return _reduced(r * x.e * y.e + p * x.o * y.o, r * (x.e * y.o + x.o * y.e),
+                            r * x.d * y.d, self.q0)
+        # y is rational: cancel x's parts against y.d and y.e against x.d
+        g, h = math.gcd(x.e, x.o, y.d), math.gcd(y.e, x.d)
+        f = y.e // h
+        return Surd(x.e // g * f, x.o // g * f, x.d // h * (y.d // g), self.q0)
 
     def __truediv__(self, other):
-        a, b, c, d = self.even, self.odd, other.even, other.odd
-        # a divisor without an odd part divides each part
-        norm = c * c - self.q0 * d * d if d else c
-        if not norm:
-            raise EvaluationPole(f"division by 0 at q0 = {self.q0}")
-        if not d:
-            return Surd(a / c, b / c if b else 0, self.q0)
-        return self * Surd(c / norm, -d / norm, self.q0)
+        """x / (f + g sqrt(q0)) = x (f - g sqrt(q0)) r / (r f^2 - p g^2)."""
+        e, o, f, g, q0 = self.e, self.o, other.e, other.o, self.q0
+        if g:
+            p, r = q0.numerator, q0.denominator
+            e, o, f = r * e * f - p * o * g, r * (o * f - e * g), r * f * f - p * g * g
+        if not f:
+            raise EvaluationPole(f"division by 0 at q0 = {q0}")
+        if f < 0:
+            e, o, f = -e, -o, -f
+        return _reduced(e * other.d, o * other.d, self.d * f, q0)
 
     def __eq__(self, other):
         if not isinstance(other, Surd):
             return NotImplemented
-        return (self.even, self.odd, self.q0) == (other.even, other.odd, other.q0)
+        return (self.e, self.o, self.d, self.q0) == (other.e, other.o, other.d, other.q0)
 
     def __bool__(self):
-        return bool(self.even or self.odd)
+        return bool(self.e or self.o)
 
     def rational(self) -> Fraction:
         """The value as a Fraction; ArithmeticError if it is not rational."""
-        if self.odd:
+        if self.o:
             raise ArithmeticError(f"{self!r} is not rational")
-        return self.even
+        return Fraction(self.e, self.d)
 
     def __float__(self):
-        """Rounded once.  Parts of opposite signs would cancel, so their sum is
-        rounded as (even^2 - q0 odd^2) / (even - odd sqrt(q0)), whose numerator
-        is exact and whose denominator adds like signs."""
-        even, odd, q0 = self.even, self.odd, self.q0
+        """Rounded once; parts of opposite signs would cancel, so they round
+        as (e^2 - q0 o^2) / (d (e - o sqrt(q0))), exact over a like-sign sum."""
+        e, o, d, q0 = self.e, self.o, self.d, self.q0
         root = math.sqrt(q0)
-        if even and odd and (even < 0) != (odd < 0):
-            return float(even * even - q0 * odd * odd) / (float(even) - float(odd) * root)
-        return float(even) + float(odd) * root
+        if e and o and (e < 0) != (o < 0):
+            p, r = q0.numerator, q0.denominator
+            return (r * e * e - p * o * o) / (r * d * d) / (e / d - o / d * root)
+        return e / d + o / d * root
 
     def __repr__(self):
-        return f"Surd({self.even} + {self.odd}*sqrt({self.q0}))"
+        return f"Surd(({self.e} + {self.o}*sqrt({self.q0}))/{self.d})"
 
 
 def evaluate(x: RationalQ, q0) -> float:

@@ -19,7 +19,7 @@ signed permutation like D, and `build_J` is the one complex array.
 Spaces are built with `PAD` levels beyond L.  M(x) moves levels by at most
 `_shift(x)`, so a product is exact on the levels up to npad less the sum
 of its operands' shifts; traces sum only diagonal entries there, and
-report the discarded boundary count.  A check fills only the columns its
+report the discarded boundary count.  A check fills only the levels its
 window reads and holds no entry in the others: x0 [D,x1] [D,x2] on the
 levels n <= W = npad - s0 - s1 - s2 reads x0 through level W + s0, x2
 through W and x1 through W + min(s2, s0 + s1); the commutant checks read
@@ -27,29 +27,26 @@ M(x) and M(y) through npad - max(s_x, s_y).  `build_mult` fills all.
 
 Exact construction: the basis is the one ladder of `corep.Ladder`, with
 its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
-and its cutoff 2l <= `corep.MAX_TWOL`, evaluated at q0 by `_Engine`.  The
-engine only maps an exact coefficient to its value at q0, a `scalar.Surd`
-in Q(sqrt(q0)), once per distinct coefficient, and a squared norm to its
-Fraction; the ladder runs on these values as on RationalQ.  The ladder
-vectors w stay unnormalised, with exact squared norms N from the step
-factors, and are built on demand: the columns of M(x) on one level come
-from `Ladder.expand_mul`, which solves only the lowest-weight one, so only
-the lowest vectors of a level are built.  The engine keeps one table of
-columns per operator; `_Engine.columns` looks the operator up once and
-returns the reader of its table, which fills a level on its first read.
-Rounding enters M(x) in one place, `_Engine._round`.  It reduces
-N_alpha / N_beta = r_num / r_den once per entry c sqrt(N_alpha / N_beta);
-a nonzero part n/d of c is then the square root of one int true division,
-(n^2 r_num) / (d^2 r_den), times p/r under the root for the odd part at
-q0 = p/r, and takes its sign from n.  The division rounds the rational
+and its cutoff 2l <= `corep.MAX_TWOL`, evaluated at q0 by `_Engine`, which
+maps each distinct exact coefficient to its `scalar.Surd` (e + o sqrt(q0))/d
+of ints.  The unnormalised vectors w are built on demand: the columns of
+M(x) on a level come from `Ladder.expand_mul`, which solves only the lowest
+one.  The engine keeps per operator one level table per (s, n), COO arrays
+in keys that do not depend on L, which `_operator` places by arithmetic.
+Rounding enters M(x) in one place, `_Engine._round`, for an entry
+c sqrt(N_alpha / N_beta).  The squared norms are q^T times q-factorials
+(`_factorials`), so N_alpha / N_beta = r_num / r_den is a product of the
+few [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r whose
+exponents differ, without a gcd.  A nonzero part e/d of c is then the
+square root of one int true division, (e^2 r_num) / (d^2 r_den), times
+p/r under the root for the odd part, signed as e.  The division rounds
 c_part^2 N_alpha / N_beta correctly, so each part is within one ulp, and
 no part is read as a float: a coefficient past the float range rounds as
 long as its entry is in it.  So M(x*) = M(x)^T holds to the bit, and
 `build_mult` fills only the member of {x, x*} with the shorter E-chain (x
-on a tie) from its table, transposing it for the other: in the checks, B
-is read off B*'s table.  Vectors, norms and columns do not depend on L;
-each is built once per q0 and shared by every space at that q0, and the
-engines of the few most recent q0 are kept.
+on a tie), transposing it for the other: in the checks, B is read off B*'s
+tables.  Vectors and tables are built once per q0 and shared by every
+space at that q0; the engines of the few most recent q0 are kept.
 """
 
 from __future__ import annotations
@@ -74,15 +71,30 @@ def qnum(n: int, q0: float) -> float:
     return (q0**n - q0**-n) / (q0 - 1.0 / q0)
 
 
+def _factorials(key) -> tuple:
+    """(m, w) with N_key = q0^T prod [m]!^w for T = 2l and the F- and E-steps
+    of key: `Ladder.norm2` is q^T/[T+1] times [T-i][i+1] for each step i < F
+    and i < E, and prod_{i<F} [T-i][i+1] = [T]! [F]! / [T-F]!."""
+    s, n, twok = key
+    T = 2 * n - 1
+    F, E = (T + s) // 2, (T + twok) // 2
+    return (T, 3), (T + 1, -1), (F, 1), (T - F, -1), (E, 1), (T - E, -1)
+
+
 class _Engine(Ladder):
     """The exact ladder at one rational q0, with values in Q(sqrt(q0)) as
-    `scalar.Surd`s, squared norms as Fractions and one column table per M(y)."""
+    `scalar.Surd`s and one table of levels per M(y)."""
 
     def __init__(self, q0: Fraction):
         super().__init__()
         self.q0 = q0
         self._values = {}  # RationalQ -> its Surd
-        self._columns = {}  # y -> {key: {row key: float}}
+        self._levels = {}  # y -> {(s, n): level table of M(y)}
+        self.reads_star = {}  # y -> whether M(y) is read as M(y*)^T
+        p, r = q0.numerator, q0.denominator
+        # [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r, and q0 at 0
+        self._qint_parts = {m: (r ** (2 * m) - p ** (2 * m), (r * p) ** (m - 1) * (r * r - p * p))
+                            for m in range(1, MAX_TWOL + 3)} | {0: (p, r)}
 
     def value(self, x):
         """A RationalQ at q0, evaluated once per distinct value."""
@@ -93,42 +105,54 @@ class _Engine(Ladder):
 
     rational = staticmethod(Surd.rational)
 
-    def _round(self, key, coeffs) -> dict:
-        """The orthonormal column {row key: entry} of w_key from its exact
-        coefficients {alpha: c}: the one place where rounding enters."""
-        norm2 = self.norm2(key)
+    def _norm_ratio(self, alpha, beta) -> tuple:
+        """N_alpha / N_beta as ints (num, den), unreduced and without a gcd,
+        from the [m] whose exponents in the two norms differ."""
+        exps = {0: 2 * (alpha[1] - beta[1])}  # of q0^T, at 0
+        for (a, w), (b, _) in zip(_factorials(beta), _factorials(alpha)):
+            if a > b:
+                a, b, w = b, a, -w
+            for m in range(a + 1, b + 1):
+                exps[m] = exps.get(m, 0) + w
+        num = den = 1
+        for m, e in exps.items():
+            a, b = self._qint_parts[m]
+            num, den = (num * a**e, den * b**e) if e > 0 else (num * b**-e, den * a**-e)
+        return num, den
+
+    def _round(self, key, coeffs) -> list:
+        """The entries c sqrt(N_alpha / N_key) of w_key's orthonormal column,
+        in the order of its coefficients {alpha: c}: where rounding enters."""
         p, r = self.q0.numerator, self.q0.denominator
-        col = {}
+        out = []
         for alpha, c in coeffs.items():
-            ratio = self.norm2(alpha) / norm2
-            rn, rd = ratio.numerator, ratio.denominator
+            rn, rd = self._norm_ratio(alpha, key)
+            e, o, dd = c.e, c.o, c.d * c.d * rd
             entry = 0.0  # a zero part adds nothing, so it is skipped
-            if c.even:
-                n, d = c.even.numerator, c.even.denominator
-                v = math.sqrt(n * n * rn / (d * d * rd))
-                entry += v if n > 0 else -v
-            if c.odd:
-                n, d = c.odd.numerator, c.odd.denominator
-                v = math.sqrt(n * n * p * rn / (d * d * r * rd))
-                entry += v if n > 0 else -v
-            col[alpha] = entry
-        return col
+            if e:
+                v = math.sqrt(e * e * rn / dd)
+                entry += v if e > 0 else -v
+            if o:
+                v = math.sqrt(o * o * p * rn / (dd * r))
+                entry += v if o > 0 else -v
+            out.append(entry)
+        return out
 
-    def columns(self, y):
-        """The reader column(key) -> {row key: float} of M(y), for a
-        CoordElement y in the orthonormal basis, over y's own table of
-        columns: y is looked up once here.  A column does not depend on L;
-        the first read at a level fills its columns by `expand_mul`."""
-        table = self._columns.setdefault(y, {})
-
-        def column(key) -> dict:
-            if key not in table:
-                s, n, _ = key
-                for twok, coeffs in self.expand_mul(self.terms(y), s, n).items():
-                    table[s, n, twok] = self._round((s, n, twok), coeffs)
-            return table[key]
-
-        return column
+    def levels(self, y, top) -> list:
+        """The level tables of M(y), s = 1 then -1 and n = 1..top: (keys, vals)
+        of the columns of (s, n), 2k rising, keys' rows the family index and
+        s < 0 of the row, then of the column; filled once, free of L."""
+        table = self._levels.setdefault(y, {})
+        levels = [(s, n) for s in (1, -1) for n in range(1, top + 1)]
+        for s, n in (level for level in levels if level not in table):
+            keys, vals = [], []
+            for twok, coeffs in self.expand_mul(self.terms(y), s, n).items():
+                col = n * (n - 1) + (twok + 2 * n - 1) // 2
+                keys += [(m * (m - 1) + (t + 2 * m - 1) // 2, s2 < 0, col, s < 0)
+                         for s2, m, t in coeffs]
+                vals += self._round((s, n, twok), coeffs)
+            table[s, n] = np.array(keys, dtype=np.intp).reshape(-1, 4).T, np.array(vals)
+        return [table[level] for level in levels]
 
 
 # one engine per q0, shared by every space at that q0; the few most
@@ -147,7 +171,8 @@ class TruncatedSpace:
     exact on the reported window.  `vec` maps a key (s, n, 2k) to its
     unnormalised ladder vector, built on first read; no check reads it.
     A (q0, L) whose largest power q0^(-2 npad) is past the float range is
-    refused with ValueError.
+    refused with ValueError.  Key (s, n, 2k) is at n (n - 1) + (2k + 2n - 1)/2
+    (`n`, `twok`), plus `family` = npad (npad + 1) if s = -1.
     """
 
     def __init__(self, q0, L: int):
@@ -170,16 +195,20 @@ class TruncatedSpace:
             raise ValueError(f"q0 = {q0} at L = {L} needs q0^-{2 * self.npad}, past the float "
                              f"range") from None
         self.engine = _engine_for(self.q0_exact)
-        self.index = [(s, n, twok) for s in (1, -1) for n in range(1, self.npad + 1)
-                      for twok in range(-(2 * n - 1), 2 * n, 2)]
-        self.pos = {key: i for i, key in enumerate(self.index)}
-        self.dim = len(self.index)
+        levels = np.arange(1, self.npad + 1)
+        self.n = n = np.repeat(levels, 2 * levels)
+        self.family, self.dim = len(n), 2 * len(n)
+        self.twok = 2 * np.arange(self.family) - 2 * n * n + 1
         # D = diag(dirac) P for the involution P: (s, n, 2k) -> (-s, n, 2k)
-        self.swap = np.array([self.pos[(-s, n, twok)] for s, n, twok in self.index])
-        self.dirac = np.array([-qnum(n, self.q0) for s, n, twok in self.index])
+        self.swap = (np.arange(self.dim) + self.family) % self.dim
+        self.dirac = np.tile(np.array([-qnum(m, self.q0) for m in levels.tolist()])[n - 1], 2)
         # U = J conj: (s, n, 2k) -> (-s, n, -2k) with entry -i (-1)^(k-1/2)
-        self.flip = np.array([self.pos[(-s, n, -twok)] for s, n, twok in self.index])
-        self.jsign = np.array([(-1.0) ** ((twok - 1) // 2) for s, n, twok in self.index])
+        mirror = 2 * n * n - 1 - np.arange(self.family)
+        self.flip = np.concatenate([mirror + self.family, mirror])
+        self.jsign = np.tile(np.where((self.twok - 1) // 2 % 2, -1.0, 1.0), 2)
+        self.index = list(zip([1] * self.family + [-1] * self.family, n.tolist() * 2,
+                              self.twok.tolist() * 2))
+        self.pos = dict(zip(self.index, range(self.dim)))
 
     @functools.cached_property
     def vec(self) -> dict:
@@ -188,8 +217,8 @@ class TruncatedSpace:
     def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
         pairing h(w* w) at q0 over the tracked norm2."""
-        h = self.engine.inner(v.terms, v.terms)
-        return float(Surd(h.even / v.norm2, h.odd / v.norm2, h.q0))
+        h, norm2 = self.engine.inner(v.terms, v.terms), v.norm2
+        return float(h / Surd(norm2.numerator, 0, norm2.denominator, h.q0))
 
 
 class Operator:
@@ -233,15 +262,14 @@ class Operator:
         return np.bincount(self.rows, np.abs(self.vals), self.dim)
 
 
-def _operator(space, column, top, transpose=False) -> Operator:
-    """M from the engine's orthonormal columns, column(key) for each basis
-    key of level n <= top, no entry in the others; rows past npad cut off.
-    With transpose, column(key) fills row key instead."""
-    filled = [(i, column(key)) for key, i in space.pos.items() if key[1] <= top]
-    rows = np.array([space.pos.get(r, -1) for _, col in filled for r in col], dtype=np.intp)
-    cols = np.array([i for i, col in filled for _ in col], dtype=np.intp)
-    vals = np.array([c for _, col in filled for c in col.values()], dtype=float)
-    kept = rows >= 0  # -1 marks a row past npad
+def _operator(space, levels, transpose=False) -> Operator:
+    """M from the engine's level tables in index order, s = 1 before -1 and
+    n rising, with no entry in the levels not given; rows past npad cut off.
+    With transpose, a column fills the row of its key instead."""
+    keys, vals = zip((np.empty((4, 0), dtype=np.intp), np.empty(0)), *levels)
+    keys, vals = np.concatenate(keys, axis=1), np.concatenate(vals)
+    rows, cols = keys[0] + space.family * keys[1], keys[2] + space.family * keys[3]
+    kept = keys[0] < space.family  # a row past npad has a family index past it
     rows, cols = (cols[kept], rows[kept]) if transpose else (rows[kept], cols[kept])
     return Operator(rows, cols, vals[kept], space.dim)
 
@@ -270,13 +298,13 @@ def _shift(x: PodlesElement) -> int:
     return (embed(x).degree() + 1) // 2
 
 
-def _mult_columns(x: PodlesElement, space: TruncatedSpace):
-    """column(key) of M(x); the top level's columns reach spin npad +
-    _shift(x) - 1/2, so one past the cutoff is refused before any is built."""
+def _mult_levels(x: PodlesElement, space: TruncatedSpace, top: int) -> list:
+    """The level tables of M(x) through level top; its columns reach spin
+    npad + _shift(x) - 1/2, so one past the cutoff is refused up front."""
     if (twol := 2 * (space.npad + _shift(x)) - 1) > MAX_TWOL:
         raise CutoffExceeded(f"M({x}) at L = {space.L} needs 2l = {twol}, past the cutoff "
                              f"{MAX_TWOL}")
-    return space.engine.columns(embed(x))
+    return space.engine.levels(embed(x), top)
 
 
 def build_mult(x: PodlesElement, space: TruncatedSpace, top=None) -> Operator:
@@ -285,19 +313,21 @@ def build_mult(x: PodlesElement, space: TruncatedSpace, top=None) -> Operator:
     Only the columns of levels n <= top hold entries, every level by default.
     M(x) is M(x*)^T, so when x* has the shorter E-chain, M(x*) is filled
     through top + _shift(x), the rows that columns up to top read, transposed."""
-    top = space.npad if top is None else top
-    eng, y = space.engine, embed(x)
-    if len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y))):
-        return _operator(space, _mult_columns(x.star(), space), min(space.npad, top + _shift(x)), True)
-    return _operator(space, _mult_columns(x, space), top)
+    top, eng, y = space.npad if top is None else top, space.engine, embed(x)
+    if y not in eng.reads_star:
+        eng.reads_star[y] = len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y)))
+    if eng.reads_star[y]:
+        star = _mult_levels(x.star(), space, min(space.npad, top + _shift(x)))
+        return _operator(space, star, True)
+    return _operator(space, _mult_levels(x, space, top))
 
 
-def _window(space: TruncatedSpace, nmax: int) -> list:
+def _window(space: TruncatedSpace, nmax: int) -> np.ndarray:
     """Positions of the basis vectors of level n <= nmax; a window without
     a level would make a check pass vacuously, and raises ValueError."""
     if nmax < 1:
         raise ValueError(f"L = {space.L} leaves no level where the product is exact")
-    return [i for i, (s, n, twok) in enumerate(space.index) if n <= nmax]
+    return np.r_[0 : nmax * (nmax + 1), space.family : space.family + nmax * (nmax + 1)]
 
 
 # -- zeta function ------------------------------------------------------------
@@ -388,11 +418,14 @@ def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, boun
     """
     keep = _window(space, nmax)
     q0 = space.q0
-    w = [(1.0 if s == 1 else gamma) * q0**twok * qnum(n, q0) ** -z
-         for s, n, twok in (space.index[i] for i in keep)]
-    tr = sum(wi * diag[i] for wi, i in zip(w, keep))
+    # (1.0 if s == 1 else gamma) * q0**twok * [n]**-z, summed as floats
+    powers = np.array([q0**t for t in range(1 - 2 * space.npad, 2 * space.npad, 2)])
+    t, n = space.twok[: len(keep) // 2] // 2 + space.npad, space.n[: len(keep) // 2] - 1
+    qz = np.array([qnum(m, q0) ** -z for m in range(1, nmax + 1)])[n]
+    w = np.concatenate([powers[t] * qz, (gamma * powers)[t] * qz])
+    tr = sum((w * diag[keep]).tolist())
     zeta = zeta_merom(z, q0)
-    scale = sum(abs(wi) * bound[i] for wi, i in zip(w, keep)) / abs(zeta)
+    scale = sum((abs(w) * bound[keep]).tolist()) / abs(zeta)
     ratio = zeta_series(z, nmax, q0) / zeta
     value = float(evaluate(exact, space.q0_exact))
     discarded = space.dim - len(keep)
@@ -405,9 +438,10 @@ def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, boun
 
 def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
     """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
-    # diagonal entries are exact at every built level, read off the columns
-    column = _mult_columns(x, space)
-    diag = np.array([column(key).get(key, 0.0) for key in space.index])
+    # diagonal entries, exact at every level, at most one per row, never -0.0
+    M = _operator(space, _mult_levels(x, space, space.npad))
+    on = M.rows == M.cols
+    diag = np.bincount(M.rows[on], M.vals[on], space.dim)
     return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, 0.0, space.npad,
                          haar_podles(x), z, space, _shift(x), abs(diag))
 
@@ -425,8 +459,14 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     bound = m0.abs_row_sums() * c1.abs_row_sums().max() * c2.abs_row_sums().max()
     diag = (m0 @ c1).diagonal(c2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
-    return _trace_record("tau_trace", inputs, diag, -space.q0**2, top, tau(x0, x1, x2), z,
+    return _trace_record("tau_trace", inputs, diag, -space.q0**2, top, _tau(x0, x1, x2), z,
                          space, s0 + s1 + s2, bound)
+
+
+@functools.lru_cache(maxsize=64)
+def _tau(x0, x1, x2):
+    """The exact tau(x0, x1, x2), once per triple for a sweep in L."""
+    return tau(x0, x1, x2)
 
 
 def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import numbers
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,19 @@ def test_verify_prints_one_record_per_check_per_level(capsys):
     # the exact value of the commutant is 0, where a relative error says nothing
     commutant = next(r for r in recs if r["check"] == "commutant")
     assert commutant["rhs"] == 0.0 and commutant["rel_err"] is None
+
+
+def test_verify_records_carry_python_numbers():
+    # every number of a record is a Python int or float, none a numpy
+    # scalar, so the records serialise as plain JSON numbers
+    def values(rec):
+        for v in rec.values():
+            yield from values(v) if isinstance(v, dict) else [v]
+
+    recs = list(cli.verify(Fraction(1, 4), range(6, 7), 3.0))
+    found = [v for rec in recs for v in values(rec) if isinstance(v, numbers.Number)]
+    assert len(found) > 10 * len(recs)
+    assert all(type(v) in (int, float, bool) for v in found), [type(v) for v in found]
 
 
 def test_verify_fails_when_a_check_fails(capsys, monkeypatch):

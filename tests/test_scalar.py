@@ -325,7 +325,8 @@ def test_eval_divides_in_the_canonical_pair():
     # 1 + 2 q^(1/2) is 2 at q0 = 1/4 and its conjugate 1 - 2 q^(1/2) is 0
     # there, so dividing by the pair (1, 2) would divide by 0
     x = RationalQ(LaurentPoly({0: 1}), (Q_ONE + qhalfpow(1) * 2).num)
-    assert (Q_ONE + qhalfpow(1) * 2).num.eval_pair(Fraction(1, 4)) == (2, 0)
+    pair = scalar._poly_at((Q_ONE + qhalfpow(1) * 2).num, Fraction(1, 4))
+    assert (pair.e, pair.o, pair.d) == (2, 0, 1)
     assert evaluate(x, Fraction(1, 4)) == 0.5
 
 
@@ -335,6 +336,92 @@ def test_eval_rounds_without_cancellation():
     x = Q_ONE * 985 - qhalfpow(1) * 1393
     expected = 0.5 / (985 + 1393 * math.sqrt(0.5))
     assert abs(evaluate(x, Fraction(1, 2)) - expected) <= 1e-15 * expected
+
+
+def _eval_pair(poly, q0):
+    """The canonical Fraction parts (P_even(q0), P_odd(q0)) of
+    poly = P_even + sqrt(q0) P_odd at q0, by Horner per parity: the
+    reference evaluation of `FractionSurd`."""
+    p, r = q0.numerator, q0.denominator
+    scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    out = []
+    for parity in (0, 1):
+        ints = {(e - parity) // 2: c.numerator * scale // c.denominator
+                for e, c in poly.coeffs.items() if e % 2 == parity}
+        lo, hi = min(ints, default=0), max(ints, default=0)
+        acc, rpow = 0, 1
+        for k in range(hi, lo - 1, -1):
+            acc = acc * p + ints.get(k, 0) * rpow
+            rpow *= r
+        num = acc * p ** max(lo, 0) * r ** max(-hi, 0)
+        out.append(Fraction(num, scale * p ** max(-lo, 0) * r ** max(hi, 0)))
+    even, odd = out
+    if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
+        return even + odd * Fraction(math.isqrt(p), math.isqrt(r)), 0
+    return even, odd
+
+
+class FractionSurd:
+    """even + odd sqrt(q0) with Fraction parts, each reduced by Fraction:
+    the oracle of `Surd`'s integer parts (e + o sqrt(q0)) / d."""
+
+    __slots__ = ("even", "odd", "q0")
+
+    def __init__(self, even, odd, q0):
+        self.even = even
+        self.odd = odd
+        self.q0 = q0
+
+    @staticmethod
+    def at(x: RationalQ, q0: Fraction):
+        num = FractionSurd(*_eval_pair(x.num, q0), q0)
+        return num if x.den.is_one() else num / FractionSurd(*_eval_pair(x.den, q0), q0)
+
+    def __add__(self, other):
+        a, b, c, d = self.even, self.odd, other.even, other.odd
+        return FractionSurd(a + c if c else a, b + d if d else b, self.q0)
+
+    def __neg__(self):
+        return FractionSurd(-self.even, -self.odd, self.q0)
+
+    def __mul__(self, other):
+        a, b, c, d = self.even, self.odd, other.even, other.odd
+        if b and d:
+            return FractionSurd(a * c + self.q0 * b * d, a * d + b * c, self.q0)
+        return FractionSurd(a * c, b * c if b else a * d if d else 0, self.q0)
+
+    def __truediv__(self, other):
+        a, b, c, d = self.even, self.odd, other.even, other.odd
+        norm = c * c - self.q0 * d * d if d else c
+        if not norm:
+            raise EvaluationPole(f"division by 0 at q0 = {self.q0}")
+        if not d:
+            return FractionSurd(a / c, b / c if b else 0, self.q0)
+        return self * FractionSurd(c / norm, -d / norm, self.q0)
+
+    def __eq__(self, other):
+        return (self.even, self.odd, self.q0) == (other.even, other.odd, other.q0)
+
+    def __bool__(self):
+        return bool(self.even or self.odd)
+
+    def __float__(self):
+        even, odd, q0 = self.even, self.odd, self.q0
+        root = math.sqrt(q0)
+        if even and odd and (even < 0) != (odd < 0):
+            return float(even * even - q0 * odd * odd) / (float(even) - float(odd) * root)
+        return float(even) + float(odd) * root
+
+
+def _surd(even, odd, q0) -> Surd:
+    """The Surd even + odd sqrt(q0) of int or Fraction parts."""
+    even, odd = Fraction(even), Fraction(odd)
+    d = math.lcm(even.denominator, odd.denominator)
+    return Surd(even.numerator * d // even.denominator, odd.numerator * d // odd.denominator, d, q0)
+
+
+def _parts(x: Surd) -> tuple:
+    return Fraction(x.e, x.d), Fraction(x.o, x.d)
 
 
 # 1/4, 9/16 and 81/100 are squares: there every value has the odd part 0
@@ -362,9 +449,35 @@ def test_surd_at_respects_the_field_operations(x, y):
         assert float(sx) == evaluate(x, q0)
 
 
+@settings(max_examples=60)
+@given(rqs, rqs)
+def test_integer_parts_equal_the_fraction_parts(x, y):
+    # the integer Surd against its Fraction-part oracle, at the five q0:
+    # the same parts after each operation, the same float and the same ==
+    for q0 in SURD_Q0:
+        try:
+            pairs = [(Surd.at(v, q0), FractionSurd.at(v, q0)) for v in (x, y)]
+        except EvaluationPole:
+            continue
+        (sx, fx), (sy, fy) = pairs
+        got = [sx + sy, sx * sy, -sx, sx]
+        want = [fx + fy, fx * fy, -fx, fx]
+        if fy:
+            got.append(sx / sy)
+            want.append(fx / fy)
+        else:
+            with pytest.raises(EvaluationPole):
+                sx / sy
+        for g, w in zip(got, want):
+            assert _parts(g) == (w.even, w.odd), (q0, g)
+            assert math.gcd(g.e, g.o, g.d) == 1 and g.d > 0
+            assert float(g).hex() == float(w).hex()
+        assert (sx == sy) == (fx == fy)
+
+
 def _general_mul(x, y):
-    a, b, c, d = x.even, x.odd, y.even, y.odd
-    return Surd(a * c + x.q0 * b * d, a * d + b * c, x.q0)
+    (a, b), (c, d) = _parts(x), _parts(y)
+    return _surd(a * c + x.q0 * b * d, a * d + b * c, x.q0)
 
 
 @settings(max_examples=40)
@@ -377,20 +490,20 @@ def test_surd_zero_odd_parts_stay_int(x, y):
             sx, sy = Surd.at(x, q0), Surd.at(y, q0)
         except EvaluationPole:
             continue
-        assert sx.odd == 0 and sy.odd == 0
+        assert sx.o == 0 and sy.o == 0
         prod = sx * sy
-        assert type(prod.odd) is int and prod.odd == 0
+        assert type(prod.o) is int and prod.o == 0
         assert prod == _general_mul(sx, sy)
         if sy:
             quot = sx / sy
-            assert type(quot.odd) is int and quot.odd == 0
+            assert type(quot.o) is int and quot.o == 0
             assert quot * sy == sx
 
 
 def test_surd_mixed_zero_parts_match_the_general_formula():
     for q0 in (Fraction(1, 4), Fraction(2, 3)):
-        zero_odd = [Surd(Fraction(3), Fraction(0), q0), Surd(Fraction(5), 0, q0)]
-        with_odd = [Surd(Fraction(-2, 7), Fraction(4, 3), q0), Surd(Fraction(0), Fraction(1, 5), q0)]
+        zero_odd = [_surd(3, Fraction(0), q0), _surd(5, 0, q0)]
+        with_odd = [_surd(Fraction(-2, 7), Fraction(4, 3), q0), _surd(0, Fraction(1, 5), q0)]
         for x in zero_odd + with_odd:
             for y in zero_odd + with_odd:
                 assert x * y == _general_mul(x, y), (x, y)
@@ -400,14 +513,14 @@ def test_surd_mixed_zero_parts_match_the_general_formula():
 
 def test_surd_division_by_zero_raises():
     for q0 in (Fraction(1, 4), Fraction(2, 3)):
-        for zero in (Surd(Fraction(0), 0, q0), Surd(Fraction(0), Fraction(0), q0)):
+        for zero in (_surd(0, 0, q0), _surd(Fraction(0), Fraction(0), q0)):
             with pytest.raises(EvaluationPole):
-                Surd(Fraction(1), 0, q0) / zero
+                _surd(1, 0, q0) / zero
             with pytest.raises(EvaluationPole):
-                Surd(Fraction(1), Fraction(1, 2), q0) / zero
+                _surd(1, Fraction(1, 2), q0) / zero
     # 1/2 - sqrt(1/4) is 0 with a nonzero odd part, which `Surd.at` never makes
     with pytest.raises(EvaluationPole):
-        Surd(Fraction(1), 0, Fraction(1, 4)) / Surd(Fraction(1, 2), Fraction(-1), Fraction(1, 4))
+        _surd(1, 0, Fraction(1, 4)) / _surd(Fraction(1, 2), -1, Fraction(1, 4))
 
 
 @pytest.mark.parametrize(
@@ -436,7 +549,7 @@ def test_surd_pole_raises(q0, pole):
 def test_surd_float_rounds_without_cancellation(q0, even, odd, norm):
     # even^2 - q0 odd^2 = norm: even + odd sqrt(q0) = norm / (even - odd
     # sqrt(q0)), far below the two floats near even whose naive sum cancels
-    x = Surd(Fraction(even), Fraction(odd), q0)
+    x = _surd(even, odd, q0)
     expected = float(norm) / (even - odd * math.sqrt(q0))
     assert abs(float(x) - expected) <= 1e-15 * abs(expected)
     assert float(-x) == -float(x)

@@ -33,6 +33,7 @@ from qsphere.spectral import (
 )
 from qsphere.uq import gen_E, gen_F, r_action
 from tests.test_corep import RECURSION_OPERANDS, expand_mul_mismatches, j0_coefficients
+from tests.test_scalar import _surd
 
 
 @functools.cache
@@ -48,6 +49,35 @@ def build_dirac(space: TruncatedSpace) -> np.ndarray:
     mat = np.zeros((space.dim, space.dim))
     mat[space.swap, range(space.dim)] = space.dirac
     return mat
+
+
+def _columns(eng, y):
+    """Dict-walk oracle of the engine's level tables: the reader column(key)
+    -> {row key: entry} of M(y), each level filled by `expand_mul` and
+    `_round` into one dict per column."""
+    table = {}
+
+    def column(key):
+        if key not in table:
+            s, n, _ = key
+            for twok, coeffs in eng.expand_mul(eng.terms(y), s, n).items():
+                table[s, n, twok] = dict(zip(coeffs, eng._round((s, n, twok), coeffs)))
+        return table[key]
+
+    return column
+
+
+def _dict_operator(space, column, top, transpose=False):
+    """Dict-walk oracle of `spectral._operator`: (rows, cols, vals) of
+    column(key) for each basis key of level n <= top in index order, rows
+    mapped through `space.pos` and cut off past npad."""
+    filled = [(i, column(key)) for key, i in space.pos.items() if key[1] <= top]
+    rows = np.array([space.pos.get(r, -1) for _, col in filled for r in col], dtype=np.intp)
+    cols = np.array([i for i, col in filled for _ in col], dtype=np.intp)
+    vals = np.array([c for _, col in filled for c in col.values()], dtype=float)
+    kept = rows >= 0  # -1 marks a row past npad
+    rows, cols = (cols[kept], rows[kept]) if transpose else (rows[kept], cols[kept])
+    return rows, cols, vals[kept]
 
 
 def _matrix(space, column, top, transpose=False):
@@ -132,12 +162,12 @@ def test_operators_past_the_ladder_cutoff_are_refused_up_front():
         haar_trace_check(gen_A, 3, space)
     with pytest.raises(CutoffExceeded):
         build_mult(gen_A, space)
-    assert not space.engine._columns and not space.engine._chains
+    assert not space.engine._levels and not space.engine._chains
     # at L = 46 one level of shift fits and two do not
     space = TruncatedSpace(Fraction(1, 13), 46)
-    spectral._mult_columns(gen_A, space)
+    spectral._mult_levels(gen_A, space, 0)
     with pytest.raises(CutoffExceeded):
-        spectral._mult_columns(gen_A * gen_A, space)
+        spectral._mult_levels(gen_A * gen_A, space, 0)
 
 
 def test_truncated_space_refuses_a_float_q0():
@@ -165,20 +195,32 @@ def _round_by_fractions(eng, key, coeffs):
     col = {}
     for alpha, c in coeffs.items():
         ratio = eng.norm2(alpha) / norm2
+        even, odd = Fraction(c.e, c.d), Fraction(c.o, c.d)
         entry = 0.0
-        if c.even:
-            entry += math.copysign(math.sqrt(c.even * c.even * ratio), c.even)
-        if c.odd:
-            entry += math.copysign(math.sqrt(c.odd * c.odd * eng.q0 * ratio), c.odd)
+        if even:
+            entry += math.copysign(math.sqrt(even * even * ratio), even)
+        if odd:
+            entry += math.copysign(math.sqrt(odd * odd * eng.q0 * ratio), odd)
         col[alpha] = entry
     return col
 
 
 def _rounding_engine(q0, norms):
-    """A fresh engine whose squared norms are read from norms."""
+    """A fresh engine whose squared norms are read from norms, and whose
+    norm ratios are their unreduced products."""
     eng = spectral._Engine(q0)
     eng.norm2 = norms.__getitem__
+
+    def ratio(alpha, beta):
+        a, b = norms[alpha], norms[beta]
+        return a.numerator * b.denominator, a.denominator * b.numerator
+
+    eng._norm_ratio = ratio
     return eng
+
+
+def _rounded(eng, key, coeffs):
+    return dict(zip(coeffs, eng._round(key, coeffs)))
 
 
 _PART = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**60))
@@ -194,9 +236,9 @@ def test_round_equals_the_fraction_route_bit_for_bit(q0, entries, norm_key):
     norms, coeffs = {key: norm_key}, {}
     for n, (even, odd, norm) in enumerate(entries, start=1):
         norms[-1, n, 1] = norm
-        coeffs[-1, n, 1] = Surd(even, odd if q0 == Fraction(2, 3) else 0, q0)
+        coeffs[-1, n, 1] = _surd(even, odd if q0 == Fraction(2, 3) else 0, q0)
     eng = _rounding_engine(q0, norms)
-    got, want = eng._round(key, coeffs), _round_by_fractions(eng, key, coeffs)
+    got, want = _rounded(eng, key, coeffs), _round_by_fractions(eng, key, coeffs)
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
@@ -206,11 +248,27 @@ def test_round_signs_a_coefficient_past_the_float_range():
     q0 = Fraction(2, 3)
     key, alpha = (1, 1, 1), (-1, 2, 1)
     eng = _rounding_engine(q0, {key: Fraction(10**700), alpha: Fraction(1)})
-    coeffs = {alpha: Surd(Fraction(-10**400), Fraction(10**400), q0)}
+    coeffs = {alpha: _surd(-10**400, 10**400, q0)}
     with pytest.raises(OverflowError):
         _round_by_fractions(eng, key, coeffs)
     entry = -math.sqrt(1e100) + math.sqrt(2 * 10**100 / 3)
-    assert eng._round(key, coeffs)[alpha].hex() == entry.hex()
+    assert _rounded(eng, key, coeffs)[alpha].hex() == entry.hex()
+
+
+def _keys(nmax):
+    """Keys (s, n, 2k) of the ladder through level nmax."""
+    return st.builds(lambda s, n, i: (s, n, 2 * (i % (2 * n)) - 2 * n + 1),
+                     st.sampled_from([1, -1]), st.integers(1, nmax), st.integers(0, 2 * nmax - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Fraction(9, 16), Fraction(2, 3)]), _keys(12), _keys(12))
+def test_factored_norm_ratio_equals_the_fraction_one(q0, alpha, beta):
+    # at a square and a non-square q0, N_alpha / N_beta from the exponents
+    # of the q-factorials is the ratio of the ladder's Fraction norms
+    eng = spectral._engine_for(q0)
+    num, den = eng._norm_ratio(alpha, beta)
+    assert Fraction(num, den) == eng.norm2(alpha) / eng.norm2(beta)
 
 
 def test_engine_evaluates_each_value_once():
@@ -237,7 +295,7 @@ def test_commutators_give_the_calculus(q0):
     D = build_dirac(space)
 
     def mult(y):
-        return _matrix(space, eng.columns(y), space.npad)
+        return _matrix(space, _columns(eng, y), space.npad)
 
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
         M = build_mult(x, space).toarray()
@@ -421,8 +479,8 @@ def test_sweep_expands_each_level_once_per_operator(monkeypatch):
 
     first = sweep()
     reached = {(tuple(sorted(eng.terms(y))), s, n)
-               for y, table in eng._columns.items() for s, n, _ in table}
-    assert eng._columns.keys() == {embed(gen_A), embed(gen_Bs)} and calls.keys() == reached
+               for y, table in eng._levels.items() for s, n in table}
+    assert eng._levels.keys() == {embed(gen_A), embed(gen_Bs)} and calls.keys() == reached
     assert set(calls.values()) == {1}, calls
     calls.clear()
     assert sweep() == first and not calls
@@ -435,7 +493,7 @@ def test_tau_expands_only_the_levels_it_reads(monkeypatch):
     # through level 10, and B itself is never expanded
     eng, calls = _counted_engine(monkeypatch, Fraction(1, 4))
     tau_trace_check(gen_A, gen_B, gen_Bs, 3, TruncatedSpace(Fraction(1, 4), 8))
-    top = {y: max(n for s, n, _ in table) for y, table in eng._columns.items()}
+    top = {y: max(n for s, n in table) for y, table in eng._levels.items()}
     assert top == {embed(gen_A): 9, embed(gen_Bs): 10}
     terms_B = tuple(sorted(eng.terms(embed(gen_B))))
     assert calls and all(xs != terms_B for xs, s, n in calls)
@@ -555,9 +613,26 @@ def test_star_pairs_transpose_bit_for_bit(q0):
     space, eng = TruncatedSpace(q0, 5), spectral._Engine(q0)
     dB = differential(gen_B)
     for y in (embed(gen_B), embed(gen_Bs), dB.ecomp, dB.fcomp):
-        direct = _matrix(space, eng.columns(y), space.npad)
-        read = _matrix(space, eng.columns(y.star()), space.npad, True)
+        direct = spectral._operator(space, eng.levels(y, space.npad)).toarray()
+        read = spectral._operator(space, eng.levels(y.star(), space.npad), True).toarray()
         assert direct.any() and direct.tobytes() == read.tobytes(), y
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(2, 3), Fraction(81, 100)])
+def test_level_tables_give_the_dict_walk_operator(q0):
+    # rows, cols and vals of the level-table operator, in the order of the
+    # per-column dict walk: s = 1 before -1, n and 2k rising, then each
+    # column's own order; at every top, transposed or not, with rows past
+    # npad cut off
+    space, eng = TruncatedSpace(q0, 4), spectral._Engine(q0)
+    dB = differential(gen_B)
+    for y in (embed(gen_A), embed(gen_Bs), dB.ecomp, dB.fcomp):
+        for top in (0, 2, space.npad):
+            for transpose in (False, True):
+                got = spectral._operator(space, eng.levels(y, top), transpose)
+                rows, cols, vals = _dict_operator(space, _columns(eng, y), top, transpose)
+                assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
+                assert got.vals.tobytes() == vals.tobytes(), (y, top, transpose)
 
 
 @pytest.mark.parametrize("q0", [0.25, 0.81])
@@ -658,6 +733,24 @@ def test_build_J_is_the_j0_expansion(q0):
         assert sign == s * (-1) ** ((twok - 1) // 2), (q0, s, n, twok)
         expected[space.pos[-s, n, -twok], space.pos[s, n, twok]] = -1j * s * sign
     assert np.array_equal(build_J(space), expected)
+
+
+@pytest.mark.parametrize("L", [1, 4, 9])
+def test_space_arrays_equal_the_key_walk(L):
+    # the positions, D, J and the family arrays by index arithmetic, against
+    # a walk over the keys (s, n, 2k) in index order
+    space = TruncatedSpace(Fraction(1, 4), L)
+    index = [(s, n, t) for s in (1, -1) for n in range(1, space.npad + 1)
+             for t in range(-(2 * n - 1), 2 * n, 2)]
+    pos = {key: i for i, key in enumerate(index)}
+    assert space.index == index and space.pos == pos and space.dim == len(index)
+    assert space.swap.tolist() == [pos[-s, n, t] for s, n, t in index]
+    assert space.flip.tolist() == [pos[-s, n, -t] for s, n, t in index]
+    dirac = np.array([-qnum(n, space.q0) for s, n, t in index])
+    jsign = np.array([(-1.0) ** ((t - 1) // 2) for s, n, t in index])
+    assert space.dirac.tobytes() == dirac.tobytes() and space.jsign.tobytes() == jsign.tobytes()
+    assert space.n.tolist() * 2 == [n for s, n, t in index]
+    assert space.twok.tolist() * 2 == [t for s, n, t in index]
 
 
 def test_operators_are_real_and_only_J_is_complex():
