@@ -102,7 +102,7 @@ class SparseComb:
 
     def _lift(self, other):
         """other in the space of self: a scalar becomes a multiple of one."""
-        if isinstance(other, type(self)):
+        if type(other) is type(self) or isinstance(other, type(self)):
             return other
         if isinstance(other, _SCALARS):
             c = _as_q(other)
@@ -175,10 +175,11 @@ class SparseComb:
         raise TypeError("this space has no product")
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
+        if type(other) is not type(self):  # before the ABC check of _SCALARS
+            if isinstance(other, _SCALARS):
+                return self.scale(other)
+            if not isinstance(other, type(self)):
+                return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

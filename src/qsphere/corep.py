@@ -10,19 +10,21 @@ action of F and the column index k by the left action of E,
 so the normalised vectors phi = w/|w| follow phi_{j+1} = -R_F phi_j/alpha
 and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  Squared
 norms come from those step factors alone, from |a^(2l)|^2 = q^(2l)/[2l+1],
-without the vectors; no square root enters.  Vectors are built on demand:
-one (s, n) holds its bottom vector and the part of its E-chain read so far.
+without the vectors; no square root enters.  Vectors, and their norms, are
+built on demand: one (s, n) holds its bottom vector and the part of its
+E-chain read so far.
 
 `Ladder` is the one implementation of the ladder and of the expansion of an
 element in it, a triangular solve on top-degree monomials; `expand_mul`
-solves one column of M(x) per level and fills the rest by U_q-covariance
-(the q-Wigner-Eckart theorem).  It keys a vector (s, n, 2k) with s = 2j
-and computes with +, -, * and / alone, on the values `value` gives the
-exact coefficients: the RationalQ itself here, and its `scalar.Surd` at a
-rational q0 in `spectral._Engine`.  Spins run to 2l <= MAX_TWOL, the one
-cutoff of both layers.  `vplus_vminus_basis` and `mult_matrix`
-read the module's exact `LADDER` and key a vector (2l, 2j, 2k):
-half-integers are stored doubled so all indices are ints.
+solves one column of M(x) per level, from the expansions of each monomial
+of x times the bottom vector, solved once per level, and fills the rest by
+U_q-covariance (the q-Wigner-Eckart theorem).  It keys a vector (s, n, 2k)
+with s = 2j and computes with +, -, * and / alone, on the values `value`
+gives the exact coefficients: the RationalQ itself here, and its
+`scalar.Surd` at a rational q0 in `spectral._Engine`.  Spins run to 2l <=
+MAX_TWOL, the one cutoff of both layers.  `vplus_vminus_basis` and
+`mult_matrix` read the module's exact `LADDER` and key a vector (2l, 2j,
+2k): half-integers are stored doubled so all indices are ints.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ def _f_step(x):
     return -r_action(gen_F, x)
 
 
-# an unnormalised ladder vector: terms {mono: coefficient}, exact squared norm
-Vector = namedtuple("Vector", "terms norm2")
+class Vector(namedtuple("Vector", "terms ladder key")):
+    """An unnormalised ladder vector {mono: coefficient}; norm2 on demand."""
+
+    __slots__ = ()
+    norm2 = property(lambda self: self.ladder.norm2(self.key))
 
 
 class Ladder:
@@ -75,6 +80,7 @@ class Ladder:
         self._pairings = {}  # (m2, m1) -> h(m2* m1)
         self._chains = {}  # (s, n) -> the E-chain of vector terms built so far
         self._norms = {}  # (s, n) -> the squared norms of the level, by 2k
+        self._lowest = {}  # (s, n) -> {mono: expand(mul(mono, w_{s,n,-2l}))}
         self._qints = []  # [m] at index m
         self._halfpows = {}  # m -> q^(m/2)
 
@@ -151,8 +157,6 @@ class Ladder:
         twol = 2 * n - 1
         norms = self._norms.get((s, n))
         if norms is None:
-            if twol > MAX_TWOL:
-                raise CutoffExceeded(f"2l = {twol} exceeds the cutoff {MAX_TWOL}")
             qi = self._qints
             while len(qi) <= twol + 1:
                 qi.append(self.rational(self.value(qint(len(qi)))))
@@ -168,9 +172,10 @@ class Ladder:
         """w_key, extending the E-chain of its (s, n) only as far as 2k; the
         chain starts at a^(2l), raised by the F-steps to 2j = s."""
         s, n, twok = key
-        norm2 = self.norm2(key)
         chain = self._chains.get((s, n))
         if chain is None:
+            if 2 * n - 1 > MAX_TWOL:
+                raise CutoffExceeded(f"2l = {2 * n - 1} exceeds the cutoff {MAX_TWOL}")
             if s == 1:
                 w = self.apply(_f_step, self.vector((-1, n, 1 - 2 * n)).terms)
             else:
@@ -180,7 +185,7 @@ class Ladder:
             chain = self._chains[s, n] = [w]
         while len(chain) <= (twok + 2 * n - 1) // 2:
             chain.append(self.apply(_e_step, chain[-1]))
-        return Vector(chain[(twok + 2 * n - 1) // 2], norm2)
+        return Vector(chain[(twok + 2 * n - 1) // 2], self, key)
 
     def level(self, n: int) -> dict:
         """All j = +-1/2 vectors of spin n - 1/2, keyed (2j, 2k)."""
@@ -243,8 +248,7 @@ class Ladder:
         t = w + 2k, so x is never split by weight.
         """
         twol = 2 * n - 1
-        bottom = self.vector((s, n, -twol)).terms
-        chain = [self.expand(self.mul(x, bottom)) for x in self.e_chain(xs)]
+        chain = [self._lowest_column(x, s, n) for x in self.e_chain(xs)]
         chain.append({})
         out = {-twol: chain[0]}
         for twok in range(-twol, twol, 2):
@@ -258,6 +262,22 @@ class Ladder:
                 chain[i] = col
             out[twok + 2] = chain[0]
         return out
+
+    def _lowest_column(self, xs: dict, s: int, n: int) -> dict:
+        """expand(mul(xs, w_{s,n,-2l})) by linearity from the expansion of
+        each monomial times the bottom vector, in the key order of `expand`:
+        weight groups as first met, n falling within each."""
+        cols = self._lowest.setdefault((s, n), {})
+        out = {}
+        for m, c in xs.items():
+            col = cols.get(m)
+            if col is None:
+                bottom = self.vector((s, n, 1 - 2 * n)).terms
+                col = cols[m] = self.expand(self.mul({m: self.value(Q_ONE)}, bottom))
+            for key, v in col.items():
+                add_term(out, key, c * v)
+        rank = {g: i for i, g in enumerate(dict.fromkeys(key[::2] for key in out))}
+        return dict(sorted(out.items(), key=lambda kv: (rank[kv[0][::2]], -kv[0][1])))
 
 
 # the exact ladder, shared by every caller

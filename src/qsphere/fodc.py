@@ -240,10 +240,12 @@ def act_on_chain(f: UqElement, eta: Chain) -> Chain:
     return out
 
 
+@lru_cache(maxsize=256)
 def tau(x0: PodlesElement, x1: PodlesElement, x2: PodlesElement) -> RationalQ:
     """The twisted cyclic 2-cocycle
     tau(x0, x1, x2) = h(x0 (R_F(x1) R_E(x2) - q^2 R_E(x1) R_F(x2))), with
-    the derivations cached and h(x0 kernel) read by `haar_product`."""
+    the derivations cached and h(x0 kernel) read by `haar_product`; memoised,
+    since coboundaries, cyclic checks and sweeps in L repeat triples."""
     kernel = r_f(x1) * r_e(x2) - (r_e(x1) * r_f(x2)).scale(qpow(2))
     return haar_product(embed(x0), kernel)
 

@@ -12,8 +12,10 @@ together with h(1) = 1 they determine the state uniquely.
 
 haar_product reads h(x y) off the (bc)^n terms of coordalg.mono_mul over
 the pairs of monomials whose weights cancel, without building the product's
-normal form.  Each value sums coefficient * h((bc)^n) over n and is reduced
-once, by `scalar.sum_products`, not after each term.
+normal form.  As h((bc)^n) = (-q)^n / (1 + q^2 + ... + q^(2n)), a sum of
+c_n h((bc)^n) with top level N is (sum c_n w_n) / L_N, over one cached
+denominator L_N = prod Phi_d(q^2), 2 <= d <= N + 1, reduced once; a c_n
+with a denominator or a Fraction coefficient goes to `sum_products`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 from .comb import add_term
 from .coordalg import CoordElement, mono_mul
 from .podles import PodlesElement, embed
-from .scalar import Q_ONE, RationalQ, qhalfpow, qpow, sum_products
+from .scalar import Q_ONE, RationalQ, is_integral, qgeom, qhalfpow, qpow, sum_over, sum_products
 from .uq import left_weight, right_weight
 
 
@@ -38,10 +40,29 @@ def haar_value_A(n: int) -> RationalQ:
     return (Q_ONE - qpow(2)) / (Q_ONE - qpow(2 * n + 2))
 
 
+@lru_cache(maxsize=32)
+def _bc_denominator(top: int):
+    """(L, w): the lcm L of the denominators of h((bc)^n), n <= top, and
+    w[n] = h((bc)^n) L; level top joins 1 + q^2 + ... + q^(2 top) to L."""
+    if top == 0:
+        return Q_ONE, (Q_ONE,)
+    den, w = _bc_denominator(top - 1)
+    ratio = den / qgeom(top + 1, 0, 4)
+    v = RationalQ(ratio.den)
+    return den * v, (*(x * v for x in w), qhalfpow(2 * top, (-1) ** top) * RationalQ(ratio.num))
+
+
+def _bc_sum(acc: dict) -> RationalQ:
+    """sum c_n h((bc)^n) over {n: c_n}, reduced once."""
+    if acc and all(map(is_integral, acc.values())):
+        den, w = _bc_denominator(max(acc))
+        return sum_over(((c, w[n]) for n, c in acc.items()), den)
+    return sum_products((c, _h_bc(n)) for n, c in acc.items())
+
+
 def haar(x: CoordElement) -> RationalQ:
     """The invariant state, read off the powers of bc among x's monomials."""
-    terms = x.terms.items()
-    return sum_products((k, _h_bc(b)) for (a, b, c, d), k in terms if a == d == 0 and b == c)
+    return _bc_sum({b: k for (a, b, c, d), k in x.terms.items() if a == d == 0 and b == c})
 
 
 def haar_podles(x: PodlesElement) -> RationalQ:
@@ -62,7 +83,7 @@ def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
             for (a, b, _, d), w in mono_mul(m1, m2):
                 if a == d == 0:
                     add_term(acc, b, c * w)
-    return sum_products((c, _h_bc(n)) for n, c in acc.items())
+    return _bc_sum(acc)
 
 
 def inner(x: CoordElement, y: CoordElement) -> RationalQ:

@@ -10,16 +10,19 @@ it is not; floats are refused.  int and Fraction compare and hash alike, so
 equality stays structural, while products of integral polynomials, the
 bulk of the algebra layers' work, run on big ints alone.
 
-Reduction runs on integers.  A nonzero p is content * s^lo * f(s) with f a
-primitive integer coefficient list (`_primitive`), packed into one int f(xi)
-at xi = 2^k and unpacked from its balanced base-xi digits, which recover f
-when xi > 2 |f|_inf.  `poly_gcd` takes the big-int gcd h of two such values
-(GCDHEU) and returns it with the cofactors f/h and g/h that the exact
-divisions accepting h computed; `_reduce` makes num/den canonical from these
-by one shift and one monic scale.  After `_HEU_DOUBLINGS` doublings of k,
-Euclid over Fraction finds the gcd and `poly_exact_div` the cofactors.
-`sum_products` reduces a sum of products once: it adds the numerators over
-each denominator and joins the few distinct denominators over their lcm.
+Reduction runs on integers.  A nonzero p is content * s^lo * f(x) with f a
+primitive integer coefficient list (`_primitive`) in the stride variable
+x = s^g of the operands (`_stride`), so a polynomial in q^2 fills every
+slot, packed into one int f(xi) at xi = 2^k and unpacked from its balanced
+base-xi digits, which recover f when xi > 2 |f|_inf.  `poly_gcd` takes the
+big-int gcd h of two such values (GCDHEU) and returns it with the cofactors
+f/h and g/h that the exact divisions accepting h computed; `_reduce` makes
+num/den canonical from these by one shift and one monic scale.  After
+`_HEU_DOUBLINGS` doublings of k, Euclid over Fraction finds the gcd and
+`poly_exact_div` the cofactors.  `sum_products` reduces a sum of products
+once: it adds the numerators over each denominator and joins the few
+distinct denominators over their lcm; `sum_over` divides a sum of products
+of integer polynomials by one denominator, its numerator one packed sum.
 
 `qpow`, `qhalfpow`, `qgeom` (a geometric sum of half powers), `qint` and
 `qlambda` build the constants of the algebra layers; only `coordalg` keeps
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DivisionByZero, EvaluationPole
 
@@ -102,7 +104,7 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_one(self):
-        return self.coeffs == {0: 1}
+        return self.coeffs == _ONE_COEFFS
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -203,8 +205,9 @@ class LaurentPoly:
         return f"LaurentPoly({render_poly(self)!r})"
 
 
+_ONE_COEFFS = {0: 1}
 _LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({0: 1})
+_LP_ONE = LaurentPoly(_ONE_COEFFS)
 
 
 def power(x, n, one):
@@ -257,32 +260,43 @@ def _euclid_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 _HEU_DOUBLINGS = 3  # doublings of k before the integer path gives up
 
 
-def _primitive(p: LaurentPoly):
-    """(content, f): p = content * s^min_exp * sum f[i] s^i, with the
-    content a positive int or Fraction and f integer with coprime entries."""
+def _stride(*polys: LaurentPoly) -> int:
+    """The largest g with each nonzero p = s^lo times a polynomial in s^g,
+    by one pass per operand; 1 when every operand is a monomial."""
+    g = 0
+    for p in polys:
+        e0 = next(iter(p.coeffs))
+        g = math.gcd(g, *(e - e0 for e in p.coeffs))
+    return g or 1
+
+
+def _primitive(p: LaurentPoly, g=1):
+    """(content, f): p = content * s^min_exp * sum f[i] s^(g i), for g
+    dividing p's exponent offsets, with the content a positive int or
+    Fraction and f integer with coprime entries."""
     coeffs = p.coeffs
     lo = min(coeffs)
-    f = [0] * (max(coeffs) - lo + 1)
+    f = [0] * ((max(coeffs) - lo) // g + 1)
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     if den == 1:
         for e, c in coeffs.items():
-            f[e - lo] = c
+            f[(e - lo) // g] = c
     else:
         for e, c in coeffs.items():
-            f[e - lo] = c.numerator * (den // c.denominator)
+            f[(e - lo) // g] = c.numerator * (den // c.denominator)
     g = math.gcd(*f)
     if g != 1:
         f = [v // g for v in f]
     return (g if den == 1 else Fraction(g, den)), f
 
 
-def _from_ints(f, lo, c):
-    """The LaurentPoly c * s^lo * sum f[i] s^i, for an integer list f and a
-    nonzero int or Fraction c."""
+def _from_ints(f, lo, c, g=1):
+    """The LaurentPoly c * s^lo * sum f[i] s^(g i), for an integer list f
+    and a nonzero int or Fraction c."""
     n, d = c.numerator, c.denominator
     if d == 1:
-        return _wrap({lo + i: n * v for i, v in enumerate(f) if v})
-    return _wrap({lo + i: _ratio(n * v, d) for i, v in enumerate(f) if v})
+        return _wrap({lo + g * i: n * v for i, v in enumerate(f) if v})
+    return _wrap({lo + g * i: _ratio(n * v, d) for i, v in enumerate(f) if v})
 
 
 def _pack(f, k):
@@ -336,7 +350,8 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
     primitive part h of the balanced digits of the big-int gcd(f(xi), g(xi))
     is the gcd as soon as it divides both f and g (`_int_quo`), and those
     two quotients give the cofactors.  Otherwise k doubles, `_HEU_DOUBLINGS`
-    times, and then Euclid over Fraction decides."""
+    times, and then Euclid over Fraction decides.  In the stride variable
+    x = s^g, gcd(A(x^g), B(x^g)) = gcd(A, B)(x^g) by Bezout."""
     if not (a and b):
         p = a or b
         if not p:
@@ -344,8 +359,9 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
         lo, lc = p.min_exp(), p.leading_coeff()
         h, unit = p.shift(-lo).scale(Fraction(1, lc)), LaurentPoly({lo: lc})
         return (h, unit, _LP_ZERO) if p is a else (h, _LP_ZERO, unit)
-    ca, f = _primitive(a)
-    cb, g = _primitive(b)
+    stride = _stride(a, b)
+    ca, f = _primitive(a, stride)
+    cb, g = _primitive(b, stride)
     k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
     for _ in range(_HEU_DOUBLINGS + 1):
         h = _unpack(math.gcd(_pack(f, k), _pack(g, k)), k)
@@ -358,9 +374,9 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
         if qg is not None:
             lc = h[-1]  # > 0: the leading digit of a positive int
             return (
-                _from_ints(h, 0, Fraction(1, lc)),
-                _from_ints(qf, a.min_exp(), ca * lc),
-                _from_ints(qg, b.min_exp(), cb * lc),
+                _from_ints(h, 0, Fraction(1, lc), stride),
+                _from_ints(qf, a.min_exp(), ca * lc, stride),
+                _from_ints(qg, b.min_exp(), cb * lc, stride),
             )
         k *= 2
     h = _euclid_gcd(a, b)
@@ -372,20 +388,21 @@ def poly_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     The primitive parts divide by one packed big-int divmod, checked by
     multiplying back (`_int_quo`); the contents and the powers of q^(1/2)
-    divide apart.  When the packed path cannot prove the division, polynomial
-    division over Fraction decides."""
+    divide apart.  If D(x^g) divides N(x^g) in the stride variable, division
+    with remainder in Q[x] shows that D divides N.  When the packed path
+    cannot prove the division, polynomial division over Fraction decides."""
     if num.is_zero():
         return _LP_ZERO
-    shift = num.min_exp() - den.min_exp()
-    cn, f = _primitive(num)
-    cd, h = _primitive(den)
+    shift, stride = num.min_exp() - den.min_exp(), _stride(num, den)
+    cn, f = _primitive(num, stride)
+    cd, h = _primitive(den, stride)
     q = _int_quo(f, h)
     if q is None:
         q, r = _dense_divmod([Fraction(v) for v in f], h)
         if any(r):
             raise ValueError("non-exact polynomial division")
         q = [int(v) for v in q]  # integral by Gauss's lemma: h is primitive
-    return _from_ints(q, shift, _ratio(cn, cd))
+    return _from_ints(q, shift, _ratio(cn, cd), stride)
 
 
 class RationalQ:
@@ -432,10 +449,11 @@ class RationalQ:
         return bool(self.num.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalQ(other)
-        if not isinstance(other, RationalQ):
-            return NotImplemented
+        if type(other) is not RationalQ:  # first: Fraction's isinstance is an ABC check
+            if isinstance(other, (int, Fraction)):
+                other = RationalQ(other)
+            elif not isinstance(other, RationalQ):
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -451,10 +469,11 @@ class RationalQ:
     # -- field arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalQ(other)
-        elif not isinstance(other, RationalQ):
-            return NotImplemented
+        if type(other) is not RationalQ:
+            if isinstance(other, (int, Fraction)):
+                other = RationalQ(other)
+            elif not isinstance(other, RationalQ):
+                return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RationalQ._raw(self.num + other.num)
         return sum_products(((self, Q_ONE), (other, Q_ONE)))
@@ -475,12 +494,11 @@ class RationalQ:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Q_ZERO
-            return RationalQ._raw(self.num.scale(other), self.den)
-        if not isinstance(other, RationalQ):
-            return NotImplemented
+        if type(other) is not RationalQ:
+            if isinstance(other, (int, Fraction)):
+                return RationalQ._raw(self.num.scale(other), self.den) if other else Q_ZERO
+            if not isinstance(other, RationalQ):
+                return NotImplemented
         # a polynomial times a polynomial, or a unit c q^(n/2) times a reduced
         # fraction, is reduced: a unit shares no factor with a denominator
         a, b = (other, self) if other.den.is_one() else (self, other)
@@ -546,17 +564,35 @@ def sum_products(pairs) -> RationalQ:
         return Q_ZERO
     (den, num), *rest = groups.items()
     for d, n in rest:
-        u, v, lcm = _lcm(den, d)
-        num, den = num * v + n * u, lcm
+        _, u, v = poly_gcd(den, d)
+        num, den = num * v + n * u, den * v
     return RationalQ(num, den)
 
 
-@lru_cache(maxsize=256)
-def _lcm(a: LaurentPoly, b: LaurentPoly):
-    """(u, v, a v) with a = g u and b = g v for g = gcd(a, b); the few
-    denominators of a workload's sums recur, so their joins are cached."""
-    _, u, v = poly_gcd(a, b)
-    return u, v, a * v
+def is_integral(x: RationalQ) -> bool:
+    """Whether x is a polynomial with int coefficients."""
+    return x.den.is_one() and all(type(v) is int for v in x.num.coeffs.values())
+
+
+def sum_over(pairs, den: RationalQ) -> RationalQ:
+    """(sum x y over the (x, y) pairs) / den, reduced once, for x, y and den
+    polynomials with int coefficients (`is_integral`).  Packed in s^g at
+    2^k, the products sum as big ints, unpacked once into balanced digits:
+    exact while 2^(k-1) exceeds the coefficient bound sum |x|_inf |y|_1."""
+    pairs = [(x.num.coeffs, y.num.coeffs) for x, y in pairs if x and y]
+    if not pairs:
+        return Q_ZERO
+    xlo, ylo = (min(min(p[i]) for p in pairs) for i in (0, 1))
+    g = math.gcd(*(e - xlo for x, _ in pairs for e in x),
+                 *(e - ylo for _, y in pairs for e in y)) or 1
+    k = sum(max(map(abs, x.values())) * sum(map(abs, y.values())) for x, y in pairs)
+    k = k.bit_length() + 1
+    total = 0
+    for x, y in pairs:
+        total += (sum(v << k * ((e - xlo) // g) for e, v in x.items())
+                  * sum(v << k * ((e - ylo) // g) for e, v in y.items()))
+    num = _from_ints(_unpack(total, k), xlo + ylo, 1, g)
+    return RationalQ(num, den.num)
 
 
 def qpow(k):

@@ -46,7 +46,8 @@ long as its entry is in it.  So M(x*) = M(x)^T holds to the bit, and
 `build_mult` fills only the member of {x, x*} with the shorter E-chain (x
 on a tie), transposing it for the other: in the checks, B is read off B*'s
 tables.  Vectors and tables are built once per q0 and shared by every
-space at that q0; the engines of the few most recent q0 are kept.
+space at that q0; the engines of the few most recent q0 are kept.  A check
+embeds each operand once; `fodc` memoises the exact tau per triple.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coordalg import CoordElement
 from .corep import MAX_TWOL, Ladder, Vector
 from .errors import CutoffExceeded
 from .fodc import tau
-from .haar import haar_podles
-from .podles import PodlesElement, embed
+from .haar import haar
+from .podles import PodlesElement, embed, recognize
 from .report import record
 from .scalar import Surd, evaluate
 
@@ -293,33 +295,34 @@ def _commutator(space: TruncatedSpace, M: Operator) -> Operator:
             - Operator(M.rows, cols, M.vals * space.dirac[cols], M.dim))
 
 
-def _shift(x: PodlesElement) -> int:
-    """The most levels M(x) moves a basis vector by."""
-    return (embed(x).degree() + 1) // 2
+def _shift(y: CoordElement) -> int:
+    """The most levels M(y) moves a basis vector by, for an embedded y."""
+    return (y.degree() + 1) // 2
 
 
-def _mult_levels(x: PodlesElement, space: TruncatedSpace, top: int) -> list:
-    """The level tables of M(x) through level top; its columns reach spin
-    npad + _shift(x) - 1/2, so one past the cutoff is refused up front."""
-    if (twol := 2 * (space.npad + _shift(x)) - 1) > MAX_TWOL:
-        raise CutoffExceeded(f"M({x}) at L = {space.L} needs 2l = {twol}, past the cutoff "
-                             f"{MAX_TWOL}")
-    return space.engine.levels(embed(x), top)
+def _mult_levels(y: CoordElement, space: TruncatedSpace, top: int) -> list:
+    """The level tables of M(y) through level top; its columns reach spin
+    npad + _shift(y) - 1/2, so one past the cutoff is refused up front."""
+    if (twol := 2 * (space.npad + _shift(y)) - 1) > MAX_TWOL:
+        raise CutoffExceeded(f"M({recognize(y)}) at L = {space.L} needs 2l = {twol}, past the "
+                             f"cutoff {MAX_TWOL}")
+    return space.engine.levels(y, top)
 
 
-def build_mult(x: PodlesElement, space: TruncatedSpace, top=None) -> Operator:
-    """Left multiplication by a sphere element, a sparse `Operator` in the
-    orthonormal basis; the image outside the two families is projected away.
-    Only the columns of levels n <= top hold entries, every level by default.
-    M(x) is M(x*)^T, so when x* has the shorter E-chain, M(x*) is filled
-    through top + _shift(x), the rows that columns up to top read, transposed."""
-    top, eng, y = space.npad if top is None else top, space.engine, embed(x)
+def build_mult(x, space: TruncatedSpace, top=None) -> Operator:
+    """Left multiplication by a sphere element x or its embedding y, a sparse
+    `Operator` in the orthonormal basis; the image outside the two families
+    is projected away.  Only the columns of levels n <= top hold entries,
+    every level by default.  M(y) is M(y*)^T, so when y* has the shorter
+    E-chain, M(y*) is filled through top + _shift(y), transposed."""
+    top, eng = space.npad if top is None else top, space.engine
+    y = embed(x) if isinstance(x, PodlesElement) else x
     if y not in eng.reads_star:
         eng.reads_star[y] = len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y)))
     if eng.reads_star[y]:
-        star = _mult_levels(x.star(), space, min(space.npad, top + _shift(x)))
+        star = _mult_levels(y.star(), space, min(space.npad, top + _shift(y)))
         return _operator(space, star, True)
-    return _operator(space, _mult_levels(x, space, top))
+    return _operator(space, _mult_levels(y, space, top))
 
 
 def _window(space: TruncatedSpace, nmax: int) -> np.ndarray:
@@ -439,11 +442,12 @@ def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, boun
 def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
     """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
     # diagonal entries, exact at every level, at most one per row, never -0.0
-    M = _operator(space, _mult_levels(x, space, space.npad))
+    y = embed(x)
+    M = _operator(space, _mult_levels(y, space, space.npad))
     on = M.rows == M.cols
     diag = np.bincount(M.rows[on], M.vals[on], space.dim)
     return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, 0.0, space.npad,
-                         haar_podles(x), z, space, _shift(x), abs(diag))
+                         haar(y), z, space, _shift(y), abs(diag))
 
 
 def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
@@ -451,38 +455,34 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     from the diagonal on levels n <= top only: entry (i, k) of the sparse
     x0 [D,x1] joined with entry (k, i) of [D,x2].  The terms of diag_i sum
     to at most row i of |M(x0)| times the max row sums of |[D,x]|."""
-    s0, s1, s2 = _shift(x0), _shift(x1), _shift(x2)
+    y0, y1, y2 = embed(x0), embed(x1), embed(x2)
+    s0, s1, s2 = _shift(y0), _shift(y1), _shift(y2)
     top = space.npad - s0 - s1 - s2
-    m0 = build_mult(x0, space, top + s0)
-    c1 = _commutator(space, build_mult(x1, space, top + min(s2, s0 + s1)))
-    c2 = _commutator(space, build_mult(x2, space, top))
+    m0 = build_mult(y0, space, top + s0)
+    c1 = _commutator(space, build_mult(y1, space, top + min(s2, s0 + s1)))
+    c2 = _commutator(space, build_mult(y2, space, top))
     bound = m0.abs_row_sums() * c1.abs_row_sums().max() * c2.abs_row_sums().max()
     diag = (m0 @ c1).diagonal(c2)
     inputs = {"x0": str(x0), "x1": str(x1), "x2": str(x2), "z": z}
-    return _trace_record("tau_trace", inputs, diag, -space.q0**2, top, _tau(x0, x1, x2), z,
+    return _trace_record("tau_trace", inputs, diag, -space.q0**2, top, tau(x0, x1, x2), z,
                          space, s0 + s1 + s2, bound)
-
-
-@functools.lru_cache(maxsize=64)
-def _tau(x0, x1, x2):
-    """The exact tau(x0, x1, x2), once per triple for a sweep in L."""
-    return tau(x0, x1, x2)
 
 
 def commutant_checks(x: PodlesElement, y: PodlesElement, space: TruncatedSpace):
     """[M(x), J M(y)* J^-1] = 0 and [[D, M(x)], J M(y)* J^-1] = 0 on the
     trusted window, which reads M(x) and M(y) through level top."""
-    top = space.npad - max(_shift(x), _shift(y))
-    Mx = build_mult(x, space, top)
+    ex, ey = embed(x), embed(y)
+    sx, sy = _shift(ex), _shift(ey)
+    Mx = build_mult(ex, space, space.npad - max(sx, sy))
     # J M(y)* J^-1 = U M(y)^T U^H, with U = -i times the signed permutation
     # of flip and jsign: an entry v of M(y) at (i, j) moves to (flip j,
     # flip i) as jsign_j jsign_i v
-    My = build_mult(y, space, top)
+    My = build_mult(ey, space, space.npad - max(sx, sy))
     conj_y = Operator(space.flip[My.cols], space.flip[My.rows],
                       My.vals * (space.jsign[My.cols] * space.jsign[My.rows]), space.dim)
     DMx = _commutator(space, Mx)
     keep = np.zeros(space.dim, dtype=bool)
-    keep[_window(space, space.npad - _shift(x) - _shift(y))] = True
+    keep[_window(space, space.npad - sx - sy)] = True
     inputs = {"x": str(x), "y": str(y)}
     return [
         record(name, inputs, float(abs(c.vals[keep[c.rows] & keep[c.cols]]).max(initial=0.0)),

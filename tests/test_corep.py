@@ -230,6 +230,54 @@ def test_expand_mul_equals_the_solve_per_column(x):
     assert expand_mul_mismatches(LADDER, x, range(1, 4)) == []
 
 
+def lowest_column_mismatches(ladder, x, levels):
+    """(s, n, i) where the lowest column of E^i |> x, combined from the
+    per-monomial expansions, differs from the solve expand(mul(E^i |> x,
+    w_{s,n,-2l})), in a value or in the order of its keys."""
+    bad = []
+    for s in (1, -1):
+        for n in levels:
+            bottom = ladder.vector((s, n, 1 - 2 * n)).terms
+            for i, xs in enumerate(ladder.e_chain(ladder.terms(embed(x)))):
+                want = ladder.expand(ladder.mul(xs, bottom))
+                if list(ladder._lowest_column(xs, s, n).items()) != list(want.items()):
+                    bad.append((s, n, i))
+    return bad
+
+
+@pytest.mark.parametrize("x", [gen_A, gen_B, gen_Bs, gen_A * gen_B, gen_Bs * gen_B,
+                               PodlesElement.one() + gen_A.scale(qhalfpow(2)),
+                               gen_B * gen_B * gen_Bs + gen_A * gen_A], ids=str)
+def test_lowest_columns_per_monomial_equal_the_solve(x):
+    # over Q(q^(1/2)) on the exact ladder, l <= 7/2; in the last three the
+    # monomials of one chain member reach the levels in different orders,
+    # and the last mixes left weights
+    assert lowest_column_mismatches(LADDER, x, range(1, 5)) == []
+
+
+def test_e_chains_of_the_generators_share_four_monomials(monkeypatch):
+    # the chains of A, B and B* read the monomials bc, bd, ac and 1 alone,
+    # so a level of M(A), M(B) and M(B*) solves four products
+    monkeypatch.setattr(corep, "LADDER", corep.Ladder())
+    for x in (gen_A, gen_B, gen_Bs):
+        corep.LADDER.expand_mul(corep.LADDER.terms(embed(x)), 1, 3)
+    assert sorted(corep.LADDER._lowest[1, 3]) == [(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0),
+                                                 (1, 0, 1, 0)]
+
+
+def test_ladder_vectors_read_norms_on_demand():
+    # building vectors fills no norm table; a vector past the cutoff is
+    # refused before any chain is built
+    ladder = corep.Ladder()
+    v = ladder.vector((1, 3, 1))
+    assert not ladder._norms
+    assert v.norm2 == inner(CoordElement._raw(v.terms), CoordElement._raw(v.terms))
+    assert set(ladder._norms) == {(1, 3)}
+    with pytest.raises(CutoffExceeded):
+        ladder.vector((-1, corep.MAX_TWOL // 2 + 2, 1))
+    assert set(ladder._chains) <= {(1, 3), (-1, 3)}
+
+
 def _j0_image(x):
     """J0 x = i (K |> x* <| K) up to the factor i."""
     return act_left(gen_K, act_right(x.star(), gen_K))

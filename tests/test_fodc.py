@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsphere import fodc
 from qsphere.coordalg import gen_a, gen_b, gen_c, gen_d
 from qsphere.errors import ArityError
 from qsphere.fodc import (
@@ -395,3 +396,11 @@ def test_arity_guards():
         pair_chain(TAU, Chain.of(gen_A, gen_A))
     with pytest.raises(ArityError):
         TAU(gen_A, gen_A)
+
+
+def test_tau_is_memoised_per_triple():
+    assert fodc.tau.cache_parameters()["maxsize"] == 256
+    fodc.tau(gen_A, gen_B, gen_Bs)
+    hits = fodc.tau.cache_info().hits
+    assert fodc.tau(gen_A, gen_B, gen_Bs) == fodc.tau_via_volume(gen_A, gen_B, gen_Bs)
+    assert fodc.tau.cache_info().hits == hits + 1

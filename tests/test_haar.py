@@ -1,12 +1,14 @@
 """Tests for the invariant state and its inner product."""
 
 from fractions import Fraction
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
+from qsphere import haar as haar_module
 from qsphere.haar import (
     haar,
     haar_podles,
@@ -15,7 +17,16 @@ from qsphere.haar import (
     inner,
 )
 from qsphere.podles import embed, gen_A, sigma
-from qsphere.scalar import LaurentPoly, Q_ONE, Q_ZERO, RationalQ, evaluate, qhalfpow, qpow
+from qsphere.scalar import (
+    LaurentPoly,
+    Q_ONE,
+    Q_ZERO,
+    RationalQ,
+    evaluate,
+    qhalfpow,
+    qpow,
+    sum_products,
+)
 from qsphere.uq import (
     act_left,
     act_right,
@@ -158,3 +169,32 @@ def test_inner_positive_at_numeric_points_randomized(x):
 def test_r_is_star_representation_randomized(f, x, y):
     # (x, R_f(y)) = (R_(f*)(x), y)
     assert inner(x, r_action(f, y)) == inner(r_action(uq_star(f), x), y)
+
+
+def _level_coefficients(rng, top, fraction):
+    """{n: c_n} with n <= top, the top level included; integer polynomials,
+    and with fraction a c_n with a Fraction coefficient and one with a
+    denominator."""
+    def poly():
+        return RationalQ(LaurentPoly({2 * rng.randint(-4, 4) + rng.randint(0, 1): rng.randint(-9, 9)
+                                      for _ in range(rng.randint(1, 4))}))
+    acc = {n: poly() for n in rng.sample(range(top + 1), rng.randint(0, top + 1))}
+    acc[top] = poly() + qpow(1)
+    if fraction:
+        acc[rng.randint(0, top)] = RationalQ(Fraction(rng.randint(1, 5), 7)) * poly()
+        acc[rng.randint(0, top)] = RationalQ(Q_ONE.num, (Q_ONE + qpow(3)).num)
+    return acc
+
+
+@pytest.mark.parametrize("top", range(11))
+def test_haar_sum_over_one_denominator_equals_the_sum_per_level(top):
+    # the one reduction over L_top against the sum over the h((bc)^n), on
+    # integer coefficients (packed) and with the Fraction fallback
+    rng = random.Random(top)
+    den, w = haar_module._bc_denominator(top)
+    assert [RationalQ(x.num, den.num) for x in w] == [haar_module._h_bc(n) for n in range(top + 1)]
+    for fraction in (False, True) * 4:
+        acc = _level_coefficients(rng, top, fraction)
+        want = sum_products((c, haar_module._h_bc(n)) for n, c in acc.items())
+        assert haar_module._bc_sum(acc) == want, acc
+    assert haar_module._bc_sum({}) == Q_ZERO

@@ -701,13 +701,70 @@ def test_sum_products_on_empty_polynomial_and_cancelling_sums():
     assert (lcm.num, lcm.den) == (LaurentPoly({0: -2, 4: -1}), LaurentPoly({0: -1, 8: 1}))
 
 
-def test_the_lcm_cache_stays_bounded():
-    maxsize = scalar._lcm.cache_parameters()["maxsize"]
-    assert maxsize is not None
-    base = RationalQ(1, _q_den(1))
-    for n in range(maxsize + 10):
-        other = RationalQ(1, LaurentPoly({0: 1, 1: n + 1}))  # 1 + (n + 1) q^(1/2)
-        assert scalar.sum_products([(base, Q_ONE), (other, Q_ONE)]) == _naive_sum(
-            [(base, Q_ONE), (other, Q_ONE)]
-        )
-    assert scalar._lcm.cache_info().currsize <= maxsize
+def _stretch(p, g, shift):
+    """s^shift p(s^g): a polynomial in q^(g/2), shifted."""
+    return LaurentPoly({shift + g * e: c for e, c in p.coeffs.items()})
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([1, 2, 4]), nonzero_polys(**bigger), nonzero_polys(**bigger), planted,
+       st.integers(-7, 7), st.integers(-7, 7))
+def test_stride_path_equals_the_unit_stride_path(g, f, h, c, sa, sb):
+    # in q^(g/2) with a planted common factor c(s^g); the stride path packs
+    # in x = s^g, the oracle, stride 1, in s
+    a, b, cg = _stretch(f * c, g, sa), _stretch(h * c, g, sb), _stretch(c, g, 0)
+    got = poly_gcd(a, b), poly_exact_div(a, cg), poly_exact_div(b * cg, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_stride", lambda *polys: 1)
+        want = poly_gcd(a, b), poly_exact_div(a, cg), poly_exact_div(b * cg, b)
+    assert got == want
+    assert got[0][0] == _stretch(poly_gcd(f * c, h * c)[0], g, 0)
+
+
+def test_stride_of_polynomials_in_a_power_of_q():
+    assert scalar._stride(_lp((-3, 1), (5, 2)), _lp((2, 1), (14, -1))) == 4
+    assert scalar._stride(_lp((1, 1)), _lp((3, 2))) == 1  # monomials alone
+    assert scalar._stride(_lp((0, 1), (4, 1)), _lp((1, 1), (3, 1))) == 2
+
+
+def _dict_sum(pairs):
+    """sum x y as LaurentPoly products and sums, over dicts."""
+    total = LaurentPoly()
+    for x, y in pairs:
+        total = total + x.num * y.num
+    return total
+
+
+int_polys_big = st.dictionaries(
+    st.integers(-12, 12), st.integers(-2**70, 2**70).filter(bool), max_size=5
+).map(LaurentPoly)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(int_polys_big, int_polys_big), max_size=6))
+def test_packed_sum_equals_the_dict_sum(pairs):
+    # negative coefficients and coefficients past 2^64, over a shared
+    # denominator that makes the reduction real
+    pairs = [(RationalQ(x), RationalQ(y)) for x, y in pairs]
+    den = RationalQ(_q_den(3))
+    assert scalar.sum_over(pairs, Q_ONE) == RationalQ(_dict_sum(pairs))
+    assert scalar.sum_over(pairs, den) == RationalQ(_dict_sum(pairs), den.num)
+
+
+def test_packed_sum_at_the_coefficient_bound():
+    # a coefficient of the sum equals the bound sum |x|_inf |y|_1 that sets
+    # the packing radix, of either sign, at 2^65, 2^65 - 2^34 + 2 and 18
+    for big in (2**32, 2**32 - 1, 3):
+        for sign in (1, -1):
+            x, y = RationalQ(LaurentPoly({2: sign * big})), RationalQ(LaurentPoly({-4: big}))
+            total = scalar.sum_over([(x, y), (x, y)], Q_ONE)
+            assert total.num.coeffs == {-2: sign * 2 * big * big}
+    x = RationalQ(LaurentPoly({0: 2**40, 4: -(2**40)}))
+    assert scalar.sum_over([(x, x)], Q_ONE).num.coeffs == {0: 2**80, 4: -(2**81), 8: 2**80}
+    assert scalar.sum_over([(Q_ZERO, x)], Q_ONE) == Q_ZERO and scalar.sum_over([], Q_ONE) == Q_ZERO
+
+
+def test_integral_values():
+    assert scalar.is_integral(qint(3)) and scalar.is_integral(Q_ZERO)
+    assert not scalar.is_integral(RationalQ(Fraction(1, 2)))
+    assert not scalar.is_integral(RationalQ(1, _q_den(1)))

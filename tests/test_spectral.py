@@ -32,7 +32,12 @@ from qsphere.spectral import (
     zeta_series,
 )
 from qsphere.uq import gen_E, gen_F, r_action
-from tests.test_corep import RECURSION_OPERANDS, expand_mul_mismatches, j0_coefficients
+from tests.test_corep import (
+    RECURSION_OPERANDS,
+    expand_mul_mismatches,
+    j0_coefficients,
+    lowest_column_mismatches,
+)
 from tests.test_scalar import _surd
 
 
@@ -109,7 +114,7 @@ def dense_tau_record(x0, x1, x2, z, space):
     """Dense oracle of `tau_trace_check`: the complete matrices of M(x0),
     [D, M(x1)] and [D, M(x2)], the BLAS product of the first two and the
     diagonal of its product with the third; its bound from dense row sums."""
-    shifts = [spectral._shift(x) for x in (x0, x1, x2)]
+    shifts = [spectral._shift(embed(x)) for x in (x0, x1, x2)]
     m0 = build_mult(x0, space).toarray()
     c1, c2 = (_dirac_commutator(space, build_mult(x, space).toarray()) for x in (x1, x2))
     diag = np.einsum("ij,ji->i", m0 @ c1, c2)
@@ -158,16 +163,16 @@ def test_operators_past_the_ladder_cutoff_are_refused_up_front():
     # to spin 101/2, so every check there is refused before any column or
     # ladder vector is built
     space = TruncatedSpace(Fraction(1, 13), 47)
-    with pytest.raises(CutoffExceeded):
+    with pytest.raises(CutoffExceeded, match=r"^M\(A\) at L = 47 needs 2l = 101"):
         haar_trace_check(gen_A, 3, space)
     with pytest.raises(CutoffExceeded):
         build_mult(gen_A, space)
     assert not space.engine._levels and not space.engine._chains
     # at L = 46 one level of shift fits and two do not
     space = TruncatedSpace(Fraction(1, 13), 46)
-    spectral._mult_levels(gen_A, space, 0)
+    spectral._mult_levels(embed(gen_A), space, 0)
     with pytest.raises(CutoffExceeded):
-        spectral._mult_levels(gen_A * gen_A, space, 0)
+        spectral._mult_levels(embed(gen_A * gen_A), space, 0)
 
 
 def test_truncated_space_refuses_a_float_q0():
@@ -301,7 +306,7 @@ def test_commutators_give_the_calculus(q0):
         M = build_mult(x, space).toarray()
         C = D @ M - M @ D
         dx = differential(x)
-        window = set(spectral._window(space, space.npad - spectral._shift(x)))
+        window = set(spectral._window(space, space.npad - spectral._shift(embed(x))))
         plus = [i for i in window if space.index[i][0] == 1]
         minus = [i for i in window if space.index[i][0] == -1]
         # M(x) keeps the chirality, so the diagonal blocks vanish exactly
@@ -447,6 +452,8 @@ def test_checks_build_few_ladder_vectors(monkeypatch):
     built = {key: len(chain) for key, chain in space.engine._chains.items()}
     assert {(s, n) for s in (1, -1) for n in range(1, space.npad + 1)} <= set(built)
     assert max(built.values()) <= 3, built
+    # the entries come from factored norm ratios: no squared norm is read
+    assert not space.engine._norms
 
 
 def _counted_engine(monkeypatch, q0):
@@ -501,7 +508,8 @@ def test_tau_expands_only_the_levels_it_reads(monkeypatch):
 
 def _with_complete_matrices(check, *args):
     """The records of check with every factor the complete build_mult
-    operator, and the operands the check built through the module global."""
+    operator, and the (embedded) operands the check built through the
+    module global."""
     complete, built = spectral.build_mult, []
 
     def build(x, space, top=None):
@@ -529,7 +537,7 @@ def test_checks_on_the_filled_columns_equal_the_complete_ones(q0, L):
         refs, built = _with_complete_matrices(check, *args)
         # every factor comes through the patched builder, so the comparison
         # below is not vacuous
-        assert built == [x for x in args if isinstance(x, PodlesElement)], args
+        assert built == [embed(x) for x in args if isinstance(x, PodlesElement)], args
         for rec, ref in zip(got if isinstance(got, list) else [got], refs):
             if rec["check"] == "tau_trace":
                 for field in ("round_off_scale", "tol_abs"):
@@ -693,6 +701,13 @@ def test_mult_matches_exact_matrices():
 def test_expand_mul_equals_the_solve_per_column_at_q0(x, q0):
     # the same recursion in Q(sqrt(q0)), through level 8, before rounding
     assert expand_mul_mismatches(spectral._engine_for(q0), x, range(1, 9)) == []
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(2, 3)])
+@pytest.mark.parametrize("x", [gen_A, gen_B, gen_Bs, gen_A * gen_B], ids=str)
+def test_lowest_columns_per_monomial_equal_the_solve_at_q0(x, q0):
+    # in Q(sqrt(q0)), through level 8, values and key order before rounding
+    assert lowest_column_mismatches(spectral._engine_for(q0), x, range(1, 9)) == []
 
 
 def _r_e(x):
