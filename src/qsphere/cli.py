@@ -18,7 +18,6 @@ with no exact level are refused with status 2.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from fractions import Fraction
@@ -80,8 +79,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not args.L:
         ap.error("--L names no level: give lo:hi with lo <= hi")
-    if not 2 < args.z < math.inf:
-        ap.error(f"--z {args.z} gives no finite trace: a finite real z > 2 is needed")
     records = []
     try:
         for rec in verify(args.q0, args.L, args.z):

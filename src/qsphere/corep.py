@@ -10,19 +10,21 @@ action of F and the column index k by the left action of E,
 so the normalised vectors phi = w/|w| follow phi_{j+1} = -R_F phi_j/alpha
 and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  Squared
 norms come from those step factors alone, from |a^(2l)|^2 = q^(2l)/[2l+1],
-without the vectors; no square root enters.  Vectors, and their norms, are
-built on demand: one (s, n) holds its bottom vector and the part of its
-E-chain read so far.
+without the vectors; no square root enters.  With T = 2l and F, E steps
+to 2j, 2k they multiply to N = q^T [T]!^2 [F]! [E]! / ([T+1] [T-F]! [T-E]!),
+the exponents of `norm_factorials`.  Vectors, and their norms, are built
+on demand: one (s, n) holds its bottom vector and the part of its E-chain
+read so far.
 
 `Ladder` is the one implementation of the ladder and of the expansion of an
 element in it, a triangular solve on top-degree monomials; `expand_mul`
 solves one column of M(x) per level, from the expansions of each monomial
 of x times the bottom vector, solved once per level, and fills the rest by
 U_q-covariance (the q-Wigner-Eckart theorem).  It keys a vector (s, n, 2k)
-with s = 2j and computes with +, -, * and / alone, on the values `value`
-gives the exact coefficients: the RationalQ itself here, and its
-`scalar.Surd` at a rational q0 in `spectral._Engine`.  Spins run to 2l <=
-MAX_TWOL, the one cutoff of both layers.  `vplus_vminus_basis` and
+with s = 2j and computes with +, -, * and / alone, on the values its one
+hook `value` gives the exact coefficients: the RationalQ itself here, and
+its `scalar.Surd` at a rational q0 in `spectral._Engine`.  Spins run to
+2l <= MAX_TWOL, the one cutoff of both layers.  `vplus_vminus_basis` and
 `mult_matrix` read the module's exact `LADDER` and key a vector (2l, 2j,
 2k): half-integers are stored doubled so all indices are ints.
 """
@@ -62,6 +64,14 @@ def _f_step(x):
     return -r_action(gen_F, x)
 
 
+def norm_factorials(key) -> tuple:
+    """(m, w) with N_key = q^T prod [m]!^w: prod_{i<F} [T-i][i+1] = [T]! [F]! / [T-F]!."""
+    s, n, twok = key
+    T = 2 * n - 1
+    F, E = (T + s) // 2, (T + twok) // 2
+    return (T, 3), (T + 1, -1), (F, 1), (T - F, -1), (E, 1), (T - E, -1)
+
+
 class Vector(namedtuple("Vector", "terms ladder key")):
     """An unnormalised ladder vector {mono: coefficient}; norm2 on demand."""
 
@@ -72,7 +82,7 @@ class Vector(namedtuple("Vector", "terms ladder key")):
 class Ladder:
     """The ladder and the expansion in it, with coefficients in Q(q^(1/2));
     every table is filled on first use.  A subclass changes the field by
-    overriding `value` and `rational`."""
+    overriding `value`."""
 
     def __init__(self):
         self._images = {}  # (map, mono) -> the exact map's image
@@ -88,10 +98,6 @@ class Ladder:
 
     def value(self, x: RationalQ):
         """x in the ladder's field."""
-        return x
-
-    def rational(self, x):
-        """A value that lies in the field of the squared norms."""
         return x
 
     # -- the exact layer in this field --------------------------------------
@@ -152,17 +158,17 @@ class Ladder:
         """The squared norm h(w* w) of w_key, without the vector: the bottom
         norm h((a^2l)* a^2l) = q^(2l)/[2l+1], a Schur orthogonality relation
         (Klimyk-Schmuedgen 1997), times alpha^2 = [l-j][l+j+1] for each
-        F-step to 2j = s and each E-step to 2k."""
+        F-step to 2j = s and each E-step to 2k; multiplied, never reduced."""
         s, n, twok = key
         twol = 2 * n - 1
         norms = self._norms.get((s, n))
         if norms is None:
             qi = self._qints
             while len(qi) <= twol + 1:
-                qi.append(self.rational(self.value(qint(len(qi)))))
+                qi.append(self.value(qint(len(qi))))
             # steps[i] is alpha^2 for the step from 2j (or 2k) = -2l + 2i
             steps = [qi[twol - i] * qi[i + 1] for i in range(twol)]
-            bottom = self.rational(self.value(qhalfpow(2 * twol))) / qi[twol + 1]
+            bottom = self.value(qhalfpow(2 * twol)) / qi[twol + 1]
             fsteps = (twol + s) // 2
             norms = list(accumulate(steps[:fsteps] + steps, operator.mul, initial=bottom))
             norms = self._norms[s, n] = norms[fsteps:]
@@ -284,26 +290,16 @@ class Ladder:
 LADDER = Ladder()
 
 
-class LadderVector:
+class LadderVector(namedtuple("LadderVector", "twol twoj twok elem norm2")):
     """Unnormalized Peter-Weyl vector with its exact squared norm."""
 
-    __slots__ = ("twol", "twoj", "twok", "elem", "norm2", "_star")
-
-    def __init__(self, twol, twoj, twok, elem, norm2):
-        self.twol = twol
-        self.twoj = twoj
-        self.twok = twok
-        self.elem = elem
-        self.norm2 = norm2
-        self._star = None
-
-    def star_elem(self) -> CoordElement:
-        if self._star is None:
-            self._star = self.elem.star()
-        return self._star
+    __slots__ = ()
 
     def key(self):
-        return (self.twol, self.twoj, self.twok)
+        return self[:3]
+
+    def star_elem(self) -> CoordElement:
+        return self.elem.star()
 
 
 def vplus_vminus_basis(l_max):
@@ -320,15 +316,11 @@ def vplus_vminus_basis(l_max):
     return families[1], families[-1]
 
 
-class ExactMatrix:
+class ExactMatrix(namedtuple("ExactMatrix", "entries untrusted_cols")):
     """Exact matrix entries {(row key, column key): entry} over ladder keys,
     with untrusted columns flagged at the truncation boundary."""
 
-    __slots__ = ("entries", "untrusted_cols")
-
-    def __init__(self, entries, untrusted_cols=()):
-        self.entries = entries
-        self.untrusted_cols = set(untrusted_cols)
+    __slots__ = ()
 
     def entry(self, row_key, col_key) -> RationalQ:
         return self.entries.get((row_key, col_key), Q_ZERO)

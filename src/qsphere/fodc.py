@@ -172,27 +172,21 @@ class Chain(TensorComb):
 def b_sigma(phi: Cochain) -> Cochain:
     """Twisted coboundary: inserts products at adjacent slots and wraps the
     last argument through sigma."""
-    n = phi.arity - 1
 
     def ev(*xs):
-        if len(xs) != n + 2:
-            raise ArityError("coboundary arity mismatch")
-        vals = [phi(*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :]) for j in range(n + 1)]
-        vals.append(phi(sigma(xs[-1]) * xs[0], *xs[1:-1]))  # the wrap, with sign (-1)^(n+1)
+        vals = [phi(*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :]) for j in range(phi.arity)]
+        vals.append(phi(sigma(xs[-1]) * xs[0], *xs[1:-1]))  # the wrap, with sign (-1)^arity
         return sum_products((v, (Q_ONE, -Q_ONE)[j % 2]) for j, v in enumerate(vals))
 
     return Cochain(phi.arity + 1, ev, f"b_sigma({phi.name})")
 
 
 def lambda_sigma(phi: Cochain) -> Cochain:
-    """Twisted cyclic permutation of the arguments."""
-    n = phi.arity - 1
+    """Twisted cyclic permutation of the arguments, with sign (-1)^(arity-1)."""
 
     def ev(*xs):
-        if len(xs) != phi.arity:
-            raise ArityError("cyclicity arity mismatch")
         val = phi(sigma(xs[-1]), *xs[:-1])
-        return val if n % 2 == 0 else -val
+        return val if phi.arity % 2 else -val
 
     return Cochain(phi.arity, ev, f"lambda_sigma({phi.name})")
 

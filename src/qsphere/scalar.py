@@ -308,6 +308,8 @@ def _pack(f, k):
 
 def _unpack(x, k):
     """Balanced base-2^k digits of x, low to high, each in (-2^(k-1), 2^(k-1)]."""
+    if k < 2:  # the digits {0, 1} would leave a negative x as it is, forever
+        raise ValueError(f"_unpack needs k >= 2, not {k}")
     mask, half, xi = (1 << k) - 1, 1 << (k - 1), 1 << k
     out = []
     while x:
@@ -703,12 +705,6 @@ class Surd:
 
     def __bool__(self):
         return bool(self.e or self.o)
-
-    def rational(self) -> Fraction:
-        """The value as a Fraction; ArithmeticError if it is not rational."""
-        if self.o:
-            raise ArithmeticError(f"{self!r} is not rational")
-        return Fraction(self.e, self.d)
 
     def __float__(self):
         """Rounded once; parts of opposite signs would cancel, so they round

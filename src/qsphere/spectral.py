@@ -34,13 +34,14 @@ M(x) on a level come from `Ladder.expand_mul`, which solves only the lowest
 one.  The engine keeps per operator one level table per (s, n), COO arrays
 in keys that do not depend on L, which `_operator` places by arithmetic.
 Rounding enters M(x) in one place, `_Engine._round`, for an entry
-c sqrt(N_alpha / N_beta).  The squared norms are q^T times q-factorials
-(`_factorials`), so N_alpha / N_beta = r_num / r_den is a product of the
-few [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r whose
-exponents differ, without a gcd.  A nonzero part e/d of c is then the
-square root of one int true division, (e^2 r_num) / (d^2 r_den), times
-p/r under the root for the odd part, signed as e.  The division rounds
-c_part^2 N_alpha / N_beta correctly, so each part is within one ulp, and
+c sqrt(N_alpha / N_beta).  `_Engine._norm_ratio` reads the exponents of the
+squared norms in q-factorials from `corep.norm_factorials`, so N_alpha /
+N_beta = r_num / r_den is a product of the few [m] = (r^2m - p^2m) /
+((rp)^(m-1) (r^2 - p^2)) at q0 = p/r whose exponents differ, without a
+gcd.  A nonzero part e/d of c is then the square root of one int true
+division, (e^2 r_num) / (d^2 r_den), times p/r under the root for the odd
+part, signed as e.  The division rounds c_part^2 N_alpha / N_beta
+correctly, so each part is within one ulp, and
 no part is read as a float: a coefficient past the float range rounds as
 long as its entry is in it.  So M(x*) = M(x)^T holds to the bit, and
 `build_mult` fills only the member of {x, x*} with the shorter E-chain (x
@@ -59,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coordalg import CoordElement
-from .corep import MAX_TWOL, Ladder, Vector
+from .corep import MAX_TWOL, Ladder, Vector, norm_factorials
 from .errors import CutoffExceeded
 from .fodc import tau
 from .haar import haar
@@ -71,16 +72,6 @@ from .scalar import Surd, evaluate
 def qnum(n: int, q0: float) -> float:
     """The q-deformed integer at a numeric point."""
     return (q0**n - q0**-n) / (q0 - 1.0 / q0)
-
-
-def _factorials(key) -> tuple:
-    """(m, w) with N_key = q0^T prod [m]!^w for T = 2l and the F- and E-steps
-    of key: `Ladder.norm2` is q^T/[T+1] times [T-i][i+1] for each step i < F
-    and i < E, and prod_{i<F} [T-i][i+1] = [T]! [F]! / [T-F]!."""
-    s, n, twok = key
-    T = 2 * n - 1
-    F, E = (T + s) // 2, (T + twok) // 2
-    return (T, 3), (T + 1, -1), (F, 1), (T - F, -1), (E, 1), (T - E, -1)
 
 
 class _Engine(Ladder):
@@ -105,13 +96,11 @@ class _Engine(Ladder):
             v = self._values[x] = Surd.at(x, self.q0)
         return v
 
-    rational = staticmethod(Surd.rational)
-
     def _norm_ratio(self, alpha, beta) -> tuple:
         """N_alpha / N_beta as ints (num, den), unreduced and without a gcd,
         from the [m] whose exponents in the two norms differ."""
         exps = {0: 2 * (alpha[1] - beta[1])}  # of q0^T, at 0
-        for (a, w), (b, _) in zip(_factorials(beta), _factorials(alpha)):
+        for (a, w), (b, _) in zip(norm_factorials(beta), norm_factorials(alpha)):
             if a > b:
                 a, b, w = b, a, -w
             for m in range(a + 1, b + 1):
@@ -174,7 +163,7 @@ class TruncatedSpace:
     unnormalised ladder vector, built on first read; no check reads it.
     A (q0, L) whose largest power q0^(-2 npad) is past the float range is
     refused with ValueError.  Key (s, n, 2k) is at n (n - 1) + (2k + 2n - 1)/2
-    (`n`, `twok`), plus `family` = npad (npad + 1) if s = -1.
+    (`n`, `twok`), plus `family` = npad (npad + 1) if s = -1, as `index` lists.
     """
 
     def __init__(self, q0, L: int):
@@ -210,7 +199,6 @@ class TruncatedSpace:
         self.jsign = np.tile(np.where((self.twok - 1) // 2 % 2, -1.0, 1.0), 2)
         self.index = list(zip([1] * self.family + [-1] * self.family, n.tolist() * 2,
                               self.twok.tolist() * 2))
-        self.pos = dict(zip(self.index, range(self.dim)))
 
     @functools.cached_property
     def vec(self) -> dict:
@@ -219,8 +207,7 @@ class TruncatedSpace:
     def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
         pairing h(w* w) at q0 over the tracked norm2."""
-        h, norm2 = self.engine.inner(v.terms, v.terms), v.norm2
-        return float(h / Surd(norm2.numerator, 0, norm2.denominator, h.q0))
+        return float(self.engine.inner(v.terms, v.terms) / v.norm2)
 
 
 class Operator:
@@ -347,8 +334,9 @@ def zeta_merom(z: float, q0: float) -> float:
 
     zeta(z) = (q^-1 - q)^(z-1) * sum_k C(z-2+k, k)
               [ q^(z-2+2k)/(1-q^(z-2+2k)) + q^(z+2k)/(1-q^(z+2k)) ],
-    an absolutely convergent series off the poles z = 2 - 2k; the pole at
-    z = 2 is simple with residue (q - q^-1)/log q.  Its terms grow while
+    an absolutely convergent series off the poles z = 2 - 2k of its terms,
+    where, and within round-off, it raises ValueError.  Only z = 2 is a pole
+    of zeta, simple with residue (q - q^-1)/log q.  Its terms grow while
     (z-1+k) q^2 > k+1, so the sum runs past the largest term and on until
     a term is below the round-off of the sum.
     """
@@ -363,6 +351,8 @@ def zeta_merom(z: float, q0: float) -> float:
     while True:
         e1 = math.exp((z - 2 + 2 * k) * lq)
         e2 = math.exp((z + 2 * k) * lq)
+        if e1 == 1 or e2 == 1:
+            raise ValueError(f"zeta(z) at z = {z:g} is at a pole of its series")
         term = coeff * (e1 / (1 - e1) + e2 / (1 - e2))
         total += term
         if not math.isfinite(total):
@@ -401,6 +391,11 @@ def residue_check(q0: float, eps: float = 1e-4):
 
 
 # -- trace checks -------------------------------------------------------------
+
+
+def _refuse_z(z):
+    if not 2 < z < math.inf:  # Tr K^2 |D|^-z M(x) diverges at the pole z = 2
+        raise ValueError(f"z = {z} gives no finite trace: a finite real z > 2 is needed")
 
 
 def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, bound):
@@ -442,8 +437,9 @@ def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, boun
 def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
     """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
     # diagonal entries, exact at every level, at most one per row, never -0.0
+    _refuse_z(z)
     y = embed(x)
-    M = _operator(space, _mult_levels(y, space, space.npad))
+    M = build_mult(y, space)
     on = M.rows == M.cols
     diag = np.bincount(M.rows[on], M.vals[on], space.dim)
     return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, 0.0, space.npad,
@@ -455,6 +451,7 @@ def tau_trace_check(x0, x1, x2, z, space: TruncatedSpace):
     from the diagonal on levels n <= top only: entry (i, k) of the sparse
     x0 [D,x1] joined with entry (k, i) of [D,x2].  The terms of diag_i sum
     to at most row i of |M(x0)| times the max row sums of |[D,x]|."""
+    _refuse_z(z)
     y0, y1, y2 = embed(x0), embed(x1), embed(x2)
     s0, s1, s2 = _shift(y0), _shift(y1), _shift(y2)
     top = space.npad - s0 - s1 - s2

@@ -293,8 +293,7 @@ def j0_coefficients(ladder, levels):
             image = ladder.expand(ladder.apply(_j0_image, v.terms))
             assert list(image) == [(-s, n, -twok)], (s, n, twok)
             c = out[s, n, twok] = image[-s, n, -twok]
-            c2 = ladder.rational(c * c)
-            assert c2 * ladder.vector((-s, n, -twok)).norm2 == v.norm2, (s, n, twok)
+            assert c * c * ladder.vector((-s, n, -twok)).norm2 == v.norm2, (s, n, twok)
     return out
 
 

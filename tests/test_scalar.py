@@ -764,6 +764,15 @@ def test_packed_sum_at_the_coefficient_bound():
     assert scalar.sum_over([(Q_ZERO, x)], Q_ONE) == Q_ZERO and scalar.sum_over([], Q_ONE) == Q_ZERO
 
 
+def test_unpack_refuses_one_bit_digits():
+    # at k = 1 the balanced digits are {0, 1}, so x = -1 would map to itself
+    with pytest.raises(ValueError, match="k >= 2"):
+        scalar._unpack(-1, 1)
+    # at k = 2 they are {-1, 0, 1, 2}, and negative digits round-trip
+    for digits in ([-1], [2, -1], [-1, 0, 2, -1], [1, -1, -1, 1]):
+        assert scalar._unpack(scalar._pack(digits, 2), 2) == digits
+
+
 def test_integral_values():
     assert scalar.is_integral(qint(3)) and scalar.is_integral(Q_ZERO)
     assert not scalar.is_integral(RationalQ(Fraction(1, 2)))

@@ -72,12 +72,18 @@ def _columns(eng, y):
     return column
 
 
+def _pos(space):
+    """{key (s, n, 2k): position} of the basis of space, from its index."""
+    return {key: i for i, key in enumerate(space.index)}
+
+
 def _dict_operator(space, column, top, transpose=False):
     """Dict-walk oracle of `spectral._operator`: (rows, cols, vals) of
     column(key) for each basis key of level n <= top in index order, rows
-    mapped through `space.pos` and cut off past npad."""
-    filled = [(i, column(key)) for key, i in space.pos.items() if key[1] <= top]
-    rows = np.array([space.pos.get(r, -1) for _, col in filled for r in col], dtype=np.intp)
+    mapped through `_pos(space)` and cut off past npad."""
+    pos = _pos(space)
+    filled = [(i, column(key)) for key, i in pos.items() if key[1] <= top]
+    rows = np.array([pos.get(r, -1) for _, col in filled for r in col], dtype=np.intp)
     cols = np.array([i for i, col in filled for _ in col], dtype=np.intp)
     vals = np.array([c for _, col in filled for c in col.values()], dtype=float)
     kept = rows >= 0  # -1 marks a row past npad
@@ -91,10 +97,11 @@ def _matrix(space, column, top, transpose=False):
     transpose, column(key) fills row key instead."""
     mat = np.zeros((space.dim, space.dim))
     fill = mat.T if transpose else mat
-    for key, i in space.pos.items():
+    pos = _pos(space)
+    for key, i in pos.items():
         if key[1] <= top:
             for row, c in column(key).items():
-                j = space.pos.get(row)
+                j = pos.get(row)
                 if j is not None:
                     fill[j, i] = c
     return mat
@@ -143,8 +150,8 @@ def gram_defect(space, nmax):
                     h = _state_of_product(m1, m2)
                     if h:
                         g = g + c1 * c2 * eng.value(h)
-            g = float(g / eng.value(RationalQ(a.norm2)))
-            worst = max(worst, abs(g * math.sqrt(a.norm2 / b.norm2) - (a is b)))
+            g = float(g / a.norm2)
+            worst = max(worst, abs(g * math.sqrt(float(a.norm2 / b.norm2)) - (a is b)))
     return worst
 
 
@@ -270,10 +277,12 @@ def _keys(nmax):
 @given(st.sampled_from([Fraction(9, 16), Fraction(2, 3)]), _keys(12), _keys(12))
 def test_factored_norm_ratio_equals_the_fraction_one(q0, alpha, beta):
     # at a square and a non-square q0, N_alpha / N_beta from the exponents
-    # of the q-factorials is the ratio of the ladder's Fraction norms
+    # of the q-factorials is the ratio of the ladder's norms in Q(sqrt(q0)),
+    # which has no odd part
     eng = spectral._engine_for(q0)
     num, den = eng._norm_ratio(alpha, beta)
-    assert Fraction(num, den) == eng.norm2(alpha) / eng.norm2(beta)
+    ratio = eng.norm2(alpha) / eng.norm2(beta)
+    assert ratio.o == 0 and Fraction(num, den) == Fraction(ratio.e, ratio.d)
 
 
 def test_engine_evaluates_each_value_once():
@@ -374,6 +383,46 @@ def test_zeta_merom_refuses_an_overflowing_series():
         zeta_merom(1e4, 0.99)
 
 
+@pytest.mark.parametrize("z, q0, pole", [(2.0, 0.5, 2), (0.0, 0.5, 0), (2 + 1e-17, 0.5, 2),
+                                          (math.nextafter(2, 3), 0.99, 2)])
+def test_zeta_merom_names_a_pole_of_its_series(z, q0, pole):
+    # 2 + 1e-17 rounds onto 2, and at q0 = 0.99 the next float past 2 puts
+    # q^(z-2) within round-off of 1; at z = 0 zeta is finite, but two terms
+    # of the series have a pole there
+    with pytest.raises(ValueError, match=f"at z = {pole} is at a pole of its series"):
+        zeta_merom(z, q0)
+
+
+@pytest.mark.parametrize("z", [2, 1.5, 0.5, 0, -1, math.nan, math.inf])
+def test_trace_checks_refuse_a_z_without_a_finite_trace(monkeypatch, z):
+    # Tr K^2 |D|^-z diverges at z <= 2, and zeta(inf) is no float; the
+    # checks refuse before they build any operator
+    monkeypatch.setattr(spectral, "_engine_for", spectral._Engine)
+    space = TruncatedSpace(Fraction(1, 4), 2)
+    with pytest.raises(ValueError, match="a finite real z > 2 is needed"):
+        haar_trace_check(gen_A, z, space)
+    with pytest.raises(ValueError, match="a finite real z > 2 is needed"):
+        tau_trace_check(gen_A, gen_B, gen_Bs, z, space)
+    assert not space.engine._levels and not space.engine.reads_star
+
+
+def test_haar_trace_reads_m_through_the_transpose(monkeypatch):
+    # B* has the shorter E-chain, so M(A + B) is read as M(A + B*)^T: its
+    # diagonal is the direct fill's to the bit, and B adds nothing to it, so
+    # the record is that of A
+    space = TruncatedSpace(Fraction(2, 3), 6)
+    diags, trace_record = [], spectral._trace_record
+    monkeypatch.setattr(spectral, "_trace_record",
+                        lambda *args: diags.append(args[2]) or trace_record(*args))
+    rec = haar_trace_check(gen_A + gen_B, 3, space)
+    y = embed(gen_A + gen_B)
+    assert space.engine.reads_star[y]
+    M = spectral._operator(space, spectral._mult_levels(y, space, space.npad))
+    on = M.rows == M.cols
+    assert diags[0].tobytes() == np.bincount(M.rows[on], M.vals[on], space.dim).tobytes()
+    assert rec["lhs"] == haar_trace_check(gen_A, 3, space)["lhs"]
+
+
 def test_haar_trace_check_at_large_z():
     rec = haar_trace_check(gen_A, 120, TruncatedSpace(Fraction(1, 2), 4))
     assert rec["passed"] and abs(rec["lhs"] - 0.8) <= 1e-14
@@ -437,7 +486,7 @@ def test_norm2_is_the_haar_norm_at_q0(q0):
     eng = spectral._engine_for(q0)
     for n in range(1, 9):
         for (s, twok), v in eng.level(n).items():
-            assert v.norm2 == eng.rational(eng.inner(v.terms, v.terms)), (s, n, twok)
+            assert v.norm2 == eng.inner(v.terms, v.terms), (s, n, twok)
 
 
 def test_checks_build_few_ladder_vectors(monkeypatch):
@@ -675,6 +724,7 @@ def test_mult_matches_exact_matrices():
     q0 = Fraction(1, 4)
     space = TruncatedSpace(q0, 3)
     families = vplus_vminus_basis(Fraction(5, 2))
+    pos = _pos(space)
 
     def key(v):
         return (v.twoj, (v.twol + 1) // 2, v.twok)
@@ -693,7 +743,7 @@ def test_mult_matches_exact_matrices():
                     c = exact.entry(alpha.key(), beta.key())
                     c = float(evaluate(c, q0)) if c else 0.0
                     expected = c * math.sqrt(norm2[a] / norm2[b])
-                    assert abs(M[space.pos[a], space.pos[b]] - expected) <= 1e-14
+                    assert abs(M[pos[a], pos[b]] - expected) <= 1e-14
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)])
@@ -731,7 +781,7 @@ def test_dirac_equals_twisted_actions(q0):
             minus_n2_down = {m: -(n2 * c) for m, c in down.terms.items()}
             assert eng.apply(_r_e, up.terms) == minus_n2_down, (n, twok)
             assert eng.apply(_r_f, down.terms) == {m: -c for m, c in up.terms.items()}
-            assert up.norm2 == eng.rational(n2) * down.norm2
+            assert up.norm2 == n2 * down.norm2
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)])
@@ -741,12 +791,12 @@ def test_build_J_is_the_j0_expansion(q0):
     # orthonormal U = gamma i J0 has the one entry -i s sign(c), and
     # sign(c) = s (-1)^(k-1/2)
     space = TruncatedSpace(q0, 5)
-    eng = space.engine
+    eng, pos = space.engine, _pos(space)
     expected = np.zeros((space.dim, space.dim), dtype=complex)
     for (s, n, twok), c in j0_coefficients(eng, range(1, space.npad + 1)).items():
         sign = math.copysign(1, float(c))
         assert sign == s * (-1) ** ((twok - 1) // 2), (q0, s, n, twok)
-        expected[space.pos[-s, n, -twok], space.pos[s, n, twok]] = -1j * s * sign
+        expected[pos[-s, n, -twok], pos[s, n, twok]] = -1j * s * sign
     assert np.array_equal(build_J(space), expected)
 
 
@@ -758,7 +808,7 @@ def test_space_arrays_equal_the_key_walk(L):
     index = [(s, n, t) for s in (1, -1) for n in range(1, space.npad + 1)
              for t in range(-(2 * n - 1), 2 * n, 2)]
     pos = {key: i for i, key in enumerate(index)}
-    assert space.index == index and space.pos == pos and space.dim == len(index)
+    assert space.index == index and space.dim == len(index)
     assert space.swap.tolist() == [pos[-s, n, t] for s, n, t in index]
     assert space.flip.tolist() == [pos[-s, n, -t] for s, n, t in index]
     dirac = np.array([-qnum(n, space.q0) for s, n, t in index])
