@@ -38,9 +38,9 @@ def add_term(acc: dict, key, c):
 
 
 def merge_into(acc: dict, terms: dict, coeff=None):
-    """acc += coeff * terms in place, dropping coefficients that cancel."""
+    """acc += coeff * terms in place (unscaled for None or Q_ONE), dropping sums that cancel."""
     for key, c in terms.items():
-        add_term(acc, key, c if coeff is None else c * coeff)
+        add_term(acc, key, c if coeff is None or coeff is Q_ONE else c * coeff)
 
 
 class SparseComb:

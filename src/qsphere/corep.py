@@ -8,12 +8,15 @@ action of F and the column index k by the left action of E,
     w_{j+1,k} = -R_F w_{j,k},    w_{j,k+1} = E |> w_{j,k},
 
 so the normalised vectors phi = w/|w| follow phi_{j+1} = -R_F phi_j/alpha
-and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  Squared
-norms come from those step factors alone, from |a^(2l)|^2 = q^(2l)/[2l+1],
-without the vectors; no square root enters.  With T = 2l and F, E steps
-to 2j, 2k they multiply to N = q^T [T]!^2 [F]! [E]! / ([T+1] [T-F]! [T-E]!),
-the exponents of `norm_factorials`.  Vectors, and their norms, are built
-on demand: one (s, n) holds its bottom vector and the part of its E-chain
+and phi_{k+1} = E |> phi_k/alpha with alpha^2 = [l-j][l+j+1].  With T = 2l
+and F = (T + s)/2 F-steps to 2j = s, the bottom vector is one monomial, a
+matrix coefficient of SU_q(2) (Klimyk-Schmuedgen 1997), so no F-step is
+taken: w_{s,n,-2l} = q^(F - n(n-1)/2) [T]!/[T-F]! a^(T-F) c^F.  Squared
+norms come from the step factors alone, from |a^(2l)|^2 = q^(2l)/[2l+1],
+without the vectors; no square root enters.  With E steps to 2k, and
+[F]!/[T-F]! = [(T+1)/2]^s, they multiply to N = q^T [T]!^2 [E]!
+[(T+1)/2]^s / ([T+1] [T-E]!).  Vectors, and their norms, are built on
+demand: one (s, n) holds its bottom vector and the part of its E-chain
 read so far.
 
 `Ladder` is the one implementation of the ladder and of the expansion of an
@@ -42,7 +45,7 @@ from .errors import CutoffExceeded
 from .haar import haar
 from .podles import PodlesElement, embed
 from .scalar import Q_ONE, Q_ZERO, RationalQ, qhalfpow, qint
-from .uq import act_left, gen_E, gen_F, left_weight, r_action, right_weight
+from .uq import act_left, gen_E, left_weight, right_weight
 
 MAX_TWOL = 99
 
@@ -54,22 +57,10 @@ def _twol(l_max) -> int:
     return t
 
 
-# the ladder steps, unnormalised; module functions, so that they call
-# whatever act_left and r_action are bound here at call time
+# the ladder's E-step, unnormalised; a module function, so that it calls
+# whatever act_left is bound here at call time
 def _e_step(x):
     return act_left(gen_E, x)
-
-
-def _f_step(x):
-    return -r_action(gen_F, x)
-
-
-def norm_factorials(key) -> tuple:
-    """(m, w) with N_key = q^T prod [m]!^w: prod_{i<F} [T-i][i+1] = [T]! [F]! / [T-F]!."""
-    s, n, twok = key
-    T = 2 * n - 1
-    F, E = (T + s) // 2, (T + twok) // 2
-    return (T, 3), (T + 1, -1), (F, 1), (T - F, -1), (E, 1), (T - E, -1)
 
 
 class Vector(namedtuple("Vector", "terms ladder key")):
@@ -163,32 +154,27 @@ class Ladder:
         twol = 2 * n - 1
         norms = self._norms.get((s, n))
         if norms is None:
-            qi = self._qints
-            while len(qi) <= twol + 1:
-                qi.append(self.value(qint(len(qi))))
             # steps[i] is alpha^2 for the step from 2j (or 2k) = -2l + 2i
-            steps = [qi[twol - i] * qi[i + 1] for i in range(twol)]
-            bottom = self.value(qhalfpow(2 * twol)) / qi[twol + 1]
+            steps = [self._qint(twol - i) * self._qint(i + 1) for i in range(twol)]
+            bottom = self._halfpow(2 * twol) / self._qint(twol + 1)
             fsteps = (twol + s) // 2
             norms = list(accumulate(steps[:fsteps] + steps, operator.mul, initial=bottom))
             norms = self._norms[s, n] = norms[fsteps:]
         return norms[(twol + twok) // 2]
 
     def vector(self, key) -> Vector:
-        """w_key, extending the E-chain of its (s, n) only as far as 2k; the
-        chain starts at a^(2l), raised by the F-steps to 2j = s."""
+        """w_key, extending the E-chain of its (s, n) only as far as 2k from
+        the bottom vector q^(F - n(n-1)/2) [T]!/[T-F]! a^(T-F) c^F."""
         s, n, twok = key
         chain = self._chains.get((s, n))
         if chain is None:
-            if 2 * n - 1 > MAX_TWOL:
-                raise CutoffExceeded(f"2l = {2 * n - 1} exceeds the cutoff {MAX_TWOL}")
-            if s == 1:
-                w = self.apply(_f_step, self.vector((-1, n, 1 - 2 * n)).terms)
-            else:
-                w = {(2 * n - 1, 0, 0, 0): self.value(Q_ONE)}
-                for _ in range(n - 1):
-                    w = self.apply(_f_step, w)
-            chain = self._chains[s, n] = [w]
+            T, F = 2 * n - 1, (2 * n - 1 + s) // 2
+            if T > MAX_TWOL:
+                raise CutoffExceeded(f"2l = {T} exceeds the cutoff {MAX_TWOL}")
+            c = self._halfpow(2 * F - n * (n - 1))
+            for m in range(T - F + 1, T + 1):
+                c = c * self._qint(m)
+            chain = self._chains[s, n] = [{(T - F, 0, F, 0): c}]
         while len(chain) <= (twok + 2 * n - 1) // 2:
             chain.append(self.apply(_e_step, chain[-1]))
         return Vector(chain[(twok + 2 * n - 1) // 2], self, key)
@@ -235,6 +221,12 @@ class Ladder:
             self._halfpows[m] = self.value(qhalfpow(m))
         return self._halfpows[m]
 
+    def _qint(self, m: int):
+        """[m] in the field, cached."""
+        while len(self._qints) <= m:
+            self._qints.append(self.value(qint(len(self._qints))))
+        return self._qints[m]
+
     def e_chain(self, xs: dict) -> list:
         """xs, E |> xs, E^2 |> xs, ... up to the last that is not zero."""
         chain = []
@@ -251,22 +243,23 @@ class Ladder:
         of x of left weight w has x_w w_{k+1} = q^(w/2) (E |> (x_w w_k)
         - q^(2k/2) (E |> x_w) w_k), where E |> shifts a key (s', n', t) of
         an expansion to t + 2 and kills t = 2n' - 1.  A key of x_w w_k has
-        t = w + 2k, so x is never split by weight.
+        t = w + 2k, so x is never split by weight.  Carried as
+        c q^(-(t - 2k)(2k + 2l)/4), a term moves without a product, those of
+        (E |> x_w) w_k gain -q^(2k + l), and one power restores an entry.
         """
         twol = 2 * n - 1
-        chain = [self._lowest_column(x, s, n) for x in self.e_chain(xs)]
-        chain.append({})
+        chain = [self._lowest_column(x, s, n) for x in self.e_chain(xs)] + [{}]
         out = {-twol: chain[0]}
         for twok in range(-twol, twol, 2):
+            h = -self._halfpow(2 * twok + twol)
             for i in range(len(chain) - 1):
-                col = {}
-                for (s2, n2, t), c in chain[i].items():
-                    if t < 2 * n2 - 1:
-                        add_term(col, (s2, n2, t + 2), self._halfpow(t - twok) * c)
-                for (s2, n2, t), c in chain[i + 1].items():
-                    add_term(col, (s2, n2, t), -(self._halfpow(t - 2) * c))
+                col = {(s2, n2, t + 2): c for (s2, n2, t), c in chain[i].items() if t < 2 * n2 - 1}
+                for key, c in chain[i + 1].items():
+                    add_term(col, key, h * c)
                 chain[i] = col
-            out[twok + 2] = chain[0]
+            g = twok + 2 + twol
+            out[twok + 2] = {(s2, n2, t): self._halfpow((t - twok - 2) * g // 2) * c
+                             for (s2, n2, t), c in chain[0].items()}
         return out
 
     def _lowest_column(self, xs: dict, s: int, n: int) -> dict:

@@ -630,18 +630,22 @@ def _reduced(e: int, o: int, d: int, q0: Fraction) -> Surd:
 
 
 def _poly_at(poly: LaurentPoly, q0: Fraction) -> Surd:
-    """poly at q0 = p/r, its even and odd half powers in ints; the odd part
-    is folded into the even one when sqrt(q0) is rational."""
+    """poly at q0 = p/r, its even and odd half powers in ints, each by
+    Horner's rule in p/r; the odd part is folded into the even one when
+    sqrt(q0) is rational."""
     p, r = q0.numerator, q0.denominator
     scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
-    ints = ({}, {})  # the even and odd half powers, by their power of q
-    for e, c in poly.coeffs.items():
-        ints[e % 2][e // 2] = c.numerator * scale // c.denominator
     lo, hi = min(poly.coeffs, default=0) // 2, max(poly.coeffs, default=0) // 2
-    # sum_k part[k] p^(k-lo) r^(hi-k) times p^lo r^-hi, over one denominator
-    even, odd = (sum(c * p ** (k - lo) * r ** (hi - k) for k, c in part.items())
-                 * p ** max(lo, 0) * r ** max(-hi, 0) for part in ints)
-    d = scale * p ** max(-lo, 0) * r ** max(hi, 0)
+    ints = [0] * (2 * (hi - lo) + 2)  # at 2 (k - lo) + i, the c of q^(k + i/2)
+    for e, c in poly.coeffs.items():
+        ints[e - 2 * lo] = c.numerator * scale // c.denominator
+    # sum_k c p^(k-lo) r^(hi-k) from k = hi down, r^(hi-k) in rk, then
+    # times p^lo r^-hi over one denominator
+    even, odd, rk = 0, 0, 1
+    for i in range(len(ints) - 2, -1, -2):
+        even, odd, rk = even * p + ints[i] * rk, odd * p + ints[i + 1] * rk, rk * r
+    t = p ** max(lo, 0) * r ** max(-hi, 0)
+    even, odd, d = even * t, odd * t, scale * p ** max(-lo, 0) * r ** max(hi, 0)
     if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
         even, odd, d = even * math.isqrt(r) + odd * math.isqrt(p), 0, d * math.isqrt(r)
     return _reduced(even, odd, d, q0)

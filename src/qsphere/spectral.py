@@ -34,16 +34,17 @@ M(x) on a level come from `Ladder.expand_mul`, which solves only the lowest
 one.  The engine keeps per operator one level table per (s, n), COO arrays
 in keys that do not depend on L, which `_operator` places by arithmetic.
 Rounding enters M(x) in one place, `_Engine._round`, for an entry
-c sqrt(N_alpha / N_beta).  `_Engine._norm_ratio` reads the exponents of the
-squared norms in q-factorials from `corep.norm_factorials`, so N_alpha /
-N_beta = r_num / r_den is a product of the few [m] = (r^2m - p^2m) /
-((rp)^(m-1) (r^2 - p^2)) at q0 = p/r whose exponents differ, without a
-gcd.  A nonzero part e/d of c is then the square root of one int true
-division, (e^2 r_num) / (d^2 r_den), times p/r under the root for the odd
-part, signed as e.  The division rounds c_part^2 N_alpha / N_beta
-correctly, so each part is within one ulp, and
-no part is read as a float: a coefficient past the float range rounds as
-long as its entry is in it.  So M(x*) = M(x)^T holds to the bit, and
+c sqrt(N_alpha / N_beta).  With the squared norms of `corep`, N = q^T [T]!^2
+[E]! [(T+1)/2]^s / ([T+1] [T-E]!), `_Engine._norm_ratio` gives N_alpha /
+N_beta = r_num / r_den, without a gcd, as a part of the two levels, cached
+per pair, times [E_alpha]!/[E_beta]! and [T_beta-E_beta]!/[T_alpha-E_alpha]!,
+each cached, from [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r.
+A nonzero part e/d of c is then the square root of one int true division,
+(e^2 r_num) / (d^2 r_den), times p/r under the root for the odd part,
+signed as e.  The division rounds c_part^2 N_alpha / N_beta correctly, so
+each part is within one ulp, and no part is read as a float: a coefficient
+past the float range rounds as long as its entry is in it.  So
+M(x*) = M(x)^T holds to the bit, and
 `build_mult` fills only the member of {x, x*} with the shorter E-chain (x
 on a tie), transposing it for the other: in the checks, B is read off B*'s
 tables.  Vectors and tables are built once per q0 and shared by every
@@ -60,7 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coordalg import CoordElement
-from .corep import MAX_TWOL, Ladder, Vector, norm_factorials
+from .corep import MAX_TWOL, Ladder, Vector
 from .errors import CutoffExceeded
 from .fodc import tau
 from .haar import haar
@@ -84,10 +85,11 @@ class _Engine(Ladder):
         self._values = {}  # RationalQ -> its Surd
         self._levels = {}  # y -> {(s, n): level table of M(y)}
         self.reads_star = {}  # y -> whether M(y) is read as M(y*)^T
+        self._pairs, self._ranges = {}, {}  # P by (sa, na, sb, nb), [hi]!/[lo]! by (lo, hi)
         p, r = q0.numerator, q0.denominator
-        # [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r, and q0 at 0
+        # [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r
         self._qint_parts = {m: (r ** (2 * m) - p ** (2 * m), (r * p) ** (m - 1) * (r * r - p * p))
-                            for m in range(1, MAX_TWOL + 3)} | {0: (p, r)}
+                            for m in range(1, MAX_TWOL + 3)}
 
     def value(self, x):
         """A RationalQ at q0, evaluated once per distinct value."""
@@ -97,19 +99,28 @@ class _Engine(Ladder):
         return v
 
     def _norm_ratio(self, alpha, beta) -> tuple:
-        """N_alpha / N_beta as ints (num, den), unreduced and without a gcd,
-        from the [m] whose exponents in the two norms differ."""
-        exps = {0: 2 * (alpha[1] - beta[1])}  # of q0^T, at 0
-        for (a, w), (b, _) in zip(norm_factorials(beta), norm_factorials(alpha)):
-            if a > b:
-                a, b, w = b, a, -w
-            for m in range(a + 1, b + 1):
-                exps[m] = exps.get(m, 0) + w
-        num = den = 1
-        for m, e in exps.items():
-            a, b = self._qint_parts[m]
-            num, den = (num * a**e, den * b**e) if e > 0 else (num * b**-e, den * a**-e)
-        return num, den
+        """N_alpha / N_beta as ints (num, den), unreduced and without a gcd:
+        the part P of the two levels, cached per pair, times the ranges
+        [E_alpha]!/[E_beta]! and [T_beta - E_beta]!/[T_alpha - E_alpha]!."""
+        (sa, na, ka), (sb, nb, kb), rng = alpha, beta, self._range
+        ea, eb = na + (ka - 1) // 2, nb + (kb - 1) // 2  # E = (T + 2k)/2
+        pair = self._pairs.get((sa, na, sb, nb))
+        if pair is None:  # q^(Ta - Tb) ([Ta]!/[Tb]!)^2 [na]^sa [nb]^-sb [Tb + 1]/[Ta + 1]
+            ta, tb = 2 * na - 1, 2 * nb - 1
+            pair = self._pairs[sa, na, sb, nb] = _prod(
+                (self.q0 ** (ta - tb)).as_integer_ratio(), rng(tb, ta), rng(tb, ta),
+                rng(na - (sa > 0), na - (sa < 0)), rng(nb - (sb < 0), nb - (sb > 0)),
+                rng(tb, tb + 1), rng(ta + 1, ta))
+        (pn, pd), (en, ed), (tn, td) = pair, rng(eb, ea), rng(2 * na - 1 - ea, 2 * nb - 1 - eb)
+        return pn * en * tn, pd * ed * td
+
+    def _range(self, lo, hi) -> tuple:
+        """[hi]!/[lo]! as ints (num, den), cached."""
+        out = self._ranges.get((lo, hi))
+        if out is None:
+            out = self._ranges[lo, hi] = (_prod(*map(self._qint_parts.get, range(lo + 1, hi + 1)))
+                                          if lo <= hi else self._range(hi, lo)[::-1])
+        return out
 
     def _round(self, key, coeffs) -> list:
         """The entries c sqrt(N_alpha / N_key) of w_key's orthonormal column,
@@ -144,6 +155,11 @@ class _Engine(Ladder):
                 vals += self._round((s, n, twok), coeffs)
             table[s, n] = np.array(keys, dtype=np.intp).reshape(-1, 4).T, np.array(vals)
         return [table[level] for level in levels]
+
+
+def _prod(*parts) -> tuple:
+    """The product of fractions (num, den) as ints (num, den), unreduced."""
+    return math.prod(a for a, _ in parts), math.prod(b for _, b in parts)
 
 
 # one engine per q0, shared by every space at that q0; the few most
@@ -197,8 +213,10 @@ class TruncatedSpace:
         mirror = 2 * n * n - 1 - np.arange(self.family)
         self.flip = np.concatenate([mirror + self.family, mirror])
         self.jsign = np.tile(np.where((self.twok - 1) // 2 % 2, -1.0, 1.0), 2)
-        self.index = list(zip([1] * self.family + [-1] * self.family, n.tolist() * 2,
-                              self.twok.tolist() * 2))
+
+    @functools.cached_property
+    def index(self) -> list:
+        return [(s, n, t) for s in (1, -1) for n, t in zip(self.n.tolist(), self.twok.tolist())]
 
     @functools.cached_property
     def vec(self) -> dict:
@@ -329,16 +347,20 @@ def zeta_series(z: float, L: int, q0: float) -> float:
     return sum(qnum(n, q0) ** -z * qnum(2 * n, q0) for n in range(1, L + 1))
 
 
+@functools.lru_cache(maxsize=64)  # each trace record reads it at its (z, q0)
 def zeta_merom(z: float, q0: float) -> float:
     """Meromorphic form of the eigenvalue zeta function.
 
     zeta(z) = (q^-1 - q)^(z-1) * sum_k C(z-2+k, k)
               [ q^(z-2+2k)/(1-q^(z-2+2k)) + q^(z+2k)/(1-q^(z+2k)) ],
-    an absolutely convergent series off the poles z = 2 - 2k of its terms,
-    where, and within round-off, it raises ValueError.  Only z = 2 is a pole
-    of zeta, simple with residue (q - q^-1)/log q.  Its terms grow while
-    (z-1+k) q^2 > k+1, so the sum runs past the largest term and on until
-    a term is below the round-off of the sum.
+    an absolutely convergent series off the poles z = 2 - 2k of its terms.
+    At z = -2k the poles of the second part of term k and the first part of
+    term k + 1 cancel; where |z + 2k| < 1, never at z > 2, the two are one
+    term C(z-2+k, k)/(k+1) x/expm1(-x log q), x = z + 2k, -1/log q at x = 0.
+    Only z = 2 is a pole of zeta, simple with residue (q - q^-1)/log q;
+    there, and within round-off, it raises ValueError.  Its terms grow while
+    (z-1+k) q^2 > k+1, so the sum runs past the largest term and on until a
+    term is below the round-off of the sum.
     """
     lq = math.log(q0)
     try:
@@ -347,13 +369,14 @@ def zeta_merom(z: float, q0: float) -> float:
         raise ValueError(f"zeta(z) overflows a float at z = {z:g}") from exc
     total = 0.0
     coeff = 1.0  # C(z-2+k, k) built iteratively
-    prev, k = math.inf, 0
+    prev, k, joined = math.inf, 0, False
     while True:
-        e1 = math.exp((z - 2 + 2 * k) * lq)
-        e2 = math.exp((z + 2 * k) * lq)
-        if e1 == 1 or e2 == 1:
+        e1, e2, x = math.exp((z - 2 + 2 * k) * lq), math.exp((z + 2 * k) * lq), z + 2 * k
+        absorbed, joined = joined, abs(x) < 1  # the first part, by term k - 1
+        if e1 == 1 and not absorbed or e2 == 1 and not joined:
             raise ValueError(f"zeta(z) at z = {z:g} is at a pole of its series")
-        term = coeff * (e1 / (1 - e1) + e2 / (1 - e2))
+        second = (x / math.expm1(-x * lq) if x else -1 / lq) / (k + 1) if joined else e2 / (1 - e2)
+        term = coeff * ((0.0 if absorbed else e1 / (1 - e1)) + second)
         total += term
         if not math.isfinite(total):
             raise ValueError(f"zeta(z) overflows a float at z = {z:g}")

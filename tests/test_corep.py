@@ -182,6 +182,30 @@ def test_mult_matrix_builds_few_vectors_past_its_range(monkeypatch):
     assert max(built.values()) <= 3, built
 
 
+def _f_step(x):
+    return -r_action(gen_F, x)
+
+
+def f_chain_mismatches(ladder, levels):
+    """(s, n) where the bottom vector w_{s,n,-2l} differs from a^(2l)
+    raised by (2l + s)/2 steps w -> -R_F w, compared exactly."""
+    bad = []
+    for n in levels:
+        for s in (1, -1):
+            w = {(2 * n - 1, 0, 0, 0): ladder.value(Q_ONE)}
+            for _ in range((2 * n - 1 + s) // 2):
+                w = ladder.apply(_f_step, w)
+            if ladder.vector((s, n, 1 - 2 * n)).terms != w:
+                bad.append((s, n))
+    return bad
+
+
+def test_bottom_vectors_equal_the_f_chain():
+    # the closed form q^(F - n(n-1)/2) [T]!/[T-F]! a^(T-F) c^F over
+    # Q(q^(1/2)) through level 8
+    assert f_chain_mismatches(corep.Ladder(), range(1, 9)) == []
+
+
 def test_cutoff_guard():
     with pytest.raises(CutoffExceeded):
         vplus_vminus_basis(50)

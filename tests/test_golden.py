@@ -16,10 +16,10 @@ import hashlib
 from fractions import Fraction
 from itertools import product
 
-from qsphere import corep
+from qsphere import corep, spectral
 from qsphere.fodc import TAU, eta, pair_chain, tau, volume_check
 from qsphere.haar import haar_podles
-from qsphere.podles import gen_A, gen_B, gen_Bs
+from qsphere.podles import embed, gen_A, gen_B, gen_Bs
 from qsphere.scalar import render
 from qsphere.spectral import TruncatedSpace, build_mult, haar_trace_check, tau_trace_check
 from tests.test_spectral import dense_tau_record
@@ -103,6 +103,21 @@ def test_mult_entry_bits():
             assert float(M[pos[row], pos[col]]).hex() == pin, (name, row, col)
 
 
+def test_level_table_bits():
+    # keys and float.hex values of every level table of M(A) through level
+    # 14 and of M(B*) through level 15, on a fresh engine per q0: a change
+    # to the ladder, the norm ratios or the evaluation that keeps the exact
+    # values keeps this digest
+    digest = hashlib.sha256()
+    for q0 in (Fraction(1, 4), Fraction(81, 100), Fraction(2, 3)):
+        eng = spectral._Engine(q0)
+        for x, top in ((gen_A, 14), (gen_Bs, 15)):
+            for keys, vals in eng.levels(embed(x), top):
+                digest.update(" ".join(map(str, keys.ravel().tolist())).encode())
+                digest.update(" ".join(v.hex() for v in vals.tolist()).encode())
+    assert digest.hexdigest() == LEVEL_TABLE_DIGEST
+
+
 # z = 3 throughout
 TRACE_LHS_HEX = {
     (Fraction(1, 4), 6): {
@@ -137,3 +152,4 @@ MULT_ENTRY_HEX = {
 TAU_DIGEST = "0b584dd2ff93e5e7c90240b08496532abab6094df197df8f2aa07610c25b0b72"
 HAAR_DIGEST = "c935a495c7f6b62ae4565fbbd1e155f5dda03a26575063fbdaaf63caae3ce570"
 MATRIX_DIGEST = "3e7be4cd5135c41fda33674a590794d7bb0ebc2b66b013d9653e497584ff810f"
+LEVEL_TABLE_DIGEST = "3eb17f689e9a324ac5f1156b86204a6fc0f2393b460ab18c6e24a8d77d26f4a3"

@@ -330,6 +330,33 @@ def test_eval_divides_in_the_canonical_pair():
     assert evaluate(x, Fraction(1, 4)) == 0.5
 
 
+def _poly_at_by_powers(poly, q0):
+    """The power-sum evaluation that Horner's rule replaced, as a reference:
+    sum_k c p^(k-lo) r^(hi-k) with two powers per coefficient."""
+    p, r = q0.numerator, q0.denominator
+    scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    ints = ({}, {})
+    for e, c in poly.coeffs.items():
+        ints[e % 2][e // 2] = c.numerator * scale // c.denominator
+    lo, hi = min(poly.coeffs, default=0) // 2, max(poly.coeffs, default=0) // 2
+    even, odd = (sum(c * p ** (k - lo) * r ** (hi - k) for k, c in part.items())
+                 * p ** max(lo, 0) * r ** max(-hi, 0) for part in ints)
+    d = scale * p ** max(-lo, 0) * r ** max(hi, 0)
+    if odd and math.isqrt(p) ** 2 == p and math.isqrt(r) ** 2 == r:
+        even, odd, d = even * math.isqrt(r) + odd * math.isqrt(p), 0, d * math.isqrt(r)
+    return scalar._reduced(even, odd, d, q0)
+
+
+@settings(max_examples=200)
+@given(polys(max_terms=8, max_exp=40, max_num=10**6, max_den=30),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 16),
+                        Fraction(81, 100), Fraction(5, 7)]))
+def test_horner_evaluation_equals_the_power_sums(poly, q0):
+    # the same canonical Surd, down to its parts
+    got, want = scalar._poly_at(poly, q0), _poly_at_by_powers(poly, q0)
+    assert (got.e, got.o, got.d) == (want.e, want.o, want.d)
+
+
 def test_eval_rounds_without_cancellation():
     # 985 - 1393 sqrt(1/2) = 0.5 / (985 + 1393 sqrt(1/2)): the naive sum of
     # two floats near 985 loses about 4e-10 of its value

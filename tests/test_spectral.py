@@ -35,6 +35,7 @@ from qsphere.uq import gen_E, gen_F, r_action
 from tests.test_corep import (
     RECURSION_OPERANDS,
     expand_mul_mismatches,
+    f_chain_mismatches,
     j0_coefficients,
     lowest_column_mismatches,
 )
@@ -274,11 +275,12 @@ def _keys(nmax):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([Fraction(9, 16), Fraction(2, 3)]), _keys(12), _keys(12))
+@given(st.sampled_from([Fraction(9, 16), Fraction(2, 3), Fraction(81, 100)]), _keys(20),
+       _keys(20))
 def test_factored_norm_ratio_equals_the_fraction_one(q0, alpha, beta):
-    # at a square and a non-square q0, N_alpha / N_beta from the exponents
-    # of the q-factorials is the ratio of the ladder's norms in Q(sqrt(q0)),
-    # which has no odd part
+    # at square and non-square q0, N_alpha / N_beta from the cached level
+    # part and factorial ranges is the ratio of the ladder's norms in
+    # Q(sqrt(q0)), which has no odd part
     eng = spectral._engine_for(q0)
     num, den = eng._norm_ratio(alpha, beta)
     ratio = eng.norm2(alpha) / eng.norm2(beta)
@@ -383,14 +385,24 @@ def test_zeta_merom_refuses_an_overflowing_series():
         zeta_merom(1e4, 0.99)
 
 
-@pytest.mark.parametrize("z, q0, pole", [(2.0, 0.5, 2), (0.0, 0.5, 0), (2 + 1e-17, 0.5, 2),
+@pytest.mark.parametrize("z, q0, pole", [(2.0, 0.5, 2), (2 + 1e-17, 0.5, 2),
                                           (math.nextafter(2, 3), 0.99, 2)])
 def test_zeta_merom_names_a_pole_of_its_series(z, q0, pole):
     # 2 + 1e-17 rounds onto 2, and at q0 = 0.99 the next float past 2 puts
-    # q^(z-2) within round-off of 1; at z = 0 zeta is finite, but two terms
-    # of the series have a pole there
+    # q^(z-2) within round-off of 1
     with pytest.raises(ValueError, match=f"at z = {pole} is at a pole of its series"):
         zeta_merom(z, q0)
+
+
+def test_zeta_merom_is_finite_where_two_poles_of_its_series_cancel():
+    # at z = 0 the poles of two terms cancel; a 120-digit sum of the series
+    # at z = 1e-30 gives zeta(0) = -0.1493144172 at q0 = 0.5
+    zero = zeta_merom(0.0, 0.5)
+    assert math.isfinite(zero) and abs(zero + 0.1493144172) < 1e-10
+    assert abs(zero - (zeta_merom(1e-6, 0.5) + zeta_merom(-1e-6, 0.5)) / 2) < 1e-8
+    for z in (-2.0, -4.0):
+        assert abs(zeta_merom(z, 0.5) - (zeta_merom(z + 1e-6, 0.5)
+                                         + zeta_merom(z - 1e-6, 0.5)) / 2) < 1e-8
 
 
 @pytest.mark.parametrize("z", [2, 1.5, 0.5, 0, -1, math.nan, math.inf])
@@ -746,11 +758,18 @@ def test_mult_matches_exact_matrices():
                     assert abs(M[pos[a], pos[b]] - expected) <= 1e-14
 
 
-@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100)])
+@pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(9, 16), Fraction(81, 100),
+                                Fraction(2, 3)])
 @pytest.mark.parametrize("x", RECURSION_OPERANDS, ids=str)
 def test_expand_mul_equals_the_solve_per_column_at_q0(x, q0):
-    # the same recursion in Q(sqrt(q0)), through level 8, before rounding
+    # the same recursion in Q(sqrt(q0)), through level 8, before rounding;
+    # at 2/3 its half powers keep an odd part
     assert expand_mul_mismatches(spectral._engine_for(q0), x, range(1, 9)) == []
+
+
+def test_bottom_vectors_equal_the_f_chain_at_q0():
+    # the closed form in Q(sqrt(q0)) at the non-square q0 = 2/3, level 14
+    assert f_chain_mismatches(spectral._Engine(Fraction(2, 3)), range(1, 15)) == []
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 4), Fraction(2, 3)])
