@@ -235,9 +235,9 @@ class Ladder:
             xs = self.apply(_e_step, xs)
         return chain
 
-    def expand_mul(self, xs: dict, s: int, n: int) -> dict:
+    def expand_mul(self, chain: list, s: int, n: int) -> dict:
         """{twok: expand(mul(xs, w_{s,n,twok}))} over level n, solving only
-        the lowest-weight column of each of x, E |> x, E^2 |> x, ...
+        the lowest-weight column of each of the E-chain xs, E |> xs, ... given.
 
         By Delta(E) = E (x) K + K^-1 (x) E and w_{k+1} = E |> w_k, a part x_w
         of x of left weight w has x_w w_{k+1} = q^(w/2) (E |> (x_w w_k)
@@ -248,7 +248,7 @@ class Ladder:
         (E |> x_w) w_k gain -q^(2k + l), and one power restores an entry.
         """
         twol = 2 * n - 1
-        chain = [self._lowest_column(x, s, n) for x in self.e_chain(xs)] + [{}]
+        chain = [self._lowest_column(x, s, n) for x in chain] + [{}]
         out = {-twol: chain[0]}
         for twok in range(-twol, twol, 2):
             h = -self._halfpow(2 * twok + twol)
@@ -328,7 +328,7 @@ def mult_matrix(x: PodlesElement, source, target) -> ExactMatrix:
     the top spin of target) are flagged untrusted.
     """
     y = embed(x)
-    xs, deg = LADDER.terms(y), y.degree()
+    chain, deg = LADDER.e_chain(LADDER.terms(y)), y.degree()
     rows = {v.key() for v in target}
     tmax = max((v.twol for v in target), default=0)
     entries = {}
@@ -339,7 +339,7 @@ def mult_matrix(x: PodlesElement, source, target) -> ExactMatrix:
             untrusted.add(beta.key())
         level = (beta.twol, beta.twoj)
         if level not in levels:
-            levels[level] = LADDER.expand_mul(xs, beta.twoj, (beta.twol + 1) // 2)
+            levels[level] = LADDER.expand_mul(chain, beta.twoj, (beta.twol + 1) // 2)
         for (s, n, twok), c in levels[level][beta.twok].items():
             if (2 * n - 1, s, twok) in rows:
                 entries[(2 * n - 1, s, twok), beta.key()] = c

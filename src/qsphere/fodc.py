@@ -13,7 +13,10 @@ so every 2-form is recorded by its unique coefficient in the sphere algebra.
 
 Chains are tensors over the sphere; cochains are multilinear evaluators.
 The twisted boundary, cyclicity and pairing operators follow the usual
-conventions for an algebra automorphism sigma.
+conventions for an algebra automorphism sigma.  A cochain h o psi, such as
+tau with psi(x0, x1, x2) = x0 times the kernel, also gives psi's Haar
+content; those operators add contents and apply h once, so b_sigma tau is
+one Haar sum per quadruple.  Other cochains join values by `sum_products`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .comb import TensorComb
+from .comb import TensorComb, merge_into
 from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
-from .errors import ArityError, NotInSubalgebra
-from .haar import haar_podles, haar_product
+from .errors import ArityError
+from .haar import haar_content, haar_podles, haar_product, haar_sum
 from .podles import (
     PodlesElement,
     embed,
@@ -70,14 +73,15 @@ def differential(x: PodlesElement) -> OneForm:
     return OneForm(r_f(x).scale(qhalfpow(-1)), r_e(x).scale(qhalfpow(1)))
 
 
+@lru_cache(maxsize=32)
+def _kernel(y: PodlesElement, z: PodlesElement) -> CoordElement:
+    return r_f(y) * r_e(z) - (r_e(y) * r_f(z)).scale(qpow(2))
+
+
 def wedge_kernel(y: PodlesElement, z: PodlesElement) -> PodlesElement:
     """The coefficient of dy ^ dz against the volume form:
     R_F(y) R_E(z) - q^2 R_E(y) R_F(z), recognized back into the sphere."""
-    u = r_f(y) * r_e(z) - (r_e(y) * r_f(z)).scale(qpow(2))
-    try:
-        return recognize(u)
-    except NotInSubalgebra as exc:  # pragma: no cover - would be a bug
-        raise NotInSubalgebra(f"wedge kernel left the sphere algebra: {exc}")
+    return recognize(_kernel(y, z))
 
 
 def wedge_coeff(eta_pairs, rho_pairs) -> PodlesElement:
@@ -143,17 +147,29 @@ def localized_commutator_check(x: PodlesElement) -> tuple[bool, bool]:
 class Cochain:
     """(n+1)-linear form on the sphere algebra, held extensionally."""
 
-    __slots__ = ("arity", "evaluator", "name")
+    __slots__ = ("arity", "evaluator", "name", "content")
 
-    def __init__(self, arity, evaluator, name=""):
-        self.arity = arity
-        self.evaluator = evaluator
-        self.name = name
+    def __init__(self, arity, evaluator, name="", content=None):
+        self.arity, self.evaluator, self.name, self.content = arity, evaluator, name, content
 
     def __call__(self, *args: PodlesElement) -> RationalQ:
         if len(args) != self.arity:
             raise ArityError(f"{self.name or 'cochain'} expects {self.arity} arguments")
         return self.evaluator(*args)
+
+
+def _combination(phi: Cochain, arity, terms, name) -> Cochain:
+    """xs -> sum c phi(*y) over the (c, y) of terms(*xs), by Haar contents if phi has them."""
+    if phi.content is None:
+        return Cochain(arity, lambda *xs: sum_products((phi(*y), c) for c, y in terms(*xs)), name)
+
+    def content(*xs):
+        acc = {}
+        for c, y in terms(*xs):
+            merge_into(acc, phi.content(*y), c)
+        return acc
+
+    return Cochain(arity, lambda *xs: haar_sum(content(*xs)), name, content)
 
 
 class Chain(TensorComb):
@@ -173,22 +189,20 @@ def b_sigma(phi: Cochain) -> Cochain:
     """Twisted coboundary: inserts products at adjacent slots and wraps the
     last argument through sigma."""
 
-    def ev(*xs):
-        vals = [phi(*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :]) for j in range(phi.arity)]
-        vals.append(phi(sigma(xs[-1]) * xs[0], *xs[1:-1]))  # the wrap, with sign (-1)^arity
-        return sum_products((v, (Q_ONE, -Q_ONE)[j % 2]) for j, v in enumerate(vals))
+    def terms(*xs):
+        for j in range(phi.arity):
+            yield (Q_ONE, -Q_ONE)[j % 2], (*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :])
+        yield (Q_ONE, -Q_ONE)[phi.arity % 2], (sigma(xs[-1]) * xs[0], *xs[1:-1])  # the wrap
 
-    return Cochain(phi.arity + 1, ev, f"b_sigma({phi.name})")
+    return _combination(phi, phi.arity + 1, terms, f"b_sigma({phi.name})")
 
 
 def lambda_sigma(phi: Cochain) -> Cochain:
     """Twisted cyclic permutation of the arguments, with sign (-1)^(arity-1)."""
 
-    def ev(*xs):
-        val = phi(sigma(xs[-1]), *xs[:-1])
-        return val if phi.arity % 2 else -val
-
-    return Cochain(phi.arity, ev, f"lambda_sigma({phi.name})")
+    sign = (-Q_ONE, Q_ONE)[phi.arity % 2]
+    return _combination(phi, phi.arity, lambda *xs: [(sign, (sigma(xs[-1]), *xs[:-1]))],
+                        f"lambda_sigma({phi.name})")
 
 
 def b_sigma_chain(eta: Chain) -> Chain:
@@ -218,9 +232,10 @@ def lambda_sigma_chain(eta: Chain) -> Chain:
 
 
 def pair_chain(phi: Cochain, eta: Chain) -> RationalQ:
+    """<phi, eta> = sum c phi(*xs) over the terms c xs of eta."""
     if phi.arity != eta.arity:
         raise ArityError("cochain/chain arity mismatch")
-    return sum_products((phi(*xs), coeff) for coeff, xs in eta.slots())
+    return _combination(phi, 0, eta.slots, "")()
 
 
 def act_on_chain(f: UqElement, eta: Chain) -> Chain:
@@ -239,12 +254,11 @@ def tau(x0: PodlesElement, x1: PodlesElement, x2: PodlesElement) -> RationalQ:
     """The twisted cyclic 2-cocycle
     tau(x0, x1, x2) = h(x0 (R_F(x1) R_E(x2) - q^2 R_E(x1) R_F(x2))), with
     the derivations cached and h(x0 kernel) read by `haar_product`; memoised,
-    since coboundaries, cyclic checks and sweeps in L repeat triples."""
-    kernel = r_f(x1) * r_e(x2) - (r_e(x1) * r_f(x2)).scale(qpow(2))
-    return haar_product(embed(x0), kernel)
+    since cyclic checks and sweeps in L repeat triples."""
+    return haar_product(embed(x0), _kernel(x1, x2))
 
 
-TAU = Cochain(3, tau, "tau")
+TAU = Cochain(3, tau, "tau", lambda x0, x1, x2: haar_content(embed(x0), _kernel(x1, x2)))
 
 
 def tau_via_volume(x0, x1, x2) -> RationalQ:

@@ -10,22 +10,26 @@ form is the implementation; invariance under the module actions and the
 modular property are enforced by the test suite rather than assumed, and
 together with h(1) = 1 they determine the state uniquely.
 
-haar_product reads h(x y) off the (bc)^n terms of coordalg.mono_mul over
-the pairs of monomials whose weights cancel, without building the product's
-normal form.  As h((bc)^n) = (-q)^n / (1 + q^2 + ... + q^(2n)), a sum of
-c_n h((bc)^n) with top level N is (sum c_n w_n) / L_N, over one cached
-denominator L_N = prod Phi_d(q^2), 2 <= d <= N + 1, reduced once; a c_n
-with a denominator or a Fraction coefficient goes to `sum_products`.
+h is linear: h(psi) = sum c_n h((bc)^n) over the Haar content {n: c_n} of psi
+(`haar_sum`), so contents add before h applies once; haar_content reads that of
+x y off mono_mul's (bc)^n terms, memoised per monomial pair.  As h((bc)^n) =
+w_n / L_N, n <= N, L_N = prod Phi_d(q^2), 2 <= d <= N + 1, w_n in s^(2n) Z[q^2],
+integer c_n packed at 2^k in s^g (g | 4) times w_n / s^(2n), packed with L_N
+once per (N, k, g), sum to one big int; k, a multiple of 16 past the coefficient
+bound, meets GCDHEU's bound 2^k > 2 |L_N|_inf + 2 in `scalar.over_packed`, which
+reduces in place, else `poly_gcd` decides.  Other c_n take `sum_products`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .comb import add_term
 from .coordalg import CoordElement, mono_mul
 from .podles import PodlesElement, embed
-from .scalar import Q_ONE, RationalQ, is_integral, qgeom, qhalfpow, qpow, sum_over, sum_products
+from .scalar import (Q_ONE, Q_ZERO, RationalQ, is_integral, over_packed, pack, qgeom, qhalfpow,
+                     qpow, sum_products)
 from .uq import left_weight, right_weight
 
 
@@ -42,35 +46,57 @@ def haar_value_A(n: int) -> RationalQ:
 
 @lru_cache(maxsize=32)
 def _bc_denominator(top: int):
-    """(L, w): the lcm L of the denominators of h((bc)^n), n <= top, and
-    w[n] = h((bc)^n) L; level top joins 1 + q^2 + ... + q^(2 top) to L."""
+    """(L, w, max |w[n]|_1): the lcm L of the denominators of h((bc)^n),
+    n <= top, and w[n] = h((bc)^n) L; level top joins [top + 1]_(q^2) to L."""
     if top == 0:
-        return Q_ONE, (Q_ONE,)
-    den, w = _bc_denominator(top - 1)
+        return Q_ONE, (Q_ONE,), 1
+    den, w, _ = _bc_denominator(top - 1)
     ratio = den / qgeom(top + 1, 0, 4)
     v = RationalQ(ratio.den)
-    return den * v, (*(x * v for x in w), qhalfpow(2 * top, (-1) ** top) * RationalQ(ratio.num))
+    w = (*(x * v for x in w), qhalfpow(2 * top, (-1) ** top) * RationalQ(ratio.num))
+    return den * v, w, max(sum(map(abs, x.num.coeffs.values())) for x in w)
 
 
-def _bc_sum(acc: dict) -> RationalQ:
-    """sum c_n h((bc)^n) over {n: c_n}, reduced once."""
-    if acc and all(map(is_integral, acc.values())):
-        den, w = _bc_denominator(max(acc))
-        return sum_over(((c, w[n]) for n, c in acc.items()), den)
-    return sum_products((c, _h_bc(n)) for n, c in acc.items())
+@lru_cache(maxsize=64)
+def _bc_packed(top: int, k: int, g: int):
+    """L_top and each w_n / s^(2n), n <= top, packed at 2^k in s^g, g | 4."""
+    den, w, _ = _bc_denominator(top)
+    return pack(den.num.coeffs, k, g), [pack(x.num.coeffs, k, g, 2 * n) for n, x in enumerate(w)]
+
+
+def haar_sum(acc: dict) -> RationalQ:
+    """h(psi) = sum c_n h((bc)^n) over psi's Haar content {n: c_n}, reduced once."""
+    if not all(map(is_integral, acc.values())):
+        return sum_products((c, _h_bc(n)) for n, c in acc.items())
+    cs = [(2 * n, c.num.coeffs) for n, c in acc.items() if c]
+    if not cs:
+        return Q_ZERO
+    den, _, bound = _bc_denominator(top := max(cs)[0] // 2)
+    lo = min(e + t for t, c in cs for e in c)
+    g = math.gcd(4, *(e + t - lo for t, c in cs for e in c))
+    k = ((bound * sum(max(map(abs, c.values())) for _, c in cs)).bit_length() | 15) + 1
+    dp, wp = _bc_packed(top, k, g)
+    total = sum(pack(c, k, g, lo - t) * wp[t // 2] for t, c in cs)
+    return over_packed(total, lo, k, g, den.num, dp)
 
 
 def haar(x: CoordElement) -> RationalQ:
     """The invariant state, read off the powers of bc among x's monomials."""
-    return _bc_sum({b: k for (a, b, c, d), k in x.terms.items() if a == d == 0 and b == c})
+    return haar_sum({b: k for (a, b, c, d), k in x.terms.items() if a == d == 0 and b == c})
 
 
 def haar_podles(x: PodlesElement) -> RationalQ:
     return haar(embed(x))
 
 
-def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
-    """h(x * y) computed without building the product's normal form."""
+@lru_cache(maxsize=512)
+def _bc_terms(m1, m2) -> tuple:
+    """The terms (n, w) of w (bc)^n in the product m1 m2 of normal monomials."""
+    return tuple((b, w) for (a, b, _, d), w in mono_mul(m1, m2) if a == d == 0)
+
+
+def haar_content(x: CoordElement, y: CoordElement) -> dict:
+    """The Haar content {n: c_n} of x y, the coefficients of its (bc)^n."""
     # bucket x's monomials by the (left, right) weights the partner must cancel
     buckets = {}
     for mono, coeff in x.terms.items():
@@ -80,10 +106,14 @@ def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
     for m2, c2 in y.terms.items():
         for m1, c1 in buckets.get((-left_weight(m2), -right_weight(m2)), ()):
             c = c1 * c2
-            for (a, b, _, d), w in mono_mul(m1, m2):
-                if a == d == 0:
-                    add_term(acc, b, c * w)
-    return _bc_sum(acc)
+            for n, w in _bc_terms(m1, m2):
+                add_term(acc, n, c * w)
+    return acc
+
+
+def haar_product(x: CoordElement, y: CoordElement) -> RationalQ:
+    """h(x * y) computed without building the product's normal form."""
+    return haar_sum(haar_content(x, y))
 
 
 def inner(x: CoordElement, y: CoordElement) -> RationalQ:

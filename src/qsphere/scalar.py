@@ -21,8 +21,8 @@ num/den canonical from these by one shift and one monic scale.  After
 `_HEU_DOUBLINGS` doublings of k, Euclid over Fraction finds the gcd and
 `poly_exact_div` the cofactors.  `sum_products` reduces a sum of products
 once: it adds the numerators over each denominator and joins the few
-distinct denominators over their lcm; `sum_over` divides a sum of products
-of integer polynomials by one denominator, its numerator one packed sum.
+distinct denominators over their lcm; `over_packed` reduces a packed
+(`pack`) numerator against a packed monic denominator in place.
 
 `qpow`, `qhalfpow`, `qgeom` (a geometric sum of half powers), `qint` and
 `qlambda` build the constants of the algebra layers; only `coordalg` keeps
@@ -321,12 +321,17 @@ def _unpack(x, k):
     return out
 
 
+def _lifts(q, hh, k) -> bool:
+    """Whether q(2^k) h(2^k) = f(2^k), |f|_inf < 2^(k-1), proves q h = f."""
+    return 2 * sum(map(abs, q)) * hh < 1 << k
+
+
 def _int_quo(f, h):
     """f/h for integer lists when h divides f and the packed division proves
     it, else None.  The remainder of f(xi) by h(xi) vanishes when h | f; the
     quotient q unpacked from f(xi) // h(xi) satisfies q(xi) h(xi) = f(xi),
     and multiplying back holds as polynomials once xi exceeds twice the
-    coefficient bounds |q|_1 |h|_inf of q h and |f|_inf of f."""
+    coefficient bounds |q|_1 |h|_inf of q h and |f|_inf of f (`_lifts`)."""
     if len(h) > len(f) or not h[0] or f[-1] % h[-1] or f[0] % h[0]:
         return None
     hh = max(map(abs, h))
@@ -336,7 +341,7 @@ def _int_quo(f, h):
         if rem:
             return None
         q = _unpack(quo, k)
-        if 2 * sum(map(abs, q)) * hh < 1 << k:
+        if _lifts(q, hh, k):
             return q
         k *= 2
     return None
@@ -576,25 +581,32 @@ def is_integral(x: RationalQ) -> bool:
     return x.den.is_one() and all(type(v) is int for v in x.num.coeffs.values())
 
 
-def sum_over(pairs, den: RationalQ) -> RationalQ:
-    """(sum x y over the (x, y) pairs) / den, reduced once, for x, y and den
-    polynomials with int coefficients (`is_integral`).  Packed in s^g at
-    2^k, the products sum as big ints, unpacked once into balanced digits:
-    exact while 2^(k-1) exceeds the coefficient bound sum |x|_inf |y|_1."""
-    pairs = [(x.num.coeffs, y.num.coeffs) for x, y in pairs if x and y]
-    if not pairs:
+def pack(coeffs: dict, k: int, g: int = 1, lo: int = 0) -> int:
+    """f(2^k) for the integer f with s^lo f(s^g) = sum c s^e over {e: c}, g
+    dividing each e - lo; `_unpack` recovers f when |f|_inf < 2^(k-1)."""
+    return sum(c << k * ((e - lo) // g) for e, c in coeffs.items())
+
+
+def over_packed(total: int, lo: int, k: int, g: int, den: LaurentPoly, dp: int) -> RationalQ:
+    """s^lo f(s^g) / den reduced, for total = f(2^k), |f|_inf < 2^(k-1), and
+    a monic integer den = D(s^g), D(0) != 0, dp = D(2^k), 2^k >= 2 |D|_inf + 2.
+    GCDHEU in place: the primitive part h of the digits of gcd(total, dp), if
+    it divides f and D, is their gcd h t, as t(2^k) | content <= 2^(k-1), but
+    a t of positive degree has roots below 1 + |D|_inf (Cauchy).  Else `poly_gcd`."""
+    if not total:
         return Q_ZERO
-    xlo, ylo = (min(min(p[i]) for p in pairs) for i in (0, 1))
-    g = math.gcd(*(e - xlo for x, _ in pairs for e in x),
-                 *(e - ylo for _, y in pairs for e in y)) or 1
-    k = sum(max(map(abs, x.values())) * sum(map(abs, y.values())) for x, y in pairs)
-    k = k.bit_length() + 1
-    total = 0
-    for x, y in pairs:
-        total += (sum(v << k * ((e - xlo) // g) for e, v in x.items())
-                  * sum(v << k * ((e - ylo) // g) for e, v in y.items()))
-    num = _from_ints(_unpack(total, k), xlo + ylo, 1, g)
-    return RationalQ(num, den.num)
+    h = _unpack(math.gcd(total, dp), k)
+    c = math.gcd(*h)
+    h = [v // c for v in h]
+    if len(h) == 1:
+        return RationalQ._raw(_from_ints(_unpack(total, k), lo, 1, g), den)
+    hp, hh = _pack(h, k), max(map(abs, h))
+    (qf, rf), (qd, rd) = divmod(total, hp), divmod(dp, hp)
+    if not (rf or rd):
+        qf, qd = _unpack(qf, k), _unpack(qd, k)
+        if _lifts(qf, hh, k) and _lifts(qd, hh, k):
+            return RationalQ._raw(_from_ints(qf, lo, 1, g), _from_ints(qd, 0, 1, g))
+    return RationalQ(_from_ints(_unpack(total, k), lo, 1, g), den)
 
 
 def qpow(k):

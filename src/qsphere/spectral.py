@@ -146,9 +146,11 @@ class _Engine(Ladder):
         s < 0 of the row, then of the column; filled once, free of L."""
         table = self._levels.setdefault(y, {})
         levels = [(s, n) for s in (1, -1) for n in range(1, top + 1)]
-        for s, n in (level for level in levels if level not in table):
+        missing = [level for level in levels if level not in table]
+        chain = missing and self.e_chain(self.terms(y))  # built once per fill
+        for s, n in missing:
             keys, vals = [], []
-            for twok, coeffs in self.expand_mul(self.terms(y), s, n).items():
+            for twok, coeffs in self.expand_mul(chain, s, n).items():
                 col = n * (n - 1) + (twok + 2 * n - 1) // 2
                 keys += [(m * (m - 1) + (t + 2 * m - 1) // 2, s2 < 0, col, s < 0)
                          for s2, m, t in coeffs]
@@ -321,6 +323,8 @@ def build_mult(x, space: TruncatedSpace, top=None) -> Operator:
     every level by default.  M(y) is M(y*)^T, so when y* has the shorter
     E-chain, M(y*) is filled through top + _shift(y), transposed."""
     top, eng = space.npad if top is None else top, space.engine
+    if top > space.npad:  # its columns would index past the space
+        raise ValueError(f"top = {top} is past npad = {space.npad}")
     y = embed(x) if isinstance(x, PodlesElement) else x
     if y not in eng.reads_star:
         eng.reads_star[y] = len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y)))

@@ -240,7 +240,7 @@ def expand_mul_mismatches(ladder, x, levels):
     bad = []
     for s in (1, -1):
         for n in levels:
-            cols = ladder.expand_mul(xs, s, n)
+            cols = ladder.expand_mul(ladder.e_chain(xs), s, n)
             for twok in range(-(2 * n - 1), 2 * n, 2):
                 w = ladder.vector((s, n, twok)).terms
                 if cols[twok] != ladder.expand(ladder.mul(xs, w)):
@@ -284,7 +284,7 @@ def test_e_chains_of_the_generators_share_four_monomials(monkeypatch):
     # so a level of M(A), M(B) and M(B*) solves four products
     monkeypatch.setattr(corep, "LADDER", corep.Ladder())
     for x in (gen_A, gen_B, gen_Bs):
-        corep.LADDER.expand_mul(corep.LADDER.terms(embed(x)), 1, 3)
+        corep.LADDER.expand_mul(corep.LADDER.e_chain(corep.LADDER.terms(embed(x))), 1, 3)
     assert sorted(corep.LADDER._lowest[1, 3]) == [(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0),
                                                  (1, 0, 1, 0)]
 

@@ -33,7 +33,7 @@ from qsphere.fodc import (
 )
 from qsphere.haar import haar, haar_value_A
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs, sigma
-from qsphere.scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow
+from qsphere.scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow, sum_products
 from qsphere.uq import gen_E, gen_F, gen_K, r_action, uq_counit
 from tests.test_podles import podles_elements
 
@@ -404,3 +404,94 @@ def test_tau_is_memoised_per_triple():
     hits = fodc.tau.cache_info().hits
     assert fodc.tau(gen_A, gen_B, gen_Bs) == fodc.tau_via_volume(gen_A, gen_B, gen_Bs)
     assert fodc.tau.cache_info().hits == hits + 1
+
+
+# -- cochains with Haar contents ----------------------------------------------
+
+# tau with its last two slots swapped, and tau with its last slot fixed to B:
+# cochains with a Haar content whose coboundaries are not zero
+SWAPPED = Cochain(3, lambda x0, x1, x2: tau(x0, x2, x1), "swapped",
+                  lambda x0, x1, x2: TAU.content(x0, x2, x1))
+TRUNCATED = Cochain(2, lambda x, y: tau(x, y, gen_B), "truncated",
+                    lambda x, y: TAU.content(x, y, gen_B))
+CONTENT_COCHAINS = (TAU, SWAPPED, TRUNCATED)
+
+
+def _b_sigma_by_values(phi, xs):
+    """b_sigma phi at xs by the per-value route: phi's reduced values,
+    joined by `sum_products`."""
+    vals = [phi(*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :]) for j in range(phi.arity)]
+    vals.append(phi(sigma(xs[-1]) * xs[0], *xs[1:-1]))
+    return sum_products((v, RationalQ((-1) ** j)) for j, v in enumerate(vals))
+
+
+@settings(max_examples=25)
+@given(st.data())
+@example(None)
+def test_content_route_of_b_sigma_equals_the_value_route(data):
+    # the example: coboundaries that are not zero, each with a wrap term
+    # that is not zero either
+    for phi in CONTENT_COCHAINS:
+        if data is None:
+            xs = {3: [gen_A, gen_A, gen_B, gen_Bs], 2: [gen_A, gen_A, gen_Bs]}[phi.arity]
+            if phi is not TAU:
+                assert b_sigma(phi)(*xs) and phi(sigma(xs[-1]) * xs[0], *xs[1:-1])
+        else:
+            xs = data.draw(st.lists(basis_monos(), min_size=phi.arity + 1,
+                                    max_size=phi.arity + 1))
+        assert b_sigma(phi)(*xs) == _b_sigma_by_values(phi, xs)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_content_route_of_lambda_sigma_equals_the_value_route(data):
+    for phi in CONTENT_COCHAINS:
+        xs = data.draw(st.lists(basis_monos(), min_size=phi.arity, max_size=phi.arity))
+        sign = RationalQ((-1) ** (phi.arity - 1))
+        assert lambda_sigma(phi)(*xs) == phi(sigma(xs[-1]), *xs[:-1]) * sign
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_content_route_of_pair_chain_equals_the_value_route(data):
+    for phi in CONTENT_COCHAINS:
+        chain = Chain.zero(phi.arity)
+        for k in range(data.draw(st.integers(1, 4))):
+            xs = data.draw(st.lists(basis_monos(2), min_size=phi.arity, max_size=phi.arity))
+            chain = chain + Chain.of(*xs).scale(qhalfpow(k - 2, data.draw(st.integers(-3, 3))))
+        want = sum_products((phi(*xs), c) for c, xs in chain.slots())
+        assert pair_chain(phi, chain) == want
+    assert pair_chain(SWAPPED, eta()) != Q_ZERO
+
+
+def test_a_cochain_without_content_combines_its_values():
+    # the same forms held by their values alone take the sum_products route
+    for phi in CONTENT_COCHAINS:
+        bare = Cochain(phi.arity, phi.evaluator, phi.name)
+        xs = {3: [gen_A, gen_A, gen_B, gen_Bs], 2: [gen_A, gen_A, gen_Bs]}[phi.arity]
+        assert bare.content is None
+        assert b_sigma(bare)(*xs) == b_sigma(phi)(*xs)
+        assert lambda_sigma(bare)(*xs[1:]) == lambda_sigma(phi)(*xs[1:])
+        assert pair_chain(bare, Chain.of(*xs[1:])) == pair_chain(phi, Chain.of(*xs[1:]))
+    assert pair_chain(Cochain(3, tau), eta()) == RationalQ(-1)
+
+
+def test_coboundary_of_tau_applies_h_once(monkeypatch):
+    # one Haar sum per quadruple, and tau itself is not called
+    sums, taus = [], []
+    haar_sum, tau_ = fodc.haar_sum, fodc.tau
+    monkeypatch.setattr(fodc, "haar_sum", lambda acc: sums.append(1) or haar_sum(acc))
+    monkeypatch.setattr(TAU, "evaluator", lambda *xs: taus.append(1) or tau_(*xs))
+    assert b_sigma(TAU)(gen_A, gen_B, gen_Bs, gen_A) == Q_ZERO
+    assert lambda_sigma(TAU)(gen_A, gen_B, gen_Bs) == tau(gen_A, gen_B, gen_Bs)
+    assert pair_chain(TAU, eta()) == RationalQ(-1)
+    assert len(sums) == 3 and not taus
+
+
+def test_kernel_memo_is_small_and_shared_with_the_wedge():
+    assert fodc._kernel.cache_parameters()["maxsize"] <= 32
+    fodc._kernel.cache_clear()
+    wedge_kernel(gen_A, gen_B)
+    TAU.content(gen_Bs, gen_A, gen_B)
+    info = fodc._kernel.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

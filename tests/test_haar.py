@@ -7,22 +7,27 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere import haar as haar_module
+from qsphere import scalar
+from qsphere.comb import merge_into
+from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere.haar import (
     haar,
+    haar_content,
     haar_podles,
     haar_product,
     haar_value_A,
     inner,
 )
-from qsphere.podles import embed, gen_A, sigma
+from qsphere.podles import embed, gen_A, gen_B, gen_Bs, sigma
 from qsphere.scalar import (
     LaurentPoly,
     Q_ONE,
     Q_ZERO,
     RationalQ,
     evaluate,
+    poly_exact_div,
+    qgeom,
     qhalfpow,
     qpow,
     sum_products,
@@ -191,10 +196,111 @@ def test_haar_sum_over_one_denominator_equals_the_sum_per_level(top):
     # the one reduction over L_top against the sum over the h((bc)^n), on
     # integer coefficients (packed) and with the Fraction fallback
     rng = random.Random(top)
-    den, w = haar_module._bc_denominator(top)
+    den, w, _ = haar_module._bc_denominator(top)
     assert [RationalQ(x.num, den.num) for x in w] == [haar_module._h_bc(n) for n in range(top + 1)]
     for fraction in (False, True) * 4:
         acc = _level_coefficients(rng, top, fraction)
         want = sum_products((c, haar_module._h_bc(n)) for n, c in acc.items())
-        assert haar_module._bc_sum(acc) == want, acc
-    assert haar_module._bc_sum({}) == Q_ZERO
+        assert haar_module.haar_sum(acc) == want, acc
+    assert haar_module.haar_sum({}) == Q_ZERO
+
+
+def _per_level(acc):
+    """sum c_n h((bc)^n), reduced by `sum_products` over the h((bc)^n)."""
+    return sum_products((c, haar_module._h_bc(n)) for n, c in acc.items())
+
+
+def _packed_calls(monkeypatch):
+    """A counter of the `poly_gcd` calls that reduce a packed sum."""
+    calls = []
+    gcd = scalar.poly_gcd
+    monkeypatch.setattr(scalar, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("top", range(1, 11))
+def test_packed_haar_sum_cancels_a_cyclotomic_factor(top, monkeypatch):
+    # c_top = [top + 1]_(q^2) r: the numerator over L_top holds
+    # Phi_(top+1)(q^2), which only level top brings; GCDHEU cancels it in
+    # place, with no poly_gcd
+    rng = random.Random(100 + top)
+    acc = _level_coefficients(rng, top, False)
+    acc[top] = qgeom(top + 1, 0, 4) * acc[top]
+    den, _, _ = haar_module._bc_denominator(top)  # built, and reduced, before counting
+    calls = _packed_calls(monkeypatch)
+    got = haar_module.haar_sum(acc)
+    assert not calls
+    assert got == _per_level(acc)
+    assert got.den != den.num and poly_exact_div(den.num, got.den)
+
+
+@pytest.mark.parametrize("top", range(1, 11))
+def test_packed_haar_sum_of_a_nonzero_content_can_vanish(top):
+    # (-q)^top r h(1) - [top + 1]_(q^2) r h((bc)^top) = 0, and a content
+    # with its terms at levels 0 and top and a sum that is zero
+    r = RationalQ(LaurentPoly({-3: 2, 1: -5, 6: 7}))
+    acc = {0: qhalfpow(2 * top, (-1) ** top) * r, top: -qgeom(top + 1, 0, 4) * r}
+    assert haar_module.haar_sum(acc) == Q_ZERO == _per_level(acc)
+    # B*B = A - A^2 on the sphere: h(B*B) - h(A) + h(A^2) = 0
+    parts = [(Q_ONE, gen_Bs * gen_B), (-Q_ONE, gen_A), (Q_ONE, gen_A * gen_A)]
+    acc = {}
+    for c, x in parts:
+        merge_into(acc, haar_content(CoordElement.one(), embed(x)), c)
+    assert haar_module.haar_sum(acc) == Q_ZERO
+    assert sum_products((haar_podles(x), c) for c, x in parts) == Q_ZERO
+
+
+@pytest.mark.parametrize("top", range(1, 11))
+def test_haar_sum_with_a_non_integral_coefficient(top):
+    # a Fraction coefficient, or a denominator, takes the per-level route
+    rng = random.Random(200 + top)
+    for fraction in (RationalQ(Fraction(3, 7)), RationalQ(Q_ONE.num, (Q_ONE + qpow(3)).num)):
+        acc = _level_coefficients(rng, top, False)
+        acc[rng.randint(0, top)] = fraction * qhalfpow(rng.randint(-3, 3))
+        assert not all(map(scalar.is_integral, acc.values()))
+        assert haar_module.haar_sum(acc) == _per_level(acc)
+
+
+@pytest.mark.parametrize("top", range(1, 11))
+def test_packed_haar_sum_falls_back_when_the_division_cannot_prove_itself(top, monkeypatch):
+    # with the lifting bound patched to refuse the first quotient, the one
+    # of the packed numerator, poly_gcd reduces the unpacked numerator, to
+    # the same value
+    rng = random.Random(300 + top)
+    acc = _level_coefficients(rng, top, False)
+    acc[top] = qgeom(top + 1, 0, 4) * acc[top]
+    want = haar_module.haar_sum(acc)
+    calls, lifts, seen = _packed_calls(monkeypatch), scalar._lifts, []
+
+    def refuse_first(*args):
+        seen.append(args)
+        return len(seen) > 1 and lifts(*args)
+
+    monkeypatch.setattr(scalar, "_lifts", refuse_first)
+    assert haar_module.haar_sum(acc) == want == _per_level(acc)
+    assert seen and calls
+
+
+def test_weights_are_half_powers_times_polynomials_in_q2():
+    # w_n = s^(2n) times a polynomial in s^4 with int coefficients, which
+    # `_bc_packed` packs without its factor s^(2n)
+    for top in range(11):
+        den, w, _ = haar_module._bc_denominator(top)
+        assert all(e % 4 == 0 for e in den.num.coeffs) and den.num.coeffs[0] == 1
+        for n, x in enumerate(w):
+            assert scalar.is_integral(x)
+            assert all(e >= 2 * n and (e - 2 * n) % 4 == 0 for e in x.num.coeffs)
+
+
+def test_haar_memo_tables_are_bounded():
+    for table in (haar_module._bc_terms, haar_module._bc_packed, haar_module._bc_denominator):
+        assert table.cache_parameters()["maxsize"] is not None
+
+
+@settings(max_examples=40)
+@given(coord_elements(3, 3), coord_elements(3, 3))
+def test_haar_content_is_the_bc_part_of_the_product(x, y):
+    prod = x * y
+    want = {b: c for (a, b, c_, d), c in prod.terms.items() if a == d == 0 and b == c_}
+    assert haar_content(x, y) == want
+    assert haar_module.haar_sum(haar_content(x, y)) == haar(prod)

@@ -767,15 +767,31 @@ int_polys_big = st.dictionaries(
 ).map(LaurentPoly)
 
 
+def _packed_sum(pairs, den=_q_den(0)):
+    """sum x y / den by `pack` and `over_packed`, for integer polynomials x,
+    y and a monic den: in s^g at 2^k, k from the coefficient bound
+    sum |x|_inf |y|_1 of the sum and from 2 |den|_inf + 2."""
+    pairs = [(x.num.coeffs, y.num.coeffs) for x, y in pairs if x and y]
+    if not pairs:
+        return scalar.over_packed(0, 0, 2, 1, den, 1)
+    xlo, ylo = (min(min(p[i]) for p in pairs) for i in (0, 1))
+    g = math.gcd(*(e - xlo for x, _ in pairs for e in x), *(e - ylo for _, y in pairs for e in y),
+                 *den.coeffs) or 1
+    bound = sum(max(map(abs, x.values())) * sum(map(abs, y.values())) for x, y in pairs)
+    k = max(bound.bit_length() + 1, (2 * max(map(abs, den.coeffs.values())) + 2).bit_length())
+    total = sum(scalar.pack(x, k, g, xlo) * scalar.pack(y, k, g, ylo) for x, y in pairs)
+    return scalar.over_packed(total, xlo + ylo, k, g, den, scalar.pack(den.coeffs, k, g))
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(int_polys_big, int_polys_big), max_size=6))
 def test_packed_sum_equals_the_dict_sum(pairs):
     # negative coefficients and coefficients past 2^64, over a shared
     # denominator that makes the reduction real
     pairs = [(RationalQ(x), RationalQ(y)) for x, y in pairs]
-    den = RationalQ(_q_den(3))
-    assert scalar.sum_over(pairs, Q_ONE) == RationalQ(_dict_sum(pairs))
-    assert scalar.sum_over(pairs, den) == RationalQ(_dict_sum(pairs), den.num)
+    den = -_q_den(3)  # monic
+    assert _packed_sum(pairs) == RationalQ(_dict_sum(pairs))
+    assert _packed_sum(pairs, den) == RationalQ(_dict_sum(pairs), den)
 
 
 def test_packed_sum_at_the_coefficient_bound():
@@ -784,11 +800,25 @@ def test_packed_sum_at_the_coefficient_bound():
     for big in (2**32, 2**32 - 1, 3):
         for sign in (1, -1):
             x, y = RationalQ(LaurentPoly({2: sign * big})), RationalQ(LaurentPoly({-4: big}))
-            total = scalar.sum_over([(x, y), (x, y)], Q_ONE)
+            total = _packed_sum([(x, y), (x, y)])
             assert total.num.coeffs == {-2: sign * 2 * big * big}
     x = RationalQ(LaurentPoly({0: 2**40, 4: -(2**40)}))
-    assert scalar.sum_over([(x, x)], Q_ONE).num.coeffs == {0: 2**80, 4: -(2**81), 8: 2**80}
-    assert scalar.sum_over([(Q_ZERO, x)], Q_ONE) == Q_ZERO and scalar.sum_over([], Q_ONE) == Q_ZERO
+    assert _packed_sum([(x, x)]).num.coeffs == {0: 2**80, 4: -(2**81), 8: 2**80}
+    assert _packed_sum([(Q_ZERO, x)]) == Q_ZERO and _packed_sum([]) == Q_ZERO
+
+
+@pytest.mark.parametrize("k, f, den", [
+    (4, [6, -3], [5, 1]),
+    (3, [3, -1], [-2, 1, 1]),
+    (3, [-2, 1, 3, 3, -2, -1, -1], [-3, 1]),
+])
+def test_over_packed_proves_its_quotients(k, f, den):
+    # at 2^4, f = 6 - 3s and D = 5 + s have gcd(f(16), D(16)) = 21 = D(16),
+    # and the quotient -2 of the values is no quotient of f by D: the lifting
+    # bound refuses it, and poly_gcd finds f/D reduced, as in the others
+    f, den = (LaurentPoly(dict(enumerate(p))) for p in (f, den))
+    got = scalar.over_packed(scalar.pack(f.coeffs, k), 0, k, 1, den, scalar.pack(den.coeffs, k))
+    assert got == RationalQ(f, den)
 
 
 def test_unpack_refuses_one_bit_digits():

@@ -66,7 +66,7 @@ def _columns(eng, y):
     def column(key):
         if key not in table:
             s, n, _ = key
-            for twok, coeffs in eng.expand_mul(eng.terms(y), s, n).items():
+            for twok, coeffs in eng.expand_mul(eng.e_chain(eng.terms(y)), s, n).items():
                 table[s, n, twok] = dict(zip(coeffs, eng._round((s, n, twok), coeffs)))
         return table[key]
 
@@ -181,6 +181,32 @@ def test_operators_past_the_ladder_cutoff_are_refused_up_front():
     spectral._mult_levels(embed(gen_A), space, 0)
     with pytest.raises(CutoffExceeded):
         spectral._mult_levels(embed(gen_A * gen_A), space, 0)
+
+
+def test_build_mult_refuses_a_top_past_npad():
+    # at q0 = 1/4, L = 3, npad = 6 and dim = 84: the columns of levels 7 and 8
+    # would index up to 96; through npad every index is inside the space
+    space = TruncatedSpace(Fraction(1, 4), 3)
+    for x in (gen_A, gen_B, gen_Bs):
+        with pytest.raises(ValueError, match="npad = 6"):
+            build_mult(x, space, space.npad + 2)
+        op = build_mult(x, space, space.npad)
+        assert max(op.rows.max(), op.cols.max()) < space.dim == 84
+        assert op.toarray().shape == (84, 84)
+
+
+def test_a_fill_builds_the_e_chain_of_its_operand_once(monkeypatch):
+    # every level of a cold fill reads one E-chain of y; a warm fill none
+    eng = spectral._Engine(Fraction(1, 4))
+    calls = []
+    e_chain = eng.e_chain
+    monkeypatch.setattr(eng, "e_chain", lambda xs: calls.append(xs) or e_chain(xs))
+    y = embed(gen_A * gen_B)
+    eng.levels(y, 6)
+    assert calls == [eng.terms(y)]
+    eng.levels(y, 6)
+    eng.levels(y, 8)
+    assert len(calls) == 2
 
 
 def test_truncated_space_refuses_a_float_q0():
@@ -525,9 +551,9 @@ def _counted_engine(monkeypatch, q0):
     calls = collections.Counter()
     expand_mul = eng.expand_mul
 
-    def counted(xs, s, n):
-        calls[tuple(sorted(xs)), s, n] += 1
-        return expand_mul(xs, s, n)
+    def counted(chain, s, n):
+        calls[tuple(sorted(chain[0])), s, n] += 1
+        return expand_mul(chain, s, n)
 
     monkeypatch.setattr(eng, "expand_mul", counted)
     return eng, calls
