@@ -11,12 +11,10 @@ one-forms is reduced against the central volume form w via
 
 so every 2-form is recorded by its unique coefficient in the sphere algebra.
 
-Chains are tensors over the sphere; cochains are multilinear evaluators.
-The twisted boundary, cyclicity and pairing operators follow the usual
-conventions for an algebra automorphism sigma.  A cochain h o psi, such as
-tau with psi(x0, x1, x2) = x0 times the kernel, also gives psi's Haar
-content; those operators add contents and apply h once, so b_sigma tau is
-one Haar sum per quadruple.  Other cochains join values by `sum_products`.
+Chains are tensors over the sphere.  A cochain h o psi, as tau is with psi =
+x0 times the kernel of x1, x2, is held by psi's Haar content; the twisted
+boundary and cyclicity operators (sigma an algebra automorphism) add contents
+and apply h once, and the pairing with a chain joins the cochain's values.
 """
 
 from __future__ import annotations
@@ -145,31 +143,20 @@ def localized_commutator_check(x: PodlesElement) -> tuple[bool, bool]:
 
 
 class Cochain:
-    """(n+1)-linear form on the sphere algebra, held extensionally."""
+    """(n+1)-linear form h o psi on the sphere algebra, held extensionally by
+    content(*xs), the Haar content of psi(*xs).  Its value is h of that,
+    unless an evaluator, such as the memoised tau, gives it."""
 
-    __slots__ = ("arity", "evaluator", "name", "content")
+    __slots__ = ("arity", "content", "evaluator", "name")
 
-    def __init__(self, arity, evaluator, name="", content=None):
-        self.arity, self.evaluator, self.name, self.content = arity, evaluator, name, content
+    def __init__(self, arity, content, name="", evaluator=None):
+        self.arity, self.content, self.name = arity, content, name
+        self.evaluator = evaluator or (lambda *xs: haar_sum(content(*xs)))
 
     def __call__(self, *args: PodlesElement) -> RationalQ:
         if len(args) != self.arity:
             raise ArityError(f"{self.name or 'cochain'} expects {self.arity} arguments")
         return self.evaluator(*args)
-
-
-def _combination(phi: Cochain, arity, terms, name) -> Cochain:
-    """xs -> sum c phi(*y) over the (c, y) of terms(*xs), by Haar contents if phi has them."""
-    if phi.content is None:
-        return Cochain(arity, lambda *xs: sum_products((phi(*y), c) for c, y in terms(*xs)), name)
-
-    def content(*xs):
-        acc = {}
-        for c, y in terms(*xs):
-            merge_into(acc, phi.content(*y), c)
-        return acc
-
-    return Cochain(arity, lambda *xs: haar_sum(content(*xs)), name, content)
 
 
 class Chain(TensorComb):
@@ -185,6 +172,18 @@ class Chain(TensorComb):
             yield coeff, tuple(PodlesElement.monomial(m) for m in key)
 
 
+def _combination(phi: Cochain, terms):
+    """xs -> the Haar content of sum c phi(*y) over the (c, y) of terms(*xs)."""
+
+    def content(*xs):
+        acc = {}
+        for c, y in terms(*xs):
+            merge_into(acc, phi.content(*y), c)
+        return acc
+
+    return content
+
+
 def b_sigma(phi: Cochain) -> Cochain:
     """Twisted coboundary: inserts products at adjacent slots and wraps the
     last argument through sigma."""
@@ -194,15 +193,16 @@ def b_sigma(phi: Cochain) -> Cochain:
             yield (Q_ONE, -Q_ONE)[j % 2], (*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :])
         yield (Q_ONE, -Q_ONE)[phi.arity % 2], (sigma(xs[-1]) * xs[0], *xs[1:-1])  # the wrap
 
-    return _combination(phi, phi.arity + 1, terms, f"b_sigma({phi.name})")
+    return Cochain(phi.arity + 1, _combination(phi, terms), f"b_sigma({phi.name})")
 
 
 def lambda_sigma(phi: Cochain) -> Cochain:
     """Twisted cyclic permutation of the arguments, with sign (-1)^(arity-1)."""
 
-    sign = (-Q_ONE, Q_ONE)[phi.arity % 2]
-    return _combination(phi, phi.arity, lambda *xs: [(sign, (sigma(xs[-1]), *xs[:-1]))],
-                        f"lambda_sigma({phi.name})")
+    def terms(*xs):
+        yield (-Q_ONE, Q_ONE)[phi.arity % 2], (sigma(xs[-1]), *xs[:-1])
+
+    return Cochain(phi.arity, _combination(phi, terms), f"lambda_sigma({phi.name})")
 
 
 def b_sigma_chain(eta: Chain) -> Chain:
@@ -232,10 +232,9 @@ def lambda_sigma_chain(eta: Chain) -> Chain:
 
 
 def pair_chain(phi: Cochain, eta: Chain) -> RationalQ:
-    """<phi, eta> = sum c phi(*xs) over the terms c xs of eta."""
     if phi.arity != eta.arity:
         raise ArityError("cochain/chain arity mismatch")
-    return _combination(phi, 0, eta.slots, "")()
+    return sum_products((phi(*xs), coeff) for coeff, xs in eta.slots())
 
 
 def act_on_chain(f: UqElement, eta: Chain) -> Chain:
@@ -258,7 +257,7 @@ def tau(x0: PodlesElement, x1: PodlesElement, x2: PodlesElement) -> RationalQ:
     return haar_product(embed(x0), _kernel(x1, x2))
 
 
-TAU = Cochain(3, tau, "tau", lambda x0, x1, x2: haar_content(embed(x0), _kernel(x1, x2)))
+TAU = Cochain(3, lambda x0, x1, x2: haar_content(embed(x0), _kernel(x1, x2)), "tau", tau)
 
 
 def tau_via_volume(x0, x1, x2) -> RationalQ:

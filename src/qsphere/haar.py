@@ -11,13 +11,15 @@ modular property are enforced by the test suite rather than assumed, and
 together with h(1) = 1 they determine the state uniquely.
 
 h is linear: h(psi) = sum c_n h((bc)^n) over the Haar content {n: c_n} of psi
-(`haar_sum`), so contents add before h applies once; haar_content reads that of
-x y off mono_mul's (bc)^n terms, memoised per monomial pair.  As h((bc)^n) =
-w_n / L_N, n <= N, L_N = prod Phi_d(q^2), 2 <= d <= N + 1, w_n in s^(2n) Z[q^2],
-integer c_n packed at 2^k in s^g (g | 4) times w_n / s^(2n), packed with L_N
-once per (N, k, g), sum to one big int; k, a multiple of 16 past the coefficient
-bound, meets GCDHEU's bound 2^k > 2 |L_N|_inf + 2 in `scalar.over_packed`, which
-reduces in place, else `poly_gcd` decides.  Other c_n take `sum_products`.
+(`haar_sum`), so contents add before h applies once; `haar_content` reads that
+of x y off mono_mul's (bc)^n terms, memoised per monomial pair.  h((bc)^n) =
+w_n / L_N, n <= N, with L_N = prod Phi_d(q^2), 2 <= d <= N + 1, and w_n in
+s^(2n) Z[q^2], s = q^(1/2).  Integer c_n packed at 2^k in s^g (g | 4) times
+w_n / s^(2n), which are packed with L_N once per (N, k, g), sum to one big int.
+k, the least multiple of 16 above the bit length of the coefficient bound
+max |w_n|_1 sum |c_n|_inf >= |L_N|_inf, unpacks the sum and meets GCDHEU's
+2^k > 2 |L_N|_inf + 2, so `scalar.over_packed` reduces it in place; when the
+packed quotients are not proven, `poly_gcd` does.  Other c_n: `sum_products`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .comb import add_term
 from .coordalg import CoordElement, mono_mul
 from .podles import PodlesElement, embed
 from .scalar import (Q_ONE, Q_ZERO, RationalQ, is_integral, over_packed, pack, qgeom, qhalfpow,
-                     qpow, sum_products)
+                     qpow, sum_products, to_ints)
 from .uq import left_weight, right_weight
 
 
@@ -61,7 +63,8 @@ def _bc_denominator(top: int):
 def _bc_packed(top: int, k: int, g: int):
     """L_top and each w_n / s^(2n), n <= top, packed at 2^k in s^g, g | 4."""
     den, w, _ = _bc_denominator(top)
-    return pack(den.num.coeffs, k, g), [pack(x.num.coeffs, k, g, 2 * n) for n, x in enumerate(w)]
+    return (pack(to_ints(den.num.coeffs, 0, g), k),
+            [pack(to_ints(x.num.coeffs, 2 * n, g), k) for n, x in enumerate(w)])
 
 
 def haar_sum(acc: dict) -> RationalQ:
@@ -76,7 +79,7 @@ def haar_sum(acc: dict) -> RationalQ:
     g = math.gcd(4, *(e + t - lo for t, c in cs for e in c))
     k = ((bound * sum(max(map(abs, c.values())) for _, c in cs)).bit_length() | 15) + 1
     dp, wp = _bc_packed(top, k, g)
-    total = sum(pack(c, k, g, lo - t) * wp[t // 2] for t, c in cs)
+    total = sum(pack(to_ints(c, lo - t, g), k) * wp[t // 2] for t, c in cs)
     return over_packed(total, lo, k, g, den.num, dp)
 
 

@@ -22,7 +22,7 @@ num/den canonical from these by one shift and one monic scale.  After
 `poly_exact_div` the cofactors.  `sum_products` reduces a sum of products
 once: it adds the numerators over each denominator and joins the few
 distinct denominators over their lcm; `over_packed` reduces a packed
-(`pack`) numerator against a packed monic denominator in place.
+(`pack`, `to_ints`) numerator against a packed monic denominator in place.
 
 `qpow`, `qhalfpow`, `qgeom` (a geometric sum of half powers), `qint` and
 `qlambda` build the constants of the algebra layers; only `coordalg` keeps
@@ -275,19 +275,22 @@ def _primitive(p: LaurentPoly, g=1):
     dividing p's exponent offsets, with the content a positive int or
     Fraction and f integer with coprime entries."""
     coeffs = p.coeffs
-    lo = min(coeffs)
-    f = [0] * ((max(coeffs) - lo) // g + 1)
     den = math.lcm(*(c.denominator for c in coeffs.values()))
-    if den == 1:
-        for e, c in coeffs.items():
-            f[(e - lo) // g] = c
-    else:
-        for e, c in coeffs.items():
-            f[(e - lo) // g] = c.numerator * (den // c.denominator)
+    if den != 1:
+        coeffs = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+    f = to_ints(coeffs, min(coeffs), g)
     g = math.gcd(*f)
     if g != 1:
         f = [v // g for v in f]
     return (g if den == 1 else Fraction(g, den)), f
+
+
+def to_ints(coeffs: dict, lo: int, g: int = 1) -> list:
+    """The int list f with s^lo sum f[i] s^(g i) = sum c s^e over {e: c}."""
+    f = [0] * ((max(coeffs) - lo) // g + 1)
+    for e, c in coeffs.items():
+        f[(e - lo) // g] = c
+    return f
 
 
 def _from_ints(f, lo, c, g=1):
@@ -299,7 +302,8 @@ def _from_ints(f, lo, c, g=1):
     return _wrap({lo + g * i: _ratio(n * v, d) for i, v in enumerate(f) if v})
 
 
-def _pack(f, k):
+def pack(f, k: int) -> int:
+    """f(2^k) for an int list f; `_unpack` recovers f if |f|_inf < 2^(k-1)."""
     x = 0
     for c in reversed(f):
         x = (x << k) + c
@@ -337,7 +341,7 @@ def _int_quo(f, h):
     hh = max(map(abs, h))
     k = (2 * max(max(map(abs, f)), hh) + 1).bit_length() + len(f).bit_length()
     for _ in range(_HEU_DOUBLINGS + 1):
-        quo, rem = divmod(_pack(f, k), _pack(h, k))
+        quo, rem = divmod(pack(f, k), pack(h, k))
         if rem:
             return None
         q = _unpack(quo, k)
@@ -371,7 +375,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
     cb, g = _primitive(b, stride)
     k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
     for _ in range(_HEU_DOUBLINGS + 1):
-        h = _unpack(math.gcd(_pack(f, k), _pack(g, k)), k)
+        h = _unpack(math.gcd(pack(f, k), pack(g, k)), k)
         c = math.gcd(*h)
         h = [v // c for v in h]
         if len(h) == 1:
@@ -581,12 +585,6 @@ def is_integral(x: RationalQ) -> bool:
     return x.den.is_one() and all(type(v) is int for v in x.num.coeffs.values())
 
 
-def pack(coeffs: dict, k: int, g: int = 1, lo: int = 0) -> int:
-    """f(2^k) for the integer f with s^lo f(s^g) = sum c s^e over {e: c}, g
-    dividing each e - lo; `_unpack` recovers f when |f|_inf < 2^(k-1)."""
-    return sum(c << k * ((e - lo) // g) for e, c in coeffs.items())
-
-
 def over_packed(total: int, lo: int, k: int, g: int, den: LaurentPoly, dp: int) -> RationalQ:
     """s^lo f(s^g) / den reduced, for total = f(2^k), |f|_inf < 2^(k-1), and
     a monic integer den = D(s^g), D(0) != 0, dp = D(2^k), 2^k >= 2 |D|_inf + 2.
@@ -600,7 +598,7 @@ def over_packed(total: int, lo: int, k: int, g: int, den: LaurentPoly, dp: int) 
     h = [v // c for v in h]
     if len(h) == 1:
         return RationalQ._raw(_from_ints(_unpack(total, k), lo, 1, g), den)
-    hp, hh = _pack(h, k), max(map(abs, h))
+    hp, hh = pack(h, k), max(map(abs, h))
     (qf, rf), (qd, rd) = divmod(total, hp), divmod(dp, hp)
     if not (rf or rd):
         qf, qd = _unpack(qf, k), _unpack(qd, k)

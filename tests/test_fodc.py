@@ -31,7 +31,7 @@ from qsphere.fodc import (
     wedge_coeff,
     wedge_kernel,
 )
-from qsphere.haar import haar, haar_value_A
+from qsphere.haar import haar, haar_sum, haar_value_A
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs, sigma
 from qsphere.scalar import Q_ZERO, RationalQ, qhalfpow, qlambda, qpow, sum_products
 from qsphere.uq import gen_E, gen_F, gen_K, r_action, uq_counit
@@ -333,7 +333,7 @@ def test_b_sigma_eta_nonzero():
 def test_cyclic_one_cocycle_vanishes_on_AA():
     # for any twisted cyclic 1-cocycle phi, cyclicity forces phi(A, A) = 0:
     # lambda_sigma(phi)(A, A) = -phi(sigma(A), A) = -phi(A, A)
-    phi = Cochain(2, lambda x, y: tau(x, y, gen_B), "truncated")
+    phi = Cochain(2, lambda x, y: TAU.content(x, y, gen_B), "truncated")
     lam = lambda_sigma(phi)
     assert lam(gen_A, gen_A) == -phi(sigma(gen_A), gen_A)
 
@@ -406,15 +406,13 @@ def test_tau_is_memoised_per_triple():
     assert fodc.tau.cache_info().hits == hits + 1
 
 
-# -- cochains with Haar contents ----------------------------------------------
+# -- cochains held by Haar contents ---------------------------------------------
 
 # tau with its last two slots swapped, and tau with its last slot fixed to B:
-# cochains with a Haar content whose coboundaries are not zero
-SWAPPED = Cochain(3, lambda x0, x1, x2: tau(x0, x2, x1), "swapped",
-                  lambda x0, x1, x2: TAU.content(x0, x2, x1))
-TRUNCATED = Cochain(2, lambda x, y: tau(x, y, gen_B), "truncated",
-                    lambda x, y: TAU.content(x, y, gen_B))
-CONTENT_COCHAINS = (TAU, SWAPPED, TRUNCATED)
+# cochains whose coboundaries are not zero
+SWAPPED = Cochain(3, lambda x0, x1, x2: TAU.content(x0, x2, x1), "swapped")
+TRUNCATED = Cochain(2, lambda x, y: TAU.content(x, y, gen_B), "truncated")
+COCHAINS = (TAU, SWAPPED, TRUNCATED)
 
 
 def _b_sigma_by_values(phi, xs):
@@ -431,7 +429,7 @@ def _b_sigma_by_values(phi, xs):
 def test_content_route_of_b_sigma_equals_the_value_route(data):
     # the example: coboundaries that are not zero, each with a wrap term
     # that is not zero either
-    for phi in CONTENT_COCHAINS:
+    for phi in COCHAINS:
         if data is None:
             xs = {3: [gen_A, gen_A, gen_B, gen_Bs], 2: [gen_A, gen_A, gen_Bs]}[phi.arity]
             if phi is not TAU:
@@ -445,47 +443,31 @@ def test_content_route_of_b_sigma_equals_the_value_route(data):
 @settings(max_examples=25)
 @given(st.data())
 def test_content_route_of_lambda_sigma_equals_the_value_route(data):
-    for phi in CONTENT_COCHAINS:
+    for phi in COCHAINS:
         xs = data.draw(st.lists(basis_monos(), min_size=phi.arity, max_size=phi.arity))
         sign = RationalQ((-1) ** (phi.arity - 1))
         assert lambda_sigma(phi)(*xs) == phi(sigma(xs[-1]), *xs[:-1]) * sign
 
 
-@settings(max_examples=15)
-@given(st.data())
-def test_content_route_of_pair_chain_equals_the_value_route(data):
-    for phi in CONTENT_COCHAINS:
-        chain = Chain.zero(phi.arity)
-        for k in range(data.draw(st.integers(1, 4))):
-            xs = data.draw(st.lists(basis_monos(2), min_size=phi.arity, max_size=phi.arity))
-            chain = chain + Chain.of(*xs).scale(qhalfpow(k - 2, data.draw(st.integers(-3, 3))))
-        want = sum_products((phi(*xs), c) for c, xs in chain.slots())
-        assert pair_chain(phi, chain) == want
+def test_a_cochain_is_h_of_its_content():
+    xs = (gen_Bs, gen_A, gen_B)
+    assert SWAPPED(*xs) == tau(gen_Bs, gen_B, gen_A) == haar_sum(SWAPPED.content(*xs))
+    assert pair_chain(SWAPPED, eta()) == sum_products((SWAPPED(*ys), c) for c, ys in eta().slots())
     assert pair_chain(SWAPPED, eta()) != Q_ZERO
 
 
-def test_a_cochain_without_content_combines_its_values():
-    # the same forms held by their values alone take the sum_products route
-    for phi in CONTENT_COCHAINS:
-        bare = Cochain(phi.arity, phi.evaluator, phi.name)
-        xs = {3: [gen_A, gen_A, gen_B, gen_Bs], 2: [gen_A, gen_A, gen_Bs]}[phi.arity]
-        assert bare.content is None
-        assert b_sigma(bare)(*xs) == b_sigma(phi)(*xs)
-        assert lambda_sigma(bare)(*xs[1:]) == lambda_sigma(phi)(*xs[1:])
-        assert pair_chain(bare, Chain.of(*xs[1:])) == pair_chain(phi, Chain.of(*xs[1:]))
-    assert pair_chain(Cochain(3, tau), eta()) == RationalQ(-1)
-
-
 def test_coboundary_of_tau_applies_h_once(monkeypatch):
-    # one Haar sum per quadruple, and tau itself is not called
+    # one Haar sum per value of b_sigma(TAU) or lambda_sigma(TAU), and no tau
+    # call; the pairing with a chain evaluates tau once per chain term
     sums, taus = [], []
-    haar_sum, tau_ = fodc.haar_sum, fodc.tau
-    monkeypatch.setattr(fodc, "haar_sum", lambda acc: sums.append(1) or haar_sum(acc))
+    haar_sum_, tau_ = fodc.haar_sum, fodc.tau
+    monkeypatch.setattr(fodc, "haar_sum", lambda acc: sums.append(1) or haar_sum_(acc))
     monkeypatch.setattr(TAU, "evaluator", lambda *xs: taus.append(1) or tau_(*xs))
     assert b_sigma(TAU)(gen_A, gen_B, gen_Bs, gen_A) == Q_ZERO
-    assert lambda_sigma(TAU)(gen_A, gen_B, gen_Bs) == tau(gen_A, gen_B, gen_Bs)
+    assert lambda_sigma(TAU)(gen_A, gen_B, gen_Bs) == tau_(gen_A, gen_B, gen_Bs)
+    assert len(sums) == 2 and not taus
     assert pair_chain(TAU, eta()) == RationalQ(-1)
-    assert len(sums) == 3 and not taus
+    assert len(sums) == 2 and len(taus) == 7
 
 
 def test_kernel_memo_is_small_and_shared_with_the_wedge():

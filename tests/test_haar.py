@@ -245,9 +245,32 @@ def test_packed_haar_sum_of_a_nonzero_content_can_vanish(top):
     parts = [(Q_ONE, gen_Bs * gen_B), (-Q_ONE, gen_A), (Q_ONE, gen_A * gen_A)]
     acc = {}
     for c, x in parts:
-        merge_into(acc, haar_content(CoordElement.one(), embed(x)), c)
+        bc = {b: k for (a, b, c_, d), k in embed(x).terms.items() if a == d == 0 and b == c_}
+        merge_into(acc, bc, c)
     assert haar_module.haar_sum(acc) == Q_ZERO
     assert sum_products((haar_podles(x), c) for c, x in parts) == Q_ZERO
+
+
+@pytest.mark.parametrize("top", range(1, 11))
+def test_packed_haar_sum_at_its_coefficient_bound(top):
+    # c_0 = sum big sgn(l_j) s^-j over L_top = sum l_j s^j = w_0, whose |w_0|_1
+    # is the bound max |w_n|_1, and c_top = 1: the packed sum has a
+    # coefficient big bound, big near 2^32 or 2^64.  The bit length of the
+    # k rule's bound (big + 1) bound is one short of a multiple of 16, where
+    # k lies one bit above it, or a multiple of 16, where half the bound
+    # would give a k 16 bits lower; either way the sum would not unpack
+    den, w, bound = haar_module._bc_denominator(top)
+    assert w[0] == den and bound == sum(map(abs, den.num.coeffs.values()))
+    for bits, extra in product((32, 64), (0, 1)):
+        width = ((bound << bits).bit_length() | 15) + extra
+        big = ((1 << width) - 1) // bound - 1
+        assert big >= 1 << bits and ((big + 1) * bound).bit_length() == width
+        for sign in (1, -1):
+            c = RationalQ(LaurentPoly({-j: sign * big * (1 if v > 0 else -1)
+                                       for j, v in den.num.coeffs.items()}))
+            assert (c * den).num.coeffs[0] == sign * big * bound
+            acc = {0: c, top: Q_ONE}
+            assert haar_module.haar_sum(acc) == _per_level(acc)
 
 
 @pytest.mark.parametrize("top", range(1, 11))
@@ -303,4 +326,3 @@ def test_haar_content_is_the_bc_part_of_the_product(x, y):
     prod = x * y
     want = {b: c for (a, b, c_, d), c in prod.terms.items() if a == d == 0 and b == c_}
     assert haar_content(x, y) == want
-    assert haar_module.haar_sum(haar_content(x, y)) == haar(prod)

@@ -779,8 +779,12 @@ def _packed_sum(pairs, den=_q_den(0)):
                  *den.coeffs) or 1
     bound = sum(max(map(abs, x.values())) * sum(map(abs, y.values())) for x, y in pairs)
     k = max(bound.bit_length() + 1, (2 * max(map(abs, den.coeffs.values())) + 2).bit_length())
-    total = sum(scalar.pack(x, k, g, xlo) * scalar.pack(y, k, g, ylo) for x, y in pairs)
-    return scalar.over_packed(total, xlo + ylo, k, g, den, scalar.pack(den.coeffs, k, g))
+
+    def packed(coeffs, lo):
+        return scalar.pack(scalar.to_ints(coeffs, lo, g), k)
+
+    total = sum(packed(x, xlo) * packed(y, ylo) for x, y in pairs)
+    return scalar.over_packed(total, xlo + ylo, k, g, den, packed(den.coeffs, 0))
 
 
 @settings(max_examples=200)
@@ -816,9 +820,9 @@ def test_over_packed_proves_its_quotients(k, f, den):
     # at 2^4, f = 6 - 3s and D = 5 + s have gcd(f(16), D(16)) = 21 = D(16),
     # and the quotient -2 of the values is no quotient of f by D: the lifting
     # bound refuses it, and poly_gcd finds f/D reduced, as in the others
-    f, den = (LaurentPoly(dict(enumerate(p))) for p in (f, den))
-    got = scalar.over_packed(scalar.pack(f.coeffs, k), 0, k, 1, den, scalar.pack(den.coeffs, k))
-    assert got == RationalQ(f, den)
+    fp, dp = (LaurentPoly(dict(enumerate(p))) for p in (f, den))
+    got = scalar.over_packed(scalar.pack(f, k), 0, k, 1, dp, scalar.pack(den, k))
+    assert got == RationalQ(fp, dp)
 
 
 def test_unpack_refuses_one_bit_digits():
@@ -827,7 +831,7 @@ def test_unpack_refuses_one_bit_digits():
         scalar._unpack(-1, 1)
     # at k = 2 they are {-1, 0, 1, 2}, and negative digits round-trip
     for digits in ([-1], [2, -1], [-1, 0, 2, -1], [1, -1, -1, 1]):
-        assert scalar._unpack(scalar._pack(digits, 2), 2) == digits
+        assert scalar._unpack(scalar.pack(digits, 2), 2) == digits
 
 
 def test_integral_values():
