@@ -12,9 +12,12 @@ one-forms is reduced against the central volume form w via
 so every 2-form is recorded by its unique coefficient in the sphere algebra.
 
 Chains are tensors over the sphere.  A cochain h o psi, as tau is with psi =
-x0 times the kernel of x1, x2, is held by psi's Haar content; the twisted
-boundary and cyclicity operators (sigma an algebra automorphism) add contents
-and apply h once, and the pairing with a chain joins the cochain's values.
+x0 times the kernel of x1, x2, is held by psi's Haar content, and the pairing
+with a chain joins the cochain's values.  Chains and cochains share one
+twisted boundary map and one twisted cyclic map (sigma an algebra
+automorphism), each a generator of signed argument tuples: a chain sums the
+tensors of those tuples, a cochain adds phi's contents at them and applies h
+once.  So <b_sigma phi, eta> = <phi, b_sigma eta>, and the same for lambda_sigma.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def wedge_coeff(eta_pairs, rho_pairs) -> PodlesElement:
     out = PodlesElement.zero()
     for x, y in eta_pairs:
         for z, w in rho_pairs:
-            out = out + x * wedge_kernel(y * z, w) - (x * y) * wedge_kernel(z, w)
+            out = out + x * wedge_kernel(y * z, w) - x * (y * wedge_kernel(z, w))
     return out
 
 
@@ -172,63 +175,57 @@ class Chain(TensorComb):
             yield coeff, tuple(PodlesElement.monomial(m) for m in key)
 
 
-def _combination(phi: Cochain, terms):
-    """xs -> the Haar content of sum c phi(*y) over the (c, y) of terms(*xs)."""
+def _boundary(xs):
+    """(odd, args) of the twisted boundary at xs: the adjacent products, then
+    the wrap sigma(x_last) x_0, the j-th term with sign (-1)^j."""
+    n = len(xs) - 1
+    for j in range(n):
+        yield j % 2, (*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :])
+    yield n % 2, (sigma(xs[-1]) * xs[0], *xs[1:-1])
+
+
+def _cyclic(xs):
+    """(odd, args) of the twisted cyclic permutation, sign (-1)^(len(xs)-1)."""
+    yield (len(xs) - 1) % 2, (sigma(xs[-1]), *xs[:-1])
+
+
+def _cochain(phi: Cochain, arity, terms, name) -> Cochain:
+    """xs -> the Haar content of the signed sum of phi over terms(xs)."""
 
     def content(*xs):
         acc = {}
-        for c, y in terms(*xs):
-            merge_into(acc, phi.content(*y), c)
+        for odd, args in terms(xs):
+            merge_into(acc, phi.content(*args), -Q_ONE if odd else Q_ONE)
         return acc
 
-    return content
+    return Cochain(arity, content, f"{name}({phi.name})")
+
+
+def _chain(eta: Chain, arity, terms) -> Chain:
+    """The signed sum of the chains of terms(xs) over the slots of eta."""
+    acc = {}
+    for coeff, xs in eta.slots():
+        for odd, args in terms(xs):
+            merge_into(acc, Chain.of(*args).terms, -coeff if odd else coeff)
+    return Chain._raw(acc, arity)
 
 
 def b_sigma(phi: Cochain) -> Cochain:
-    """Twisted coboundary: inserts products at adjacent slots and wraps the
-    last argument through sigma."""
-
-    def terms(*xs):
-        for j in range(phi.arity):
-            yield (Q_ONE, -Q_ONE)[j % 2], (*xs[:j], xs[j] * xs[j + 1], *xs[j + 2 :])
-        yield (Q_ONE, -Q_ONE)[phi.arity % 2], (sigma(xs[-1]) * xs[0], *xs[1:-1])  # the wrap
-
-    return Cochain(phi.arity + 1, _combination(phi, terms), f"b_sigma({phi.name})")
+    """Twisted coboundary: phi summed over the boundary terms of its arguments."""
+    return _cochain(phi, phi.arity + 1, _boundary, "b_sigma")
 
 
 def lambda_sigma(phi: Cochain) -> Cochain:
     """Twisted cyclic permutation of the arguments, with sign (-1)^(arity-1)."""
-
-    def terms(*xs):
-        yield (-Q_ONE, Q_ONE)[phi.arity % 2], (sigma(xs[-1]), *xs[:-1])
-
-    return Cochain(phi.arity, _combination(phi, terms), f"lambda_sigma({phi.name})")
+    return _cochain(phi, phi.arity, _cyclic, "lambda_sigma")
 
 
 def b_sigma_chain(eta: Chain) -> Chain:
-    n = eta.arity - 1
-    out = Chain.zero(n)
-    for coeff, xs in eta.slots():
-        for j in range(n):
-            prod = xs[j] * xs[j + 1]
-            rest = xs[:j] + (prod,) + xs[j + 2 :]
-            term = Chain.of(*rest).scale(coeff if j % 2 == 0 else -coeff)
-            out = out + term
-        wrap = Chain.of(sigma(xs[-1]) * xs[0], *xs[1:-1]).scale(
-            coeff if n % 2 == 0 else -coeff
-        )
-        out = out + wrap
-    return out
+    return _chain(eta, eta.arity - 1, _boundary)
 
 
 def lambda_sigma_chain(eta: Chain) -> Chain:
-    n = eta.arity - 1
-    out = Chain.zero(eta.arity)
-    for coeff, xs in eta.slots():
-        out = out + Chain.of(sigma(xs[-1]), *xs[:-1]).scale(
-            coeff if n % 2 == 0 else -coeff
-        )
-    return out
+    return _chain(eta, eta.arity, _cyclic)
 
 
 def pair_chain(phi: Cochain, eta: Chain) -> RationalQ:

@@ -449,6 +449,24 @@ def test_content_route_of_lambda_sigma_equals_the_value_route(data):
         assert lambda_sigma(phi)(*xs) == phi(sigma(xs[-1]), *xs[:-1]) * sign
 
 
+@settings(max_examples=25)
+@given(st.data())
+@example(None)
+def test_the_shared_maps_are_dual_on_chains_and_cochains(data):
+    # <b_sigma phi, xs> = <phi, b_sigma xs> and <lambda_sigma phi, xs> =
+    # <phi, lambda_sigma xs>: both sides sum phi over the same signed
+    # arguments; the example has values that are not zero for every phi
+    fixed = {2: [gen_A, gen_Bs], 3: [gen_A, gen_B, gen_Bs], 4: [gen_A, gen_A, gen_B, gen_Bs]}
+    for phi in COCHAINS:
+        for op, op_chain, n in ((b_sigma, b_sigma_chain, phi.arity + 1),
+                                (lambda_sigma, lambda_sigma_chain, phi.arity)):
+            if data is None:
+                xs = fixed[n]
+            else:
+                xs = data.draw(st.lists(basis_monos(), min_size=n, max_size=n))
+            assert op(phi)(*xs) == pair_chain(phi, op_chain(Chain.of(*xs)))
+
+
 def test_a_cochain_is_h_of_its_content():
     xs = (gen_Bs, gen_A, gen_B)
     assert SWAPPED(*xs) == tau(gen_Bs, gen_B, gen_A) == haar_sum(SWAPPED.content(*xs))

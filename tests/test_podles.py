@@ -1,6 +1,7 @@
 """Tests for the quantum-sphere algebra."""
 
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from qsphere.podles import (
     sigma,
 )
 from qsphere.scalar import Q_ONE, qpow
-from qsphere.uq import act_left, gen_E, gen_F, gen_K, gen_Kinv, r_action
+from qsphere.uq import act_left, act_right, gen_E, gen_F, gen_K, gen_Kinv, r_action
 from tests.test_uq import coeffs
 
 
@@ -135,6 +136,28 @@ def test_recognize_rejects_non_invariant():
         recognize(gen_a)
     with pytest.raises(NotInSubalgebra):
         recognize(gen_b)
+    with pytest.raises(NotInSubalgebra):
+        recognize(embed(gen_A) + gen_a)  # one invariant monomial and one that is not
+
+
+def test_recognize_accepts_exactly_the_right_K_invariant_monomials():
+    # the reference is the defining rule x <| K = x, over every normal
+    # monomial a^a b^b c^c d^d (ad = 0) of degree <= 8; the accepted ones are
+    # the embeddings of the 25 basis keys A^i B^j with i + |j| <= 4
+    accepted = 0
+    for a, b, c, d in product(range(9), repeat=4):
+        if a * d or a + b + c + d > 8:
+            continue
+        m = CoordElement.monomial((a, b, c, d))
+        invariant = act_right(m, gen_K) == m
+        try:
+            x = recognize(m)
+        except NotInSubalgebra:
+            assert not invariant, (a, b, c, d)
+        else:
+            assert invariant and len(x.terms) == 1 and embed(x) == m, (a, b, c, d)
+            accepted += 1
+    assert accepted == 25
 
 
 def test_recognize_r_products():
