@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .comb import SparseComb, merge_into
-from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
+from .coordalg import CoordElement
 from .errors import NotInSubalgebra
 from .scalar import Q_ONE, qhalfpow, qpow
 
@@ -84,21 +84,18 @@ def sigma(x: PodlesElement) -> PodlesElement:
     )
 
 
-# embedded generators
-_EMB_A = (gen_b * gen_c).scale(qhalfpow(-2, -1))
-_EMB_B = gen_a * gen_c
-_EMB_BS = (gen_d * gen_b).scale(-1)
-
-
 @lru_cache(maxsize=1024)
 def _embed_mono(mono) -> CoordElement:
+    """The image of a basis monomial, one monomial in normal form:
+    A^i B^j maps to (-1)^i q^(-i - j(j-1)/2 - 2ij) a^j b^i c^(i+j) and
+    A^i B*^k to (-1)^(i+k) q^(-i - k(k+1)/2) b^(i+k) c^i d^k, the products
+    of the images A = -q^-1 bc, B = ac and B* = -db."""
     i, j = mono
-    out = _EMB_A ** i
-    if j > 0:
-        out = out * _EMB_B ** j
-    elif j < 0:
-        out = out * _EMB_BS ** (-j)
-    return out
+    if j >= 0:
+        key, half, sign = (j, i, i + j, 0), -2 * i - j * (j - 1) - 4 * i * j, i
+    else:  # k = -j, and k (k + 1) = j (j - 1)
+        key, half, sign = (0, i - j, i, -j), -2 * i - j * (j - 1), i - j
+    return CoordElement._raw({key: qhalfpow(half, (-1) ** sign)})
 
 
 def embed(x: PodlesElement) -> CoordElement:

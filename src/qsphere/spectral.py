@@ -20,10 +20,12 @@ Spaces are built with `PAD` levels beyond L.  M(x) moves levels by at most
 `_shift(x)`, so a product is exact on the levels up to npad less the sum
 of its operands' shifts; traces sum only diagonal entries there, and
 report the discarded boundary count.  A check fills only the levels its
-window reads and holds no entry in the others: x0 [D,x1] [D,x2] on the
-levels n <= W = npad - s0 - s1 - s2 reads x0 through level W + s0, x2
-through W and x1 through W + min(s2, s0 + s1); the commutant checks read
-M(x) and M(y) through npad - max(s_x, s_y).  `build_mult` fills all.
+window reads and the families its weights read, and holds no entry in the
+others: x0 [D,x1] [D,x2] on the levels n <= W = npad - s0 - s1 - s2 reads
+x0 through level W + s0, x2 through W and x1 through W + min(s2, s0 + s1);
+the commutant checks read M(x) and M(y) through npad - max(s_x, s_y); the
+h-trace, whose weights vanish on s = -1, reads the s = 1 diagonal of M(x)
+straight from the level tables.  `build_mult` fills both families.
 
 Exact construction: the basis is the one ladder of `corep.Ladder`, with
 its sign convention phi_{j+1} = -R_F phi_j/alpha, phi_{k+1} = E |> phi_k/alpha
@@ -44,12 +46,12 @@ A nonzero part e/d of c is then the square root of one int true division,
 signed as e.  The division rounds c_part^2 N_alpha / N_beta correctly, so
 each part is within one ulp, and no part is read as a float: a coefficient
 past the float range rounds as long as its entry is in it.  So
-M(x*) = M(x)^T holds to the bit, and
-`build_mult` fills only the member of {x, x*} with the shorter E-chain (x
-on a tie), transposing it for the other: in the checks, B is read off B*'s
-tables.  Vectors and tables are built once per q0 and shared by every
-space at that q0; the engines of the few most recent q0 are kept.  A check
-embeds each operand once; `fodc` memoises the exact tau per triple.
+M(x*) = M(x)^T holds to the bit, and only the member of {x, x*} with the
+shorter E-chain (x on a tie) is filled, as `_Engine.filled` decides,
+transposed for the other: in the checks, B is read off B*'s tables.
+Vectors and tables are built once per q0 and shared by every space at
+that q0; the engines of the few most recent q0 are kept.  A check embeds
+each operand once; `fodc` memoises the exact tau per triple.
 """
 
 from __future__ import annotations
@@ -140,12 +142,14 @@ class _Engine(Ladder):
             out.append(entry)
         return out
 
-    def levels(self, y, top) -> list:
-        """The level tables of M(y), s = 1 then -1 and n = 1..top: (keys, vals)
-        of the columns of (s, n), 2k rising, keys' rows the family index and
-        s < 0 of the row, then of the column; filled once, free of L."""
+    def levels(self, y, top, families=(1, -1)) -> list:
+        """The level tables of M(y), s in families (s = 1 then -1 by
+        default) and n = 1..top: (keys, vals) of the columns of (s, n), 2k
+        rising, keys' rows the family index and s < 0 of the row, then of
+        the column; each filled once, free of L, and none of another family
+        filled."""
         table = self._levels.setdefault(y, {})
-        levels = [(s, n) for s in (1, -1) for n in range(1, top + 1)]
+        levels = [(s, n) for s in families for n in range(1, top + 1)]
         missing = [level for level in levels if level not in table]
         chain = missing and self.e_chain(self.terms(y))  # built once per fill
         for s, n in missing:
@@ -157,6 +161,15 @@ class _Engine(Ladder):
                 vals += self._round((s, n, twok), coeffs)
             table[s, n] = np.array(keys, dtype=np.intp).reshape(-1, 4).T, np.array(vals)
         return [table[level] for level in levels]
+
+    def filled(self, y) -> tuple:
+        """(y or y*, whether y*): the operand whose tables M(y) is read off,
+        as M(y*)^T when y* has the shorter E-chain (y on a tie)."""
+        star = self.reads_star.get(y)
+        if star is None:
+            star = self.reads_star[y] = (len(self.e_chain(self.terms(y.star())))
+                                         < len(self.e_chain(self.terms(y))))
+        return (y.star() if star else y), star
 
 
 def _prod(*parts) -> tuple:
@@ -307,13 +320,14 @@ def _shift(y: CoordElement) -> int:
     return (y.degree() + 1) // 2
 
 
-def _mult_levels(y: CoordElement, space: TruncatedSpace, top: int) -> list:
-    """The level tables of M(y) through level top; its columns reach spin
-    npad + _shift(y) - 1/2, so one past the cutoff is refused up front."""
+def _mult_levels(y: CoordElement, space: TruncatedSpace, top: int, families=(1, -1)) -> list:
+    """The level tables of M(y) through level top in the given families; its
+    columns reach spin npad + _shift(y) - 1/2, so one past the cutoff is
+    refused up front."""
     if (twol := 2 * (space.npad + _shift(y)) - 1) > MAX_TWOL:
         raise CutoffExceeded(f"M({recognize(y)}) at L = {space.L} needs 2l = {twol}, past the "
                              f"cutoff {MAX_TWOL}")
-    return space.engine.levels(y, top)
+    return space.engine.levels(y, top, families)
 
 
 def build_mult(x, space: TruncatedSpace, top=None) -> Operator:
@@ -322,16 +336,14 @@ def build_mult(x, space: TruncatedSpace, top=None) -> Operator:
     is projected away.  Only the columns of levels n <= top hold entries,
     every level by default.  M(y) is M(y*)^T, so when y* has the shorter
     E-chain, M(y*) is filled through top + _shift(y), transposed."""
-    top, eng = space.npad if top is None else top, space.engine
+    top = space.npad if top is None else top
     if top > space.npad:  # its columns would index past the space
         raise ValueError(f"top = {top} is past npad = {space.npad}")
     y = embed(x) if isinstance(x, PodlesElement) else x
-    if y not in eng.reads_star:
-        eng.reads_star[y] = len(eng.e_chain(eng.terms(y.star()))) < len(eng.e_chain(eng.terms(y)))
-    if eng.reads_star[y]:
-        star = _mult_levels(y.star(), space, min(space.npad, top + _shift(y)))
-        return _operator(space, star, True)
-    return _operator(space, _mult_levels(y, space, top))
+    filled, star = space.engine.filled(y)
+    if star:  # its rows through top are columns of M(y*) through top + _shift(y)
+        top = min(space.npad, top + _shift(y))
+    return _operator(space, _mult_levels(filled, space, top), star)
 
 
 def _window(space: TruncatedSpace, nmax: int) -> np.ndarray:
@@ -462,13 +474,21 @@ def _trace_record(check, inputs, diag, gamma, nmax, exact, z, space, shift, boun
 
 
 def haar_trace_check(x: PodlesElement, z, space: TruncatedSpace):
-    """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block."""
-    # diagonal entries, exact at every level, at most one per row, never -0.0
+    """h(x) against zeta(z)^-1 Tr K^2 |D|^-z M(x) over one chirality block.
+
+    The weights read only the s = 1 block, so only the s = 1 level tables
+    are filled, of y or of y* as `build_mult` would read them: a diagonal
+    entry of M(y*)^T is that of M(y*).  The diagonal is read off the
+    tables, with no `Operator`; its s = -1 half is zero, weighted by 0."""
     _refuse_z(z)
     y = embed(x)
-    M = build_mult(y, space)
-    on = M.rows == M.cols
-    diag = np.bincount(M.rows[on], M.vals[on], space.dim)
+    tables = _mult_levels(space.engine.filled(y)[0], space, space.npad, (1,))
+    keys, vals = map(np.hstack, zip(*tables))
+    # the entries with row key = column key, exact at every level, one per
+    # column, never -0.0
+    on = (keys[0] == keys[2]) & (keys[1] == keys[3])
+    diag = np.zeros(space.dim)
+    diag[keys[2, on]] = vals[on]
     return _trace_record("haar_trace", {"x": str(x), "z": z}, diag, 0.0, space.npad,
                          haar(y), z, space, _shift(y), abs(diag))
 

@@ -13,10 +13,11 @@ their terms; a tau lhs is checked against the dense BLAS oracle of
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
-from qsphere import corep, spectral
+from qsphere import cli, corep, spectral
 from qsphere.fodc import TAU, eta, pair_chain, tau, volume_check
 from qsphere.haar import haar_podles
 from qsphere.podles import embed, gen_A, gen_B, gen_Bs
@@ -118,6 +119,17 @@ def test_level_table_bits():
     assert digest.hexdigest() == LEVEL_TABLE_DIGEST
 
 
+def test_verify_record_digests(capsys):
+    # every field of every `verify` record but its wall time, as the
+    # command prints it: the h record's tol_abs and round_off_scale read the
+    # whole diagonal, so they also pin that its s = -1 half weighs nothing
+    for argv, pin in VERIFY_RECORD_DIGESTS.items():
+        assert cli.main(["verify", *argv.split()]) == 0, argv
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(rec.pop("wall_ms") >= 0 for rec in recs)
+        assert _digest(json.dumps(rec, sort_keys=True) for rec in recs) == pin, argv
+
+
 # z = 3 throughout
 TRACE_LHS_HEX = {
     (Fraction(1, 4), 6): {
@@ -153,3 +165,9 @@ TAU_DIGEST = "0b584dd2ff93e5e7c90240b08496532abab6094df197df8f2aa07610c25b0b72"
 HAAR_DIGEST = "c935a495c7f6b62ae4565fbbd1e155f5dda03a26575063fbdaaf63caae3ce570"
 MATRIX_DIGEST = "3e7be4cd5135c41fda33674a590794d7bb0ebc2b66b013d9653e497584ff810f"
 LEVEL_TABLE_DIGEST = "3eb17f689e9a324ac5f1156b86204a6fc0f2393b460ab18c6e24a8d77d26f4a3"
+# sha256 of the `verify` records, wall_ms dropped, each serialised with
+# sorted keys, one per line
+VERIFY_RECORD_DIGESTS = {
+    "--q0 1/4 --L 6:7 --z 3": "c361d22816c7a2924674dbef41cc8d5f5d0c37ae15f767585bbca7ad115e6fc9",
+    "--q0 2/3 --L 10 --z 3": "32ea8a883a8c124688ce5c84ae54811985e9a08a50c8b9ad84e7ad4d9b69ef91",
+}

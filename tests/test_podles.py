@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c
+from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere.errors import NotInSubalgebra
 from qsphere.podles import (
     PodlesElement,
+    _embed_mono,
     embed,
     gen_A,
     gen_B,
@@ -18,7 +19,7 @@ from qsphere.podles import (
     recognize,
     sigma,
 )
-from qsphere.scalar import Q_ONE, qpow
+from qsphere.scalar import Q_ONE, qhalfpow, qpow
 from qsphere.uq import act_left, act_right, gen_E, gen_F, gen_K, gen_Kinv, r_action
 from tests.test_uq import coeffs
 
@@ -73,9 +74,24 @@ def test_crossing_against_the_embedding():
             assert embed(gen_Bs**k * gen_B**m) == Bs_k * B_m, (m, k)
 
 
-def test_embed_generators():
-    from qsphere.coordalg import gen_d
+# the images of the generators, whose products the closed form of
+# podles._embed_mono replaces
+_EMB_A = (gen_b * gen_c).scale(qhalfpow(-2, -1))
+_EMB_B = gen_a * gen_c
+_EMB_BS = (gen_d * gen_b).scale(-1)
 
+
+def test_embedded_monomials_equal_the_products_of_the_images():
+    # A^i B^j -> (-1)^i q^(-i - j(j-1)/2 - 2ij) a^j b^i c^(i+j) and
+    # A^i B*^k -> (-1)^(i+k) q^(-i - k(k+1)/2) b^(i+k) c^i d^k, each the
+    # normal-ordered product of the generators' images
+    for i, j in product(range(9), range(-8, 9)):
+        power = _EMB_A**i * (_EMB_B**j if j >= 0 else _EMB_BS**-j)
+        assert _embed_mono((i, j)) == power, (i, j)
+        assert embed(PodlesElement.monomial((i, j))) == power, (i, j)
+
+
+def test_embed_generators():
     assert embed(gen_A) == (gen_b * gen_c).scale(qpow(-1) * -1)
     assert embed(gen_B) == gen_a * gen_c
     assert embed(gen_Bs) == (gen_d * gen_b).scale(-1)

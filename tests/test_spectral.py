@@ -445,9 +445,10 @@ def test_trace_checks_refuse_a_z_without_a_finite_trace(monkeypatch, z):
 
 
 def test_haar_trace_reads_m_through_the_transpose(monkeypatch):
-    # B* has the shorter E-chain, so M(A + B) is read as M(A + B*)^T: its
-    # diagonal is the direct fill's to the bit, and B adds nothing to it, so
-    # the record is that of A
+    # B* has the shorter E-chain, so M(A + B) is read as M(A + B*)^T: on the
+    # s = 1 block, the one its weights read, its diagonal is the direct
+    # fill's to the bit, the s = -1 half is left zero, and B adds nothing to
+    # it, so the record is that of A
     space = TruncatedSpace(Fraction(2, 3), 6)
     diags, trace_record = [], spectral._trace_record
     monkeypatch.setattr(spectral, "_trace_record",
@@ -457,7 +458,9 @@ def test_haar_trace_reads_m_through_the_transpose(monkeypatch):
     assert space.engine.reads_star[y]
     M = spectral._operator(space, spectral._mult_levels(y, space, space.npad))
     on = M.rows == M.cols
-    assert diags[0].tobytes() == np.bincount(M.rows[on], M.vals[on], space.dim).tobytes()
+    direct, half = np.bincount(M.rows[on], M.vals[on], space.dim), space.family
+    assert diags[0][:half].tobytes() == direct[:half].tobytes()
+    assert not diags[0][half:].any() and direct[half:].any()
     assert rec["lhs"] == haar_trace_check(gen_A, 3, space)["lhs"]
 
 
@@ -591,6 +594,24 @@ def test_tau_expands_only_the_levels_it_reads(monkeypatch):
     assert top == {embed(gen_A): 9, embed(gen_Bs): 10}
     terms_B = tuple(sorted(eng.terms(embed(gen_B))))
     assert calls and all(xs != terms_B for xs, s, n in calls)
+
+
+def test_haar_trace_expands_only_the_family_it_reads(monkeypatch):
+    # at L = 8, npad = 11: h weights only the s = 1 block, so h(A) fills the
+    # s = 1 levels of A through npad and no s = -1 level; tau(A, B, B*) then
+    # reads the s = 1 levels of A from those tables and fills the s = -1
+    # ones through W + 1 = 9, as it does alone
+    eng, calls = _counted_engine(monkeypatch, Fraction(1, 4))
+    space = TruncatedSpace(Fraction(1, 4), 8)
+    haar_trace_check(gen_A, 3, space)
+    terms_A = tuple(sorted(eng.terms(embed(gen_A))))
+    assert sorted(calls) == [(terms_A, 1, n) for n in range(1, space.npad + 1)] and space.npad == 11
+    assert set(calls.values()) == {1}
+    assert eng._levels.keys() == {embed(gen_A)}
+    assert sorted(eng._levels[embed(gen_A)]) == [(1, n) for n in range(1, 12)]
+    tau_trace_check(gen_A, gen_B, gen_Bs, 3, space)
+    assert max(n for s, n in eng._levels[embed(gen_A)] if s < 0) == 9
+    assert set(calls.values()) == {1}
 
 
 def _with_complete_matrices(check, *args):
