@@ -1,12 +1,12 @@
-"""The standard quantum 2-sphere: normal forms, embedding and recognition.
+"""The standard quantum 2-sphere, the subalgebra of the coordinate algebra
+generated by A = -q^-1 bc, B = ac and B* = -db.
 
-Abstract presentation: generators A = A*, B, B* with
-
-    BA = q^2 AB,  AB* = q^2 B*A,  B*B = A - A^2,  BB* = q^2 A - q^4 A^2,
-
-realized inside the coordinate algebra by A = -q^-1 bc, B = ac, B* = -db.
 Basis monomials are A^i B^j (j >= 0) and A^i B*^k (k >= 1); keys are pairs
-(i, j) with j > 0 for B powers and j < 0 for B* powers.
+(i, j) with j > 0 for B powers and j < 0 for B* powers.  Products and the
+*-involution are taken on the images and recognized back, so `coordalg` is
+the one place that reorders letters: the relations BA = q^2 AB, AB* = q^2 B*A,
+B*B = A - A^2 and BB* = q^2 A - q^4 A^2 follow from its relations, and
+tests/test_podles.py checks them (test_defining_relations).
 
 The sphere is exactly the right-K-invariant part of the coordinate algebra,
 and the modular automorphism of the invariant state acts by
@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .comb import SparseComb, merge_into
-from .coordalg import CoordElement
+from .coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from .errors import NotInSubalgebra
 from .scalar import Q_ONE, qhalfpow, qpow
 
@@ -37,44 +37,20 @@ class PodlesElement(SparseComb):
             raise ValueError(f"{mono} is not the key (i, j) of A^i B^j, i >= 0")
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def _mono_mul(m1, m2):
-        """Product of basis monomials as (mono, RationalQ) pairs."""
-        i1, j1 = m1
-        i2, j2 = m2
-        # move the B-part of m1 past A^i2:
-        # B^m A^i = q^(2 m i) A^i B^m and B*^m A^i = q^(-2 m i) A^i B*^m,
-        # uniformly q^(2 j1 i2) with the signed exponent j1
-        scal = qpow(2 * j1 * i2)
-        i = i1 + i2
-        if j1 == 0 or j2 == 0 or (j1 > 0) == (j2 > 0):
-            return (((i, j1 + j2), scal),)
-        # prepending A^i to a normal element costs nothing
-        return tuple(
-            ((ci + i, cj), scal * cc) for (ci, cj), cc in _cross(j1, j2).terms.items()
-        )
+        """Product of basis monomials as (mono, RationalQ) pairs: the product
+        of their images, recognized."""
+        return tuple(recognize(_embed_mono(m1) * _embed_mono(m2)).terms.items())
 
     def star(self):
-        """A* = A, (B)* = B*; (A^i B^j)* = q^(-2ij) A^i B^-j on basis keys."""
-        return PodlesElement._raw(
-            {(i, -j): c * qpow(-2 * i * j) for (i, j), c in self.terms.items()}
-        )
+        """The *-involution of the coordinate algebra, on the image."""
+        return recognize(embed(self).star())
 
 
 gen_A = PodlesElement._raw({(1, 0): Q_ONE})
 gen_B = PodlesElement._raw({(0, 1): Q_ONE})
 gen_Bs = PodlesElement._raw({(0, -1): Q_ONE})
-
-
-@lru_cache(maxsize=1024)
-def _cross(j1, j2):
-    """B^j1 B*^-j2 (j1 > 0 > j2) or B*^-j1 B^j2 (j1 < 0 < j2) in normal form;
-    the innermost pair BB* = q^2 A - q^4 A^2 or B*B = A - A^2 is
-    q^w A - q^2w A^2, and the key (0, 0) of an empty outer power is the unit."""
-    step, w = (1, 2) if j1 > 0 else (-1, 0)
-    mid = PodlesElement._raw({(1, 0): qpow(w), (2, 0): -qpow(2 * w)})
-    left = PodlesElement._raw({(0, j1 - step): Q_ONE})
-    right = PodlesElement._raw({(0, j2 + step): Q_ONE})
-    return left * mid * right
 
 
 def sigma(x: PodlesElement) -> PodlesElement:
@@ -84,18 +60,22 @@ def sigma(x: PodlesElement) -> PodlesElement:
     )
 
 
+_IMAGE_A = (gen_b * gen_c).scale(qhalfpow(-2, -1))  # the images of the generators
+_IMAGE_B = gen_a * gen_c
+_IMAGE_BS = (gen_d * gen_b).scale(-1)
+
+
 @lru_cache(maxsize=1024)
 def _embed_mono(mono) -> CoordElement:
-    """The image of a basis monomial, one monomial in normal form:
-    A^i B^j maps to (-1)^i q^(-i - j(j-1)/2 - 2ij) a^j b^i c^(i+j) and
-    A^i B*^k to (-1)^(i+k) q^(-i - k(k+1)/2) b^(i+k) c^i d^k, the products
-    of the images A = -q^-1 bc, B = ac and B* = -db."""
+    """The image of a basis monomial A^i B^j, the product of the images of
+    its letters, one letter on a cached shorter word: one monomial in normal
+    form, since bc commutes and a or d moves past b and c by a power of q."""
     i, j = mono
-    if j >= 0:
-        key, half, sign = (j, i, i + j, 0), -2 * i - j * (j - 1) - 4 * i * j, i
-    else:  # k = -j, and k (k + 1) = j (j - 1)
-        key, half, sign = (0, i - j, i, -j), -2 * i - j * (j - 1), i - j
-    return CoordElement._raw({key: qhalfpow(half, (-1) ** sign)})
+    if i:
+        return _IMAGE_A * _embed_mono((i - 1, j))
+    if j:
+        return _embed_mono((0, j - 1)) * _IMAGE_B if j > 0 else _embed_mono((0, j + 1)) * _IMAGE_BS
+    return CoordElement.one()
 
 
 def embed(x: PodlesElement) -> CoordElement:

@@ -40,7 +40,7 @@ c sqrt(N_alpha / N_beta).  With the squared norms of `corep`, N = q^T [T]!^2
 [E]! [(T+1)/2]^s / ([T+1] [T-E]!), `_Engine._norm_ratio` gives N_alpha /
 N_beta = r_num / r_den, without a gcd, as a part of the two levels, cached
 per pair, times [E_alpha]!/[E_beta]! and [T_beta-E_beta]!/[T_alpha-E_alpha]!,
-each cached, from [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r.
+each cached, from the ladder's own [m] = e/d at q0 (`Ladder._qint`).
 A nonzero part e/d of c is then the square root of one int true division,
 (e^2 r_num) / (d^2 r_den), times p/r under the root for the odd part,
 signed as e.  The division rounds c_part^2 N_alpha / N_beta correctly, so
@@ -88,10 +88,6 @@ class _Engine(Ladder):
         self._levels = {}  # y -> {(s, n): level table of M(y)}
         self.reads_star = {}  # y -> whether M(y) is read as M(y*)^T
         self._pairs, self._ranges = {}, {}  # P by (sa, na, sb, nb), [hi]!/[lo]! by (lo, hi)
-        p, r = q0.numerator, q0.denominator
-        # [m] = (r^2m - p^2m) / ((rp)^(m-1) (r^2 - p^2)) at q0 = p/r
-        self._qint_parts = {m: (r ** (2 * m) - p ** (2 * m), (r * p) ** (m - 1) * (r * r - p * p))
-                            for m in range(1, MAX_TWOL + 3)}
 
     def value(self, x):
         """A RationalQ at q0, evaluated once per distinct value."""
@@ -117,10 +113,11 @@ class _Engine(Ladder):
         return pn * en * tn, pd * ed * td
 
     def _range(self, lo, hi) -> tuple:
-        """[hi]!/[lo]! as ints (num, den), cached."""
+        """[hi]!/[lo]! as ints (num, den), cached; each [m] is rational, e/d."""
         out = self._ranges.get((lo, hi))
         if out is None:
-            out = self._ranges[lo, hi] = (_prod(*map(self._qint_parts.get, range(lo + 1, hi + 1)))
+            qints = map(self._qint, range(lo + 1, hi + 1))
+            out = self._ranges[lo, hi] = (_prod(*((v.e, v.d) for v in qints))
                                           if lo <= hi else self._range(hi, lo)[::-1])
         return out
 
@@ -374,10 +371,12 @@ def zeta_merom(z: float, q0: float) -> float:
     term k + 1 cancel; where |z + 2k| < 1, never at z > 2, the two are one
     term C(z-2+k, k)/(k+1) x/expm1(-x log q), x = z + 2k, -1/log q at x = 0.
     Only z = 2 is a pole of zeta, simple with residue (q - q^-1)/log q;
-    there, and within round-off, it raises ValueError.  Its terms grow while
-    (z-1+k) q^2 > k+1, so the sum runs past the largest term and on until a
-    term is below the round-off of the sum.
+    there and within round-off, and at a q0 outside (0, 1), it raises
+    ValueError.  Its terms grow while (z-1+k) q^2 > k+1, so the sum runs past
+    the largest term and on until a term is below the round-off of the sum.
     """
+    if not 0 < q0 < 1:
+        raise ValueError(f"q0 = {q0} is outside (0, 1)")
     lq = math.log(q0)
     try:
         pref = (1.0 / q0 - q0) ** (z - 1)
@@ -420,11 +419,11 @@ def residue_check(q0: float, eps: float = 1e-4):
     O(eps^2) term and the round-off of 1 - q^eps stay below |a1| eps, with
     margins over 100 at eps = 1e-4 for 0.01 <= q0 <= 0.99, where a1 > 1.15.
     """
+    z = 2.0 + eps
+    val = (z - 2) * zeta_merom(z, q0)  # first: it refuses a q0 outside (0, 1)
     lam, lq = 1.0 / q0 - q0, math.log(q0)
     s = sum(2 * q0 ** (2 * m) / (1 - q0 ** (2 * m)) for m in range(1, int(20 / -lq) + 2))
     a1 = lam * (s - 0.5 - math.log(lam) / lq)
-    z = 2.0 + eps
-    val = (z - 2) * zeta_merom(z, q0)
     return record("zeta_residue", {"eps": eps}, val, zeta_residue(q0),
                   tol_abs=2 * abs(a1) * eps, q0=q0)
 

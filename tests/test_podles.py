@@ -1,12 +1,13 @@
 """Tests for the quantum-sphere algebra."""
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsphere.comb import add_term
 from qsphere.coordalg import CoordElement, gen_a, gen_b, gen_c, gen_d
 from qsphere.errors import NotInSubalgebra
 from qsphere.podles import (
@@ -64,31 +65,82 @@ def test_multiplication_confluence_randomized(word, data):
     assert items[0] == left
 
 
+# The reference for podles, which multiplies through the coordinate algebra:
+# the sphere's own normal-ordering rules and the closed form of each basis
+# monomial's image, on dicts {(i, j): RationalQ}.
+
+
+def _sphere_mul(x, y):
+    """x y by the rules B^m A^i = q^(2mi) A^i B^m and B*^m A^i = q^(-2mi)
+    A^i B*^m, uniformly q^(2 j1 i2) for the signed exponent j1, and the
+    crossings of `_cross`; prepending A^i to a normal element costs nothing."""
+    out = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            c = c1 * c2 * qpow(2 * j1 * i2)
+            parts = _cross(j1, j2) if j1 * j2 < 0 else {(0, j1 + j2): Q_ONE}
+            for (ci, cj), w in parts.items():
+                add_term(out, (ci + i1 + i2, cj), c * w)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _cross(j1, j2):
+    """B^j1 B*^-j2 (j1 > 0 > j2) or B*^-j1 B^j2 (j1 < 0 < j2) in normal form;
+    the innermost pair BB* = q^2 A - q^4 A^2 or B*B = A - A^2 is
+    q^w A - q^2w A^2, and the key (0, 0) of an empty outer power is the unit."""
+    step, w = (1, 2) if j1 > 0 else (-1, 0)
+    mid = {(1, 0): qpow(w), (2, 0): -qpow(2 * w)}
+    return _sphere_mul(_sphere_mul({(0, j1 - step): Q_ONE}, mid), {(0, j2 + step): Q_ONE})
+
+
+def _closed_embed_mono(i, j):
+    """A^i B^j -> (-1)^i q^(-i - j(j-1)/2 - 2ij) a^j b^i c^(i+j) and
+    A^i B*^k -> (-1)^(i+k) q^(-i - k(k+1)/2) b^(i+k) c^i d^k."""
+    if j >= 0:
+        key, half, sign = (j, i, i + j, 0), -2 * i - j * (j - 1) - 4 * i * j, i
+    else:  # k = -j, and k (k + 1) = j (j - 1)
+        key, half, sign = (0, i - j, i, -j), -2 * i - j * (j - 1), i - j
+    return CoordElement.monomial(key, qhalfpow(half, (-1) ** sign))
+
+
+def _closed_embed(x):
+    return sum((_closed_embed_mono(i, j).scale(c) for (i, j), c in x.items()), CoordElement.zero())
+
+
 def test_crossing_against_the_embedding():
-    # B^m B*^k and B*^k B^m, normal-ordered through podles._cross, against
-    # the product of their images in the coordinate algebra
+    # B^m B*^k and B*^k B^m, normal-ordered by the sphere's rules, against
+    # the sphere's product and against the product of the images
     for m in range(1, 5):
         for k in range(1, 5):
-            B_m, Bs_k = embed(gen_B**m), embed(gen_Bs**k)
-            assert embed(gen_B**m * gen_Bs**k) == B_m * Bs_k, (m, k)
-            assert embed(gen_Bs**k * gen_B**m) == Bs_k * B_m, (m, k)
+            for x, y in ((gen_B**m, gen_Bs**k), (gen_Bs**k, gen_B**m)):
+                expected = _sphere_mul(x.terms, y.terms)
+                assert (x * y).terms == expected, (m, k)
+                assert _closed_embed(expected) == _closed_embed(x.terms) * _closed_embed(y.terms)
 
 
-# the images of the generators, whose products the closed form of
-# podles._embed_mono replaces
+def test_monomial_products_against_the_sphere_rules():
+    keys = list(product(range(4), range(-3, 4)))
+    for m1, m2 in product(keys, repeat=2):
+        x, y = PodlesElement.monomial(m1), PodlesElement.monomial(m2)
+        assert (x * y).terms == _sphere_mul(x.terms, y.terms), (m1, m2)
+
+
+# the images of the generators, written out again here
 _EMB_A = (gen_b * gen_c).scale(qhalfpow(-2, -1))
 _EMB_B = gen_a * gen_c
 _EMB_BS = (gen_d * gen_b).scale(-1)
 
 
 def test_embedded_monomials_equal_the_products_of_the_images():
-    # A^i B^j -> (-1)^i q^(-i - j(j-1)/2 - 2ij) a^j b^i c^(i+j) and
-    # A^i B*^k -> (-1)^(i+k) q^(-i - k(k+1)/2) b^(i+k) c^i d^k, each the
-    # normal-ordered product of the generators' images
+    # the closed form of each basis monomial's image against the
+    # normal-ordered product of the generators' images, and podles against both
     for i, j in product(range(9), range(-8, 9)):
         power = _EMB_A**i * (_EMB_B**j if j >= 0 else _EMB_BS**-j)
-        assert _embed_mono((i, j)) == power, (i, j)
-        assert embed(PodlesElement.monomial((i, j))) == power, (i, j)
+        closed = _closed_embed_mono(i, j)
+        assert closed == power, (i, j)
+        assert _embed_mono((i, j)) == closed, (i, j)
+        assert embed(PodlesElement.monomial((i, j))) == closed, (i, j)
 
 
 def test_embed_generators():
@@ -132,6 +184,9 @@ def test_embed_injective_on_basis():
 @example(gen_A)  # (-q^-1 bc)* = -q^-1 bc: A* = A
 @example(gen_B)  # (ac)* = -db: B* = gen_Bs
 def test_star_matches_embedding(x):
+    # against the closed form (A^i B^j)* = q^(-2ij) A^i B^-j on basis keys
+    closed = {(i, -j): c * qpow(-2 * i * j) for (i, j), c in x.terms.items()}
+    assert x.star().terms == closed
     assert embed(x.star()) == embed(x).star()
 
 

@@ -420,6 +420,17 @@ def test_zeta_merom_names_a_pole_of_its_series(z, q0, pole):
         zeta_merom(z, q0)
 
 
+@pytest.mark.parametrize("check, args", [
+    (residue_check, (1.0,)), (residue_check, (0.0,)), (residue_check, (-0.5,)),
+    (zeta_merom, (2.5, 2.0)), (zeta_merom, (3.0, 1.0)), (zeta_merom, (3.0, -0.5)),
+])
+def test_zeta_merom_and_residue_check_refuse_a_q0_outside_the_unit_interval(check, args):
+    # not a ZeroDivisionError, an OverflowError, a pole of the series or a
+    # math domain error
+    with pytest.raises(ValueError, match=r"q0 = \S+ is outside \(0, 1\)"):
+        check(*args)
+
+
 def test_zeta_merom_is_finite_where_two_poles_of_its_series_cancel():
     # at z = 0 the poles of two terms cancel; a 120-digit sum of the series
     # at z = 1e-30 gives zeta(0) = -0.1493144172 at q0 = 0.5
