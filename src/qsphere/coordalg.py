@@ -175,7 +175,6 @@ _U = {(0, 0): (1, 0, 0, 0), (0, 1): (0, 1, 0, 0), (1, 0): (0, 0, 1, 0), (1, 1): 
 _GEN_POS = {(1, 0, 0, 0): (0, 0), (0, 1, 0, 0): (0, 1), (0, 0, 1, 0): (1, 0), (0, 0, 0, 1): (1, 1)}
 
 
-@lru_cache(maxsize=1024)
 def _letter_coproduct(letter, n):
     """n-fold coproduct of a single generator letter as a TensorElement."""
     i, j = _GEN_POS[letter]
@@ -187,7 +186,6 @@ def _letter_coproduct(letter, n):
     return TensorElement._raw(terms, n)
 
 
-@lru_cache(maxsize=1024)
 def _mono_coproduct(mono, n):
     out = TensorElement.one(n)
     for letter, exp in zip(_GEN_POS, mono):

@@ -19,10 +19,11 @@ without the vectors; no square root enters.  With E steps to 2k, and
 demand: one (s, n) holds its bottom vector and the part of its E-chain
 read so far.
 
-`Ladder` is the one implementation of the ladder and of the expansion of an
-element in it, a triangular solve on top-degree monomials; `expand_mul`
-solves one column of M(x) per level, from the expansions of each monomial
-of x times the bottom vector, solved once per level, and fills the rest by
+`Ladder` is the one implementation of the ladder and of the expansion in
+it of an element of one weight, a triangular solve on top-degree monomials;
+`expand_mul` solves one column of M(x) per level, from the expansions of
+each monomial of x times the bottom vector, one monomial, so each product
+has one weight and is solved once per level, and fills the rest by
 U_q-covariance (the q-Wigner-Eckart theorem).  It keys a vector (s, n, 2k)
 with s = 2j and computes with +, -, * and / alone, on the values its one
 hook `value` gives the exact coefficients: the RationalQ itself here, and
@@ -81,7 +82,7 @@ class Ladder:
         self._pairings = {}  # (m2, m1) -> h(m2* m1)
         self._chains = {}  # (s, n) -> the E-chain of vector terms built so far
         self._norms = {}  # (s, n) -> the squared norms of the level, by 2k
-        self._lowest = {}  # (s, n) -> {mono: expand(mul(mono, w_{s,n,-2l}))}
+        self._lowest = {}  # (s, n) -> {mono: expand(mono w_{s,n,-2l})}
         self._qints = []  # [m] at index m
         self._halfpows = {}  # m -> q^(m/2)
 
@@ -95,15 +96,6 @@ class Ladder:
 
     def terms(self, x: CoordElement) -> dict:
         return {m: self.value(c) for m, c in x.terms.items()}
-
-    def mul(self, xs: dict, ys: dict) -> dict:
-        out = {}
-        for m1, c1 in xs.items():
-            for m2, c2 in ys.items():
-                c = c1 * c2
-                for mono, w in mono_mul(m1, m2):
-                    add_term(out, mono, c * self.value(w))
-        return out
 
     def apply(self, fn, xs: dict) -> dict:
         """The exact linear map fn (CoordElement -> CoordElement) on xs."""
@@ -185,34 +177,33 @@ class Ladder:
                 for s in (-1, 1) for twok in range(1 - 2 * n, 2 * n, 2)}
 
     def expand(self, u: dict) -> dict:
-        """Coefficients {(s, n, twok): c} of u in the unnormalised ladder.
+        """Coefficients {(s, n, twok): c} of u in the unnormalised ladder, for
+        u of one weight (s, 2k), read off its first monomial.
 
-        Within one family and left weight, a spin-l vector has degree
-        exactly 2l, so a top-degree monomial of level n (its pivot) occurs
-        in no lower level and the solve runs from the top level down; the
-        remainder must vanish, which makes the expansion the unique one.
-        The part of u of right weight other than +-1 is orthogonal to both
-        families and dropped.
+        A spin-l vector of that weight has degree exactly 2l, so a top-degree
+        monomial of level n (its pivot) occurs in no lower level and the
+        solve runs from the top level down; the remainder must vanish, so the
+        expansion is unique, and a part of u of another weight raises
+        ArithmeticError.  A u of right weight other than +-1 is orthogonal to
+        both families and expands to {}.
         """
-        groups = {}
-        for m, c in u.items():
-            if abs(right_weight(m)) == 1:
-                groups.setdefault((right_weight(m), left_weight(m)), {})[m] = c
-        out = {}
-        for (s, twok), rest in groups.items():
-            n = (max(map(sum, rest)) + 1) // 2
-            while rest and 2 * n - 1 >= abs(twok):
-                vec = self.vector((s, n, twok))
-                pivot = max(vec.terms, key=sum)
-                c = rest.get(pivot)
-                if c is not None:
-                    c = out[s, n, twok] = c / vec.terms[pivot]
-                    minus_c = -c
-                    for m, w in vec.terms.items():
-                        add_term(rest, m, minus_c * w)
-                n -= 1
-            if rest:
-                raise ArithmeticError(f"remainder {rest} outside the ladder")
+        s, twok = next(((right_weight(m), left_weight(m)) for m in u), (0, 0))
+        if abs(s) != 1:
+            return {}
+        rest, out = dict(u), {}
+        n = (max(map(sum, rest)) + 1) // 2
+        while rest and 2 * n - 1 >= abs(twok):
+            vec = self.vector((s, n, twok))
+            pivot = max(vec.terms, key=sum)
+            c = rest.get(pivot)
+            if c is not None:
+                c = out[s, n, twok] = c / vec.terms[pivot]
+                minus_c = -c
+                for m, w in vec.terms.items():
+                    add_term(rest, m, minus_c * w)
+            n -= 1
+        if rest:
+            raise ArithmeticError(f"remainder {rest} outside the ladder")
         return out
 
     def _halfpow(self, m: int):
@@ -236,7 +227,7 @@ class Ladder:
         return chain
 
     def expand_mul(self, chain: list, s: int, n: int) -> dict:
-        """{twok: expand(mul(xs, w_{s,n,twok}))} over level n, solving only
+        """{twok: the expansion of xs w_{s,n,twok}} over level n, solving only
         the lowest-weight column of each of the E-chain xs, E |> xs, ... given.
 
         By Delta(E) = E (x) K + K^-1 (x) E and w_{k+1} = E |> w_k, a part x_w
@@ -263,16 +254,19 @@ class Ladder:
         return out
 
     def _lowest_column(self, xs: dict, s: int, n: int) -> dict:
-        """expand(mul(xs, w_{s,n,-2l})) by linearity from the expansion of
-        each monomial times the bottom vector, in the key order of `expand`:
-        weight groups as first met, n falling within each."""
+        """The expansion of xs w_{s,n,-2l} by linearity from that of each
+        monomial times the bottom vector, one monomial, in the key order of
+        `expand`: weights as first met, n falling within each."""
         cols = self._lowest.setdefault((s, n), {})
         out = {}
         for m, c in xs.items():
             col = cols.get(m)
             if col is None:
-                bottom = self.vector((s, n, 1 - 2 * n)).terms
-                col = cols[m] = self.expand(self.mul({m: self.value(Q_ONE)}, bottom))
+                ((bottom, b),) = self.vector((s, n, 1 - 2 * n)).terms.items()
+                prod = {}
+                for mono, w in mono_mul(m, bottom):
+                    add_term(prod, mono, b * self.value(w))
+                col = cols[m] = self.expand(prod)
             for key, v in col.items():
                 add_term(out, key, c * v)
         rank = {g: i for i, g in enumerate(dict.fromkeys(key[::2] for key in out))}

@@ -35,7 +35,6 @@ from .scalar import (Q_ONE, Q_ZERO, RationalQ, is_integral, over_packed, pack, q
 from .uq import left_weight, right_weight
 
 
-@lru_cache(maxsize=1024)
 def _h_bc(n: int) -> RationalQ:
     """h((bc)^n) = (-q)^n (1 - q^2)/(1 - q^(2n+2))."""
     return qhalfpow(2 * n, (-1) ** n) * haar_value_A(n)

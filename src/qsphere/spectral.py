@@ -191,7 +191,7 @@ class TruncatedSpace:
     unnormalised ladder vector, built on first read; no check reads it.
     A (q0, L) whose largest power q0^(-2 npad) is past the float range is
     refused with ValueError.  Key (s, n, 2k) is at n (n - 1) + (2k + 2n - 1)/2
-    (`n`, `twok`), plus `family` = npad (npad + 1) if s = -1, as `index` lists.
+    (`n`, `twok`), plus `family` = npad (npad + 1) if s = -1.
     """
 
     def __init__(self, q0, L: int):
@@ -227,12 +227,9 @@ class TruncatedSpace:
         self.jsign = np.tile(np.where((self.twok - 1) // 2 % 2, -1.0, 1.0), 2)
 
     @functools.cached_property
-    def index(self) -> list:
-        return [(s, n, t) for s in (1, -1) for n, t in zip(self.n.tolist(), self.twok.tolist())]
-
-    @functools.cached_property
     def vec(self) -> dict:
-        return {key: self.engine.vector(key) for key in self.index}
+        return {(s, n, t): self.engine.vector((s, n, t))
+                for s in (1, -1) for n, t in zip(self.n.tolist(), self.twok.tolist())}
 
     def norm2_num(self, v: Vector) -> float:
         """Squared norm of the orthonormal vector of v: the exact Haar
@@ -249,11 +246,6 @@ class Operator:
             keys, inv = np.unique(rows * dim + cols, return_inverse=True)
             rows, cols, vals = keys // dim, keys % dim, np.bincount(inv, vals, len(keys))
         self.rows, self.cols, self.vals, self.dim = rows, cols, vals, dim
-
-    def toarray(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim))
-        mat[self.rows, self.cols] = self.vals
-        return mat
 
     def _terms(self, other):
         """Entry indices (e, f) of the product's terms self[i, j] other[j, k]."""
@@ -282,7 +274,7 @@ class Operator:
 
 
 def _operator(space, levels, transpose=False) -> Operator:
-    """M from the engine's level tables in index order, s = 1 before -1 and
+    """M from the engine's level tables in basis order, s = 1 before -1 and
     n rising, with no entry in the levels not given; rows past npad cut off.
     With transpose, a column fills the row of its key instead."""
     keys, vals = zip((np.empty((4, 0), dtype=np.intp), np.empty(0)), *levels)

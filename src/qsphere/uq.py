@@ -113,7 +113,6 @@ class UqTensor(TensorComb):
     FACTOR = UqElement
 
 
-@lru_cache(maxsize=1024)
 def _gen_coproduct(mono, n):
     """n-fold coproduct of E (mono (0, 0, 1)) or F (mono (1, 0, 0)) as a
     UqTensor: Delta^(n)(E) = sum_i K^-1 (x) ... (x) E_i (x) ... (x) K."""

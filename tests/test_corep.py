@@ -9,13 +9,15 @@ from fractions import Fraction
 import pytest
 
 from qsphere import corep
-from qsphere.coordalg import CoordElement
+from qsphere.comb import add_term
+from qsphere.coordalg import CoordElement, mono_mul
 from qsphere.corep import LADDER, mult_matrix, vplus_vminus_basis
 from qsphere.errors import CutoffExceeded
 from qsphere.haar import haar_product, inner
 from qsphere.podles import PodlesElement, embed, gen_A, gen_B, gen_Bs
 from qsphere.scalar import Q_ONE, Q_ZERO, evaluate, qhalfpow, qint
-from qsphere.uq import act_left, act_right, gen_E, gen_F, gen_K, r_action
+from qsphere.uq import (act_left, act_right, gen_E, gen_F, gen_K, left_weight, r_action,
+                       right_weight)
 
 
 def _ladder(l_max):
@@ -226,6 +228,55 @@ def test_mult_matrix_matches_haar_projection(x):
                 assert entry * alpha.norm2 == haar_product(alpha.star_elem(), u)
 
 
+def product(ladder, xs, ys):
+    """Reference product xs ys of two dicts of terms in the ladder's field,
+    monomial by monomial."""
+    out = {}
+    for m1, c1 in xs.items():
+        for m2, c2 in ys.items():
+            c = c1 * c2
+            for mono, w in mono_mul(m1, m2):
+                add_term(out, mono, c * ladder.value(w))
+    return out
+
+
+def expand_by_weight(ladder, u):
+    """Reference expansion of any u: its parts of right weight +-1, grouped
+    by (right, left) weight as first met, each solved by `Ladder.expand`;
+    the parts of other right weights are orthogonal to both families."""
+    groups = {}
+    for m, c in u.items():
+        if abs(right_weight(m)) == 1:
+            groups.setdefault((right_weight(m), left_weight(m)), {})[m] = c
+    out = {}
+    for part in groups.values():
+        out.update(ladder.expand(part))
+    return out
+
+
+def assert_one_weight_contract(ladder):
+    """`Ladder.expand` on level 2: a vector expands to itself, a product of
+    right weight +-1 to something, one of right weight +-3 to {}, and a sum
+    of vectors of two weights raises ArithmeticError rather than returning
+    the solve of its first weight."""
+    one = ladder.value(Q_ONE)
+    w = {(s, twok): ladder.vector((s, 2, twok)).terms for s in (1, -1) for twok in (-1, 1)}
+    for (s, twok), terms in w.items():
+        assert ladder.expand(terms) == {(s, 2, twok): one}
+        for mono in ((0, 0, 2, 0), (2, 0, 0, 0)):  # c^2 and a^2, right weights 2 and -2
+            u = product(ladder, {mono: one}, terms)
+            r = right_weight(next(iter(u)))
+            assert (ladder.expand(u) == {}) == (abs(r) == 3), (s, twok, mono, r)
+    for a, b in (((1, -1), (1, 1)), ((1, 1), (-1, 1)), ((-1, 1), (1, -1))):
+        with pytest.raises(ArithmeticError):
+            ladder.expand({**w[a], **w[b]})
+
+
+def test_expand_solves_one_weight():
+    # over Q(q^(1/2)) on the exact ladder
+    assert_one_weight_contract(LADDER)
+
+
 # the operands of the covariance recursion's tests, with chains E^i |> x of
 # length 1 to 4
 RECURSION_OPERANDS = (
@@ -235,7 +286,7 @@ RECURSION_OPERANDS = (
 
 def expand_mul_mismatches(ladder, x, levels):
     """Columns (s, n, 2k) where `expand_mul` differs from the solve per
-    column, expand(mul(x, w)), compared exactly before any rounding."""
+    column, the expansion of x w, compared exactly before any rounding."""
     xs = ladder.terms(embed(x))
     bad = []
     for s in (1, -1):
@@ -243,7 +294,7 @@ def expand_mul_mismatches(ladder, x, levels):
             cols = ladder.expand_mul(ladder.e_chain(xs), s, n)
             for twok in range(-(2 * n - 1), 2 * n, 2):
                 w = ladder.vector((s, n, twok)).terms
-                if cols[twok] != ladder.expand(ladder.mul(xs, w)):
+                if cols[twok] != expand_by_weight(ladder, product(ladder, xs, w)):
                     bad.append((s, n, twok))
     return bad
 
@@ -256,14 +307,14 @@ def test_expand_mul_equals_the_solve_per_column(x):
 
 def lowest_column_mismatches(ladder, x, levels):
     """(s, n, i) where the lowest column of E^i |> x, combined from the
-    per-monomial expansions, differs from the solve expand(mul(E^i |> x,
-    w_{s,n,-2l})), in a value or in the order of its keys."""
+    per-monomial expansions, differs from the solve of (E^i |> x)
+    w_{s,n,-2l} by weight, in a value or in the order of its keys."""
     bad = []
     for s in (1, -1):
         for n in levels:
             bottom = ladder.vector((s, n, 1 - 2 * n)).terms
             for i, xs in enumerate(ladder.e_chain(ladder.terms(embed(x)))):
-                want = ladder.expand(ladder.mul(xs, bottom))
+                want = expand_by_weight(ladder, product(ladder, xs, bottom))
                 if list(ladder._lowest_column(xs, s, n).items()) != list(want.items()):
                     bad.append((s, n, i))
     return bad

@@ -34,6 +34,7 @@ from qsphere.spectral import (
 from qsphere.uq import gen_E, gen_F, r_action
 from tests.test_corep import (
     RECURSION_OPERANDS,
+    assert_one_weight_contract,
     expand_mul_mismatches,
     f_chain_mismatches,
     j0_coefficients,
@@ -73,9 +74,22 @@ def _columns(eng, y):
     return column
 
 
+def basis_keys(space):
+    """The keys (s, n, 2k) of the basis of space in position order, read
+    off its arrays `n` and `twok`."""
+    return [(s, n, t) for s in (1, -1) for n, t in zip(space.n.tolist(), space.twok.tolist())]
+
+
+def to_array(op):
+    """The dense matrix of a sparse `Operator`, with no duplicate positions."""
+    mat = np.zeros((op.dim, op.dim))
+    mat[op.rows, op.cols] = op.vals
+    return mat
+
+
 def _pos(space):
-    """{key (s, n, 2k): position} of the basis of space, from its index."""
-    return {key: i for i, key in enumerate(space.index)}
+    """{key (s, n, 2k): position} of the basis of space."""
+    return {key: i for i, key in enumerate(basis_keys(space))}
 
 
 def _dict_operator(space, column, top, transpose=False):
@@ -123,8 +137,8 @@ def dense_tau_record(x0, x1, x2, z, space):
     [D, M(x1)] and [D, M(x2)], the BLAS product of the first two and the
     diagonal of its product with the third; its bound from dense row sums."""
     shifts = [spectral._shift(embed(x)) for x in (x0, x1, x2)]
-    m0 = build_mult(x0, space).toarray()
-    c1, c2 = (_dirac_commutator(space, build_mult(x, space).toarray()) for x in (x1, x2))
+    m0 = to_array(build_mult(x0, space))
+    c1, c2 = (_dirac_commutator(space, to_array(build_mult(x, space))) for x in (x1, x2))
     diag = np.einsum("ij,ji->i", m0 @ c1, c2)
     bound = abs(m0).sum(1) * abs(c1).sum(1).max() * abs(c2).sum(1).max()
     return spectral._trace_record("tau_trace", {}, diag, -space.q0**2, space.npad - sum(shifts),
@@ -192,7 +206,7 @@ def test_build_mult_refuses_a_top_past_npad():
             build_mult(x, space, space.npad + 2)
         op = build_mult(x, space, space.npad)
         assert max(op.rows.max(), op.cols.max()) < space.dim == 84
-        assert op.toarray().shape == (84, 84)
+        assert to_array(op).shape == (84, 84)
 
 
 def test_a_fill_builds_the_e_chain_of_its_operand_once(monkeypatch):
@@ -333,19 +347,19 @@ def test_commutators_give_the_calculus(q0):
     # chirality, with (-,+) block M(q^(1/2) R_E x) and (+,-) block
     # M(q^(-1/2) R_F x), the components of fodc.differential(x)
     space = TruncatedSpace(q0, 6)
-    eng = space.engine
+    eng, keys = space.engine, basis_keys(space)
     D = build_dirac(space)
 
     def mult(y):
         return _matrix(space, _columns(eng, y), space.npad)
 
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
-        M = build_mult(x, space).toarray()
+        M = to_array(build_mult(x, space))
         C = D @ M - M @ D
         dx = differential(x)
         window = set(spectral._window(space, space.npad - spectral._shift(embed(x))))
-        plus = [i for i in window if space.index[i][0] == 1]
-        minus = [i for i in window if space.index[i][0] == -1]
+        plus = [i for i in window if keys[i][0] == 1]
+        minus = [i for i in window if keys[i][0] == -1]
         # M(x) keeps the chirality, so the diagonal blocks vanish exactly
         assert not C[np.ix_(plus, plus)].any() and not C[np.ix_(minus, minus)].any()
         for rows, cols, y in ((minus, plus, dx.ecomp), (plus, minus, dx.fcomp)):
@@ -361,7 +375,7 @@ def test_real_structure_signs(q0):
     # KO-dimension 2
     space = TruncatedSpace(q0, 4)
     U, D = build_J(space), build_dirac(space)
-    gamma = np.diag([float(s) for s, n, twok in space.index])
+    gamma = np.diag([float(s) for s, n, twok in basis_keys(space)])
     eye = np.eye(space.dim)
     assert np.max(np.abs(U @ U.conj().T - eye)) <= 1e-12
     assert np.max(np.abs(U @ U.conj() + eye)) <= 1e-12
@@ -672,8 +686,8 @@ def test_sparse_commutator_equals_the_dense_one_bit_for_bit(q0):
     for x in (gen_A, gen_B, gen_Bs, gen_A * gen_B):
         M = build_mult(x, space)
         sparse = spectral._commutator(space, M)
-        dense = _dirac_commutator(space, M.toarray())
-        assert dense.any() and sparse.toarray().tobytes() == dense.tobytes(), (x, q0)
+        dense = _dirac_commutator(space, to_array(M))
+        assert dense.any() and to_array(sparse).tobytes() == dense.tobytes(), (x, q0)
         assert len(set(zip(sparse.rows, sparse.cols))) == len(sparse.vals)
 
 
@@ -723,11 +737,11 @@ def test_sparse_product_and_diagonal_equal_the_dense_ones():
 
     for n in (0, 1, 12, 40):
         a, b = random_operator(n), random_operator(30)
-        assert np.allclose((a @ b).toarray(), dense(a) @ dense(b), rtol=1e-14, atol=1e-14)
-        assert np.allclose((a - b).toarray(), dense(a) - dense(b), rtol=1e-14, atol=1e-14)
+        assert np.allclose(to_array(a @ b), dense(a) @ dense(b), rtol=1e-14, atol=1e-14)
+        assert np.allclose(to_array(a - b), dense(a) - dense(b), rtol=1e-14, atol=1e-14)
         assert np.allclose(a.diagonal(b), np.diag(dense(a) @ dense(b)), rtol=1e-14, atol=1e-14)
         merged = spectral.Operator(a.rows, a.cols, a.vals, dim, merge=True)
-        assert np.array_equal(merged.toarray(), dense(a))
+        assert np.array_equal(to_array(merged), dense(a))
         assert np.allclose(merged.abs_row_sums(), abs(dense(a)).sum(1), rtol=1e-14, atol=0)
 
 
@@ -740,8 +754,8 @@ def test_star_pairs_transpose_bit_for_bit(q0):
     space, eng = TruncatedSpace(q0, 5), spectral._Engine(q0)
     dB = differential(gen_B)
     for y in (embed(gen_B), embed(gen_Bs), dB.ecomp, dB.fcomp):
-        direct = spectral._operator(space, eng.levels(y, space.npad)).toarray()
-        read = spectral._operator(space, eng.levels(y.star(), space.npad), True).toarray()
+        direct = to_array(spectral._operator(space, eng.levels(y, space.npad)))
+        read = to_array(spectral._operator(space, eng.levels(y.star(), space.npad), True))
         assert direct.any() and direct.tobytes() == read.tobytes(), y
 
 
@@ -803,7 +817,7 @@ def test_mult_matches_exact_matrices():
         norm2 = {key(v): float(evaluate(v.norm2, q0)) for v in family}
         source = [v for v in family if v.twol <= 3]
         for x in (gen_A, gen_B, gen_Bs):
-            M = build_mult(x, space).toarray()
+            M = to_array(build_mult(x, space))
             exact = mult_matrix(x, source, family)
             assert not exact.untrusted_cols
             for beta in source:
@@ -823,6 +837,11 @@ def test_expand_mul_equals_the_solve_per_column_at_q0(x, q0):
     # the same recursion in Q(sqrt(q0)), through level 8, before rounding;
     # at 2/3 its half powers keep an odd part
     assert expand_mul_mismatches(spectral._engine_for(q0), x, range(1, 9)) == []
+
+
+def test_expand_solves_one_weight_at_q0():
+    # in Q(sqrt(q0)) on the shared engine at q0 = 1/4
+    assert_one_weight_contract(spectral._engine_for(Fraction(1, 4)))
 
 
 def test_bottom_vectors_equal_the_f_chain_at_q0():
@@ -885,7 +904,7 @@ def test_space_arrays_equal_the_key_walk(L):
     index = [(s, n, t) for s in (1, -1) for n in range(1, space.npad + 1)
              for t in range(-(2 * n - 1), 2 * n, 2)]
     pos = {key: i for i, key in enumerate(index)}
-    assert space.index == index and space.dim == len(index)
+    assert basis_keys(space) == index and space.dim == len(index)
     assert space.swap.tolist() == [pos[-s, n, t] for s, n, t in index]
     assert space.flip.tolist() == [pos[-s, n, -t] for s, n, t in index]
     dirac = np.array([-qnum(n, space.q0) for s, n, t in index])
